@@ -42,7 +42,6 @@ from .semantics import EvalError
 from .specfile import InvariantSpecFile, SpecError, load_spec
 from .syntax import Program, RtExpr, RT_ZERO
 from .transformer import ErtConfig, expected_runtime
-from .specfile import parse_domain  # noqa: F401  (re-exported for scripting)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -279,7 +278,6 @@ def _cmd_crosscheck(args) -> int:
         cfg,
         ert_config=ErtConfig(max_unroll_depth=args.depth),
         fallback_unroll=args.fallback_depth,
-        tol=args.tol,
     )
 
     payload = _base_report(args, "crosscheck")
@@ -465,9 +463,7 @@ def _cmd_refine(args) -> int:
 def _cmd_props(args) -> int:
     started = time.monotonic()
     config = ErtConfig(tick_mutation="drop-if-tick") if args.mutant else None
-    report = run_property_suite(
-        args.seed, count=args.count, max_depth=args.max_depth, config=config
-    )
+    report = run_property_suite(args.seed, count=args.count, config=config)
     payload = _base_report(args, "props")
     payload["requested"] = report.requested
     payload["checked"] = report.checked
@@ -629,7 +625,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=40,
         help="loop bound used when the full model exceeds the node cap",
     )
-    p.add_argument("--tol", type=float, default=1e-9)
     common(p)
     p.set_defaults(func=_cmd_crosscheck)
 
@@ -650,7 +645,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("props", help="randomized algebraic-law suite")
     p.add_argument("--count", type=int, default=500)
-    p.add_argument("--max-depth", type=int, default=3)
     p.add_argument(
         "--mutant",
         action="store_true",

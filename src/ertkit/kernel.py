@@ -248,11 +248,3 @@ class State:
             for k, vs in sorted(self.arrays.items())
         ]
         return "{%s}" % ", ".join(parts)
-
-
-def state_update(sigma: State, target, v: Value) -> State:
-    """Update a scalar (target: str) or array cell (target: (name, index))."""
-    if isinstance(target, str):
-        return sigma.set(target, v)
-    name, index = target
-    return sigma.set_cell(name, index, v)

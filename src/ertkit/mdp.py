@@ -11,11 +11,9 @@ quantity the transformer computes; `cross_check` compares the two.
 """
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .kernel import INF, ZERO, KernelError, State, XReal
 from .semantics import eval_dist, eval_expr, eval_guard, eval_rt
@@ -74,18 +72,14 @@ class Qualitative:
 class RewardAnalysis:
     qualitative: Qualitative
     value: XReal
-    method: str  # "ExactLinearSolve" | "SchedulerEnumeration" | "ValueIteration" | "Qualitative" | "InfiniteReward"
-    schedulers: Optional[int] = None
-    iterations: Optional[int] = None
-    residual: Optional[float] = None
+    method: str  # "ExactLinearSolve" | "PolicyIteration" | "Qualitative" | "InfiniteReward"
+    schedulers: Optional[int] = None  # policies evaluated by PolicyIteration
+    iterations: Optional[int] = None  # always None; perfbench/tracer.py reads it
 
 
 @dataclass
 class MdpConfig:
     node_cap: int = 200_000
-    scheduler_cap: int = 4096
-    vi_tol: float = 1e-9
-    vi_max_iters: int = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -514,37 +508,16 @@ def _nd_nodes(m: Mdp) -> List[int]:
     return [i for i in range(m.node_count) if len(m.transitions[i]) > 1]
 
 
-def _value_iteration(m: Mdp, cfg: MdpConfig) -> Tuple[List[float], int, float]:
-    n = m.node_count
-    rew = [
-        (math.inf if not r.is_finite else float(r.q)) for r in m.rewards
-    ]
-    x = [0.0] * n
-    residual = math.inf
-    for it in range(1, cfg.vi_max_iters + 1):
-        residual = 0.0
-        nxt = [0.0] * n
-        for i in range(n):
-            if i == m.sink:
-                continue
-            best = None
-            for rows in m.transitions[i].values():
-                acc = rew[i]
-                for prob, j in rows:
-                    acc += float(prob) * x[j]
-                if best is None or acc > best:
-                    best = acc
-            nxt[i] = best if best is not None else 0.0
-            residual = max(residual, abs(nxt[i] - x[i]))
-        x = nxt
-        if residual <= cfg.vi_tol:
-            return x, it, residual
-    return x, cfg.vi_max_iters, residual
+def expected_reward(m: Mdp) -> RewardAnalysis:
+    """Supremum over schedulers of the expected total reward to the sink.
 
-
-def expected_reward(m: Mdp, cfg: Optional[MdpConfig] = None) -> RewardAnalysis:
-    """Supremum over schedulers of the expected total reward to the sink."""
-    cfg = cfg or MdpConfig()
+    Howard policy iteration over memoryless schedulers, each evaluated
+    exactly by `_solve_chain`.  Once the qualitative check has passed, every
+    scheduler reaches the sink almost surely, so the iteration is exact and
+    finite: it starts from the smallest action at each choice node and
+    switches an action only on a strict rational improvement.  A model
+    without choice nodes is a single evaluation.
+    """
     qual = qualitative_check(m)
     if qual.kind == "SomeSchedulerAvoids":
         return RewardAnalysis(qual, INF, "Qualitative")
@@ -553,40 +526,26 @@ def expected_reward(m: Mdp, cfg: Optional[MdpConfig] = None) -> RewardAnalysis:
         # reached with positive probability by construction
         return RewardAnalysis(qual, INF, "InfiniteReward")
     nd = _nd_nodes(m)
-    if not nd:
-        vals = _solve_chain(m)
-        return RewardAnalysis(qual, XReal(vals[m.initial]), "ExactLinearSolve")
-    combos = 1
-    for i in nd:
-        combos *= len(m.transitions[i])
-        if combos > cfg.scheduler_cap:
-            break
-    if combos <= cfg.scheduler_cap:
-        best: Optional[Fraction] = None
-        picks: List[Dict[int, str]] = [{}]
+    pick = {i: min(m.transitions[i]) for i in nd}
+    evaluated = 0
+    improved = True
+    while improved:
+        vals = _solve_chain(m, pick)
+        evaluated += 1
+        improved = False
         for i in nd:
-            grown = []
-            for p in picks:
-                for a in sorted(m.transitions[i]):
-                    q = dict(p)
-                    q[i] = a
-                    grown.append(q)
-            picks = grown
-        for pick in picks:
-            v = _solve_chain(m, pick)[m.initial]
-            if best is None or v > best:
-                best = v
-        return RewardAnalysis(
-            qual, XReal(best), "SchedulerEnumeration", schedulers=len(picks)
-        )
-    vals, iters, residual = _value_iteration(m, cfg)
-    v = vals[m.initial]
+            gain = {
+                a: sum(p * vals[j] for p, j in rows)
+                for a, rows in m.transitions[i].items()
+            }
+            best = max(gain, key=gain.__getitem__)
+            if gain[best] > gain[pick[i]]:
+                pick[i] = best
+                improved = True
+    if not nd:
+        return RewardAnalysis(qual, XReal(vals[m.initial]), "ExactLinearSolve")
     return RewardAnalysis(
-        qual,
-        INF if math.isinf(v) else XReal(Fraction(v)),
-        "ValueIteration",
-        iterations=iters,
-        residual=residual,
+        qual, XReal(vals[m.initial]), "PolicyIteration", schedulers=evaluated
     )
 
 
@@ -613,7 +572,6 @@ def cross_check(
     cfg: Optional[MdpConfig] = None,
     ert_config=None,
     fallback_unroll: int = 64,
-    tol: float = 1e-9,
 ) -> CrossCheckReport:
     """Compute the transformer and the operational value and compare.
 
@@ -621,6 +579,9 @@ def cross_check(
     their depth-bounded form instead: both sides are exact on that program,
     so the comparison is an exact equality, at the price of speaking about
     the bounded program only.
+
+    Both values are exact: an exact transformer result must equal the model
+    value, and a lower one must not exceed it.
     """
     from .syntax import replace_whiles
     from .transformer import ErtConfig, expected_runtime
@@ -635,28 +596,16 @@ def cross_check(
         bounded_at = fallback_unroll
         program = replace_whiles(C, fallback_unroll)
         m = build_mdp(program, sigma, f, cfg.node_cap)
-    analysis = expected_reward(m, cfg)
+    analysis = expected_reward(m)
     e_cfg = ert_config or ErtConfig()
     ert = expected_runtime(program, f, sigma, e_cfg)
 
-    exact_backend = analysis.method in (
-        "ExactLinearSolve", "SchedulerEnumeration", "Qualitative", "InfiniteReward",
-    )
     ev, mv = ert.value, analysis.value
     if ert.is_exact:
-        if exact_backend:
-            ok = ev == mv
-            detail = "exact equality" if ok else "values differ"
-        else:
-            ok = _close(ev, mv, tol)
-            detail = "within tolerance" if ok else "outside tolerance"
+        ok = ev == mv
+        detail = "exact equality" if ok else "values differ"
     else:
-        if exact_backend:
-            ok = ev <= mv
-        else:
-            ok = (not mv.is_finite) or (
-                ev.is_finite and float(ev.q) <= float(mv.q) + tol
-            )
+        ok = ev <= mv
         detail = (
             "lower bound consistent" if ok else "lower bound exceeds the value"
         )
@@ -670,14 +619,6 @@ def cross_check(
         bounded_at=bounded_at,
         detail=detail,
     )
-
-
-def _close(a: XReal, b: XReal, tol: float) -> bool:
-    if a.is_finite != b.is_finite:
-        return False
-    if not a.is_finite:
-        return True
-    return abs(float(a.q) - float(b.q)) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -721,21 +662,3 @@ def mdp_to_dot(m: Mdp) -> str:
 
 def _escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def analysis_to_json(analysis: RewardAnalysis) -> str:
-    doc = {
-        "qualitative": analysis.qualitative.kind,
-        "value": str(analysis.value),
-        "method": analysis.method,
-    }
-    if analysis.schedulers is not None:
-        doc["schedulers"] = analysis.schedulers
-    if analysis.iterations is not None:
-        doc["iterations"] = analysis.iterations
-        doc["residual"] = analysis.residual
-    if analysis.qualitative.witness:
-        doc["witness"] = [
-            {"node": v, "action": a} for v, a in analysis.qualitative.witness
-        ]
-    return json.dumps(doc, indent=2, sort_keys=True)

@@ -498,10 +498,3 @@ def parse_rt(src: str) -> RtExpr:
     e = p.rt()
     p.finish()
     return e
-
-
-def parse_expr(src: str) -> Expr:
-    p = _Parser(src)
-    e = p.expr()
-    p.finish()
-    return e

@@ -337,16 +337,13 @@ _BUNDLES = (
 def run_property_suite(
     seed: int,
     count: int = 500,
-    max_depth: int = 3,
     config: Optional[ErtConfig] = None,
 ) -> PropReport:
     """Check the algebraic laws on `count` generated programs.
 
-    max_depth bounds statement nesting in the samples.  `config` is the
-    transformer configuration under test; passing a mutated one must
-    make the suite fail (the canary guarantees it).
+    `config` is the transformer configuration under test; passing a
+    mutated one must make the suite fail (the canary guarantees it).
     """
-    del max_depth  # profiles pin their own depths; kept for CLI symmetry
     rng = random.Random(seed)
     report = PropReport(seed=seed, requested=count)
     _check_canary(report, config)

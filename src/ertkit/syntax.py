@@ -573,29 +573,3 @@ def replace_whiles(p: Program, bound: int) -> Program:
     if isinstance(p, Annotated):
         return replace_whiles(p.loop, bound)
     return p
-
-
-def strip_annotations(p: Program) -> Program:
-    if isinstance(p, Seq):
-        return Seq(strip_annotations(p.first), strip_annotations(p.second))
-    if isinstance(p, NdChoice):
-        return NdChoice(strip_annotations(p.left), strip_annotations(p.right))
-    if isinstance(p, If):
-        return If(p.guard, strip_annotations(p.then), strip_annotations(p.orelse))
-    if isinstance(p, While):
-        return While(p.guard, strip_annotations(p.body))
-    if isinstance(p, WhileBounded):
-        return WhileBounded(p.bound, p.guard, strip_annotations(p.body))
-    if isinstance(p, Annotated):
-        return While(p.loop.guard, strip_annotations(p.loop.body))
-    return p
-
-
-def seq_all(stmts: List[Program]) -> Program:
-    """Right-nested sequence of statements (empty list gives the empty program)."""
-    if not stmts:
-        return Empty()
-    out = stmts[-1]
-    for s in reversed(stmts[:-1]):
-        out = Seq(s, out)
-    return out

@@ -356,10 +356,6 @@ def expected_runtime(
     )
 
 
-def expected_runtime_value(program, f=None, sigma=None, config=None) -> XReal:
-    return expected_runtime(program, f, sigma, config).value
-
-
 def bounded_unroll(loop: Union[While, Annotated], depth: int) -> Program:
     """The depth-bounded unrolling of a loop as an explicit program tree."""
     if isinstance(loop, Annotated):

@@ -1,12 +1,17 @@
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from ertkit.corpus import ENTRIES, coupon_closed_form
+from ertkit.generator import PROFILES, random_program, random_runtime, random_state
 from ertkit.kernel import INF, State, XReal
 from ertkit.mdp import (
     MdpConfig,
     NodeCapExceeded,
+    _solve_chain,
     build_mdp,
     cross_check,
     expected_reward,
@@ -15,6 +20,7 @@ from ertkit.mdp import (
     recompute_rewards,
 )
 from ertkit.parser import parse_program, parse_rt
+from ertkit.syntax import RT_ZERO
 from ertkit.transformer import expected_runtime
 
 
@@ -108,10 +114,74 @@ def test_nondeterminism_takes_the_worst_branch():
     src = "{ skip } [] { skip; skip; skip }"
     m = build(src)
     analysis = expected_reward(m)
-    assert analysis.method == "SchedulerEnumeration"
+    assert analysis.method == "PolicyIteration"
     assert analysis.schedulers == 2
     assert analysis.value == XReal(3)
     assert analysis.value == expected_runtime(parse_program(src)).value
+
+
+def brute_force_value(m):
+    """Best value over every memoryless scheduler, each solved exactly."""
+    nd = [i for i, rows in enumerate(m.transitions) if len(rows) > 1]
+    choices = [sorted(m.transitions[i]) for i in nd]
+    return max(
+        _solve_chain(m, dict(zip(nd, pick)))[m.initial]
+        for pick in itertools.product(*choices)
+    )
+
+
+def test_policy_iteration_matches_scheduler_enumeration():
+    rng = random.Random(3)
+    names = ("general", "loop-free", "halt-free")
+    checked = improved = 0
+    for k in range(160):
+        program = random_program(rng, PROFILES[names[k % len(names)]])
+        f = random_runtime(rng, terms=1) if k % 3 == 0 else RT_ZERO
+        sigma = random_state(rng)
+        try:
+            m = build_mdp(program, sigma, f, 500)
+        except NodeCapExceeded:
+            continue
+        widths = [len(rows) for rows in m.transitions if len(rows) > 1]
+        if not widths or math.prod(widths) > 256:
+            continue
+        if qualitative_check(m).kind != "AllSchedulersReachSink":
+            continue
+        analysis = expected_reward(m)
+        assert analysis.method == "PolicyIteration"
+        assert analysis.value == XReal(brute_force_value(m))
+        checked += 1
+        improved += analysis.schedulers > 1
+    assert checked >= 20
+    assert improved >= 1
+
+
+def test_policy_iteration_repeats_until_no_action_improves():
+    # the outer choice only pays off once the inner one has switched, so the
+    # best scheduler is the third one evaluated
+    m = build("{ skip } [] { { skip } [] { skip; skip; skip } }")
+    analysis = expected_reward(m)
+    assert analysis.method == "PolicyIteration"
+    assert analysis.schedulers == 3
+    assert analysis.value == XReal(brute_force_value(m)) == XReal(3)
+
+
+def test_cross_check_is_exact_on_a_model_with_many_schedulers():
+    # a generated program (soundness sweep seed 11) whose 115-node model has
+    # 18 choice nodes, so 2^18 schedulers; the check still settles exactly
+    src = (
+        "z :~ unif[2 .. 2 + 3]; x :~ 1/2*<x> + 1/4*<0 - 3> + 1/4*<y>; "
+        "{ z :~ 3/5*<2> + 2/5*<3 * 0>; { x := -2 } [] { z := 0 } } "
+        "[] { skip; z :~ 1/3*<(-1) * 0> + 1/3*<x> + 1/3*<y> }"
+    )
+    report = cross_check(
+        parse_program(src), parse_rt("1"), State({"x": 0, "y": 3, "z": 1})
+    )
+    assert report.node_count == 115
+    assert report.method == "PolicyIteration"
+    assert report.status == "pass"
+    assert report.detail == "exact equality"
+    assert report.mdp_value == XReal(5)
 
 
 def test_qualitative_detects_sink_avoidance():
