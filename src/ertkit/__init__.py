@@ -8,58 +8,20 @@ model with expected total reward semantics.
 
 __version__ = "0.1.0"
 
-from .kernel import INF, State, XReal, ZERO
-from .syntax import (
-    Annotated,
-    Dirac,
-    Empty,
-    Halt,
-    If,
-    InvariantAnnotation,
-    NdChoice,
-    ProbAssign,
-    Program,
-    RtExpr,
-    RT_ZERO,
-    Seq,
-    Skip,
-    Uniform,
-    WeightedList,
-    While,
-    WhileBounded,
-    expand_bounded_once,
-    program_to_text,
-    replace_whiles,
-    rt_to_text,
-    while_loops,
-)
+# the library entry points; everything else is imported from its submodule
+from .kernel import INF, State, XReal
+from .syntax import Annotated, InvariantAnnotation, program_to_text
 from .parser import ParseError, parse_program, parse_rt
-from .semantics import EvalError, eval_rt, harmonic_number
 from .transformer import (
     ErtConfig,
     ErtResult,
-    bounded_unroll,
     char_functional,
     det_step_count,
     expected_runtime,
     kleene_iterates,
 )
-from .invariants import (
-    OmegaInvariantSpec,
-    PreconditionFailed,
-    StateDomain,
-    UpperInvariantSpec,
-    Verdict,
-    check_limit,
-    check_omega_invariant,
-    check_upper_invariant,
-    refine,
-    rw_coefficients,
-    rw_coefficients_closed,
-)
 from .mdp import (
     CrossCheckReport,
-    Mdp,
     MdpConfig,
     NodeCapExceeded,
     build_mdp,
@@ -67,85 +29,50 @@ from .mdp import (
     expected_reward,
     mdp_to_dot,
 )
-from .generator import GenProfile, PROFILES, random_program, random_runtime, random_state
-from .props import run_det_sweep, run_property_suite, run_soundness_sweep
-from .corpus import ENTRIES, CorpusEntry, coupon_closed_form
-from .specfile import InvariantSpecFile, SpecError, load_spec, parse_domain, parse_spec
+from .invariants import (
+    OmegaInvariantSpec,
+    StateDomain,
+    UpperInvariantSpec,
+    Verdict,
+    check_omega_invariant,
+    check_upper_invariant,
+    refine,
+)
+from .props import run_property_suite, run_soundness_sweep
+from .corpus import ENTRIES
 
 __all__ = [
     "__version__",
     "INF",
-    "ZERO",
     "State",
     "XReal",
-    "Annotated",
-    "Dirac",
-    "Empty",
-    "Halt",
-    "If",
-    "InvariantAnnotation",
-    "NdChoice",
-    "ProbAssign",
-    "Program",
-    "RtExpr",
-    "RT_ZERO",
-    "Seq",
-    "Skip",
-    "Uniform",
-    "WeightedList",
-    "While",
-    "WhileBounded",
-    "expand_bounded_once",
-    "program_to_text",
-    "replace_whiles",
-    "rt_to_text",
-    "while_loops",
     "ParseError",
     "parse_program",
     "parse_rt",
-    "EvalError",
-    "eval_rt",
-    "harmonic_number",
+    "program_to_text",
+    "Annotated",
+    "InvariantAnnotation",
     "ErtConfig",
     "ErtResult",
-    "bounded_unroll",
-    "char_functional",
-    "det_step_count",
     "expected_runtime",
+    "det_step_count",
+    "char_functional",
     "kleene_iterates",
-    "OmegaInvariantSpec",
-    "PreconditionFailed",
-    "StateDomain",
-    "UpperInvariantSpec",
-    "Verdict",
-    "check_limit",
-    "check_omega_invariant",
-    "check_upper_invariant",
-    "refine",
-    "rw_coefficients",
-    "rw_coefficients_closed",
+    "build_mdp",
+    "expected_reward",
+    "cross_check",
     "CrossCheckReport",
-    "Mdp",
     "MdpConfig",
     "NodeCapExceeded",
-    "build_mdp",
-    "cross_check",
-    "expected_reward",
     "mdp_to_dot",
-    "GenProfile",
-    "PROFILES",
-    "random_program",
-    "random_runtime",
-    "random_state",
-    "run_det_sweep",
+    "StateDomain",
+    "UpperInvariantSpec",
+    "OmegaInvariantSpec",
+    "Verdict",
+    "check_upper_invariant",
+    "check_omega_invariant",
+    "refine",
+    "ENTRIES",
     "run_property_suite",
     "run_soundness_sweep",
-    "ENTRIES",
-    "CorpusEntry",
-    "coupon_closed_form",
-    "InvariantSpecFile",
-    "SpecError",
-    "load_spec",
-    "parse_domain",
-    "parse_spec",
 ]

@@ -679,9 +679,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     args.argv_echo = argv
-    if getattr(args, "node_cap", None) is None and hasattr(args, "node_cap"):
-        args.node_cap = _default_node_cap()
     try:
+        if getattr(args, "node_cap", None) is None and hasattr(args, "node_cap"):
+            args.node_cap = _default_node_cap()
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,9 @@ Built independently of the transformer, from small-step rules over
 configuration nodes: a running program with a state, a terminated marker
 (which collects the post-run-time as reward), a terminated-then-continue
 marker for sequencing, and an absorbing sink.  Halting steps straight to the
-sink, so the post-run-time is not collected on halted runs.
+sink, so the post-run-time is not collected on halted runs.  Loops of all
+three forms (plain, depth-bounded, annotated) are unfolded one step at a time
+when they are reached; annotations are ignored.
 
 The expected total reward to the sink, maximized over schedulers, is the
 quantity the transformer computes; `cross_check` compares the two.
@@ -13,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .kernel import INF, ZERO, KernelError, State, XReal
 from .semantics import eval_dist, eval_expr, eval_guard, eval_rt
 from .syntax import (
-    Annotated, Dirac, Empty, Halt, If, NdChoice, ProbAssign, Program, RtExpr,
-    RT_ZERO, Seq, Skip, VarTarget, While, WhileBounded, program_to_text,
+    Annotated, Empty, Halt, If, NdChoice, ProbAssign, Program, RtExpr, RT_ZERO,
+    Seq, Skip, VarTarget, While, WhileBounded, expand_bounded_once,
+    program_to_text,
 )
 
 
@@ -83,35 +86,6 @@ class MdpConfig:
 
 
 # ---------------------------------------------------------------------------
-# canonical program form: bounded loops expanded, annotations dropped
-
-
-def _canonical(p: Program, memo: Dict[int, Program]) -> Program:
-    hit = memo.get(id(p))
-    if hit is not None:
-        return hit
-    if isinstance(p, Seq):
-        out: Program = Seq(_canonical(p.first, memo), _canonical(p.second, memo))
-    elif isinstance(p, NdChoice):
-        out = NdChoice(_canonical(p.left, memo), _canonical(p.right, memo))
-    elif isinstance(p, If):
-        out = If(p.guard, _canonical(p.then, memo), _canonical(p.orelse, memo))
-    elif isinstance(p, While):
-        out = While(p.guard, _canonical(p.body, memo))
-    elif isinstance(p, WhileBounded):
-        body = _canonical(p.body, memo)
-        out = Halt()
-        for _ in range(p.bound):
-            out = If(p.guard, Seq(body, out), Empty())
-    elif isinstance(p, Annotated):
-        out = _canonical(p.loop, memo)
-    else:
-        out = p
-    memo[id(p)] = out
-    return out
-
-
-# ---------------------------------------------------------------------------
 # construction
 
 
@@ -124,7 +98,7 @@ class _Builder:
         self.rewards: List[XReal] = []
         self.index: Dict[tuple, int] = {}
         self.seq_cache: Dict[Tuple[int, int], Seq] = {}
-        self.unfold_cache: Dict[int, If] = {}
+        self.unfold_cache: Dict[int, Program] = {}
         self.sink = self._intern(MdpNode("sink"), ("sink",))
 
     def _intern(self, node: MdpNode, key: tuple) -> int:
@@ -157,10 +131,20 @@ class _Builder:
             self.seq_cache[key] = c
         return c
 
-    def unfold(self, w: While) -> If:
+    def unfold(self, w: Union[While, WhileBounded, Annotated]) -> Program:
+        """One step of a loop's defining expansion, one object per loop.
+
+        An annotated loop re-enters through the annotated node itself, not
+        through its inner loop, so its model is node for node that of the
+        plain loop.
+        """
         c = self.unfold_cache.get(id(w))
         if c is None:
-            c = If(w.guard, self.compose(w.body, w), Empty())
+            if isinstance(w, WhileBounded):
+                c = expand_bounded_once(w)
+            else:
+                loop = w.loop if isinstance(w, Annotated) else w
+                c = If(loop.guard, self.compose(loop.body, w), Empty())
             self.unfold_cache[id(w)] = c
         return c
 
@@ -222,6 +206,10 @@ class _Builder:
                         lifted.append((prob, d))
                 out[action] = lifted
             return out
+        if isinstance(p, Annotated):
+            return {"t": [(Fraction(1), ("exec", self.unfold(p), sigma))]}
+        if isinstance(p, WhileBounded):
+            return self.step(self.unfold(p), sigma)
         raise TypeError(p)
 
     def resolve(self, d: tuple) -> int:
@@ -244,6 +232,8 @@ def head_reward(p: Program) -> XReal:
         return XReal(1)
     if isinstance(p, Seq):
         return head_reward(p.first)
+    if isinstance(p, WhileBounded):
+        return head_reward(expand_bounded_once(p))
     return ZERO
 
 
@@ -261,8 +251,7 @@ def build_mdp(
     """Breadth-first closure of the step rules from the initial configuration."""
     b = _Builder(f, node_cap)
     b.transitions[b.sink]["t"] = [(Fraction(1), b.sink)]
-    root = _canonical(C, {})
-    initial = b.exec_node(root, sigma0)
+    initial = b.exec_node(C, sigma0)
     frontier = [initial]
     seen = {b.sink, initial}
     while frontier:

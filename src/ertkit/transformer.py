@@ -29,7 +29,7 @@ from .semantics import Bindings, EvalError, eval_dist, eval_expr, eval_guard, ev
 from .syntax import (
     Annotated, ArrayLit, CellTarget, Dirac, Empty, Halt, If, NdChoice,
     ProbAssign, Program, RLit, RtExpr, RT_ZERO, Seq, Skip, VarTarget, While,
-    WhileBounded, rt_to_text,
+    WhileBounded, expand_bounded_once, rt_to_text,
 )
 
 
@@ -38,10 +38,6 @@ class FuelExhausted(KernelError):
 
 
 class NotDeterministic(KernelError):
-    pass
-
-
-class BudgetExceeded(KernelError):
     pass
 
 
@@ -57,7 +53,6 @@ class ErtConfig:
     max_unroll_depth: int = 64
     use_annotations: bool = True
     tick_mutation: Optional[str] = None
-    max_cache_entries: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -164,16 +159,8 @@ class _Engine:
         if hit is not None:
             return hit
         out = self._eval(p, sigma, cont)
-        self._store(key, out)
-        return out
-
-    def _store(self, key, out):
-        cap = self.config.max_cache_entries
-        if cap is not None and len(self.memo) >= cap:
-            raise BudgetExceeded(
-                "evaluation cache exceeded %d entries" % cap
-            )
         self.memo[key] = out
+        return out
 
     def _eval(self, p: Program, sigma: State, cont) -> Tuple[XReal, bool]:
         if isinstance(p, Empty):
@@ -259,7 +246,7 @@ class _Engine:
                 total = x_add(total, x_mul(XReal(1 - p_true), v))
                 tainted = tainted or t
             out = (total, tainted)
-        self._store(key, out)
+        self.memo[key] = out
         return out
 
     def _while(self, p: While, sigma: State, cont) -> Tuple[XReal, bool]:
@@ -354,16 +341,6 @@ def expected_runtime(
         value=value,
         annotations_used=tuple(dict.fromkeys(engine.annotations_used)),
     )
-
-
-def bounded_unroll(loop: Union[While, Annotated], depth: int) -> Program:
-    """The depth-bounded unrolling of a loop as an explicit program tree."""
-    if isinstance(loop, Annotated):
-        loop = loop.loop
-    out: Program = Halt()
-    for _ in range(depth):
-        out = If(loop.guard, Seq(loop.body, out), Empty())
-    return out
 
 
 def char_functional(
@@ -500,15 +477,7 @@ def det_step_count(
                 stack.append(node.body)
             continue
         if isinstance(node, WhileBounded):
-            ticks += 1
-            if node.bound <= 0:
-                # depth exhausted: behaves like halt, and the guard tick
-                # above was never charged by the bounded semantics
-                ticks -= 1
-                break
-            if _det_guard(node.guard, sigma):
-                stack.append(WhileBounded(node.bound - 1, node.guard, node.body))
-                stack.append(node.body)
+            stack.append(expand_bounded_once(node))
             continue
         if isinstance(node, Annotated):
             stack.append(node.loop)

@@ -196,6 +196,13 @@ def test_export_mdp_cap_error(capsys, monkeypatch):
     assert "node" in err.lower()
 
 
+def test_malformed_node_cap_environment_is_an_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("ERTKIT_MAX_NODES", "abc")
+    code, _, err = run(capsys, "crosscheck", "corpus:geo")
+    assert code == 2
+    assert "error: ERTKIT_MAX_NODES must be an integer" in err
+
+
 def test_node_cap_flag_beats_environment(capsys, monkeypatch):
     monkeypatch.setenv("ERTKIT_MAX_NODES", "10")
     code, out, _ = run(capsys, "export-mdp", "corpus:trunc", "--node-cap", "1000")

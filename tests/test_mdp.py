@@ -20,7 +20,14 @@ from ertkit.mdp import (
     recompute_rewards,
 )
 from ertkit.parser import parse_program, parse_rt
-from ertkit.syntax import RT_ZERO
+from ertkit.syntax import (
+    RT_ZERO,
+    Annotated,
+    InvariantAnnotation,
+    Seq,
+    WhileBounded,
+    program_to_text,
+)
 from ertkit.transformer import expected_runtime
 
 
@@ -97,6 +104,33 @@ def test_geometric_loop_value_is_exact_in_the_model():
     assert analysis.value == XReal(5)
     m0 = build_mdp(entry.program(), State({"c": 0}), parse_rt("0"), 10_000)
     assert expected_reward(m0).value == XReal(1)
+
+
+def test_annotated_loop_builds_the_model_of_the_plain_loop():
+    geo = ENTRIES["geo"].program()
+    ann = Annotated(geo, InvariantAnnotation("upper", parse_rt("1 + [c = 1] * 4")))
+    plain = build_mdp(geo, State({"c": 1}), RT_ZERO)
+    m = build_mdp(ann, State({"c": 1}), RT_ZERO)
+    assert m.node_count == plain.node_count
+    assert expected_reward(m).value == expected_reward(plain).value == XReal(5)
+    assert mdp_to_dot(m) == mdp_to_dot(plain)
+
+
+def test_bounded_loop_builds_the_model_of_its_unrolled_text():
+    geo = ENTRIES["geo"].program()
+    drain = parse_program("while (x > 0) { x := x - 1 }")
+    inner = WhileBounded(2, drain.guard, drain.body)
+    cases = [
+        (WhileBounded(4, geo.guard, geo.body), State({"c": 1})),
+        (WhileBounded(3, geo.guard, Seq(inner, geo.body)), State({"c": 1, "x": 3})),
+    ]
+    for wb, sigma in cases:
+        unrolled = parse_program(program_to_text(wb))
+        m = build_mdp(wb, sigma, parse_rt("c"))
+        expect = build_mdp(unrolled, sigma, parse_rt("c"))
+        assert m.node_count == expect.node_count
+        assert mdp_to_dot(m) == mdp_to_dot(expect)
+        assert expected_reward(m).value == expected_reward(expect).value
 
 
 def test_coupon_values_match_the_closed_form():

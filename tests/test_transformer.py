@@ -10,13 +10,13 @@ from ertkit.syntax import (
     Seq,
     WhileBounded,
     expand_bounded_once,
+    program_to_text,
     while_loops,
 )
 from ertkit.transformer import (
     ErtConfig,
     FuelExhausted,
     NotDeterministic,
-    bounded_unroll,
     char_functional,
     det_step_count,
     expected_runtime,
@@ -150,11 +150,14 @@ def test_char_functional_fixed_point():
 def test_bounded_unroll_matches_single_step_expansion():
     loop = while_loops(parse_program("while (x > 0) { x := x - 1 }"))[0]
     wb = WhileBounded(3, loop.guard, loop.body)
-    a = expected_runtime(bounded_unroll(loop, 3), parse_rt("x"), State({"x": 5}))
+    # the printer writes the fully unrolled if/halt chain
+    unrolled = parse_program(program_to_text(wb))
+    a = expected_runtime(unrolled, parse_rt("x"), State({"x": 5}))
     b = expected_runtime(wb, parse_rt("x"), State({"x": 5}))
     c = expected_runtime(expand_bounded_once(wb), parse_rt("x"), State({"x": 5}))
-    assert a.value == b.value == c.value
-    assert a.kind == b.kind == c.kind == "exact" or a.kind == "lower"
+    assert a.kind == b.kind == c.kind == "exact"
+    # three guard and three assignment ticks, then the cut-off halts
+    assert a.value == b.value == c.value == XReal(6)
 
 
 def test_explicit_bounded_loop_is_its_own_semantics():
@@ -245,6 +248,24 @@ def test_det_step_count_frozen_pairs():
 def test_det_step_count_halt_keeps_partial_count():
     ticks, _ = det_step_count(parse_program("skip; skip; halt; skip"))
     assert ticks == XReal(2)
+
+
+def test_det_step_count_unfolds_bounded_loops_like_the_transformer():
+    drain = parse_program("while (x > 0) { x := x - 1 }")
+    for k in range(5):
+        wb = WhileBounded(k, drain.guard, drain.body)
+        for x in range(6):
+            ticks, _ = det_step_count(wb, State({"x": x}))
+            r = expected_runtime(wb, None, State({"x": x}))
+            assert r.kind == "exact"
+            assert ticks == r.value
+    # a cut-off halts the whole run, so the assignment after it never runs
+    cut = Seq(WhileBounded(2, drain.guard, drain.body), parse_program("y := 1"))
+    for x, expect, y in ((5, 4, 0), (1, 4, 1)):
+        sigma = State({"x": x, "y": 0})
+        ticks, final = det_step_count(cut, sigma)
+        assert ticks == expected_runtime(cut, None, sigma).value == XReal(expect)
+        assert final.get("y") == y
 
 
 def test_det_step_count_rejects_nondeterminism_and_diverging_runs():
