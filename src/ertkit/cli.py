@@ -39,7 +39,7 @@ from .mdp import MdpConfig, NodeCapExceeded, build_mdp, cross_check, mdp_to_dot
 from .parser import ParseError, parse_program, parse_rt
 from .props import run_property_suite
 from .semantics import EvalError
-from .specfile import InvariantSpecFile, SpecError, load_spec
+from .specfile import InvariantSpecFile, SpecError, parse_spec
 from .syntax import Program, RtExpr, RT_ZERO
 from .transformer import ErtConfig, expected_runtime
 
@@ -159,20 +159,27 @@ def _load_program(ref: str, params: Dict[str, int]) -> Tuple[Program, str, Optio
         return parse_program(source), source, name
     if params:
         raise CliError("--param only applies to corpus: programs")
-    try:
-        with open(ref, "r", encoding="utf-8") as handle:
-            source = handle.read()
-    except OSError as exc:
-        raise CliError(f"cannot read program {ref!r}: {exc.strerror or exc}")
+    source = _read_text(ref, "program")
     return parse_program(source), source, None
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise CliError(f"cannot read {what} {path!r}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise CliError(
+            f"cannot read {what} {path!r}: not UTF-8 text (byte {exc.start})"
+        )
 
 
 def _load_runtime(text: Optional[str]) -> RtExpr:
     if text is None:
         return RT_ZERO
     if text.endswith(".rt") and os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        text = _read_text(text, "run-time")
     return parse_rt(text)
 
 
@@ -341,10 +348,7 @@ def _verdict_text(label: str, v: Verdict) -> List[str]:
 
 
 def _spec_or_die(path: str) -> InvariantSpecFile:
-    try:
-        return load_spec(path)
-    except OSError as exc:
-        raise CliError(f"cannot read spec {path!r}: {exc.strerror or exc}")
+    return parse_spec(_read_text(path, "spec"))
 
 
 def _cmd_check_inv(args) -> int:
@@ -559,8 +563,11 @@ def _cmd_export_mdp(args) -> int:
         )
     dot = mdp_to_dot(m)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dot)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(dot)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out!r}: {exc.strerror or exc}")
         print(f"wrote {m.node_count} nodes to {args.out}")
     else:
         sys.stdout.write(dot)

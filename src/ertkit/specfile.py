@@ -281,7 +281,3 @@ def parse_spec(text: str) -> InvariantSpecFile:
     spec.loop  # validates the loop index against the parsed program
     return spec
 
-
-def load_spec(path: str) -> InvariantSpecFile:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_spec(handle.read())

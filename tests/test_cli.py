@@ -6,6 +6,7 @@ import pytest
 from ertkit.cli import main
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -179,6 +180,13 @@ def test_corpus_parameter_flags(capsys):
     assert all(c["ok"] for c in doc["checks"])
 
 
+@pytest.mark.parametrize("name", ["race", "rwalk"])
+def test_corpus_json_matches_golden_output(name, capsys):
+    code, out, _ = run(capsys, "corpus", name, "--format", "json")
+    assert code == 0
+    assert out == (DATA / f"corpus_{name}.json").read_text(encoding="utf-8")
+
+
 def test_export_mdp_stdout_and_file(tmp_path, capsys):
     code, out, _ = run(capsys, "export-mdp", "corpus:trunc")
     assert code == 0
@@ -208,6 +216,41 @@ def test_node_cap_flag_beats_environment(capsys, monkeypatch):
     code, out, _ = run(capsys, "export-mdp", "corpus:trunc", "--node-cap", "1000")
     assert code == 0
     assert out.startswith("digraph")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "{missing}"),
+        ("crosscheck", "{missing}"),
+        ("check-inv", "{missing}"),
+        ("eval", "corpus:trunc", "--f", "{directory}"),
+        ("crosscheck", "{directory}"),
+        ("check-inv", "{directory}"),
+        ("eval", "{binary}"),
+        ("eval", "corpus:trunc", "--f", "{binary_rt}"),
+        ("crosscheck", "{binary}"),
+        ("check-inv", "{binary}"),
+        ("export-mdp", "{binary}"),
+        ("export-mdp", "corpus:trunc", "--out", "{missing_dir}/x.dot"),
+        ("export-mdp", "corpus:trunc", "--out", "{directory}"),
+    ],
+    ids=lambda argv: "-".join(argv).replace("{", "").replace("}", ""),
+)
+def test_unreadable_input_is_an_input_error(argv, tmp_path, capsys):
+    paths = {
+        "missing": tmp_path / "missing.pp",
+        "directory": tmp_path / "dir.rt",
+        "binary": tmp_path / "bin.pp",
+        "binary_rt": tmp_path / "bin.rt",
+        "missing_dir": tmp_path / "missing_dir",
+    }
+    paths["directory"].mkdir()
+    for key in ("binary", "binary_rt"):
+        paths[key].write_bytes(b"\xff\xfe skip")
+    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

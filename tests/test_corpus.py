@@ -4,6 +4,7 @@ import pytest
 
 from ertkit.corpus import ENTRIES, coupon_closed_form
 from ertkit.kernel import State, XReal
+from ertkit.mdp import NodeCapExceeded, build_mdp
 from ertkit.parser import parse_program
 from ertkit.semantics import harmonic_number
 from ertkit.transformer import expected_runtime
@@ -51,6 +52,16 @@ def test_rwalk_checks():
 
 def test_race_checks():
     assert all(o.ok for o in ENTRIES["race"].run_checks())
+
+
+@pytest.mark.parametrize("name", ["race", "rwalk"])
+def test_infinite_case_studies_have_no_full_model(name):
+    # the race's lead t grows every round while the hare may stand still,
+    # and the walk reaches every x, so neither reachable model is finite;
+    # their cross-checks therefore start from the depth-bounded program
+    entry = ENTRIES[name]
+    with pytest.raises(NodeCapExceeded):
+        build_mdp(entry.program(), entry.initial_state(), node_cap=5_000)
 
 
 def test_coupon_checks_default_and_n3():
