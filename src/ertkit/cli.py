@@ -178,7 +178,8 @@ def _read_text(path: str, what: str) -> str:
 def _load_runtime(text: Optional[str]) -> RtExpr:
     if text is None:
         return RT_ZERO
-    if text.endswith(".rt") and os.path.exists(text):
+    # no run-time expression ends in ".rt", so the argument names a file
+    if text.endswith(".rt"):
         text = _read_text(text, "run-time")
     return parse_rt(text)
 

@@ -8,7 +8,7 @@ arrays to values.  Everything here is immutable and total.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -43,6 +43,17 @@ class XReal:
                 raise ValueError("XReal must be non-negative, got %s" % q)
         object.__setattr__(self, "q", q)
 
+    @staticmethod
+    def _of(q: Fraction) -> "XReal":
+        """Trusted constructor: `q` must already be a non-negative Fraction.
+
+        Skips the conversion and the sign check of the public constructor;
+        for internal paths that produce such values by construction.
+        """
+        x = _new(XReal)
+        x.q = q
+        return x
+
     @property
     def is_infinite(self) -> bool:
         return self.q is None
@@ -52,20 +63,24 @@ class XReal:
         return self.q is not None
 
     def __add__(self, other: "XReal") -> "XReal":
-        other = _coerce(other)
-        if self.q is None or other.q is None:
+        if not isinstance(other, XReal):
+            other = XReal(other)
+        a, b = self.q, other.q
+        if a is None or b is None:
             return INF
-        return XReal(self.q + other.q)
+        return _of(a + b)
 
     __radd__ = __add__
 
     def __mul__(self, other: "XReal") -> "XReal":
-        other = _coerce(other)
-        if self.q is None:
-            return ZERO if other.q == 0 else INF
-        if other.q is None:
-            return ZERO if self.q == 0 else INF
-        return XReal(self.q * other.q)
+        if not isinstance(other, XReal):
+            other = XReal(other)
+        a, b = self.q, other.q
+        if a is None:
+            return ZERO if b == 0 else INF
+        if b is None:
+            return ZERO if a == 0 else INF
+        return _of(a * b)
 
     __rmul__ = __mul__
 
@@ -107,6 +122,10 @@ class XReal:
         return "inf" if self.q is None else str(self.q)
 
 
+_new = object.__new__
+_of = XReal._of
+
+
 def _coerce(x: Union[XReal, RationalLike]) -> XReal:
     if isinstance(x, XReal):
         return x
@@ -119,11 +138,12 @@ INF = XReal(None)
 
 
 def x_add(a: XReal, b: XReal) -> XReal:
-    return _coerce(a) + _coerce(b)
+    # XReal.__add__ coerces its right operand itself
+    return (a if isinstance(a, XReal) else XReal(a)) + b
 
 
 def x_mul(a: XReal, b: XReal) -> XReal:
-    return _coerce(a) * _coerce(b)
+    return (a if isinstance(a, XReal) else XReal(a)) * b
 
 
 def x_leq(a: XReal, b: XReal) -> bool:
@@ -168,17 +188,22 @@ class State:
         object.__setattr__(self, "arrays", ar)
         object.__setattr__(self, "_hash", None)
 
-    def key(self) -> Tuple:
-        return (
-            tuple(sorted(self.scalars.items())),
-            tuple(sorted(self.arrays.items())),
-        )
+    @staticmethod
+    def _of(scalars: Dict[str, Value], arrays: Dict[str, Tuple[Value, ...]]) -> "State":
+        """Trusted constructor: the dicts are kept, not copied, so no one may
+        mutate them afterwards; array values must already be tuples."""
+        s = _new(State)
+        s.scalars = scalars
+        s.arrays = arrays
+        s._hash = None
+        return s
 
     def __hash__(self) -> int:
+        # frozensets hash independently of insertion order, as __eq__ compares
         h = self._hash
         if h is None:
-            h = hash(self.key())
-            object.__setattr__(self, "_hash", h)
+            h = hash((frozenset(self.scalars.items()), frozenset(self.arrays.items())))
+            self._hash = h
         return h
 
     def __eq__(self, other: object) -> bool:
@@ -205,14 +230,14 @@ class State:
 
     def set(self, name: str, v: Value) -> "State":
         old = self.scalars.get(name)
-        if old is not None and value_kind(old) != value_kind(v):
+        if old is not None and isinstance(old, bool) != isinstance(v, bool):
             raise KindMismatch(
                 "cannot assign %s value to %s variable %r"
                 % (value_kind(v), value_kind(old), name)
             )
-        sc = dict(self.scalars)
+        sc = self.scalars.copy()
         sc[name] = v
-        return State(sc, self.arrays)
+        return State._of(sc, self.arrays)
 
     def set_cell(self, name: str, index: int, v: Value) -> "State":
         arr = self.arrays.get(name)
@@ -225,9 +250,9 @@ class State:
             )
         if value_kind(arr[index - 1]) != value_kind(v):
             raise KindMismatch("cannot assign %s value to cell %s[%d]" % (value_kind(v), name, index))
-        ar = dict(self.arrays)
+        ar = self.arrays.copy()
         ar[name] = arr[: index - 1] + (v,) + arr[index:]
-        return State(self.scalars, ar)
+        return State._of(self.scalars, ar)
 
     def set_array(self, name: str, values: Iterable[Value]) -> "State":
         values = tuple(values)
@@ -237,9 +262,9 @@ class State:
                 "array %r has fixed length %d, cannot assign %d values"
                 % (name, len(old), len(values))
             )
-        ar = dict(self.arrays)
+        ar = self.arrays.copy()
         ar[name] = values
-        return State(self.scalars, ar)
+        return State._of(self.scalars, ar)
 
     def __repr__(self) -> str:
         parts = ["%s=%s" % (k, v) for k, v in sorted(self.scalars.items())]

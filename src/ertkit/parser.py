@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, TypeVar, Union
 
 from .syntax import (
     And, Annotated, ArrayLit, BinOp, BoolLit, CellRef, CellTarget, Cmp, Dirac,
@@ -33,6 +33,9 @@ from .syntax import (
     RDiv, RInf, RLit, RMax, RMin, RMonus, RMul, RPow, RVar, RtExpr, RwCoef,
     Seq, Skip, Uniform, VarRef, VarTarget, WeightedList, While,
 )
+
+
+T = TypeVar("T")
 
 
 class ParseError(ValueError):
@@ -45,6 +48,13 @@ class ParseError(ValueError):
 
 class ProbabilityMassError(ParseError):
     pass
+
+
+# Blocks, parentheses, brackets, function arguments and prefix operators
+# nest at most this deep, counted together.  The parser recurses up to nine
+# frames per level, so the limit keeps it well inside Python's default
+# recursion limit.
+MAX_NESTING = 64
 
 
 _KEYWORDS = {
@@ -107,6 +117,7 @@ class _Parser:
         # inside a point-mass payload <e>, a top-level '>' closes the payload
         # rather than comparing; parentheses restore the full operator set
         self._angle = 0
+        self._depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -136,6 +147,18 @@ class _Parser:
         t = self.peek()
         raise ParseError(message, t.line, t.col)
 
+    def nested(self, opener: _Tok, parse: Callable[[], T]) -> T:
+        """Run `parse` one nesting level below `opener`."""
+        if self._depth >= MAX_NESTING:
+            raise ParseError(
+                "nesting deeper than %d levels" % MAX_NESTING, opener.line, opener.col
+            )
+        self._depth += 1
+        try:
+            return parse()
+        finally:
+            self._depth -= 1
+
     # -- integer/boolean expressions --------------------------------------
 
     def expr(self) -> Expr:
@@ -154,8 +177,7 @@ class _Parser:
 
     def expr_not(self) -> Expr:
         if self.at("ident", "not"):
-            self.next()
-            return Not(self.expr_not())
+            return Not(self.nested(self.next(), self.expr_not))
         return self.expr_cmp()
 
     def expr_cmp(self) -> Expr:
@@ -183,8 +205,7 @@ class _Parser:
 
     def expr_unary(self) -> Expr:
         if self.at("-"):
-            self.next()
-            inner = self.expr_unary()
+            inner = self.nested(self.next(), self.expr_unary)
             if isinstance(inner, IntLit):
                 return IntLit(-inner.value)
             return BinOp("-", IntLit(0), inner)
@@ -206,15 +227,14 @@ class _Parser:
                 self.fail("keyword %r cannot appear here" % t.text)
             self.next()
             if self.at("["):
-                self.next()
-                idx = self.expr()
+                idx = self.nested(self.next(), self.expr)
                 self.expect("]")
                 return CellRef(t.text, idx)
             return VarRef(t.text)
         if t.kind == "(":
             self.next()
             saved, self._angle = self._angle, 0
-            e = self.expr()
+            e = self.nested(t, self.expr)
             self._angle = saved
             self.expect(")")
             return e
@@ -287,11 +307,11 @@ class _Parser:
     # -- statements --------------------------------------------------------
 
     def block(self) -> Program:
-        self.expect("{")
+        opener = self.expect("{")
         if self.at("}"):
             self.next()
             return Empty()
-        body = self.stmtseq()
+        body = self.nested(opener, self.stmtseq)
         self.expect("}")
         return body
 
@@ -410,12 +430,12 @@ class _Parser:
             return RLit(Fraction(int(t.text)))
         if t.kind == "(":
             self.next()
-            e = self.rt()
+            e = self.nested(t, self.rt)
             self.expect(")")
             return e
         if t.kind == "[":
             self.next()
-            cond = self.expr()
+            cond = self.nested(t, self.expr)
             self.expect("]")
             return Indicator(cond)
         if t.kind == "ident":
@@ -444,35 +464,34 @@ class _Parser:
                 return RwCoef(a, b)
             if name == "sum":
                 self.next()
-                self.expect("(")
+                opener = self.expect("(")
                 var = self.expect("ident").text
                 if var in _KEYWORDS or var == "n":
                     self.fail("%r cannot be a summation index" % var)
                 self.expect(",")
-                lo = self.rt()
+                lo = self.nested(opener, self.rt)
                 self.expect(",")
-                hi = self.rt()
+                hi = self.nested(opener, self.rt)
                 self.expect(",")
-                body = self.rt()
+                body = self.nested(opener, self.rt)
                 self.expect(")")
                 return FiniteSum(var, lo, hi, body)
             if name in _KEYWORDS:
                 self.fail("keyword %r cannot appear here" % name)
             self.next()
             if self.at("["):
-                self.next()
-                idx = self.expr()
+                idx = self.nested(self.next(), self.expr)
                 self.expect("]")
                 return RCell(name, idx)
             return RVar(name)
         self.fail("expected a run-time expression")
 
     def _rt_args(self, count: int) -> List[RtExpr]:
-        self.expect("(")
-        args = [self.rt()]
+        opener = self.expect("(")
+        args = [self.nested(opener, self.rt)]
         while self.at(","):
             self.next()
-            args.append(self.rt())
+            args.append(self.nested(opener, self.rt))
         self.expect(")")
         if len(args) != count:
             self.fail("expected %d arguments, got %d" % (count, len(args)))

@@ -130,6 +130,9 @@ def _as_bool(v: Value) -> bool:
 # a sampled value is a scalar or, for whole-array installation, a tuple
 Sampled = Union[int, bool, Tuple[int, ...]]
 
+# the weight of every point mass; Fractions are immutable, so one is shared
+_CERTAIN = Fraction(1)
+
 
 def eval_dist(
     d: DistExpr, sigma: State, bind: Optional[Bindings] = None
@@ -146,8 +149,8 @@ def eval_dist(
                 _as_int(eval_expr(item, sigma, bind), "array element")
                 for item in d.value.items
             )
-            return [(Fraction(1), vals)]
-        return [(Fraction(1), eval_expr(d.value, sigma, bind))]
+            return [(_CERTAIN, vals)]
+        return [(_CERTAIN, eval_expr(d.value, sigma, bind))]
     if isinstance(d, Uniform):
         lo = _as_int(eval_expr(d.lo, sigma, bind), "uniform bound")
         hi = _as_int(eval_expr(d.hi, sigma, bind), "uniform bound")

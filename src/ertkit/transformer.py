@@ -20,6 +20,7 @@ lower bound for the whole program.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -31,6 +32,16 @@ from .syntax import (
     ProbAssign, Program, RLit, RtExpr, RT_ZERO, Seq, Skip, VarTarget, While,
     WhileBounded, expand_bounded_once, rt_to_text,
 )
+
+
+# Probability weights are non-negative Fractions by construction: the parser
+# checks that weights lie in [0, 1] and sum to one, and a uniform weight is
+# 1/n; so they skip the checks of the public XReal constructor.
+_of = XReal._of
+
+# Evaluation recurses once per statement and loop iteration, far past
+# Python's default limit on long runs.
+_DEEP_STACK = 1_000_000
 
 
 class FuelExhausted(KernelError):
@@ -200,7 +211,7 @@ class _Engine:
                 idx = eval_expr(p.target.index, sigma)
                 nxt = sigma.set_cell(p.target.name, idx, v)
             sub, t = cont.eval(nxt)
-            total = x_add(total, x_mul(XReal(prob), sub))
+            total = x_add(total, x_mul(_of(prob), sub))
             tainted = tainted or t
         return total, tainted
 
@@ -209,11 +220,11 @@ class _Engine:
         total, tainted = self._if_tick, False
         if p_true > 0:
             v, t = self.eval(then, sigma, cont)
-            total = x_add(total, x_mul(XReal(p_true), v))
+            total = x_add(total, x_mul(_of(p_true), v))
             tainted = tainted or t
         if p_true < 1:
             v, t = self.eval(orelse, sigma, cont)
-            total = x_add(total, x_mul(XReal(1 - p_true), v))
+            total = x_add(total, x_mul(_of(1 - p_true), v))
             tainted = tainted or t
         return total, tainted
 
@@ -239,11 +250,11 @@ class _Engine:
             if p_true > 0:
                 rest = self.bounded_cont(loop_key, guard, body, depth - 1, cont, synthesized)
                 v, t = self.eval(body, sigma, rest)
-                total = x_add(total, x_mul(XReal(p_true), v))
+                total = x_add(total, x_mul(_of(p_true), v))
                 tainted = tainted or t
             if p_true < 1:
                 v, t = cont.eval(sigma)
-                total = x_add(total, x_mul(XReal(1 - p_true), v))
+                total = x_add(total, x_mul(_of(1 - p_true), v))
                 tainted = tainted or t
             out = (total, tainted)
         self.memo[key] = out
@@ -298,9 +309,16 @@ class _BoundedCont:
         )
 
 
-def _ensure_stack():
-    if sys.getrecursionlimit() < 1_000_000:
-        sys.setrecursionlimit(1_000_000)
+@contextmanager
+def _deep_stack():
+    """Raise the recursion limit for the duration of one evaluation only."""
+    old = sys.getrecursionlimit()
+    if old < _DEEP_STACK:
+        sys.setrecursionlimit(_DEEP_STACK)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def _as_cont(f) -> Union[RtCont, FnCont]:
@@ -329,10 +347,10 @@ def expected_runtime(
     annotation was substituted, in which case it is a lower bound.  An
     infinite lower bound is promoted back to exact, since nothing exceeds it.
     """
-    _ensure_stack()
     cfg = config or ErtConfig()
     engine = _Engine(cfg)
-    value, tainted = engine.eval(program, sigma or State(), _as_cont(f))
+    with _deep_stack():
+        value, tainted = engine.eval(program, sigma or State(), _as_cont(f))
     if value.is_infinite:
         tainted = False
     # one entry per distinct bound, not one per substitution site
@@ -361,23 +379,23 @@ def char_functional(
     """
     if isinstance(loop, Annotated):
         loop = loop.loop
-    _ensure_stack()
     cfg = config or ErtConfig()
     f_cont = _as_cont(f)
 
     def apply(X, sigma: State) -> Tuple[XReal, bool]:
         engine = _Engine(cfg)
         x_cont = _as_cont(X)
-        p_true = eval_guard(loop.guard, sigma)
-        total, tainted = ONE, False
-        if p_true < 1:
-            v, t = f_cont.eval(sigma)
-            total = x_add(total, x_mul(XReal(1 - p_true), v))
-            tainted = tainted or t
-        if p_true > 0:
-            v, t = engine.eval(loop.body, sigma, x_cont)
-            total = x_add(total, x_mul(XReal(p_true), v))
-            tainted = tainted or t
+        with _deep_stack():
+            p_true = eval_guard(loop.guard, sigma)
+            total, tainted = ONE, False
+            if p_true < 1:
+                v, t = f_cont.eval(sigma)
+                total = x_add(total, x_mul(_of(1 - p_true), v))
+                tainted = tainted or t
+            if p_true > 0:
+                v, t = engine.eval(loop.body, sigma, x_cont)
+                total = x_add(total, x_mul(_of(p_true), v))
+                tainted = tainted or t
         return total, tainted
 
     return apply
@@ -399,7 +417,6 @@ def kleene_iterates(
     """
     if isinstance(loop, Annotated):
         loop = loop.loop
-    _ensure_stack()
     cfg = config or ErtConfig()
     f_cont = _as_cont(f)
     table: Dict[State, XReal] = {s: ZERO for s in states}
@@ -409,15 +426,16 @@ def kleene_iterates(
         engine = _Engine(cfg)
         x_cont = FnCont(lambda q: snapshot.get(q, ZERO))
         nxt: Dict[State, XReal] = {}
-        for s in states:
-            p_true = eval_guard(loop.guard, s)
-            total = ONE
-            if p_true < 1:
-                total = x_add(total, x_mul(XReal(1 - p_true), f_cont.eval(s)[0]))
-            if p_true > 0:
-                v, _ = engine.eval(loop.body, s, x_cont)
-                total = x_add(total, x_mul(XReal(p_true), v))
-            nxt[s] = total
+        with _deep_stack():
+            for s in states:
+                p_true = eval_guard(loop.guard, s)
+                total = ONE
+                if p_true < 1:
+                    total = x_add(total, x_mul(_of(1 - p_true), f_cont.eval(s)[0]))
+                if p_true > 0:
+                    v, _ = engine.eval(loop.body, s, x_cont)
+                    total = x_add(total, x_mul(_of(p_true), v))
+                nxt[s] = total
         table = nxt
         yield dict(table)
 

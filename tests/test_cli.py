@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from ertkit.cli import main
+from ertkit.parser import MAX_NESTING
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 DATA = Path(__file__).resolve().parent / "data"
@@ -225,6 +226,7 @@ def test_node_cap_flag_beats_environment(capsys, monkeypatch):
         ("crosscheck", "{missing}"),
         ("check-inv", "{missing}"),
         ("eval", "corpus:trunc", "--f", "{directory}"),
+        ("eval", "corpus:trunc", "--f", "{missing_rt}"),
         ("crosscheck", "{directory}"),
         ("check-inv", "{directory}"),
         ("eval", "{binary}"),
@@ -240,6 +242,7 @@ def test_node_cap_flag_beats_environment(capsys, monkeypatch):
 def test_unreadable_input_is_an_input_error(argv, tmp_path, capsys):
     paths = {
         "missing": tmp_path / "missing.pp",
+        "missing_rt": tmp_path / "missing.rt",
         "directory": tmp_path / "dir.rt",
         "binary": tmp_path / "bin.pp",
         "binary_rt": tmp_path / "bin.rt",
@@ -250,7 +253,41 @@ def test_unreadable_input_is_an_input_error(argv, tmp_path, capsys):
         paths[key].write_bytes(b"\xff\xfe skip")
     code, _, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
-    assert "error:" in err and "Traceback" not in err
+    assert err.startswith("error: cannot ") and "Traceback" not in err
+
+
+def _nested_ifs(depth: int) -> str:
+    return "x := 0; " + "if (x >= 0) { " * depth + "x := x + 1" + " }" * depth
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "{deep_program}"),
+        ("crosscheck", "{deep_program}"),
+        ("eval", "corpus:trunc", "--f", "{deep_runtime}"),
+    ],
+    ids=lambda argv: "-".join(argv).replace("{", "").replace("}", ""),
+)
+def test_deep_nesting_is_a_parse_error(argv, tmp_path, capsys):
+    paths = {"deep_program": tmp_path / "deep.pp", "deep_runtime": tmp_path / "deep.rt"}
+    paths["deep_program"].write_text(_nested_ifs(20000))
+    paths["deep_runtime"].write_text("(" * 5000 + "1" + ")" * 5000)
+    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert err.startswith("parse error: 1:") and "nesting deeper than" in err
+    assert "Traceback" not in err
+
+
+def test_nesting_at_the_limit_evaluates(tmp_path, capsys):
+    program = tmp_path / "limit.pp"
+    program.write_text(_nested_ifs(MAX_NESTING))
+    runtime = tmp_path / "limit.rt"
+    runtime.write_text("(" * MAX_NESTING + "x" + ")" * MAX_NESTING)
+    code, out, _ = run(capsys, "eval", str(program), "--f", str(runtime))
+    assert code == 0
+    # x := 0, 64 guards and x := x + 1, then f reads x = 1
+    assert "{}: %d (exact)" % (MAX_NESTING + 3) in out
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

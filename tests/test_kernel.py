@@ -1,6 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ertkit.kernel import (
     INF,
@@ -9,9 +11,11 @@ from ertkit.kernel import (
     State,
     XReal,
     ZERO,
+    x_add,
     x_leq,
     x_max,
     x_min,
+    x_mul,
 )
 
 
@@ -96,3 +100,76 @@ def test_state_equality_hash_repr():
     assert hash(a) == hash(b)
     assert repr(a) == "{x=1, y=2}"
     assert repr(State({"x": 0}, {"cp": (1, 2)})) == "{x=0, cp=[1,2]}"
+
+
+_xreals = st.one_of(
+    st.just(None),
+    st.just(Fraction(0)),
+    st.fractions(min_value=0, max_denominator=10**6),
+    st.integers(min_value=0, max_value=10**12).map(Fraction),
+)
+
+
+def _same(x: XReal, y: XReal) -> bool:
+    return x == y and hash(x) == hash(y) and repr(x) == repr(y) and str(x) == str(y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_xreals, _xreals)
+def test_arithmetic_matches_the_public_constructor(p, q):
+    a, b = XReal(p), XReal(q)
+    if p is None or q is None:
+        assert _same(a + b, INF)
+        zero = p == 0 or q == 0
+        assert _same(a * b, ZERO if zero else INF)
+    else:
+        assert _same(a + b, XReal(p + q))
+        assert _same(a * b, XReal(p * q))
+        assert _same(x_add(a, b), XReal(p + q))
+        assert _same(x_mul(a, b), XReal(p * q))
+        assert _same(x_add(p, b), XReal(p + q))
+        assert _same(a + q, XReal(p + q))
+        assert _same(q * a, XReal(p * q))
+    assert type((a + b).q) in (Fraction, type(None))
+    assert type((a * b).q) in (Fraction, type(None))
+
+
+def test_negative_values_are_rejected():
+    for bad in (Fraction(-1, 2), -1):
+        with pytest.raises(ValueError):
+            XReal(bad)
+    with pytest.raises(ValueError):
+        XReal(1) + -1
+
+
+def _orders(items):
+    """Dicts with the same items in every insertion order."""
+    return [dict(p) for p in itertools.permutations(items)]
+
+
+def test_state_hash_ignores_insertion_order():
+    scalars = [("x", 1), ("y", -2), ("b", True)]
+    arrays = [("cp", (0, 1)), ("q", (3,))]
+    states = [State(s, a) for s in _orders(scalars) for a in _orders(arrays)]
+    memo = {states[0]: "found"}
+    for s in states:
+        assert s == states[0] and hash(s) == hash(states[0])
+        assert memo[s] == "found"
+        assert repr(s) == "{b=True, x=1, y=-2, cp=[0,1], q=[3]}"
+
+
+def test_state_updates_agree_with_fresh_states():
+    start = State({"y": 0, "x": 0}, {"cp": [0, 0, 0]})
+    reached = (
+        start.set("x", 4).set("b", False).set_cell("cp", 2, 7).set_array("q", [1, 2]).set("y", 5)
+    )
+    fresh = State({"b": False, "y": 5, "x": 4}, {"q": (1, 2), "cp": (0, 7, 0)})
+    assert reached == fresh and hash(reached) == hash(fresh)
+    assert repr(reached) == repr(fresh)
+    memo = {fresh: 1}
+    assert memo[reached] == 1
+    # updates leave their source unchanged
+    assert start == State({"x": 0, "y": 0}, {"cp": (0, 0, 0)})
+    assert hash(start) == hash(State({"x": 0, "y": 0}, {"cp": (0, 0, 0)}))
+    assert reached.set_cell("cp", 2, 0).set_array("cp", (0, 7, 0)) == fresh
+    assert start.set("x", 0) == start and hash(start.set("x", 0)) == hash(start)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ertkit.generator import PROFILES, random_program, random_runtime
-from ertkit.parser import ParseError, ProbabilityMassError, parse_program, parse_rt
+from ertkit.parser import (
+    MAX_NESTING,
+    ParseError,
+    ProbabilityMassError,
+    parse_program,
+    parse_rt,
+)
 from ertkit.syntax import (
     Dirac,
     Halt,
@@ -102,6 +108,51 @@ def test_error_positions():
         parse_program("while x > 0 { skip }")  # missing parentheses
     with pytest.raises(ParseError):
         parse_rt("1 + * 2")
+
+
+def _nest(opener: str, inner: str, closer: str, depth: int) -> str:
+    return opener * depth + inner + closer * depth
+
+
+NESTED_PROGRAMS = {
+    "block": lambda d: "x := 1; " + _nest("if (x > 0) { ", "skip", " }", d),
+    "loop": lambda d: _nest("while (false) { ", "skip", " }", d),
+    "choice": lambda d: _nest("{ ", "skip", " } [] { skip }", d),
+    "parens": lambda d: "x := " + _nest("(", "1", ")", d),
+    "not": lambda d: "b := " + "not " * d + "true",
+    "minus": lambda d: "x := " + "- " * d + "1",
+    "index": lambda d: "a := [1]; x := " + _nest("a[", "1", "]", d),
+}
+NESTED_RUNTIMES = {
+    "parens": lambda d: _nest("(", "1", ")", d),
+    "indicator": lambda d: "[" + _nest("(", "true", ")", d - 1) + "]",
+    "min": lambda d: _nest("min(1, ", "1", ")", d),
+    "sum": lambda d: _nest("sum(k, 0, 1, ", "k", ")", d),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTED_PROGRAMS))
+def test_program_nesting_limit(kind):
+    parse_program(NESTED_PROGRAMS[kind](MAX_NESTING))
+    with pytest.raises(ParseError, match="nesting deeper than") as exc:
+        parse_program(NESTED_PROGRAMS[kind](MAX_NESTING + 1))
+    assert exc.value.line == 1 and exc.value.col > 1
+
+
+@pytest.mark.parametrize("kind", sorted(NESTED_RUNTIMES))
+def test_runtime_nesting_limit(kind):
+    parse_rt(NESTED_RUNTIMES[kind](MAX_NESTING))
+    with pytest.raises(ParseError, match="nesting deeper than") as exc:
+        parse_rt(NESTED_RUNTIMES[kind](MAX_NESTING + 1))
+    assert exc.value.line == 1 and exc.value.col > 1
+
+
+def test_nesting_limit_counts_every_kind_together():
+    half = MAX_NESTING // 2
+    inner = "x := " + _nest("(", "1", ")", MAX_NESTING - half)
+    parse_program(_nest("if (true) { ", inner, " }", half))
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_program(_nest("if (true) { ", inner, " }", half + 1))
 
 
 def test_comments_and_whitespace():

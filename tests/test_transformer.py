@@ -1,9 +1,11 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 from ertkit.kernel import INF, State, XReal
 from ertkit.parser import parse_program, parse_rt
+from ertkit.semantics import EvalError
 from ertkit.syntax import (
     Annotated,
     InvariantAnnotation,
@@ -145,6 +147,43 @@ def test_char_functional_fixed_point():
         out, tainted = F(lambda q: table[q], sigma)
         assert not tainted
         assert out == v
+
+
+def test_evaluation_scopes_the_recursion_limit():
+    default = sys.getrecursionlimit()
+    seen = []
+
+    def f(sigma):
+        seen.append(sys.getrecursionlimit())
+        return XReal(0)
+
+    # a long run needs a deep stack while it is evaluated
+    countdown = parse_program("while (x > 0) { x := x - 1 }")
+    long_run = expected_runtime(
+        countdown, None, State({"x": 2000}), ErtConfig(max_unroll_depth=4096)
+    )
+    assert long_run.kind == "exact" and long_run.value == XReal(4001)
+    assert sys.getrecursionlimit() == default
+
+    expected_runtime(countdown, f, State({"x": 1}))
+    assert sys.getrecursionlimit() == default
+
+    F = char_functional(GEO, f)
+    F(f, State({"c": 1}))
+    assert sys.getrecursionlimit() == default
+
+    gen = kleene_iterates(GEO, f, [State({"c": 0}), State({"c": 1})])
+    next(gen)
+    next(gen)
+    assert sys.getrecursionlimit() == default
+    next(gen)
+    assert sys.getrecursionlimit() == default
+
+    assert seen and all(limit > default for limit in seen)
+
+    with pytest.raises(EvalError):
+        ert("x := y + 1")
+    assert sys.getrecursionlimit() == default
 
 
 def test_bounded_unroll_matches_single_step_expansion():
