@@ -3,10 +3,14 @@
 These are the semantic ground types: run-times live in the non-negative
 rationals extended with infinity (XReal), programs manipulate integer and
 boolean values (Value), and a State maps scalar variables and fixed-length
-arrays to values.  Everything here is immutable and total.
+arrays to values.  Everything here is immutable and total.  The module also
+holds the scoped recursion limit that both the transformer and the model
+builder evaluate under, so neither imports the other for it.
 """
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
@@ -273,3 +277,20 @@ class State:
             for k, vs in sorted(self.arrays.items())
         ]
         return "{%s}" % ", ".join(parts)
+
+
+# Evaluation recurses once per statement, loop iteration and operator, far
+# past Python's default limit on long runs and long expressions.
+_DEEP_STACK = 1_000_000
+
+
+@contextmanager
+def _deep_stack():
+    """Raise the recursion limit for the duration of one evaluation only."""
+    old = sys.getrecursionlimit()
+    if old < _DEEP_STACK:
+        sys.setrecursionlimit(_DEEP_STACK)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)

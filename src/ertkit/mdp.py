@@ -9,7 +9,10 @@ three forms (plain, depth-bounded, annotated) are unfolded one step at a time
 when they are reached; annotations are ignored.
 
 The expected total reward to the sink, maximized over schedulers, is the
-quantity the transformer computes; `cross_check` compares the two.
+quantity the transformer computes; `cross_check` compares the two.  It is
+solved in two steps: a safety fixed point decides whether some scheduler can
+avoid the sink (then the value is infinite), and otherwise Howard policy
+iteration over exact chain solves finds the best scheduler.
 """
 from __future__ import annotations
 
@@ -17,13 +20,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .kernel import INF, ZERO, KernelError, State, XReal
+from .kernel import INF, ONE, ZERO, KernelError, State, XReal, _deep_stack
 from .semantics import eval_dist, eval_expr, eval_guard, eval_rt
 from .syntax import (
     Annotated, Empty, Halt, If, NdChoice, ProbAssign, Program, RtExpr, RT_ZERO,
     Seq, Skip, VarTarget, While, WhileBounded, expand_bounded_once,
     program_to_text,
 )
+
+
+_ONE = Fraction(1)
 
 
 class NodeCapExceeded(KernelError):
@@ -99,6 +105,7 @@ class _Builder:
         self.index: Dict[tuple, int] = {}
         self.seq_cache: Dict[Tuple[int, int], Seq] = {}
         self.unfold_cache: Dict[int, Program] = {}
+        self.reward_cache: Dict[int, XReal] = {}
         self.sink = self._intern(MdpNode("sink"), ("sink",))
 
     def _intern(self, node: MdpNode, key: tuple) -> int:
@@ -148,13 +155,20 @@ class _Builder:
             self.unfold_cache[id(w)] = c
         return c
 
+    def head_reward(self, p: Program) -> XReal:
+        """`head_reward`, once per program object."""
+        r = self.reward_cache.get(id(p))
+        if r is None:
+            r = self.reward_cache[id(p)] = head_reward(p)
+        return r
+
     # successor descriptors: ("exec", p, σ) | ("term", σ) | ("termseq", p, σ) | ("sink",)
 
     def step(self, p: Program, sigma: State) -> Dict[str, List[Tuple[Fraction, tuple]]]:
         if isinstance(p, (Empty, Skip)):
-            return {"t": [(Fraction(1), ("term", sigma))]}
+            return {"t": [(_ONE, ("term", sigma))]}
         if isinstance(p, Halt):
-            return {"t": [(Fraction(1), ("sink",))]}
+            return {"t": [(_ONE, ("sink",))]}
         if isinstance(p, ProbAssign):
             acc: Dict[tuple, Fraction] = {}
             for prob, v in eval_dist(p.dist, sigma):
@@ -167,25 +181,26 @@ class _Builder:
                     idx = eval_expr(p.target.index, sigma)
                     nxt = sigma.set_cell(p.target.name, idx, v)
                 d = ("term", nxt)
-                acc[d] = acc.get(d, Fraction(0)) + prob
+                prev = acc.get(d)
+                acc[d] = prob if prev is None else prev + prob
             return {"t": [(prob, d) for d, prob in acc.items()]}
         if isinstance(p, NdChoice):
             return {
-                "L": [(Fraction(1), ("exec", p.left, sigma))],
-                "R": [(Fraction(1), ("exec", p.right, sigma))],
+                "L": [(_ONE, ("exec", p.left, sigma))],
+                "R": [(_ONE, ("exec", p.right, sigma))],
             }
         if isinstance(p, If):
             p_true = eval_guard(p.guard, sigma)
             if p_true == 1 or p.then is p.orelse:
-                return {"t": [(Fraction(1), ("exec", p.then, sigma))]}
+                return {"t": [(_ONE, ("exec", p.then, sigma))]}
             if p_true == 0:
-                return {"t": [(Fraction(1), ("exec", p.orelse, sigma))]}
+                return {"t": [(_ONE, ("exec", p.orelse, sigma))]}
             return {"t": [
                 (p_true, ("exec", p.then, sigma)),
                 (1 - p_true, ("exec", p.orelse, sigma)),
             ]}
         if isinstance(p, While):
-            return {"t": [(Fraction(1), ("exec", self.unfold(p), sigma))]}
+            return {"t": [(_ONE, ("exec", self.unfold(p), sigma))]}
         if isinstance(p, Seq):
             inner = self.step(p.first, sigma)
             out: Dict[str, List[Tuple[Fraction, tuple]]] = {}
@@ -207,7 +222,7 @@ class _Builder:
                 out[action] = lifted
             return out
         if isinstance(p, Annotated):
-            return {"t": [(Fraction(1), ("exec", self.unfold(p), sigma))]}
+            return {"t": [(_ONE, ("exec", self.unfold(p), sigma))]}
         if isinstance(p, WhileBounded):
             return self.step(self.unfold(p), sigma)
         raise TypeError(p)
@@ -229,7 +244,7 @@ def head_reward(p: Program) -> XReal:
     steps are free; a sequence inherits the charge of its first component.
     """
     if isinstance(p, (Skip, ProbAssign, If)):
-        return XReal(1)
+        return ONE
     if isinstance(p, Seq):
         return head_reward(p.first)
     if isinstance(p, WhileBounded):
@@ -248,42 +263,47 @@ def node_reward(node: MdpNode, f: RtExpr) -> XReal:
 def build_mdp(
     C: Program, sigma0: State, f: RtExpr = RT_ZERO, node_cap: int = 200_000
 ) -> Mdp:
-    """Breadth-first closure of the step rules from the initial configuration."""
+    """Breadth-first closure of the step rules from the initial configuration.
+
+    Runs under a raised recursion limit, since evaluating a long operator
+    chain recurses once per operator.
+    """
     b = _Builder(f, node_cap)
-    b.transitions[b.sink]["t"] = [(Fraction(1), b.sink)]
+    b.transitions[b.sink]["t"] = [(_ONE, b.sink)]
     initial = b.exec_node(C, sigma0)
-    frontier = [initial]
-    seen = {b.sink, initial}
-    while frontier:
-        nxt: List[int] = []
-        for i in frontier:
-            node = b.nodes[i]
-            if node.kind == "term":
-                b.rewards[i] = eval_rt(f, node.state)
-                rows = {"t": [(Fraction(1), b.sink)]}
-                b.transitions[i] = rows
-                continue
-            if node.kind == "termseq":
-                j = b.exec_node(node.program, node.state)
-                b.transitions[i] = {"t": [(Fraction(1), j)]}
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-                continue
-            # exec
-            b.rewards[i] = head_reward(node.program)
-            out: Dict[str, List[Tuple[Fraction, int]]] = {}
-            for action, rows in b.step(node.program, node.state).items():
-                resolved = []
-                for prob, d in rows:
-                    j = b.resolve(d)
-                    resolved.append((prob, j))
+    with _deep_stack():
+        frontier = [initial]
+        seen = {b.sink, initial}
+        while frontier:
+            nxt: List[int] = []
+            for i in frontier:
+                node = b.nodes[i]
+                if node.kind == "term":
+                    b.rewards[i] = eval_rt(f, node.state)
+                    rows = {"t": [(_ONE, b.sink)]}
+                    b.transitions[i] = rows
+                    continue
+                if node.kind == "termseq":
+                    j = b.exec_node(node.program, node.state)
+                    b.transitions[i] = {"t": [(_ONE, j)]}
                     if j not in seen:
                         seen.add(j)
                         nxt.append(j)
-                out[action] = resolved
-            b.transitions[i] = out
-        frontier = nxt
+                    continue
+                # exec
+                b.rewards[i] = b.head_reward(node.program)
+                out: Dict[str, List[Tuple[Fraction, int]]] = {}
+                for action, rows in b.step(node.program, node.state).items():
+                    resolved = []
+                    for prob, d in rows:
+                        j = b.resolve(d)
+                        resolved.append((prob, j))
+                        if j not in seen:
+                            seen.add(j)
+                            nxt.append(j)
+                    out[action] = resolved
+                b.transitions[i] = out
+            frontier = nxt
     return Mdp(b.nodes, b.transitions, b.rewards, initial, b.sink, f)
 
 
@@ -293,7 +313,55 @@ def recompute_rewards(m: Mdp) -> List[XReal]:
 
 
 # ---------------------------------------------------------------------------
-# qualitative analysis: maximal end components
+# qualitative analysis: can some scheduler avoid the sink?
+
+
+def qualitative_check(m: Mdp) -> Qualitative:
+    """Whether every scheduler reaches the sink almost surely.
+
+    Computes Z, the greatest set of nodes without the sink in which every
+    node has an action whose whole support stays in Z: a worklist runs
+    backwards from the sink, kills each action with a successor outside Z,
+    and drops a node once all of its actions are dead.  A scheduler that
+    plays the surviving actions never leaves Z, and every node of the model
+    is reachable by construction, so some scheduler avoids the sink with
+    positive probability exactly when Z is non-empty.  Conversely, every end
+    component without the sink lies inside Z.  The witness pairs each node
+    of Z with its first surviving action.
+    """
+    n = m.node_count
+    preds: List[List[Tuple[int, str]]] = [[] for _ in range(n)]
+    for v, trans in enumerate(m.transitions):
+        for action, rows in trans.items():
+            for _, j in rows:
+                preds[j].append((v, action))
+    live = [len(trans) for trans in m.transitions]
+    dead: set = set()
+    out = [False] * n
+    out[m.sink] = True
+    work = [m.sink]
+    while work:
+        for pair in preds[work.pop()]:
+            if pair in dead:
+                continue
+            dead.add(pair)
+            v = pair[0]
+            live[v] -= 1
+            if not live[v]:
+                out[v] = True
+                work.append(v)
+    if all(out):
+        return Qualitative("AllSchedulersReachSink")
+    witness = tuple(
+        (v, next(a for a in m.transitions[v] if (v, a) not in dead))
+        for v in range(n)
+        if not out[v]
+    )
+    return Qualitative("SomeSchedulerAvoids", witness)
+
+
+# ---------------------------------------------------------------------------
+# expected total reward
 
 
 def _sccs(vertices: Sequence[int], succ: Dict[int, List[int]]) -> List[List[int]]:
@@ -343,83 +411,6 @@ def _sccs(vertices: Sequence[int], succ: Dict[int, List[int]]) -> List[List[int]
                 u, _ = work[-1]
                 low[u] = min(low[u], low[v])
     return out
-
-
-def maximal_end_components(m: Mdp) -> List[Tuple[List[int], Dict[int, List[str]]]]:
-    """Sub-MDPs a scheduler can keep forever: components with, per node, at
-    least one action whose whole support stays inside, strongly connected
-    through those actions."""
-    component: Dict[int, int] = {i: 0 for i in range(m.node_count)}
-    groups: List[List[int]] = [list(range(m.node_count))]
-    changed = True
-    while changed:
-        changed = False
-        new_groups: List[List[int]] = []
-        for grp in groups:
-            inside = set(grp)
-            succ: Dict[int, List[int]] = {}
-            keep: Dict[int, List[str]] = {}
-            for v in grp:
-                outs = []
-                acts = []
-                for action, rows in m.transitions[v].items():
-                    if all(j in inside for _, j in rows):
-                        acts.append(action)
-                        outs.extend(j for _, j in rows)
-                if acts:
-                    succ[v] = outs
-                    keep[v] = acts
-            vertices = [v for v in grp if v in keep]
-            comps = _sccs(vertices, succ)
-            for comp in comps:
-                cs = set(comp)
-                if len(comp) == 1:
-                    v = comp[0]
-                    if not any(
-                        all(j in cs for _, j in m.transitions[v][a])
-                        for a in keep.get(v, [])
-                    ):
-                        changed = True
-                        continue  # trivial component, drop the state
-                if len(cs) != len(inside):
-                    changed = True
-                new_groups.append(comp)
-            if len(vertices) != len(grp):
-                changed = True
-        groups = new_groups
-    out = []
-    for grp in groups:
-        cs = set(grp)
-        choices: Dict[int, List[str]] = {}
-        for v in grp:
-            acts = [
-                a
-                for a, rows in m.transitions[v].items()
-                if all(j in cs for _, j in rows)
-            ]
-            if acts:
-                choices[v] = acts
-        if len(choices) == len(grp):
-            out.append((grp, choices))
-    return out
-
-
-def qualitative_check(m: Mdp) -> Qualitative:
-    """Whether every scheduler reaches the sink almost surely.
-
-    A scheduler can avoid the sink with positive probability exactly when
-    some end component without the sink is reachable; every node in the
-    model is reachable by construction.
-    """
-    for comp, choices in maximal_end_components(m):
-        if m.sink not in comp:
-            witness = tuple(sorted((v, choices[v][0]) for v in comp))
-            return Qualitative("SomeSchedulerAvoids", witness)
-    return Qualitative("AllSchedulersReachSink")
-
-
-# ---------------------------------------------------------------------------
-# expected total reward
 
 
 def _solve_chain(
@@ -619,7 +610,16 @@ def _node_label(node: MdpNode) -> str:
         return "sink"
     if node.kind == "term":
         return "[down] %s" % node.state
-    head = program_to_text(node.program).split("\n")[0].strip()
+    # the first line of the program's text, without printing all of it: a
+    # sequence's text is its leftmost statement's, then ";" and a newline
+    first = node.program
+    while isinstance(first, Seq):
+        first = first.first
+    text = program_to_text(first)
+    head = text.split("\n", 1)[0]
+    if first is not node.program and "\n" not in text:
+        head += ";"
+    head = head.strip()
     if len(head) > 40:
         head = head[:37] + "..."
     if node.kind == "termseq":

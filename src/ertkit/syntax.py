@@ -320,8 +320,35 @@ def _frac(q: Fraction) -> str:
     return str(q)
 
 
-def expr_to_text(e: Expr, prec: int = 0) -> str:
+def _infix(e: Expr):
+    """(precedence, left operand, its precedence, operator, right operand,
+    its precedence) of an infix expression, or None."""
     # precedence: or 1 < and 2 < not 3 < cmp 4 < add 5 < mul 6 < atom 7
+    if isinstance(e, BinOp):
+        p = 5 if e.op in "+-" else 6
+        return p, e.left, p, e.op, e.right, p + 1
+    if isinstance(e, Cmp):
+        return 4, e.left, 5, e.op, e.right, 5
+    if isinstance(e, And):
+        return 2, e.left, 2, "and", e.right, 3
+    if isinstance(e, Or):
+        return 1, e.left, 1, "or", e.right, 2
+    return None
+
+
+def expr_to_text(e: Expr, prec: int = 0) -> str:
+    # the left operands of an operator chain are walked in a loop, so a long
+    # chain such as 1 + 1 + ... + 1 does not recurse once per operator
+    opened = 0
+    tails: List[str] = []
+    form = _infix(e)
+    while form is not None:
+        p, left, left_prec, op, right, right_prec = form
+        wrap = p < prec
+        opened += wrap
+        tails.append(" %s %s%s" % (op, expr_to_text(right, right_prec), ")" if wrap else ""))
+        e, prec = left, left_prec
+        form = _infix(e)
     if isinstance(e, IntLit):
         s, p = str(e.value), 7 if e.value >= 0 else 5
     elif isinstance(e, BoolLit):
@@ -330,28 +357,14 @@ def expr_to_text(e: Expr, prec: int = 0) -> str:
         s, p = e.name, 7
     elif isinstance(e, CellRef):
         s, p = "%s[%s]" % (e.name, expr_to_text(e.index)), 7
-    elif isinstance(e, BinOp):
-        p = 5 if e.op in "+-" else 6
-        s = "%s %s %s" % (
-            expr_to_text(e.left, p),
-            e.op,
-            expr_to_text(e.right, p + 1),
-        )
-    elif isinstance(e, Cmp):
-        p = 4
-        s = "%s %s %s" % (expr_to_text(e.left, 5), e.op, expr_to_text(e.right, 5))
-    elif isinstance(e, And):
-        p = 2
-        s = "%s and %s" % (expr_to_text(e.left, 2), expr_to_text(e.right, 3))
-    elif isinstance(e, Or):
-        p = 1
-        s = "%s or %s" % (expr_to_text(e.left, 1), expr_to_text(e.right, 2))
     elif isinstance(e, Not):
         p = 3
         s = "not %s" % expr_to_text(e.arg, 4)
     else:
         raise TypeError(e)
-    return "(%s)" % s if p < prec else s
+    if p < prec:
+        s = "(%s)" % s
+    return "(" * opened + s + "".join(reversed(tails))
 
 
 def _payload(e: Expr) -> str:
@@ -404,7 +417,15 @@ def program_to_text(p: Program, indent: int = 0) -> str:
             return "%s%s := %s" % (pad, t, expr_to_text(p.dist.value))
         return "%s%s :~ %s" % (pad, t, dist_to_text(p.dist))
     if isinstance(p, Seq):
-        return "%s;\n%s" % (program_to_text(p.first, indent), program_to_text(p.second, indent))
+        # a statement chain is flattened in a loop, not printed recursively
+        parts, todo = [], [p]
+        while todo:
+            q = todo.pop()
+            if isinstance(q, Seq):
+                todo += (q.second, q.first)
+            else:
+                parts.append(program_to_text(q, indent))
+        return ";\n".join(parts)
     if isinstance(p, NdChoice):
         return "%s%s [] %s" % (pad, block(p.left), block(p.right))
     if isinstance(p, If):

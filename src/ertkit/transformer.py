@@ -19,13 +19,13 @@ lower bound for the whole program.
 """
 from __future__ import annotations
 
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .kernel import INF, ONE, ZERO, KernelError, State, XReal, x_add, x_max, x_mul
+from .kernel import (
+    INF, ONE, ZERO, KernelError, State, XReal, _deep_stack, x_add, x_max, x_mul,
+)
 from .semantics import Bindings, EvalError, eval_dist, eval_expr, eval_guard, eval_rt
 from .syntax import (
     Annotated, ArrayLit, CellTarget, Dirac, Empty, Halt, If, NdChoice,
@@ -38,10 +38,6 @@ from .syntax import (
 # checks that weights lie in [0, 1] and sum to one, and a uniform weight is
 # 1/n; so they skip the checks of the public XReal constructor.
 _of = XReal._of
-
-# Evaluation recurses once per statement and loop iteration, far past
-# Python's default limit on long runs.
-_DEEP_STACK = 1_000_000
 
 
 class FuelExhausted(KernelError):
@@ -307,18 +303,6 @@ class _BoundedCont:
             self.loop_key, self.guard, self.body, self.depth, sigma,
             self.after, self.synthesized,
         )
-
-
-@contextmanager
-def _deep_stack():
-    """Raise the recursion limit for the duration of one evaluation only."""
-    old = sys.getrecursionlimit()
-    if old < _DEEP_STACK:
-        sys.setrecursionlimit(_DEEP_STACK)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
 
 
 def _as_cont(f) -> Union[RtCont, FnCont]:

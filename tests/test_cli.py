@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from ertkit.cli import main
 from ertkit.parser import MAX_NESTING
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -288,6 +292,46 @@ def test_nesting_at_the_limit_evaluates(tmp_path, capsys):
     assert code == 0
     # x := 0, 64 guards and x := x + 1, then f reads x = 1
     assert "{}: %d (exact)" % (MAX_NESTING + 3) in out
+
+
+# a statement chain and an operator chain each longer than Python's default
+# recursion limit
+LONG_SOURCES = {
+    "statements": "x := 0; " + "; ".join(["x := x + 1"] * 2999),
+    "operators": "x := " + " + ".join(["1"] * 3000),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LONG_SOURCES))
+def test_export_of_a_long_program(kind, tmp_path, capsys):
+    prog = tmp_path / "long.pp"
+    prog.write_text(LONG_SOURCES[kind])
+    code, out, err = run(capsys, "export-mdp", str(prog))
+    assert code == 0, err
+    assert out.startswith("digraph mdp {") and out.endswith("}")
+    assert 'n1 [label="x := ' in out
+
+
+@pytest.mark.parametrize("kind", sorted(LONG_SOURCES))
+def test_crosscheck_of_a_long_program(kind, tmp_path, capsys):
+    prog = tmp_path / "long.pp"
+    prog.write_text(LONG_SOURCES[kind])
+    limit = sys.getrecursionlimit()
+    code, out, err = run(capsys, "crosscheck", str(prog), "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["result"]["detail"] == "exact equality"
+    assert sys.getrecursionlimit() == limit
+
+
+def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ertkit", "eval", "corpus:trunc"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "5/2 (exact)" in proc.stdout
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

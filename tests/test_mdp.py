@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +11,12 @@ from ertkit.corpus import ENTRIES, coupon_closed_form
 from ertkit.generator import PROFILES, random_program, random_runtime, random_state
 from ertkit.kernel import INF, State, XReal
 from ertkit.mdp import (
+    Mdp,
     MdpConfig,
+    MdpNode,
     NodeCapExceeded,
+    Qualitative,
+    _sccs,
     _solve_chain,
     build_mdp,
     cross_check,
@@ -23,8 +29,14 @@ from ertkit.parser import parse_program, parse_rt
 from ertkit.syntax import (
     RT_ZERO,
     Annotated,
+    BoolLit,
+    Dirac,
+    Halt,
     InvariantAnnotation,
+    NdChoice,
     Seq,
+    Skip,
+    While,
     WhileBounded,
     program_to_text,
 )
@@ -218,6 +230,109 @@ def test_cross_check_is_exact_on_a_model_with_many_schedulers():
     assert report.mdp_value == XReal(5)
 
 
+def end_components_avoiding_the_sink(m):
+    """The maximal end component decomposition by repeated SCC refinement:
+    sub-MDPs a scheduler can keep forever, in which every node has an action
+    whose whole support stays inside, strongly connected through those
+    actions.  Returns those without the sink."""
+    groups = [list(range(m.node_count))]
+    changed = True
+    while changed:
+        changed = False
+        new_groups = []
+        for grp in groups:
+            inside = set(grp)
+            succ, keep = {}, {}
+            for v in grp:
+                outs, acts = [], []
+                for action, rows in m.transitions[v].items():
+                    if all(j in inside for _, j in rows):
+                        acts.append(action)
+                        outs.extend(j for _, j in rows)
+                if acts:
+                    succ[v] = outs
+                    keep[v] = acts
+            vertices = [v for v in grp if v in keep]
+            for comp in _sccs(vertices, succ):
+                cs = set(comp)
+                if len(comp) == 1 and not any(
+                    all(j in cs for _, j in m.transitions[comp[0]][a])
+                    for a in keep.get(comp[0], [])
+                ):
+                    changed = True
+                    continue  # trivial component, drop the state
+                if len(cs) != len(inside):
+                    changed = True
+                new_groups.append(comp)
+            if len(vertices) != len(grp):
+                changed = True
+        groups = new_groups
+    return [grp for grp in groups if m.sink not in grp]
+
+
+def _diverging_variants(rng, k):
+    """A generated program, bare or wrapped so that it may run forever."""
+    names = list(PROFILES)
+    body = random_program(rng, PROFILES[names[k % len(names)]])
+    forever = Dirac(BoolLit(True))
+    return [
+        body,
+        While(forever, body),
+        While(forever, NdChoice(Halt(), body)),
+        Seq(body, While(forever, NdChoice(Halt(), Skip()))),
+    ][k % 4]
+
+
+def test_qualitative_check_matches_end_component_decomposition():
+    rng = random.Random(5)
+    verdicts = {"AllSchedulersReachSink": 0, "SomeSchedulerAvoids": 0}
+    for k in range(240):
+        program = _diverging_variants(rng, k)
+        try:
+            m = build_mdp(program, random_state(rng), RT_ZERO, 2_000)
+        except NodeCapExceeded:
+            continue
+        q = qualitative_check(m)
+        assert (q.kind == "SomeSchedulerAvoids") == bool(
+            end_components_avoiding_the_sink(m)
+        ), program_to_text(program)
+        verdicts[q.kind] += 1
+        if q.witness:
+            # the witness is a memoryless scheduler that never leaves it
+            inside = {v for v, _ in q.witness}
+            assert m.sink not in inside
+            assert all(
+                j in inside for v, a in q.witness for _, j in m.transitions[v][a]
+            )
+    assert verdicts["SomeSchedulerAvoids"] >= 20
+    assert verdicts["AllSchedulersReachSink"] >= 20
+
+
+def test_only_a_larger_action_avoids_the_sink():
+    # node 1 may step to the sink ("L", the smallest action) or stay ("R")
+    m = Mdp(
+        nodes=[MdpNode("sink"), MdpNode("exec")],
+        transitions=[
+            {"t": [(Fraction(1), 0)]},
+            {"L": [(Fraction(1), 0)], "R": [(Fraction(1), 1)]},
+        ],
+        rewards=[XReal(0), XReal(1)],
+        initial=1,
+        sink=0,
+        f=RT_ZERO,
+    )
+    q = qualitative_check(m)
+    assert q == Qualitative("SomeSchedulerAvoids", ((1, "R"),))
+    assert end_components_avoiding_the_sink(m) == [[1]]
+    assert expected_reward(m).value == INF
+    # the same shape from a program: the left branch halts, the right loops
+    m = build("while (true) { { halt } [] { skip } }")
+    q = qualitative_check(m)
+    assert q.kind == "SomeSchedulerAvoids"
+    assert all(a == "R" for v, a in q.witness if len(m.transitions[v]) > 1)
+    assert end_components_avoiding_the_sink(m)
+
+
 def test_qualitative_detects_sink_avoidance():
     m = build("while (true) { skip }")
     q = qualitative_check(m)
@@ -281,3 +396,69 @@ def test_dot_export_mentions_every_node():
     for i in range(m.node_count):
         assert f"n{i} " in dot or f"n{i} [" in dot
     assert "->" in dot
+
+
+# ---------------------------------------------------------------------------
+# golden DOT output: the builder's node set, numbering and labels are pinned
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _golden_models():
+    geo = ENTRIES["geo"].program()
+    drain = parse_program("while (x > 0) { x := x - 1 }")
+    annotated = Seq(
+        Annotated(geo, InvariantAnnotation("upper", parse_rt("1 + [c = 1] * 4"))),
+        WhileBounded(4, drain.guard, drain.body),
+    )
+    coupon = ENTRIES["coupon"]
+    return {
+        "geo": (geo, State({"c": 1}), RT_ZERO),
+        "coupon2": (coupon.program(N=2), coupon.initial_state(), RT_ZERO),
+        "ndchoice": (
+            parse_program(
+                "z :~ unif[2 .. 2 + 3]; x :~ 1/2*<x> + 1/4*<0 - 3> + 1/4*<y>; "
+                "{ z :~ 3/5*<2> + 2/5*<3 * 0>; { x := -2 } [] { z := 0 } } "
+                "[] { skip; z :~ 1/3*<(-1) * 0> + 1/3*<x> + 1/3*<y> }"
+            ),
+            State({"x": 0, "y": 3, "z": 1}),
+            parse_rt("1"),
+        ),
+        "annotated": (annotated, State({"c": 1, "x": 2}), parse_rt("c + x")),
+    }
+
+
+@pytest.mark.parametrize("name", ["geo", "coupon2", "ndchoice", "annotated"])
+def test_dot_export_matches_golden_output(name):
+    program, sigma, f = _golden_models()[name]
+    dot = mdp_to_dot(build_mdp(program, sigma, f))
+    assert dot == (DATA / f"mdp_{name}.dot").read_text(encoding="utf-8")
+
+
+# sha256 over the DOT of the first 100 sweep models of data seed 11 that fit
+# the sweep's node cap, joined by newlines
+SWEEP_DOT_SHA256 = "c1b87981f0186fd09a3c64c25eed264a61c09846632202d583c25cd21583d548"
+
+
+def _sweep_dot_digest(seed=11, count=100):
+    rng = random.Random(seed)
+    names = list(PROFILES)
+    digest = hashlib.sha256()
+    i = built = 0
+    while built < count:
+        program = random_program(rng, PROFILES[names[i % len(names)]])
+        f = random_runtime(rng, terms=1) if i % 3 == 0 else RT_ZERO
+        sigma = random_state(rng)
+        i += 1
+        try:
+            m = build_mdp(program, sigma, f, 30_000)
+        except NodeCapExceeded:
+            continue
+        digest.update(mdp_to_dot(m).encode() + b"\n")
+        built += 1
+    return digest.hexdigest()
+
+
+def test_sweep_dot_export_matches_golden_digest():
+    assert _sweep_dot_digest() == SWEEP_DOT_SHA256
