@@ -690,6 +690,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if getattr(args, "node_cap", None) is None and hasattr(args, "node_cap"):
             args.node_cap = _default_node_cap()
+        for flag in ("depth", "fallback_depth"):
+            if getattr(args, flag, 1) < 1:
+                raise CliError(f"--{flag.replace('_', '-')} must be at least 1")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,11 +6,17 @@ post-run-time `f`.  Compound statements are handled with continuations, so a
 sequence is literally the transformer of its head applied to the transformer
 of its tail.
 
-Unbounded loops are approximated from below by depth-bounded unrollings with
-a doubling schedule.  An evaluation that never reaches a synthesized cutoff
-is exact, because every further unrolling computes the same value; one that
-does reach a cutoff is reported as a lower bound, which is always sound since
-bounded unrollings approximate the fixed point from below.
+Unbounded loops are approximated from below by one depth-bounded unrolling,
+evaluated once at the cap `max_unroll_depth`.  An evaluation that never
+reaches the synthesized cutoff at depth 0 is exact: every path it explored
+left the loop before the cutoff, so every deeper unrolling explores the same
+paths and computes the same value, and so does the loop's least fixed point.
+One that does reach the cutoff is reported as a lower bound, which is always
+sound since bounded unrollings approximate the fixed point from below.
+
+Within one evaluation, each guard probability and each distribution's
+support is computed once per state and shared by every continuation that
+reaches it.
 
 A loop carrying a lower-bound annotation may be replaced by its certified
 bound when it is applied to the continuation the bound was certified against.
@@ -60,6 +66,12 @@ class ErtConfig:
     max_unroll_depth: int = 64
     use_annotations: bool = True
     tick_mutation: Optional[str] = None
+
+    def __post_init__(self):
+        if self.max_unroll_depth < 1:
+            raise ValueError(
+                "max_unroll_depth must be at least 1, got %r" % (self.max_unroll_depth,)
+            )
 
 
 @dataclass(frozen=True)
@@ -134,6 +146,10 @@ class _Engine:
         self.memo: Dict[tuple, Tuple[XReal, bool]] = {}
         self.seq_conts: Dict[tuple, _SeqCont] = {}
         self.bounded_conts: Dict[tuple, "_BoundedCont"] = {}
+        # guard probabilities and distribution supports, keyed by
+        # (id(expression), state); the program outlives the engine
+        self.guards: Dict[tuple, Fraction] = {}
+        self.dists: Dict[tuple, list] = {}
         self.annotations_used: List[str] = []
         self._if_tick = ZERO if config.tick_mutation == "drop-if-tick" else ONE
 
@@ -157,6 +173,22 @@ class _Engine:
             c = _BoundedCont(self, loop_key, guard, body, depth, after, synthesized)
             self.bounded_conts[key] = c
         return c
+
+    # guards and distributions --------------------------------------------
+
+    def guard(self, g, sigma: State) -> Fraction:
+        key = (id(g), sigma)
+        p = self.guards.get(key)
+        if p is None:
+            p = self.guards[key] = eval_guard(g, sigma)
+        return p
+
+    def dist(self, d, sigma: State) -> list:
+        key = (id(d), sigma)
+        entries = self.dists.get(key)
+        if entries is None:
+            entries = self.dists[key] = eval_dist(d, sigma)
+        return entries
 
     # evaluation ---------------------------------------------------------
 
@@ -197,7 +229,7 @@ class _Engine:
 
     def _assign(self, p: ProbAssign, sigma: State, cont) -> Tuple[XReal, bool]:
         total, tainted = ONE, False
-        for prob, v in eval_dist(p.dist, sigma):
+        for prob, v in self.dist(p.dist, sigma):
             if isinstance(p.target, VarTarget):
                 if isinstance(v, tuple):
                     nxt = sigma.set_array(p.target.name, v)
@@ -212,7 +244,7 @@ class _Engine:
         return total, tainted
 
     def _branch(self, guard, then, orelse, sigma: State, cont) -> Tuple[XReal, bool]:
-        p_true = eval_guard(guard, sigma)
+        p_true = self.guard(guard, sigma)
         total, tainted = self._if_tick, False
         if p_true > 0:
             v, t = self.eval(then, sigma, cont)
@@ -241,7 +273,7 @@ class _Engine:
         if depth <= 0:
             out: Tuple[XReal, bool] = (ZERO, synthesized)
         else:
-            p_true = eval_guard(guard, sigma)
+            p_true = self.guard(guard, sigma)
             total, tainted = self._if_tick, False
             if p_true > 0:
                 rest = self.bounded_cont(loop_key, guard, body, depth - 1, cont, synthesized)
@@ -257,18 +289,10 @@ class _Engine:
         return out
 
     def _while(self, p: While, sigma: State, cont) -> Tuple[XReal, bool]:
-        loop_key = ("wb", id(p))
-        depth = 1
-        value, tainted = ZERO, True
-        while True:
-            value, tainted = self._bounded(
-                loop_key, p.guard, p.body, depth, sigma, cont, synthesized=True
-            )
-            if not tainted or value.is_infinite:
-                return value, tainted
-            if depth >= self.config.max_unroll_depth:
-                return value, True
-            depth = min(depth * 2, self.config.max_unroll_depth)
+        return self._bounded(
+            ("wb", id(p)), p.guard, p.body, self.config.max_unroll_depth,
+            sigma, cont, synthesized=True,
+        )
 
     def _annotated(self, p: Annotated, sigma: State, cont) -> Tuple[XReal, bool]:
         ann = p.annotation

@@ -74,6 +74,44 @@ def test_eval_depth_flag(capsys):
     assert doc["results"][0]["rational"] == "637/128"
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(("eval", "corpus:geo", "--depth", "0"), "--depth", id="eval-0"),
+        pytest.param(
+            ("eval", "corpus:geo", "--depth", "-3", "--format", "json"), "--depth",
+            id="eval-negative",
+        ),
+        pytest.param(("crosscheck", "corpus:geo", "--depth", "0"), "--depth", id="crosscheck-0"),
+        pytest.param(
+            ("crosscheck", "corpus:geo", "--fallback-depth", "-1", "--node-cap", "3"),
+            "--fallback-depth",
+            id="fallback-negative",
+        ),
+        pytest.param(
+            ("crosscheck", "corpus:geo", "--fallback-depth", "0"), "--fallback-depth",
+            id="fallback-0",
+        ),
+    ],
+)
+def test_unroll_cap_below_one_is_an_input_error(argv, flag, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be at least 1\n"
+
+
+def test_unroll_cap_of_one(capsys):
+    code, out, _ = run(capsys, "eval", "corpus:geo", "--depth", "1")
+    assert code == 0
+    assert "{c=1}: 2 (lower bound, depth 1); refinement from depth 1: +0" in out
+    code, out, _ = run(
+        capsys, "crosscheck", "corpus:geo", "--fallback-depth", "1", "--node-cap", "8"
+    )
+    assert code == 0
+    assert "pass: exact equality (bounded at depth 1)" in out
+
+
 def test_timings_are_opt_in(capsys):
     argv = ("eval", "corpus:trunc", "--format", "json")
     _, plain, _ = run(capsys, *argv)
@@ -354,6 +392,49 @@ def test_unbound_variable_reported(tmp_path, capsys):
     code, _, err = run(capsys, "eval", str(prog))
     assert code == 2
     assert "x" in err
+
+
+# Loops whose states recur at several unroll depths, so the transformer reads
+# the guard and the distribution of a revisited state from its tables.  Each
+# program has one reachable error; both legs must report it, exit 2.
+ERRORS_IN_LOOPS = {
+    "index": (
+        "a := [0, 0, 0]; i := 1;\n"
+        "while (i <= 4) { i :~ 1/2*<i> + 1/2*<i + 1>; a[i] :~ 1/2*<0> + 1/2*<i> }\n",
+        (),
+        "error: a[4] out of bounds (length 3, indices are 1-based)\n",
+    ),
+    # the distribution's successor x = 0 divides the run-time by zero
+    "division": (
+        "while (x > 1) { x :~ 1/2*<x> + 1/4*<x - 1> + 1/4*<x - 2> }\n",
+        ("--state", "x=3", "--f", "1/x"),
+        "error: division by zero\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "crosscheck"])
+@pytest.mark.parametrize("case", sorted(ERRORS_IN_LOOPS))
+def test_evaluation_error_inside_a_loop(case, command, tmp_path, capsys):
+    source, extra, expected = ERRORS_IN_LOOPS[case]
+    prog = tmp_path / "prog.pp"
+    prog.write_text(source)
+    code, out, err = run(capsys, command, str(prog), *extra)
+    assert (code, out, err) == (2, "", expected)
+
+
+def test_error_beyond_an_infinite_unrolling_is_reported(tmp_path, capsys):
+    # with f = inf the depth-2 unrolling is already infinite; the error at
+    # x = 3 needs depth 4.  Both legs explore the whole loop and report it.
+    prog = tmp_path / "prog.pp"
+    prog.write_text(
+        "a := [0]; x := 0;\n"
+        "while (x < 5) { x :~ 1/2*<5> + 1/2*<x + 1>; if (x = 3) { a[2] := 0 } else { skip } }\n"
+    )
+    for command in ("eval", "crosscheck"):
+        code, out, err = run(capsys, command, str(prog), "--f", "inf")
+        assert (code, out) == (2, "")
+        assert err == "error: a[2] out of bounds (length 1, indices are 1-based)\n"
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,18 @@
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
+from ertkit import transformer
+from ertkit.generator import PROFILES, random_program, random_runtime, random_state
 from ertkit.kernel import INF, State, XReal
 from ertkit.parser import parse_program, parse_rt
-from ertkit.semantics import EvalError
+from ertkit.semantics import EvalError, eval_dist, eval_guard
 from ertkit.syntax import (
+    RT_ZERO,
     Annotated,
+    If,
     InvariantAnnotation,
     Seq,
     WhileBounded,
@@ -345,3 +350,130 @@ def test_infinity_continuation_on_terminating_program():
     r = ert("x := 1; while (x > 0) { x := x - 1 }", parse_rt("inf"), State({"x": 0}))
     assert r.value == INF
     assert r.kind == "exact"
+
+
+def test_unroll_cap_below_one_is_rejected():
+    for depth in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            ErtConfig(max_unroll_depth=depth)
+    r = expected_runtime(GEO, None, State({"c": 1}), ErtConfig(max_unroll_depth=1))
+    assert r.kind == "lower" and r.value == XReal(2)  # F(0)(c=1) = 1 + 1/2 * 2
+
+
+# ---------------------------------------------------------------------------
+# the doubling schedule as an oracle
+#
+# The doubling schedule unrolls every loop at depth 1, 2, 4, ... up to the
+# cap, stops at the first untainted (or infinite) value, and evaluates every
+# guard and distribution afresh.  The transformer's single unrolling at the
+# cap, with guards and distributions read from per-state tables, must give
+# the same results.
+
+
+class _DoublingEngine(transformer._Engine):
+    def guard(self, g, sigma):
+        return eval_guard(g, sigma)
+
+    def dist(self, d, sigma):
+        return eval_dist(d, sigma)
+
+    def _while(self, p, sigma, cont):
+        loop_key = ("wb", id(p))
+        depth = 1
+        while True:
+            value, tainted = self._bounded(
+                loop_key, p.guard, p.body, depth, sigma, cont, synthesized=True
+            )
+            if not tainted or value.is_infinite:
+                return value, tainted
+            if depth >= self.config.max_unroll_depth:
+                return value, True
+            depth = min(depth * 2, self.config.max_unroll_depth)
+
+
+ORACLE_CAPS = (1, 2, 3, 5, 8, 64)
+
+
+def _under_both(monkeypatch, call):
+    """call() with the doubling oracle's engine, then with the transformer's."""
+    with monkeypatch.context() as m:
+        m.setattr(transformer, "_Engine", _DoublingEngine)
+        old = call()
+    return old, call()
+
+
+def _loop_programs(count: int, seed: int):
+    rng = random.Random(seed)
+    names = list(PROFILES)
+    out, k = [], 0
+    while len(out) < count:
+        program = random_program(rng, PROFILES[names[k % len(names)]], max_depth=2)
+        k += 1
+        if while_loops(program):
+            out.append((program, random_runtime(rng, terms=1), random_state(rng)))
+    return out
+
+
+def _assert_same_result(old, new):
+    assert new.value == old.value
+    assert new.annotations_used == old.annotations_used
+    # a tainted infinite value is promoted to exact only at the top, so an
+    # infinite sub-result may carry either flag; finite ones must agree
+    if not old.value.is_infinite:
+        assert new.kind == old.kind
+
+
+def test_single_unrolling_matches_the_doubling_schedule(monkeypatch):
+    drain = while_loops(parse_program("while (x > 0) { x := x - 1 }"))[0]
+    # two distinct lower bounds, reached on the exit paths of the loops before
+    # them, so the order in which they are first used is compared as well
+    ann = [
+        Annotated(drain, InvariantAnnotation("lower", parse_rt(b)))
+        for b in ("1 + [x > 0] * 2 * x", "[x > 0] * 2 * x")
+    ]
+    tail = If(parse_program("if (y > 1) { skip }").guard, ann[0], ann[1])
+    lower = annotated = 0
+    for i, (program, f, sigma) in enumerate(_loop_programs(200, 7)):
+        cases = [(program, f), (program, parse_rt("inf"))]
+        if i % 8 == 0:
+            cases.append((Seq(program, tail), RT_ZERO))
+        for prog, rt in cases:
+            for cap in ORACLE_CAPS:
+                cfg = ErtConfig(max_unroll_depth=cap)
+                old, new = _under_both(
+                    monkeypatch, lambda: expected_runtime(prog, rt, sigma, cfg)
+                )
+                _assert_same_result(old, new)
+                lower += new.kind == "lower"
+                annotated += bool(new.annotations_used)
+    # the sample reaches the cap and substitutes bounds
+    assert lower > 100 and annotated > 10
+
+
+NESTED = parse_program(
+    "while (x > 0) { c := 1; while (c = 1) { c :~ 1/2*<0> + 1/2*<1> }; x := x - 1 }"
+)
+
+
+@pytest.mark.parametrize("loop", [GEO, NESTED], ids=["geo", "nested"])
+def test_char_functional_matches_the_doubling_schedule(loop, monkeypatch):
+    states = [State({"c": c, "x": x}) for c in (0, 1) for x in (0, 1, 2)]
+    for cap in ORACLE_CAPS:
+        cfg = ErtConfig(max_unroll_depth=cap)
+        for f in (parse_rt("x + c"), parse_rt("inf")):
+            for X in (parse_rt("2 * x"), parse_rt("inf")):
+                old, new = _under_both(
+                    monkeypatch,
+                    lambda: [char_functional(loop, f, cfg)(X, s) for s in states],
+                )
+                for (ov, ot), (nv, nt) in zip(old, new):
+                    assert nv == ov
+                    if not ov.is_infinite:
+                        assert nt == ot
+
+            def iterates():
+                gen = kleene_iterates(loop, f, states, cfg)
+                return [next(gen) for _ in range(4)]
+
+            old, new = _under_both(monkeypatch, iterates)
+            assert new == old
