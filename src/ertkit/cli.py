@@ -59,16 +59,32 @@ def _default_node_cap() -> int:
     env = os.environ.get("ERTKIT_MAX_NODES")
     if env:
         try:
-            return max(1, int(env))
+            cap = int(env)
         except ValueError:
             raise CliError(f"ERTKIT_MAX_NODES must be an integer, found {env!r}")
+        if cap < 1:
+            raise CliError(f"--node-cap must be at least 1 (ERTKIT_MAX_NODES={env})")
+        return cap
     return 200_000
+
+
+def _q_str(q: Fraction) -> str:
+    try:
+        return str(q)
+    except ValueError:
+        # Python refuses to print an integer of more than
+        # sys.get_int_max_str_digits() digits
+        raise CliError(
+            "the exact value has more digits than Python prints "
+            f"({sys.get_int_max_str_digits()}); use a smaller --depth, or "
+            "raise the limit with PYTHONINTMAXSTRDIGITS"
+        )
 
 
 def _rational_str(x: XReal) -> str:
     if x.is_infinite:
         return "inf"
-    return str(x.q)
+    return _q_str(x.q)
 
 
 def _float_or_none(x: XReal) -> Optional[float]:
@@ -82,10 +98,8 @@ def _nice(x: XReal) -> str:
     everything else as a rounded decimal."""
     if x.is_infinite:
         return "inf"
-    if x.q.denominator == 1:
-        return str(x.q.numerator)
     if x.q.denominator <= 1000:
-        return str(x.q)
+        return _q_str(x.q)
     return f"{float(x.q):.12g}"
 
 
@@ -154,7 +168,7 @@ def _load_program(ref: str, params: Dict[str, int]) -> Tuple[Program, str, Optio
             raise CliError(f"unknown corpus entry {name!r} (known: {known})")
         try:
             source = ENTRIES[name].source(**params)
-        except KeyError as exc:
+        except (KeyError, ValueError) as exc:
             raise CliError(str(exc.args[0]))
         return parse_program(source), source, name
     if params:
@@ -246,7 +260,7 @@ def _cmd_eval(args) -> int:
             )
             if res.value.is_finite and half.value.is_finite:
                 gain = res.value.q - half.value.q
-                entry["last_doubling_gain"] = str(gain)
+                entry["last_doubling_gain"] = _q_str(gain)
                 gap_note = f"; refinement from depth {max(1, args.depth // 2)}: +{float(gain):.6g}"
             else:
                 gap_note = ""
@@ -527,9 +541,10 @@ def _cmd_corpus(args) -> int:
         if value is not None:
             params[flag] = value
     try:
-        outcomes = entry.run_checks(**params)
-    except KeyError as exc:
+        entry.resolved(**params)
+    except (KeyError, ValueError) as exc:
         raise CliError(str(exc.args[0]))
+    outcomes = entry.run_checks(**params)
 
     payload = _base_report(args, "corpus")
     payload["entry"] = entry.name
@@ -690,12 +705,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if getattr(args, "node_cap", None) is None and hasattr(args, "node_cap"):
             args.node_cap = _default_node_cap()
-        for flag in ("depth", "fallback_depth"):
+        for flag in ("depth", "fallback_depth", "node_cap"):
             if getattr(args, flag, 1) < 1:
                 raise CliError(f"--{flag.replace('_', '-')} must be at least 1")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except RecursionError:
+        print(
+            "error: the evaluation nests deeper than the recursion limit; "
+            "use a smaller --depth",
+            file=sys.stderr,
+        )
         return EXIT_INPUT_ERROR
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)

@@ -47,13 +47,22 @@ class CorpusEntry:
     state: Mapping[str, int]
     notes: str
     derive: Optional[Callable[[Dict[str, int]], Dict[str, str]]] = None
+    minimum: Mapping[str, int] = field(default_factory=dict)
 
     def resolved(self, **overrides: int) -> Dict[str, int]:
+        """The parameters with `overrides` applied.  Raises `KeyError` for
+        an unknown parameter and `ValueError` for one below its minimum."""
         out = dict(self.params)
         for k, v in overrides.items():
             if k not in out:
                 raise KeyError(f"unknown parameter {k!r} for corpus entry {self.name}")
             out[k] = int(v)
+            low = self.minimum.get(k)
+            if low is not None and out[k] < low:
+                raise ValueError(
+                    f"parameter {k} of corpus entry {self.name} must be at "
+                    f"least {low}, found {out[k]}"
+                )
         return out
 
     def source(self, **overrides: int) -> str:
@@ -137,10 +146,7 @@ _NPAST_DRAIN_BOUND = "1 + [x > 0] * 2 * x"
 
 
 def _coupon_derive(params: Dict[str, int]) -> Dict[str, str]:
-    n = params["N"]
-    if n < 1:
-        raise ValueError("N must be at least 1")
-    return {"zeros": ", ".join(["0"] * n)}
+    return {"zeros": ", ".join(["0"] * params["N"])}
 
 
 ENTRIES: Dict[str, CorpusEntry] = {
@@ -175,6 +181,7 @@ ENTRIES: Dict[str, CorpusEntry] = {
             {"x": 1},
             "symmetric walk with an absorbing zero; terminates almost surely "
             "yet its fixed-point iterates grow without bound",
+            minimum={"start": 0, "threshold": 0},
         ),
         CorpusEntry(
             "coupon",
@@ -183,6 +190,7 @@ ENTRIES: Dict[str, CorpusEntry] = {
             {},
             "coupon collection by resampling; closed form 4 + 2N(2 + H_{N-1})",
             derive=_coupon_derive,
+            minimum={"N": 1},
         ),
         CorpusEntry(
             "npast",
@@ -191,6 +199,7 @@ ENTRIES: Dict[str, CorpusEntry] = {
             {},
             "doubling phase followed by a countdown; each phase alone has a "
             "finite expected run-time, their composition does not",
+            minimum={"threshold": 0},
         ),
     )
 }

@@ -12,13 +12,16 @@ The expected total reward to the sink, maximized over schedulers, is the
 quantity the transformer computes; `cross_check` compares the two.  It is
 solved in two steps: a safety fixed point decides whether some scheduler can
 avoid the sink (then the value is infinite), and otherwise Howard policy
-iteration over exact chain solves finds the best scheduler.
+iteration finds the best scheduler.  The model is condensed once, over the
+union of all actions, and every policy is evaluated exactly by one pass over
+that condensation in reverse topological order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from heapq import heapify, heappop, heappush
+from typing import Dict, List, Optional, Tuple, Union
 
 from .kernel import INF, ONE, ZERO, KernelError, State, XReal, _deep_stack
 from .semantics import eval_dist, eval_expr, eval_guard, eval_rt
@@ -364,139 +367,145 @@ def qualitative_check(m: Mdp) -> Qualitative:
 # expected total reward
 
 
-def _sccs(vertices: Sequence[int], succ: Dict[int, List[int]]) -> List[List[int]]:
-    # iterative Tarjan
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    on: set = set()
+def _condense(m: Mdp) -> List[Union[int, List[int]]]:
+    """Strongly connected components of the union of all actions' graphs.
+
+    One iterative Tarjan over plain lists; the sink is settled up front and
+    left out.  The components come in reverse topological order, a single
+    node without a self-loop as its index and a cyclic block as a list.
+    Every scheduler's chain is a subgraph of this union graph, so the order
+    is a valid evaluation order for every policy.
+    """
+    n = m.node_count
+    succ = [[j for rows in t.values() for _, j in rows] for t in m.transitions]
+    index = [-1] * n
+    low = [0] * n
+    on = [False] * n
+    index[m.sink] = 0
+    counter = 1
     stack: List[int] = []
-    out: List[List[int]] = []
-    counter = 0
-    for root in vertices:
-        if root in index:
+    out: List[Union[int, List[int]]] = []
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on.add(v)
-            recurse = False
-            edges = succ.get(v, [])
-            while pi < len(edges):
-                w = edges[pi]
-                pi += 1
-                if w not in index:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    recurse = True
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on[w] = True
+                    work.append((w, iter(succ[w])))
                     break
-                if w in on:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+                if on[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        on[w] = False
+                        comp.append(w)
+                    out.append(comp if len(comp) > 1 or v in succ[v] else v)
     return out
 
 
-def _solve_chain(
-    m: Mdp, pick: Optional[Dict[int, str]] = None
-) -> List[Fraction]:
-    """Exact expected reward-to-sink for a chain (or a scheduler's chain).
+def _evaluate(
+    comps: List[Union[int, List[int]]],
+    reward: List[Fraction],
+    rows: List[List[Tuple[Fraction, int]]],
+    x: List[Fraction],
+) -> None:
+    """Exact expected reward-to-sink of the chain that plays `rows`, into `x`.
 
-    Condenses strongly connected components and solves them in reverse
-    topological order, each by Gaussian elimination over rationals.
+    One pass over the union condensation.  A single node adds up its
+    successors' values, skipping zeros, without a multiplication on a single
+    successor (probability 1).  A cyclic block gets sparse Gaussian
+    elimination without pivoting, then back substitution, so a policy whose
+    chain is acyclic inside a large union block costs about one pass over
+    its rows; the pivots are positive once every scheduler reaches the sink
+    almost surely.  The sink's entry stays 0.
     """
-    n = m.node_count
-    row_of: List[List[Tuple[Fraction, int]]] = []
-    for i in range(n):
-        t = m.transitions[i]
-        if pick is not None and i in pick:
-            row_of.append(t[pick[i]])
-        else:
-            row_of.append(next(iter(t.values())))
-    succ = {i: [j for _, j in row_of[i]] for i in range(n)}
-    comps = _sccs(list(range(n)), succ)  # reverse topological order
-    x: List[Optional[Fraction]] = [None] * n
-    x[m.sink] = Fraction(0)
     for comp in comps:
-        if comp == [m.sink]:
+        if comp.__class__ is int:
+            total = reward[comp]
+            row = rows[comp]
+            if len(row) == 1:
+                v = x[row[0][1]]
+                if not total:
+                    total = v
+                elif v:
+                    total += v
+            else:
+                for prob, j in row:
+                    v = x[j]
+                    if v:
+                        total += prob * v
+            x[comp] = total
             continue
-        if len(comp) == 1 and comp[0] not in succ.get(comp[0], []):
-            i = comp[0]
-            rew = m.rewards[i]
-            acc = rew.q if rew.is_finite else None
-            if acc is None:
-                raise SingularSystem("infinite reward in finite solve")
-            total = acc
-            for prob, j in row_of[i]:
-                total += prob * x[j]
-            x[i] = total
-            continue
-        # general component: Gaussian elimination on the local unknowns
-        local = {v: k for k, v in enumerate(comp)}
-        size = len(comp)
-        A = [[Fraction(0)] * (size + 1) for _ in range(size)]
-        for v in comp:
-            r = local[v]
-            A[r][r] += 1
-            rew = m.rewards[v]
-            if not rew.is_finite:
-                raise SingularSystem("infinite reward in finite solve")
-            A[r][size] += rew.q
-            for prob, j in row_of[v]:
-                if j in local:
-                    A[r][local[j]] -= prob
+        # sparse elimination in the block's own order: row k keeps only
+        # the unknowns after k; every coefficient stays non-negative
+        pos = {v: k for k, v in enumerate(comp)}
+        eqs: List[Tuple[Fraction, Dict[int, Fraction]]] = []
+        for k, v in enumerate(comp):
+            const = reward[v]
+            coef: Dict[int, Fraction] = {}
+            for prob, j in rows[v]:
+                t = pos.get(j)
+                if t is None:
+                    const += prob * x[j]
                 else:
-                    A[r][size] += prob * x[j]
-        for col in range(size):
-            piv = next(
-                (r for r in range(col, size) if A[r][col] != 0), None
-            )
-            if piv is None:
-                raise SingularSystem(
-                    "no unique solution; a diverging component slipped past "
-                    "the qualitative check"
-                )
-            A[col], A[piv] = A[piv], A[col]
-            inv = A[col][col]
-            A[col] = [a / inv for a in A[col]]
-            for r in range(size):
-                if r != col and A[r][col] != 0:
-                    factor = A[r][col]
-                    A[r] = [a - factor * b for a, b in zip(A[r], A[col])]
-        for v in comp:
-            x[v] = A[local[v]][size]
-    return [q if q is not None else Fraction(0) for q in x]
-
-
-def _nd_nodes(m: Mdp) -> List[int]:
-    return [i for i in range(m.node_count) if len(m.transitions[i]) > 1]
+                    coef[t] = coef.get(t, 0) + prob
+            earlier = [t for t in coef if t < k]
+            heapify(earlier)
+            while earlier:
+                t = heappop(earlier)
+                c = coef.pop(t)
+                t_const, t_coef = eqs[t]
+                const += c * t_const
+                for u, a in t_coef.items():
+                    if u in coef:
+                        coef[u] += c * a
+                    else:
+                        coef[u] = c * a
+                        if u < k:
+                            heappush(earlier, u)
+            stay = coef.pop(k, 0)
+            if stay:
+                if stay == 1:
+                    raise SingularSystem("a block of the chain never exits")
+                scale = 1 / (1 - stay)
+                const *= scale
+                coef = {u: a * scale for u, a in coef.items()}
+            eqs.append((const, coef))
+        for k in range(len(comp) - 1, -1, -1):
+            const, coef = eqs[k]
+            for u, a in coef.items():
+                const += a * x[comp[u]]
+            x[comp[k]] = const
 
 
 def expected_reward(m: Mdp) -> RewardAnalysis:
     """Supremum over schedulers of the expected total reward to the sink.
 
-    Howard policy iteration over memoryless schedulers, each evaluated
-    exactly by `_solve_chain`.  Once the qualitative check has passed, every
-    scheduler reaches the sink almost surely, so the iteration is exact and
-    finite: it starts from the smallest action at each choice node and
-    switches an action only on a strict rational improvement.  A model
-    without choice nodes is a single evaluation.
+    Howard policy iteration over memoryless schedulers.  The model is
+    condensed once, and every policy is evaluated exactly by one pass of
+    `_evaluate` over that condensation, into one value list.  Once the
+    qualitative check has passed, every scheduler reaches the sink almost
+    surely, so the iteration is exact and finite: it starts from the
+    smallest action at each choice node and switches an action only on a
+    strict rational improvement.  A model without choice nodes is a single
+    evaluation.
     """
     qual = qualitative_check(m)
     if qual.kind == "SomeSchedulerAvoids":
@@ -505,22 +514,27 @@ def expected_reward(m: Mdp) -> RewardAnalysis:
         # an infinite reward sits on a reachable node, and every node is
         # reached with positive probability by construction
         return RewardAnalysis(qual, INF, "InfiniteReward")
-    nd = _nd_nodes(m)
+    comps = _condense(m)
+    reward = [r.q or 0 for r in m.rewards]  # int 0 tests fast
+    nd = [i for i, t in enumerate(m.transitions) if len(t) > 1]
     pick = {i: min(m.transitions[i]) for i in nd}
+    rows = [t[min(t)] for t in m.transitions]  # the policy's row per node
+    vals: List[Fraction] = [0] * m.node_count
     evaluated = 0
     improved = True
     while improved:
-        vals = _solve_chain(m, pick)
+        _evaluate(comps, reward, rows, vals)
         evaluated += 1
         improved = False
         for i in nd:
             gain = {
-                a: sum(p * vals[j] for p, j in rows)
-                for a, rows in m.transitions[i].items()
+                a: sum(p * vals[j] for p, j in row)
+                for a, row in m.transitions[i].items()
             }
             best = max(gain, key=gain.__getitem__)
             if gain[best] > gain[pick[i]]:
                 pick[i] = best
+                rows[i] = m.transitions[i][best]
                 improved = True
     if not nd:
         return RewardAnalysis(qual, XReal(vals[m.initial]), "ExactLinearSolve")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import ertkit.kernel
 from ertkit.cli import main
 from ertkit.parser import MAX_NESTING
 
@@ -111,6 +112,96 @@ def test_unroll_cap_of_one(capsys):
     assert code == 0
     assert "pass: exact equality (bounded at depth 1)" in out
 
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ("corpus", "coupon", "--N", "0"),
+            "parameter N of corpus entry coupon must be at least 1, found 0",
+            id="coupon-0",
+        ),
+        pytest.param(
+            ("corpus", "coupon", "--N", "-1"),
+            "parameter N of corpus entry coupon must be at least 1, found -1",
+            id="coupon-negative",
+        ),
+        pytest.param(
+            ("corpus", "rwalk", "--start", "-3"),
+            "parameter start of corpus entry rwalk must be at least 0, found -3",
+            id="rwalk-start",
+        ),
+        pytest.param(
+            ("corpus", "npast", "--threshold", "-1"),
+            "parameter threshold of corpus entry npast must be at least 0, found -1",
+            id="npast-threshold",
+        ),
+        pytest.param(
+            ("eval", "corpus:coupon", "--param", "N=0"),
+            "parameter N of corpus entry coupon must be at least 1, found 0",
+            id="eval-param",
+        ),
+    ],
+)
+def test_corpus_parameter_below_its_minimum(argv, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("cap", ["-3", "0"])
+def test_node_cap_below_one_is_an_input_error(cap, monkeypatch, capsys):
+    code, out, err = run(capsys, "crosscheck", "corpus:geo", "--node-cap", cap)
+    assert (code, out, err) == (2, "", "error: --node-cap must be at least 1\n")
+    monkeypatch.setenv("ERTKIT_MAX_NODES", cap)
+    code, out, err = run(capsys, "crosscheck", "corpus:geo")
+    assert (code, out) == (2, "")
+    assert err == f"error: --node-cap must be at least 1 (ERTKIT_MAX_NODES={cap})\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_value_too_long_to_print_is_an_input_error(fmt, capsys):
+    # `--depth 20000` against Python's default limit of 4300 digits, scaled
+    # down: 5 - 3/2^2200 needs about 660 digits, the limit is lowered to 640
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(
+            capsys, "eval", "corpus:geo", "--depth", "2200", "--format", fmt
+        )
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the exact value has more digits than Python prints (640); "
+        "use a smaller --depth, or raise the limit with PYTHONINTMAXSTRDIGITS\n"
+    )
+
+
+@pytest.mark.parametrize("digits, code", [("640", 2), ("0", 0)])
+def test_digit_limit_is_the_users_to_raise(digits, code):
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONINTMAXSTRDIGITS=digits)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ertkit", "eval", "corpus:geo", "--depth", "2200"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert ("(lower bound, depth 2200)" in proc.stdout) == (code == 0)
+
+
+def test_depth_beyond_the_recursion_limit_is_an_input_error(monkeypatch, capsys):
+    # the same failure as `--depth 300000` at the real limit, scaled down
+    monkeypatch.setattr(ertkit.kernel, "_DEEP_STACK", 3_000)
+    code, out, err = run(capsys, "eval", "corpus:geo", "--depth", "3000")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the evaluation nests deeper than the recursion limit; "
+        "use a smaller --depth\n"
+    )
+    assert sys.getrecursionlimit() < 3_000
 
 def test_timings_are_opt_in(capsys):
     argv = ("eval", "corpus:trunc", "--format", "json")

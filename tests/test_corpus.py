@@ -22,6 +22,13 @@ def test_parameter_overrides_are_validated():
     with pytest.raises(KeyError):
         ENTRIES["geo"].source(bogus=1)
     assert "3" in ENTRIES["coupon"].source(N=3)
+    for name, param, low in (("coupon", "N", 1), ("rwalk", "start", 0),
+                             ("rwalk", "threshold", 0), ("npast", "threshold", 0)):
+        entry = ENTRIES[name]
+        assert entry.resolved(**{param: low})[param] == low
+        with pytest.raises(ValueError, match=f"{param} of corpus entry {name} must be at least {low}"):
+            entry.run_checks(**{param: low - 1})
+    assert ENTRIES["race"].resolved(lead=-3)["lead"] == -3  # no minimum
 
 
 def test_coupon_closed_form_values():

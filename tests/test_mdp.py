@@ -4,9 +4,11 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
+import ertkit.mdp as mdp_module
 from ertkit.corpus import ENTRIES, coupon_closed_form
 from ertkit.generator import PROFILES, random_program, random_runtime, random_state
 from ertkit.kernel import INF, State, XReal
@@ -16,8 +18,8 @@ from ertkit.mdp import (
     MdpNode,
     NodeCapExceeded,
     Qualitative,
-    _sccs,
-    _solve_chain,
+    SingularSystem,
+    _condense,
     build_mdp,
     cross_check,
     expected_reward,
@@ -39,6 +41,7 @@ from ertkit.syntax import (
     While,
     WhileBounded,
     program_to_text,
+    replace_whiles,
 )
 from ertkit.transformer import expected_runtime
 
@@ -166,6 +169,131 @@ def test_nondeterminism_takes_the_worst_branch():
     assert analysis.value == expected_runtime(parse_program(src)).value
 
 
+# ---------------------------------------------------------------------------
+# oracle: an independent per-policy solve, with its own Tarjan over each
+# policy's chain and dense elimination of each of that chain's components
+
+
+def _sccs(vertices: Sequence[int], succ: Dict[int, List[int]]) -> List[List[int]]:
+    # iterative Tarjan
+    index: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    on: set = set()
+    stack: List[int] = []
+    out: List[List[int]] = []
+    counter = 0
+    for root in vertices:
+        if root in index:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on.add(v)
+            recurse = False
+            edges = succ.get(v, [])
+            while pi < len(edges):
+                w = edges[pi]
+                pi += 1
+                if w not in index:
+                    work[-1] = (v, pi)
+                    work.append((w, 0))
+                    recurse = True
+                    break
+                if w in on:
+                    low[v] = min(low[v], index[w])
+            if recurse:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                out.append(comp)
+            if work:
+                u, _ = work[-1]
+                low[u] = min(low[u], low[v])
+    return out
+
+
+def _solve_chain(
+    m: Mdp, pick: Optional[Dict[int, str]] = None
+) -> List[Fraction]:
+    """Exact expected reward-to-sink for a chain (or a scheduler's chain).
+
+    Condenses strongly connected components and solves them in reverse
+    topological order, each by Gaussian elimination over rationals.
+    """
+    n = m.node_count
+    row_of: List[List[Tuple[Fraction, int]]] = []
+    for i in range(n):
+        t = m.transitions[i]
+        if pick is not None and i in pick:
+            row_of.append(t[pick[i]])
+        else:
+            row_of.append(next(iter(t.values())))
+    succ = {i: [j for _, j in row_of[i]] for i in range(n)}
+    comps = _sccs(list(range(n)), succ)  # reverse topological order
+    x: List[Optional[Fraction]] = [None] * n
+    x[m.sink] = Fraction(0)
+    for comp in comps:
+        if comp == [m.sink]:
+            continue
+        if len(comp) == 1 and comp[0] not in succ.get(comp[0], []):
+            i = comp[0]
+            rew = m.rewards[i]
+            acc = rew.q if rew.is_finite else None
+            if acc is None:
+                raise SingularSystem("infinite reward in finite solve")
+            total = acc
+            for prob, j in row_of[i]:
+                total += prob * x[j]
+            x[i] = total
+            continue
+        # general component: Gaussian elimination on the local unknowns
+        local = {v: k for k, v in enumerate(comp)}
+        size = len(comp)
+        A = [[Fraction(0)] * (size + 1) for _ in range(size)]
+        for v in comp:
+            r = local[v]
+            A[r][r] += 1
+            rew = m.rewards[v]
+            if not rew.is_finite:
+                raise SingularSystem("infinite reward in finite solve")
+            A[r][size] += rew.q
+            for prob, j in row_of[v]:
+                if j in local:
+                    A[r][local[j]] -= prob
+                else:
+                    A[r][size] += prob * x[j]
+        for col in range(size):
+            piv = next(
+                (r for r in range(col, size) if A[r][col] != 0), None
+            )
+            if piv is None:
+                raise SingularSystem(
+                    "no unique solution; a diverging component slipped past "
+                    "the qualitative check"
+                )
+            A[col], A[piv] = A[piv], A[col]
+            inv = A[col][col]
+            A[col] = [a / inv for a in A[col]]
+            for r in range(size):
+                if r != col and A[r][col] != 0:
+                    factor = A[r][col]
+                    A[r] = [a - factor * b for a, b in zip(A[r], A[col])]
+        for v in comp:
+            x[v] = A[local[v]][size]
+    return [q if q is not None else Fraction(0) for q in x]
+
+
 def brute_force_value(m):
     """Best value over every memoryless scheduler, each solved exactly."""
     nd = [i for i, rows in enumerate(m.transitions) if len(rows) > 1]
@@ -229,6 +357,214 @@ def test_cross_check_is_exact_on_a_model_with_many_schedulers():
     assert report.detail == "exact equality"
     assert report.mdp_value == XReal(5)
 
+
+
+def _visited_policies(monkeypatch, m):
+    """Every policy `expected_reward(m)` evaluates, as (pick, values)."""
+    seen = []
+    evaluate = mdp_module._evaluate
+
+    def recording(comps, reward, rows, x):
+        evaluate(comps, reward, rows, x)
+        pick = {
+            i: next(a for a, row in t.items() if row is rows[i])
+            for i, t in enumerate(m.transitions)
+            if len(t) > 1
+        }
+        seen.append((pick, list(x)))
+
+    monkeypatch.setattr(mdp_module, "_evaluate", recording)
+    analysis = expected_reward(m)
+    monkeypatch.undo()
+    return analysis, seen
+
+
+def _union_successors(m):
+    return {
+        v: [j for rows in t.values() for _, j in rows]
+        for v, t in enumerate(m.transitions)
+    }
+
+
+def _check_condensation(m):
+    """`_condense` against the oracle Tarjan on the union graph: the same
+    components without the sink, singles exactly the nodes without a
+    self-loop, and every successor settled before its component."""
+    succ = _union_successors(m)
+    comps = _condense(m)
+    blocks = [[c] if isinstance(c, int) else c for c in comps]
+    expect = [c for c in _sccs(list(range(m.node_count)), succ) if c != [m.sink]]
+    assert sorted(map(sorted, blocks)) == sorted(map(sorted, expect))
+    settled = {m.sink}
+    for c, block in zip(comps, blocks):
+        assert isinstance(c, int) == (len(block) == 1 and c not in succ[c])
+        inside = set(block)
+        assert all(j in settled or j in inside for v in block for j in succ[v])
+        settled |= inside
+    return [b for c, b in zip(comps, blocks) if not isinstance(c, int)]
+
+
+def _policy_splits(m, blocks, pick):
+    """How many union blocks the chain of `pick` breaks into several of its
+    own components, and how many of those it leaves acyclic."""
+    split = acyclic = 0
+    for block in blocks:
+        inside = set(block)
+        succ = {}
+        for v in block:
+            t = m.transitions[v]
+            succ[v] = [j for _, j in t[pick.get(v) or min(t)] if j in inside]
+        comps = _sccs(block, succ)
+        if len(comps) > 1:
+            split += 1
+            acyclic += all(len(c) == 1 and c[0] not in succ[c[0]] for c in comps)
+    return split, acyclic
+
+
+def _counter_loop(body):
+    """`body` inside a loop on a fresh counter that a choice at the end of
+    each round decrements, surely or with probability 1/2."""
+    return parse_program(
+        "n := 2; while (n > 0) { %s; { n := n - 1 } [] { n :~ 1/2*<n - 1> + 1/2*<n> } }"
+        % program_to_text(body)
+    )
+
+
+def test_one_condensation_matches_the_per_policy_solve(monkeypatch):
+    rng = random.Random(8)
+    names = ("general", "halt-free", "probabilistic")
+    checked = policies = split = acyclic = 0
+    for k in range(120):
+        body = random_program(rng, PROFILES[names[k % len(names)]], max_depth=2)
+        program = _counter_loop(body) if k % 2 else body
+        f = random_runtime(rng, terms=1) if k % 3 == 0 else RT_ZERO
+        try:
+            m = build_mdp(program, random_state(rng), f, 400)
+        except NodeCapExceeded:
+            continue
+        if qualitative_check(m).kind != "AllSchedulersReachSink":
+            continue
+        if any(not r.is_finite for r in m.rewards):
+            continue
+        blocks = _check_condensation(m)
+        analysis, seen = _visited_policies(monkeypatch, m)
+        assert len(seen) == (analysis.schedulers or 1)
+        for pick, values in seen:
+            assert values == _solve_chain(m, pick), program_to_text(program)
+            s, a = _policy_splits(m, blocks, pick)
+            split += s
+            acyclic += a
+        assert analysis.value == XReal(seen[-1][1][m.initial])
+        checked += 1
+        policies += len(seen)
+    assert checked >= 80
+    assert policies > checked
+    # union blocks that a visited policy splits, most of them into an
+    # acyclic chain
+    assert split >= 50 and acyclic >= 50
+
+
+@pytest.mark.parametrize(
+    "src, sigma",
+    [
+        # a choice inside a loop: the first policy's chain is acyclic, the
+        # second one loops at each value of x
+        ("while (x > 0) { { x := x - 1 } [] { x :~ 1/2*<x - 1> + 1/2*<x> } }", {"x": 3}),
+        ("while (c = 1) { { c := 0 } [] { c :~ 1/2*<0> + 1/2*<1> } }", {"c": 1}),
+        (
+            "while (x > 0) { { x := x - 1 } [] { x :~ 1/3*<x - 1> + 2/3*<x> }; "
+            "{ skip } [] { skip; skip } }",
+            {"x": 2},
+        ),
+    ],
+)
+def test_choice_inside_a_loop_matches_the_per_policy_solve(monkeypatch, src, sigma):
+    m = build(src, State(sigma), f="1")
+    blocks = _check_condensation(m)
+    assert blocks
+    analysis, seen = _visited_policies(monkeypatch, m)
+    assert analysis.method == "PolicyIteration"
+    for pick, values in seen:
+        assert values == _solve_chain(m, pick)
+    assert analysis.value == XReal(brute_force_value(m))
+    assert any(_policy_splits(m, blocks, pick)[0] for pick, _ in seen)
+
+
+def test_acyclic_policies_in_a_cyclic_union_block(monkeypatch):
+    # sink 0, a = 1, b = 2, c = 3; a: L -> sink, R -> b; b: L -> c,
+    # R -> a or the sink by a fair coin.  The union graph has the cycle
+    # a -> b -> a, but both policies evaluated, (L, L) and then (R, L),
+    # have acyclic chains; only the unvisited (R, R) loops.
+    half = Fraction(1, 2)
+    m = Mdp(
+        nodes=[MdpNode("sink"), MdpNode("exec"), MdpNode("exec"), MdpNode("exec")],
+        transitions=[
+            {"t": [(Fraction(1), 0)]},
+            {"L": [(Fraction(1), 0)], "R": [(Fraction(1), 2)]},
+            {"L": [(Fraction(1), 3)], "R": [(half, 1), (half, 0)]},
+            {"t": [(Fraction(1), 0)]},
+        ],
+        rewards=[XReal(0), XReal(1), XReal(1), XReal(5)],
+        initial=1,
+        sink=0,
+        f=RT_ZERO,
+    )
+    assert _condense(m) == [3, [2, 1]] or _condense(m) == [3, [1, 2]]
+    assert _check_condensation(m)
+    analysis, seen = _visited_policies(monkeypatch, m)
+    assert [pick for pick, _ in seen] == [{1: "L", 2: "L"}, {1: "R", 2: "L"}]
+    for pick, values in seen:
+        assert values == _solve_chain(m, pick)
+        assert _policy_splits(m, [[1, 2]], pick) == (1, 1)
+    assert analysis == expected_reward(m)
+    assert analysis.method == "PolicyIteration"
+    assert analysis.schedulers == 2
+    assert analysis.value == XReal(7) == XReal(brute_force_value(m))
+    # the looping policy is worth less: 4 from a
+    assert _solve_chain(m, {1: "R", 2: "R"})[1] == 4
+
+
+
+def test_a_self_loop_is_a_block():
+    # built models have no self-loop besides the sink's, so this one is
+    # hand-built: a stays with probability 1/3, and pays 1 on every visit
+    m = Mdp(
+        nodes=[MdpNode("sink"), MdpNode("exec")],
+        transitions=[
+            {"t": [(Fraction(1), 0)]},
+            {"t": [(Fraction(1, 3), 1), (Fraction(2, 3), 0)]},
+        ],
+        rewards=[XReal(0), XReal(1)],
+        initial=1,
+        sink=0,
+        f=RT_ZERO,
+    )
+    assert _condense(m) == [[1]]
+    analysis = expected_reward(m)
+    assert analysis.method == "ExactLinearSolve"
+    assert analysis.value == XReal(Fraction(3, 2)) == XReal(_solve_chain(m)[1])
+
+# sha256 over (str(value), method, schedulers) of `expected_reward`, one line
+# per model, for the 500 models `run_soundness_sweep(11)` builds (node cap
+# 30 000, falling back to the depth-32 bounded program)
+SWEEP_REWARD_SHA256 = "517a47ceb528272ca6133465199a948d4e6dcb70c706db38651067a46415ba25"
+
+
+def test_sweep_rewards_match_golden_digest():
+    rng = random.Random(11)
+    names = list(PROFILES)
+    digest = hashlib.sha256()
+    for i in range(500):
+        program = random_program(rng, PROFILES[names[i % len(names)]])
+        f = random_runtime(rng, terms=1) if i % 3 == 0 else RT_ZERO
+        sigma = random_state(rng)
+        try:
+            m = build_mdp(program, sigma, f, 30_000)
+        except NodeCapExceeded:
+            m = build_mdp(replace_whiles(program, 32), sigma, f, 30_000)
+        a = expected_reward(m)
+        digest.update(repr((str(a.value), a.method, a.schedulers)).encode() + b"\n")
+    assert digest.hexdigest() == SWEEP_REWARD_SHA256
 
 def end_components_avoiding_the_sink(m):
     """The maximal end component decomposition by repeated SCC refinement:
