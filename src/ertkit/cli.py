@@ -117,6 +117,7 @@ def _parse_value(text: str):
 
 def _parse_state(pairs: List[str]) -> State:
     # Array values use ; between cells so , can keep separating bindings.
+    # All chunks form one state, so a name may be bound once across them.
     scalars: Dict[str, object] = {}
     arrays: Dict[str, tuple] = {}
     for chunk in pairs:
@@ -129,6 +130,8 @@ def _parse_state(pairs: List[str]) -> State:
             name, _, value = item.partition("=")
             name = name.strip()
             value = value.strip()
+            if name in scalars or name in arrays:
+                raise CliError(f"{name} is bound twice in --state")
             if value.startswith("["):
                 if not value.endswith("]"):
                     raise CliError(f"unterminated array value in {item!r}")
@@ -705,10 +708,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if getattr(args, "node_cap", None) is None and hasattr(args, "node_cap"):
             args.node_cap = _default_node_cap()
-        for flag in ("depth", "fallback_depth", "node_cap"):
+        for flag in ("depth", "fallback_depth", "node_cap", "count"):
             if getattr(args, flag, 1) < 1:
                 raise CliError(f"--{flag.replace('_', '-')} must be at least 1")
-        return args.func(args)
+        code = args.func(args)
+        # a reader that went away is reported here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # keep the interpreter's own final flush of stdout quiet as well
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT_ERROR
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

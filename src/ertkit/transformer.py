@@ -14,9 +14,17 @@ paths and computes the same value, and so does the loop's least fixed point.
 One that does reach the cutoff is reported as a lower bound, which is always
 sound since bounded unrollings approximate the fixed point from below.
 
-Within one evaluation, each guard probability and each distribution's
-support is computed once per state and shared by every continuation that
-reaches it.
+Within one evaluation, each guard's pair of branch weights and each
+distribution's support is computed once per state and shared by every
+continuation that reaches it.  A certain weight is the shared `_CERTAIN`
+and an impossible side has no weight, so a branch that cannot be taken is
+never evaluated.
+
+Each node sums its weighted successors in one exact accumulator, a plain
+`Fraction` with `None` for infinity, and wraps the sum in one `XReal` at the
+end.  A zero successor value adds nothing, a certain weight is not
+multiplied, and infinity absorbs the rest of the sum; since zero-weight
+branches are skipped, the product 0 * inf never arises.
 
 A loop carrying a lower-bound annotation may be replaced by its certified
 bound when it is applied to the continuation the bound was certified against.
@@ -29,10 +37,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .kernel import (
-    INF, ONE, ZERO, KernelError, State, XReal, _deep_stack, x_add, x_max, x_mul,
+from .kernel import INF, ZERO, KernelError, State, XReal, _deep_stack, x_max
+from .semantics import (
+    _CERTAIN, Bindings, EvalError, eval_dist, eval_expr, eval_guard, eval_rt,
 )
-from .semantics import Bindings, EvalError, eval_dist, eval_expr, eval_guard, eval_rt
 from .syntax import (
     Annotated, ArrayLit, CellTarget, Dirac, Empty, Halt, If, NdChoice,
     ProbAssign, Program, RLit, RtExpr, RT_ZERO, Seq, Skip, VarTarget, While,
@@ -42,8 +50,41 @@ from .syntax import (
 
 # Probability weights are non-negative Fractions by construction: the parser
 # checks that weights lie in [0, 1] and sum to one, and a uniform weight is
-# 1/n; so they skip the checks of the public XReal constructor.
+# 1/n; so sums of weighted values skip the checks of the public XReal
+# constructor.
 _of = XReal._of
+# a node's accumulator starts at the ticks the node charges itself
+_TICK, _NO_TICK = Fraction(1), Fraction(0)
+
+
+Weights = Tuple[Optional[Fraction], Optional[Fraction]]
+
+
+def _weights(p_true: Fraction) -> Weights:
+    """The branch weights (Pr[true], Pr[false]) of a guard.
+
+    A certain side is `_CERTAIN` and an impossible side is None, so callers
+    test identity rather than compare Fractions.
+    """
+    if p_true == 1:
+        return _CERTAIN, None
+    if p_true == 0:
+        return None, _CERTAIN
+    return p_true, 1 - p_true
+
+
+def _acc(total: Optional[Fraction], p: Fraction, v: XReal) -> Optional[Fraction]:
+    """total + p * v, for a weight p > 0; None stands for infinity."""
+    q = v.q
+    if total is None or q is None:
+        return None
+    if not q:
+        return total
+    return total + q if p is _CERTAIN else total + p * q
+
+
+def _x(total: Optional[Fraction]) -> XReal:
+    return INF if total is None else _of(total)
 
 
 class FuelExhausted(KernelError):
@@ -146,12 +187,12 @@ class _Engine:
         self.memo: Dict[tuple, Tuple[XReal, bool]] = {}
         self.seq_conts: Dict[tuple, _SeqCont] = {}
         self.bounded_conts: Dict[tuple, "_BoundedCont"] = {}
-        # guard probabilities and distribution supports, keyed by
+        # branch weights and distribution supports, keyed by
         # (id(expression), state); the program outlives the engine
-        self.guards: Dict[tuple, Fraction] = {}
+        self.guards: Dict[tuple, Weights] = {}
         self.dists: Dict[tuple, list] = {}
         self.annotations_used: List[str] = []
-        self._if_tick = ZERO if config.tick_mutation == "drop-if-tick" else ONE
+        self._if_tick = _NO_TICK if config.tick_mutation == "drop-if-tick" else _TICK
 
     # continuations ------------------------------------------------------
     #
@@ -176,12 +217,12 @@ class _Engine:
 
     # guards and distributions --------------------------------------------
 
-    def guard(self, g, sigma: State) -> Fraction:
+    def guard(self, g, sigma: State) -> Weights:
         key = (id(g), sigma)
-        p = self.guards.get(key)
-        if p is None:
-            p = self.guards[key] = eval_guard(g, sigma)
-        return p
+        w = self.guards.get(key)
+        if w is None:
+            w = self.guards[key] = _weights(eval_guard(g, sigma))
+        return w
 
     def dist(self, d, sigma: State) -> list:
         key = (id(d), sigma)
@@ -206,7 +247,7 @@ class _Engine:
             return cont.eval(sigma)
         if isinstance(p, Skip):
             v, t = cont.eval(sigma)
-            return x_add(ONE, v), t
+            return _x(_acc(_TICK, _CERTAIN, v)), t
         if isinstance(p, Halt):
             return ZERO, False
         if isinstance(p, ProbAssign):
@@ -228,7 +269,7 @@ class _Engine:
         raise TypeError(p)
 
     def _assign(self, p: ProbAssign, sigma: State, cont) -> Tuple[XReal, bool]:
-        total, tainted = ONE, False
+        total, tainted = _TICK, False
         for prob, v in self.dist(p.dist, sigma):
             if isinstance(p.target, VarTarget):
                 if isinstance(v, tuple):
@@ -239,22 +280,21 @@ class _Engine:
                 idx = eval_expr(p.target.index, sigma)
                 nxt = sigma.set_cell(p.target.name, idx, v)
             sub, t = cont.eval(nxt)
-            total = x_add(total, x_mul(_of(prob), sub))
+            total = _acc(total, prob, sub)
             tainted = tainted or t
-        return total, tainted
+        return _x(total), tainted
 
     def _branch(self, guard, then, orelse, sigma: State, cont) -> Tuple[XReal, bool]:
-        p_true = self.guard(guard, sigma)
+        p_true, p_false = self.guard(guard, sigma)
         total, tainted = self._if_tick, False
-        if p_true > 0:
-            v, t = self.eval(then, sigma, cont)
-            total = x_add(total, x_mul(_of(p_true), v))
-            tainted = tainted or t
-        if p_true < 1:
+        if p_true is not None:
+            v, tainted = self.eval(then, sigma, cont)
+            total = _acc(total, p_true, v)
+        if p_false is not None:
             v, t = self.eval(orelse, sigma, cont)
-            total = x_add(total, x_mul(_of(1 - p_true), v))
+            total = _acc(total, p_false, v)
             tainted = tainted or t
-        return total, tainted
+        return _x(total), tainted
 
     def _bounded(
         self, loop_key, guard, body, depth: int, sigma: State, cont,
@@ -273,18 +313,17 @@ class _Engine:
         if depth <= 0:
             out: Tuple[XReal, bool] = (ZERO, synthesized)
         else:
-            p_true = self.guard(guard, sigma)
+            p_true, p_false = self.guard(guard, sigma)
             total, tainted = self._if_tick, False
-            if p_true > 0:
+            if p_true is not None:
                 rest = self.bounded_cont(loop_key, guard, body, depth - 1, cont, synthesized)
-                v, t = self.eval(body, sigma, rest)
-                total = x_add(total, x_mul(_of(p_true), v))
-                tainted = tainted or t
-            if p_true < 1:
+                v, tainted = self.eval(body, sigma, rest)
+                total = _acc(total, p_true, v)
+            if p_false is not None:
                 v, t = cont.eval(sigma)
-                total = x_add(total, x_mul(_of(1 - p_true), v))
+                total = _acc(total, p_false, v)
                 tainted = tainted or t
-            out = (total, tainted)
+            out = (_x(total), tainted)
         self.memo[key] = out
         return out
 
@@ -394,17 +433,16 @@ def char_functional(
         engine = _Engine(cfg)
         x_cont = _as_cont(X)
         with _deep_stack():
-            p_true = eval_guard(loop.guard, sigma)
-            total, tainted = ONE, False
-            if p_true < 1:
-                v, t = f_cont.eval(sigma)
-                total = x_add(total, x_mul(_of(1 - p_true), v))
-                tainted = tainted or t
-            if p_true > 0:
+            p_true, p_false = engine.guard(loop.guard, sigma)
+            total, tainted = _TICK, False
+            if p_false is not None:
+                v, tainted = f_cont.eval(sigma)
+                total = _acc(total, p_false, v)
+            if p_true is not None:
                 v, t = engine.eval(loop.body, sigma, x_cont)
-                total = x_add(total, x_mul(_of(p_true), v))
+                total = _acc(total, p_true, v)
                 tainted = tainted or t
-        return total, tainted
+        return _x(total), tainted
 
     return apply
 
@@ -436,14 +474,14 @@ def kleene_iterates(
         nxt: Dict[State, XReal] = {}
         with _deep_stack():
             for s in states:
-                p_true = eval_guard(loop.guard, s)
-                total = ONE
-                if p_true < 1:
-                    total = x_add(total, x_mul(_of(1 - p_true), f_cont.eval(s)[0]))
-                if p_true > 0:
+                p_true, p_false = engine.guard(loop.guard, s)
+                total = _TICK
+                if p_false is not None:
+                    total = _acc(total, p_false, f_cont.eval(s)[0])
+                if p_true is not None:
                     v, _ = engine.eval(loop.body, s, x_cont)
-                    total = x_add(total, x_mul(_of(p_true), v))
-                nxt[s] = total
+                    total = _acc(total, p_true, v)
+                nxt[s] = _x(total)
         table = nxt
         yield dict(table)
 

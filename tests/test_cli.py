@@ -546,3 +546,52 @@ def test_shipped_specs_all_pass(name, capsys):
     command = {"upper": "check-inv", "omega": "check-omega", "refine": "refine"}[kind]
     code, _, _ = run(capsys, command, str(path))
     assert code == 0
+
+
+@pytest.mark.parametrize("count", ["-5", "0"])
+def test_count_below_one_is_an_input_error(count, capsys):
+    code, out, err = run(capsys, "props", "--count", count)
+    assert (code, out, err) == (2, "", "error: --count must be at least 1\n")
+
+
+@pytest.mark.parametrize(
+    "command, states",
+    [
+        ("eval", ["x=1,x=[1;2]"]),
+        ("eval", ["x=1,x=2"]),
+        ("eval", ["x=[1;2], x=3"]),
+        # repeated flags of crosscheck and export-mdp form one state
+        ("crosscheck", ["x=1", "x=2"]),
+        ("export-mdp", ["y=0,x=1", "x=[1]"]),
+    ],
+)
+def test_name_bound_twice_in_one_state_is_an_input_error(command, states, capsys):
+    argv = [command, "corpus:trunc"]
+    for s in states:
+        argv += ["--state", s]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: x is bound twice in --state\n")
+
+
+def test_repeated_state_flags_of_eval_are_separate_states(tmp_path, capsys):
+    prog = tmp_path / "drain.pp"
+    prog.write_text("while (x > 0) { x := x - 1 }\n")
+    code, out, _ = run(capsys, "eval", str(prog), "--state", "x=1", "--state", "x=2")
+    assert code == 0
+    assert out.splitlines()[1:] == ["{x=1}: 3 (exact)", "{x=2}: 5 (exact)"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_is_an_input_error_without_a_traceback(fmt):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ertkit", "eval", "corpus:trunc", "--format", fmt],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -6,15 +7,17 @@ import pytest
 
 from ertkit import transformer
 from ertkit.generator import PROFILES, random_program, random_runtime, random_state
-from ertkit.kernel import INF, State, XReal
+from ertkit.kernel import INF, ONE, ZERO, State, XReal, x_add, x_mul
 from ertkit.parser import parse_program, parse_rt
-from ertkit.semantics import EvalError, eval_dist, eval_guard
+from ertkit.semantics import EvalError, eval_dist, eval_expr, eval_guard
 from ertkit.syntax import (
     RT_ZERO,
     Annotated,
     If,
     InvariantAnnotation,
     Seq,
+    Skip,
+    VarTarget,
     WhileBounded,
     expand_bounded_once,
     program_to_text,
@@ -29,6 +32,8 @@ from ertkit.transformer import (
     expected_runtime,
     kleene_iterates,
 )
+
+_of = XReal._of
 
 GEO = parse_program("while (c = 1) { c :~ 1/2*<0> + 1/2*<1> }")
 
@@ -372,7 +377,7 @@ def test_unroll_cap_below_one_is_rejected():
 
 class _DoublingEngine(transformer._Engine):
     def guard(self, g, sigma):
-        return eval_guard(g, sigma)
+        return transformer._weights(eval_guard(g, sigma))
 
     def dist(self, d, sigma):
         return eval_dist(d, sigma)
@@ -477,3 +482,207 @@ def test_char_functional_matches_the_doubling_schedule(loop, monkeypatch):
 
             old, new = _under_both(monkeypatch, iterates)
             assert new == old
+
+
+# ---------------------------------------------------------------------------
+# the per-term XReal arithmetic as an oracle
+#
+# The reference engine reads guard probabilities afresh and sums each node
+# term by term in XReal arithmetic, x_add(total, x_mul(p, v)), multiplying
+# by every weight, certain or not, and by every value, zero or not.  The
+# transformer's single Fraction accumulator per node, which skips those
+# multiplies and impossible branches, must give the same results.
+
+
+class _ReferenceEngine(transformer._Engine):
+    def __init__(self, config):
+        super().__init__(config)
+        self._if_tick = ZERO if config.tick_mutation == "drop-if-tick" else ONE
+
+    def guard(self, g, sigma):
+        return eval_guard(g, sigma)
+
+    def _eval(self, p, sigma, cont):
+        if isinstance(p, Skip):
+            v, t = cont.eval(sigma)
+            return x_add(ONE, v), t
+        return super()._eval(p, sigma, cont)
+
+    def _assign(self, p, sigma, cont):
+        total, tainted = ONE, False
+        for prob, v in self.dist(p.dist, sigma):
+            if isinstance(p.target, VarTarget):
+                if isinstance(v, tuple):
+                    nxt = sigma.set_array(p.target.name, v)
+                else:
+                    nxt = sigma.set(p.target.name, v)
+            else:
+                idx = eval_expr(p.target.index, sigma)
+                nxt = sigma.set_cell(p.target.name, idx, v)
+            sub, t = cont.eval(nxt)
+            total = x_add(total, x_mul(_of(prob), sub))
+            tainted = tainted or t
+        return total, tainted
+
+    def _branch(self, guard, then, orelse, sigma, cont):
+        p_true = self.guard(guard, sigma)
+        total, tainted = self._if_tick, False
+        if p_true > 0:
+            v, t = self.eval(then, sigma, cont)
+            total = x_add(total, x_mul(_of(p_true), v))
+            tainted = tainted or t
+        if p_true < 1:
+            v, t = self.eval(orelse, sigma, cont)
+            total = x_add(total, x_mul(_of(1 - p_true), v))
+            tainted = tainted or t
+        return total, tainted
+
+    def _bounded(self, loop_key, guard, body, depth, sigma, cont, synthesized):
+        key = (loop_key, depth, sigma, id(cont))
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        if depth <= 0:
+            out = (ZERO, synthesized)
+        else:
+            p_true = self.guard(guard, sigma)
+            total, tainted = self._if_tick, False
+            if p_true > 0:
+                rest = self.bounded_cont(loop_key, guard, body, depth - 1, cont, synthesized)
+                v, t = self.eval(body, sigma, rest)
+                total = x_add(total, x_mul(_of(p_true), v))
+                tainted = tainted or t
+            if p_true < 1:
+                v, t = cont.eval(sigma)
+                total = x_add(total, x_mul(_of(1 - p_true), v))
+                tainted = tainted or t
+            out = (total, tainted)
+        self.memo[key] = out
+        return out
+
+
+def _reference_char_functional(loop, f, config):
+    f_cont = transformer._as_cont(f)
+
+    def apply(X, sigma):
+        engine = _ReferenceEngine(config)
+        x_cont = transformer._as_cont(X)
+        p_true = eval_guard(loop.guard, sigma)
+        total, tainted = ONE, False
+        if p_true < 1:
+            v, t = f_cont.eval(sigma)
+            total = x_add(total, x_mul(_of(1 - p_true), v))
+            tainted = tainted or t
+        if p_true > 0:
+            v, t = engine.eval(loop.body, sigma, x_cont)
+            total = x_add(total, x_mul(_of(p_true), v))
+            tainted = tainted or t
+        return total, tainted
+
+    return apply
+
+
+def _reference_kleene_iterates(loop, f, states, config):
+    f_cont = transformer._as_cont(f)
+    table = {s: ZERO for s in states}
+    yield dict(table)
+    while True:
+        snapshot = table
+        engine = _ReferenceEngine(config)
+        x_cont = transformer.FnCont(lambda q: snapshot.get(q, ZERO))
+        nxt = {}
+        for s in states:
+            p_true = eval_guard(loop.guard, s)
+            total = ONE
+            if p_true < 1:
+                total = x_add(total, x_mul(_of(1 - p_true), f_cont.eval(s)[0]))
+            if p_true > 0:
+                v, _ = engine.eval(loop.body, s, x_cont)
+                total = x_add(total, x_mul(_of(p_true), v))
+            nxt[s] = total
+        table = nxt
+        yield dict(table)
+
+
+def test_one_accumulator_matches_the_per_term_arithmetic(monkeypatch):
+    rng = random.Random(5)
+    names = list(PROFILES)
+    drain = while_loops(parse_program("while (x > 0) { x := x - 1 }"))[0]
+    coin = while_loops(parse_program("while (1/2*<true> + 1/2*<false>) { y := y + 1 }"))[0]
+    ann = [
+        Annotated(drain, InvariantAnnotation("lower", parse_rt("[x > 0] * 2 * x"))),
+        Annotated(coin, InvariantAnnotation("lower", parse_rt("1"))),
+    ]
+    tail = If(parse_program("if (1/2*<true> + 1/2*<false>) { skip }").guard, ann[0], ann[1])
+    configs = [
+        ErtConfig(), ErtConfig(max_unroll_depth=3), ErtConfig(tick_mutation="drop-if-tick")
+    ]
+    prob_guards = lower = annotated = infinite = 0
+    for i in range(200):
+        program = random_program(rng, PROFILES[names[i % len(names)]], max_depth=2)
+        f, sigma = random_runtime(rng, terms=1), random_state(rng)
+        cases = [(program, f), (program, parse_rt("inf"))]
+        if i % 4 == 0:
+            cases.append((Seq(program, tail), RT_ZERO))
+        prob_guards += "*<true>" in program_to_text(program)
+        for prog, rt in cases:
+            for cfg in configs:
+                call = lambda: expected_runtime(prog, rt, sigma, cfg)
+                with monkeypatch.context() as m:
+                    m.setattr(transformer, "_Engine", _ReferenceEngine)
+                    old = call()
+                new = call()
+                assert (new.value, new.kind, new.annotations_used) == (
+                    old.value, old.kind, old.annotations_used
+                )
+                assert new.value.q == old.value.q
+                lower += new.kind == "lower"
+                annotated += bool(new.annotations_used)
+                infinite += new.value.is_infinite
+    # the sample has probabilistic guards, cut-off loops, substituted bounds
+    # and infinite values
+    assert prob_guards > 15 and lower > 100 and annotated > 100 and infinite > 400
+
+
+# a loop whose guard is probabilistic in every state with c = 1
+COIN_GUARD = parse_program(
+    "while (1/3*<c = 1> + 2/3*<false>) { c :~ 1/2*<0> + 1/2*<1>; x := x + 1 }"
+)
+
+
+@pytest.mark.parametrize("loop", [GEO, COIN_GUARD], ids=["geo", "coin-guard"])
+@pytest.mark.parametrize(
+    "cfg",
+    [ErtConfig(), ErtConfig(max_unroll_depth=2), ErtConfig(tick_mutation="drop-if-tick")],
+    ids=["default", "cap-2", "drop-if-tick"],
+)
+def test_loop_functional_matches_the_per_term_arithmetic(loop, cfg):
+    states = [State({"c": c, "x": x}) for c in (0, 1) for x in (0, 1, 2)]
+    for f in (parse_rt("x + c"), parse_rt("0"), parse_rt("inf")):
+        for X in (parse_rt("2 * x"), parse_rt("0"), parse_rt("inf")):
+            new = [char_functional(loop, f, cfg)(X, s) for s in states]
+            old = [_reference_char_functional(loop, f, cfg)(X, s) for s in states]
+            assert new == old
+        new_it = kleene_iterates(loop, f, states, cfg)
+        old_it = _reference_kleene_iterates(loop, f, states, cfg)
+        for _ in range(5):
+            assert next(new_it) == next(old_it)
+
+
+# sha256 over (str(value), kind, annotations_used) of `expected_runtime`, one
+# line per triple, on the 500 (program, f, state) triples that
+# `run_soundness_sweep(11)` draws, under the default configuration
+SWEEP_ERT_SHA256 = "bcc608baa9db76f6fc39a4110942a779b10fe9a11e0a9da9aacccf85ece7f6a7"
+
+
+def test_sweep_runtimes_match_golden_digest():
+    rng = random.Random(11)
+    names = list(PROFILES)
+    digest = hashlib.sha256()
+    for i in range(500):
+        program = random_program(rng, PROFILES[names[i % len(names)]])
+        f = random_runtime(rng, terms=1) if i % 3 == 0 else RT_ZERO
+        sigma = random_state(rng)
+        r = expected_runtime(program, f, sigma)
+        digest.update(repr((str(r.value), r.kind, r.annotations_used)).encode() + b"\n")
+    assert digest.hexdigest() == SWEEP_ERT_SHA256
