@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -36,7 +37,7 @@ from .invariants import (
 )
 from .kernel import KernelError, State, XReal
 from .mdp import MdpConfig, NodeCapExceeded, build_mdp, cross_check, mdp_to_dot
-from .parser import ParseError, parse_program, parse_rt
+from .parser import _KEYWORDS, ParseError, parse_program, parse_rt
 from .props import run_property_suite
 from .semantics import EvalError
 from .specfile import InvariantSpecFile, SpecError, parse_spec
@@ -115,6 +116,10 @@ def _parse_value(text: str):
         raise CliError(f"state values must be integers or booleans, found {text!r}")
 
 
+# a name a program can read: the parser's identifier token, not a keyword
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
+
+
 def _parse_state(pairs: List[str]) -> State:
     # Array values use ; between cells so , can keep separating bindings.
     # All chunks form one state, so a name may be bound once across them.
@@ -130,6 +135,8 @@ def _parse_state(pairs: List[str]) -> State:
             name, _, value = item.partition("=")
             name = name.strip()
             value = value.strip()
+            if not _NAME_RE.match(name) or name in _KEYWORDS:
+                raise CliError(f"{name!r} is not a variable name in --state")
             if name in scalars or name in arrays:
                 raise CliError(f"{name} is bound twice in --state")
             if value.startswith("["):
@@ -155,10 +162,13 @@ def _parse_params(pairs: List[str]) -> Dict[str, int]:
             if "=" not in item:
                 raise CliError(f"parameters look like name=value, found {item!r}")
             name, _, value = item.partition("=")
+            name = name.strip()
+            if name in params:
+                raise CliError(f"{name} is bound twice in --param")
             try:
-                params[name.strip()] = int(value)
+                params[name] = int(value)
             except ValueError:
-                raise CliError(f"parameter {name.strip()!r} must be an integer")
+                raise CliError(f"parameter {name!r} must be an integer")
     return params
 
 

@@ -14,17 +14,20 @@ paths and computes the same value, and so does the loop's least fixed point.
 One that does reach the cutoff is reported as a lower bound, which is always
 sound since bounded unrollings approximate the fixed point from below.
 
-Within one evaluation, each guard's pair of branch weights and each
-distribution's support is computed once per state and shared by every
-continuation that reaches it.  A certain weight is the shared `_CERTAIN`
-and an impossible side has no weight, so a branch that cannot be taken is
-never evaluated.
-
-Each node sums its weighted successors in one exact accumulator, a plain
-`Fraction` with `None` for infinity, and wraps the sum in one `XReal` at the
-end.  A zero successor value adds nothing, a certain weight is not
-multiplied, and infinity absorbs the rest of the sum; since zero-weight
-branches are skipped, the product 0 * inf never arises.
+Inside the engine a value is a pair of Python ints `(n, d)` in lowest
+terms, with `n = None` for infinity, plus the taint flag.  Within one
+evaluation, each guard's pair of branch weights and each distribution's
+support is computed once per state, as int pairs, and shared by every
+continuation that reaches it.  A side whose weight has numerator 0 is
+impossible and never evaluated.  Each node sums its weighted successors
+unreduced with `_add` and reduces the sum with one gcd at its end.  A zero
+successor value adds nothing, a weight with denominator 1 (certain, since
+weights lie in (0, 1]) is not multiplied, a term over the sum's own
+denominator (or over a whole sum) adds without a gcd, and infinity absorbs
+the rest of the sum; since zero-weight branches are skipped, the product
+0 * inf never arises.  `Fraction` and `XReal` appear only where a value
+enters the engine (a run-time expression, a table, an annotation's bound)
+and where one leaves it, at the three entry points.
 
 A loop carrying a lower-bound annotation may be replaced by its certified
 bound when it is applied to the continuation the bound was certified against.
@@ -33,58 +36,71 @@ lower bound for the whole program.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .kernel import INF, ZERO, KernelError, State, XReal, _deep_stack, x_max
-from .semantics import (
-    _CERTAIN, Bindings, EvalError, eval_dist, eval_expr, eval_guard, eval_rt,
-)
+from .kernel import INF, ZERO, KernelError, State, XReal, _deep_stack
+from .semantics import Bindings, eval_dist, eval_expr, eval_guard, eval_rt
 from .syntax import (
-    Annotated, ArrayLit, CellTarget, Dirac, Empty, Halt, If, NdChoice,
-    ProbAssign, Program, RLit, RtExpr, RT_ZERO, Seq, Skip, VarTarget, While,
-    WhileBounded, expand_bounded_once, rt_to_text,
+    Annotated, Empty, Halt, If, NdChoice, ProbAssign, Program, RtExpr,
+    RT_ZERO, Seq, Skip, VarTarget, While, WhileBounded, expand_bounded_once,
+    rt_to_text,
 )
 
 
-# Probability weights are non-negative Fractions by construction: the parser
-# checks that weights lie in [0, 1] and sum to one, and a uniform weight is
-# 1/n; so sums of weighted values skip the checks of the public XReal
-# constructor.
-_of = XReal._of
-# a node's accumulator starts at the ticks the node charges itself
-_TICK, _NO_TICK = Fraction(1), Fraction(0)
+# An engine value: numerator, denominator and taint; the numerator is None
+# for infinity, and a finite value is in lowest terms with d > 0.
+Val = Tuple[Optional[int], int, bool]
 
 
-Weights = Tuple[Optional[Fraction], Optional[Fraction]]
+def _add(
+    n: Optional[int], d: int, pn: int, pd: int, vn: Optional[int], vd: int
+) -> Tuple[Optional[int], int]:
+    """n/d + (pn/pd) * (vn/vd), unreduced, for a weight 0 < pn/pd <= 1.
 
-
-def _weights(p_true: Fraction) -> Weights:
-    """The branch weights (Pr[true], Pr[false]) of a guard.
-
-    A certain side is `_CERTAIN` and an impossible side is None, so callers
-    test identity rather than compare Fractions.
+    A None numerator is infinity, which absorbs the sum.  Probability
+    weights lie in (0, 1] by construction (the parser checks that weights
+    lie in [0, 1] and sum to one, a uniform weight is 1/n, and zero-weight
+    entries and impossible guard sides are never summed), so pd == 1 means
+    the weight is 1.
     """
-    if p_true == 1:
-        return _CERTAIN, None
-    if p_true == 0:
-        return None, _CERTAIN
-    return p_true, 1 - p_true
+    if n is None or vn is None:
+        return None, 1
+    if not vn:
+        return n, d
+    if pd != 1:
+        vn *= pn
+        vd *= pd
+    if vd == d:
+        return n + vn, d
+    if d == 1:
+        return n * vd + vn, vd
+    # add over the lcm, so that a long sum of terms with many distinct
+    # denominators grows like their lcm, not like their product
+    g = gcd(d, vd)
+    s = d // g
+    return n * (vd // g) + vn * s, s * vd
 
 
-def _acc(total: Optional[Fraction], p: Fraction, v: XReal) -> Optional[Fraction]:
-    """total + p * v, for a weight p > 0; None stands for infinity."""
-    q = v.q
-    if total is None or q is None:
-        return None
-    if not q:
-        return total
-    return total + q if p is _CERTAIN else total + p * q
+def _reduced(n: Optional[int], d: int, tainted: bool) -> Val:
+    """A node's sum in lowest terms: the node's one gcd."""
+    if n is not None and d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            return n // g, d // g, tainted
+    return n, d, tainted
 
 
-def _x(total: Optional[Fraction]) -> XReal:
-    return INF if total is None else _of(total)
+def _xreal(n: Optional[int], d: int) -> XReal:
+    return INF if n is None else XReal._of(Fraction(n, d))
+
+
+def _val_of(x: XReal, tainted: bool) -> Val:
+    """An XReal entering the engine, as an engine value."""
+    q = x.q
+    return (None, 1, tainted) if q is None else (q.numerator, q.denominator, tainted)
 
 
 class FuelExhausted(KernelError):
@@ -130,9 +146,9 @@ class ErtResult:
 # continuations
 #
 # A continuation stands for the run-time function applied after a program
-# fragment.  Continuations are compared by identity in the memo table; the
-# engine canonicalizes sequence continuations so identical tails share one
-# object.
+# fragment; its `eval` gives an engine value.  Continuations are compared by
+# identity in the memo table; the engine canonicalizes sequence continuations
+# so identical tails share one object.
 
 
 class RtCont:
@@ -144,8 +160,8 @@ class RtCont:
         self.expr = expr
         self.bind = dict(bind) if bind else None
 
-    def eval(self, sigma: State) -> Tuple[XReal, bool]:
-        return eval_rt(self.expr, sigma, self.bind), False
+    def eval(self, sigma: State) -> Val:
+        return _val_of(eval_rt(self.expr, sigma, self.bind), False)
 
 
 class FnCont:
@@ -156,8 +172,8 @@ class FnCont:
     def __init__(self, fn: Callable[[State], XReal]):
         self.fn = fn
 
-    def eval(self, sigma: State) -> Tuple[XReal, bool]:
-        return self.fn(sigma), False
+    def eval(self, sigma: State) -> Val:
+        return _val_of(self.fn(sigma), False)
 
 
 class _SeqCont:
@@ -170,7 +186,7 @@ class _SeqCont:
         self.after = after
         self.engine = engine
 
-    def eval(self, sigma: State) -> Tuple[XReal, bool]:
+    def eval(self, sigma: State) -> Val:
         return self.engine.eval(self.program, sigma, self.after)
 
 
@@ -184,15 +200,16 @@ ZERO_CONT = RtCont(RT_ZERO)
 class _Engine:
     def __init__(self, config: ErtConfig):
         self.config = config
-        self.memo: Dict[tuple, Tuple[XReal, bool]] = {}
+        self.memo: Dict[tuple, Val] = {}
         self.seq_conts: Dict[tuple, _SeqCont] = {}
         self.bounded_conts: Dict[tuple, "_BoundedCont"] = {}
-        # branch weights and distribution supports, keyed by
+        # branch weights and distribution supports as int pairs, keyed by
         # (id(expression), state); the program outlives the engine
-        self.guards: Dict[tuple, Weights] = {}
+        self.guards: Dict[tuple, Tuple[int, int, int, int]] = {}
         self.dists: Dict[tuple, list] = {}
         self.annotations_used: List[str] = []
-        self._if_tick = _NO_TICK if config.tick_mutation == "drop-if-tick" else _TICK
+        # the ticks a conditional or loop step charges itself
+        self._if_tick = 0 if config.tick_mutation == "drop-if-tick" else 1
 
     # continuations ------------------------------------------------------
     #
@@ -217,23 +234,30 @@ class _Engine:
 
     # guards and distributions --------------------------------------------
 
-    def guard(self, g, sigma: State) -> Weights:
+    def guard(self, g, sigma: State) -> Tuple[int, int, int, int]:
+        """The branch weights (tn, td, fn, fd) of Pr[true] = tn/td and
+        Pr[false] = fn/fd; a zero numerator marks an impossible side."""
         key = (id(g), sigma)
         w = self.guards.get(key)
         if w is None:
-            w = self.guards[key] = _weights(eval_guard(g, sigma))
+            p = eval_guard(g, sigma)
+            tn, td = p.numerator, p.denominator
+            w = self.guards[key] = (tn, td, td - tn, td)
         return w
 
     def dist(self, d, sigma: State) -> list:
+        """The support of a distribution as (pn, pd, value) entries."""
         key = (id(d), sigma)
         entries = self.dists.get(key)
         if entries is None:
-            entries = self.dists[key] = eval_dist(d, sigma)
+            entries = self.dists[key] = [
+                (p.numerator, p.denominator, v) for p, v in eval_dist(d, sigma)
+            ]
         return entries
 
     # evaluation ---------------------------------------------------------
 
-    def eval(self, p: Program, sigma: State, cont) -> Tuple[XReal, bool]:
+    def eval(self, p: Program, sigma: State, cont) -> Val:
         key = (id(p), sigma, id(cont))
         hit = self.memo.get(key)
         if hit is not None:
@@ -242,22 +266,25 @@ class _Engine:
         self.memo[key] = out
         return out
 
-    def _eval(self, p: Program, sigma: State, cont) -> Tuple[XReal, bool]:
+    def _eval(self, p: Program, sigma: State, cont) -> Val:
         if isinstance(p, Empty):
             return cont.eval(sigma)
         if isinstance(p, Skip):
-            v, t = cont.eval(sigma)
-            return _x(_acc(_TICK, _CERTAIN, v)), t
+            n, d, t = cont.eval(sigma)
+            return (None if n is None else n + d), d, t
         if isinstance(p, Halt):
-            return ZERO, False
+            return 0, 1, False
         if isinstance(p, ProbAssign):
             return self._assign(p, sigma, cont)
         if isinstance(p, Seq):
             return self.eval(p.first, sigma, self.seq_cont(p.second, cont))
         if isinstance(p, NdChoice):
-            lv, lt = self.eval(p.left, sigma, cont)
-            rv, rt_ = self.eval(p.right, sigma, cont)
-            return x_max(lv, rv), lt or rt_
+            ln, ld, lt = self.eval(p.left, sigma, cont)
+            rn, rd, rt_ = self.eval(p.right, sigma, cont)
+            # the larger value, infinity on top; on a tie either will do
+            if ln is None or (rn is not None and ln * rd > rn * ld):
+                return ln, ld, lt or rt_
+            return rn, rd, lt or rt_
         if isinstance(p, If):
             return self._branch(p.guard, p.then, p.orelse, sigma, cont)
         if isinstance(p, While):
@@ -268,9 +295,9 @@ class _Engine:
             return self._annotated(p, sigma, cont)
         raise TypeError(p)
 
-    def _assign(self, p: ProbAssign, sigma: State, cont) -> Tuple[XReal, bool]:
-        total, tainted = _TICK, False
-        for prob, v in self.dist(p.dist, sigma):
+    def _assign(self, p: ProbAssign, sigma: State, cont) -> Val:
+        n, d, tainted = 1, 1, False
+        for pn, pd, v in self.dist(p.dist, sigma):
             if isinstance(p.target, VarTarget):
                 if isinstance(v, tuple):
                     nxt = sigma.set_array(p.target.name, v)
@@ -279,27 +306,27 @@ class _Engine:
             else:
                 idx = eval_expr(p.target.index, sigma)
                 nxt = sigma.set_cell(p.target.name, idx, v)
-            sub, t = cont.eval(nxt)
-            total = _acc(total, prob, sub)
+            vn, vd, t = cont.eval(nxt)
+            n, d = _add(n, d, pn, pd, vn, vd)
             tainted = tainted or t
-        return _x(total), tainted
+        return _reduced(n, d, tainted)
 
-    def _branch(self, guard, then, orelse, sigma: State, cont) -> Tuple[XReal, bool]:
-        p_true, p_false = self.guard(guard, sigma)
-        total, tainted = self._if_tick, False
-        if p_true is not None:
-            v, tainted = self.eval(then, sigma, cont)
-            total = _acc(total, p_true, v)
-        if p_false is not None:
-            v, t = self.eval(orelse, sigma, cont)
-            total = _acc(total, p_false, v)
+    def _branch(self, guard, then, orelse, sigma: State, cont) -> Val:
+        tn, td, fn, fd = self.guard(guard, sigma)
+        n, d, tainted = self._if_tick, 1, False
+        if tn:
+            vn, vd, tainted = self.eval(then, sigma, cont)
+            n, d = _add(n, d, tn, td, vn, vd)
+        if fn:
+            vn, vd, t = self.eval(orelse, sigma, cont)
+            n, d = _add(n, d, fn, fd, vn, vd)
             tainted = tainted or t
-        return _x(total), tainted
+        return _reduced(n, d, tainted)
 
     def _bounded(
         self, loop_key, guard, body, depth: int, sigma: State, cont,
         synthesized: bool,
-    ) -> Tuple[XReal, bool]:
+    ) -> Val:
         """Lazy evaluation of a depth-bounded loop.
 
         Depth zero behaves like halt.  Reaching depth zero of a synthesized
@@ -311,29 +338,29 @@ class _Engine:
         if hit is not None:
             return hit
         if depth <= 0:
-            out: Tuple[XReal, bool] = (ZERO, synthesized)
+            out: Val = (0, 1, synthesized)
         else:
-            p_true, p_false = self.guard(guard, sigma)
-            total, tainted = self._if_tick, False
-            if p_true is not None:
+            tn, td, fn, fd = self.guard(guard, sigma)
+            n, d, tainted = self._if_tick, 1, False
+            if tn:
                 rest = self.bounded_cont(loop_key, guard, body, depth - 1, cont, synthesized)
-                v, tainted = self.eval(body, sigma, rest)
-                total = _acc(total, p_true, v)
-            if p_false is not None:
-                v, t = cont.eval(sigma)
-                total = _acc(total, p_false, v)
+                vn, vd, tainted = self.eval(body, sigma, rest)
+                n, d = _add(n, d, tn, td, vn, vd)
+            if fn:
+                vn, vd, t = cont.eval(sigma)
+                n, d = _add(n, d, fn, fd, vn, vd)
                 tainted = tainted or t
-            out = (_x(total), tainted)
+            out = _reduced(n, d, tainted)
         self.memo[key] = out
         return out
 
-    def _while(self, p: While, sigma: State, cont) -> Tuple[XReal, bool]:
+    def _while(self, p: While, sigma: State, cont) -> Val:
         return self._bounded(
             ("wb", id(p)), p.guard, p.body, self.config.max_unroll_depth,
             sigma, cont, synthesized=True,
         )
 
-    def _annotated(self, p: Annotated, sigma: State, cont) -> Tuple[XReal, bool]:
+    def _annotated(self, p: Annotated, sigma: State, cont) -> Val:
         ann = p.annotation
         if (
             self.config.use_annotations
@@ -343,7 +370,7 @@ class _Engine:
             and cont.expr == ann.continuation
         ):
             self.annotations_used.append(rt_to_text(ann.bound))
-            return eval_rt(ann.bound, sigma), True
+            return _val_of(eval_rt(ann.bound, sigma), True)
         return self._while(p.loop, sigma, cont)
 
 
@@ -361,7 +388,7 @@ class _BoundedCont:
         self.after = after
         self.synthesized = synthesized
 
-    def eval(self, sigma: State) -> Tuple[XReal, bool]:
+    def eval(self, sigma: State) -> Val:
         return self.engine._bounded(
             self.loop_key, self.guard, self.body, self.depth, sigma,
             self.after, self.synthesized,
@@ -397,13 +424,13 @@ def expected_runtime(
     cfg = config or ErtConfig()
     engine = _Engine(cfg)
     with _deep_stack():
-        value, tainted = engine.eval(program, sigma or State(), _as_cont(f))
-    if value.is_infinite:
+        n, d, tainted = engine.eval(program, sigma or State(), _as_cont(f))
+    if n is None:
         tainted = False
     # one entry per distinct bound, not one per substitution site
     return ErtResult(
         kind="lower" if tainted else "exact",
-        value=value,
+        value=_xreal(n, d),
         annotations_used=tuple(dict.fromkeys(engine.annotations_used)),
     )
 
@@ -433,16 +460,16 @@ def char_functional(
         engine = _Engine(cfg)
         x_cont = _as_cont(X)
         with _deep_stack():
-            p_true, p_false = engine.guard(loop.guard, sigma)
-            total, tainted = _TICK, False
-            if p_false is not None:
-                v, tainted = f_cont.eval(sigma)
-                total = _acc(total, p_false, v)
-            if p_true is not None:
-                v, t = engine.eval(loop.body, sigma, x_cont)
-                total = _acc(total, p_true, v)
+            tn, td, fn, fd = engine.guard(loop.guard, sigma)
+            n, d, tainted = 1, 1, False
+            if fn:
+                vn, vd, tainted = f_cont.eval(sigma)
+                n, d = _add(n, d, fn, fd, vn, vd)
+            if tn:
+                vn, vd, t = engine.eval(loop.body, sigma, x_cont)
+                n, d = _add(n, d, tn, td, vn, vd)
                 tainted = tainted or t
-        return _x(total), tainted
+        return _xreal(n, d), tainted
 
     return apply
 
@@ -474,14 +501,15 @@ def kleene_iterates(
         nxt: Dict[State, XReal] = {}
         with _deep_stack():
             for s in states:
-                p_true, p_false = engine.guard(loop.guard, s)
-                total = _TICK
-                if p_false is not None:
-                    total = _acc(total, p_false, f_cont.eval(s)[0])
-                if p_true is not None:
-                    v, _ = engine.eval(loop.body, s, x_cont)
-                    total = _acc(total, p_true, v)
-                nxt[s] = _x(total)
+                tn, td, fn, fd = engine.guard(loop.guard, s)
+                n, d = 1, 1
+                if fn:
+                    vn, vd, _ = f_cont.eval(s)
+                    n, d = _add(n, d, fn, fd, vn, vd)
+                if tn:
+                    vn, vd, _ = engine.eval(loop.body, s, x_cont)
+                    n, d = _add(n, d, tn, td, vn, vd)
+                nxt[s] = _xreal(n, d)
         table = nxt
         yield dict(table)
 

@@ -595,3 +595,22 @@ def test_closed_stdout_is_an_input_error_without_a_traceback(fmt):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (2, "")
+
+
+@pytest.mark.parametrize("command", ["eval", "crosscheck", "export-mdp"])
+@pytest.mark.parametrize("binding, name", [
+    ("=1", ""), ("x y=1", "x y"), ("1x=2", "1x"), ("while=0", "while"), ("x=1,c-d=2", "c-d"),
+])
+def test_state_name_a_program_cannot_read_is_an_input_error(command, binding, name, capsys):
+    code, out, err = run(capsys, command, "corpus:trunc", "--state", binding)
+    assert (code, out, err) == (2, "", f"error: {name!r} is not a variable name in --state\n")
+
+
+@pytest.mark.parametrize("params", [["N=2,N=3"], ["N=2", "N=3"], ["N=3", " N = 3"]])
+@pytest.mark.parametrize("command", ["corpus", "eval"])
+def test_parameter_bound_twice_is_an_input_error(command, params, capsys):
+    argv = [command, "coupon" if command == "corpus" else "corpus:coupon"]
+    for p in params:
+        argv += ["--param", p]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: N is bound twice in --param\n")

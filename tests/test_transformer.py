@@ -4,20 +4,29 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import xreal_engine
 from ertkit import transformer
 from ertkit.generator import PROFILES, random_program, random_runtime, random_state
-from ertkit.kernel import INF, ONE, ZERO, State, XReal, x_add, x_mul
+from ertkit.kernel import INF, ONE, ZERO, State, XReal, x_add, x_max, x_mul
 from ertkit.parser import parse_program, parse_rt
 from ertkit.semantics import EvalError, eval_dist, eval_expr, eval_guard
 from ertkit.syntax import (
     RT_ZERO,
     Annotated,
+    BoolLit,
+    Dirac,
     If,
+    IntLit,
     InvariantAnnotation,
+    NdChoice,
+    ProbAssign,
     Seq,
     Skip,
     VarTarget,
+    WeightedList,
     WhileBounded,
     expand_bounded_once,
     program_to_text,
@@ -370,14 +379,15 @@ def test_unroll_cap_below_one_is_rejected():
 #
 # The doubling schedule unrolls every loop at depth 1, 2, 4, ... up to the
 # cap, stops at the first untainted (or infinite) value, and evaluates every
-# guard and distribution afresh.  The transformer's single unrolling at the
-# cap, with guards and distributions read from per-state tables, must give
-# the same results.
+# guard and distribution afresh.  It runs on the XReal engine of
+# `xreal_engine`, which shares no arithmetic with the transformer's.  The
+# transformer's single unrolling at the cap, with guards and distributions
+# read from per-state tables of int pairs, must give the same results.
 
 
-class _DoublingEngine(transformer._Engine):
+class _DoublingEngine(xreal_engine._Engine):
     def guard(self, g, sigma):
-        return transformer._weights(eval_guard(g, sigma))
+        return xreal_engine._weights(eval_guard(g, sigma))
 
     def dist(self, d, sigma):
         return eval_dist(d, sigma)
@@ -400,11 +410,12 @@ ORACLE_CAPS = (1, 2, 3, 5, 8, 64)
 
 
 def _under_both(monkeypatch, call):
-    """call() with the doubling oracle's engine, then with the transformer's."""
+    """call(module) with the doubling oracle's engine, then with the
+    transformer's; `module` supplies the entry points."""
     with monkeypatch.context() as m:
-        m.setattr(transformer, "_Engine", _DoublingEngine)
-        old = call()
-    return old, call()
+        m.setattr(xreal_engine, "_Engine", _DoublingEngine)
+        old = call(xreal_engine)
+    return old, call(transformer)
 
 
 def _loop_programs(count: int, seed: int):
@@ -446,7 +457,7 @@ def test_single_unrolling_matches_the_doubling_schedule(monkeypatch):
             for cap in ORACLE_CAPS:
                 cfg = ErtConfig(max_unroll_depth=cap)
                 old, new = _under_both(
-                    monkeypatch, lambda: expected_runtime(prog, rt, sigma, cfg)
+                    monkeypatch, lambda m: m.expected_runtime(prog, rt, sigma, cfg)
                 )
                 _assert_same_result(old, new)
                 lower += new.kind == "lower"
@@ -469,15 +480,15 @@ def test_char_functional_matches_the_doubling_schedule(loop, monkeypatch):
             for X in (parse_rt("2 * x"), parse_rt("inf")):
                 old, new = _under_both(
                     monkeypatch,
-                    lambda: [char_functional(loop, f, cfg)(X, s) for s in states],
+                    lambda m: [m.char_functional(loop, f, cfg)(X, s) for s in states],
                 )
                 for (ov, ot), (nv, nt) in zip(old, new):
                     assert nv == ov
                     if not ov.is_infinite:
                         assert nt == ot
 
-            def iterates():
-                gen = kleene_iterates(loop, f, states, cfg)
+            def iterates(m):
+                gen = m.kleene_iterates(loop, f, states, cfg)
                 return [next(gen) for _ in range(4)]
 
             old, new = _under_both(monkeypatch, iterates)
@@ -487,14 +498,15 @@ def test_char_functional_matches_the_doubling_schedule(loop, monkeypatch):
 # ---------------------------------------------------------------------------
 # the per-term XReal arithmetic as an oracle
 #
-# The reference engine reads guard probabilities afresh and sums each node
-# term by term in XReal arithmetic, x_add(total, x_mul(p, v)), multiplying
-# by every weight, certain or not, and by every value, zero or not.  The
-# transformer's single Fraction accumulator per node, which skips those
-# multiplies and impossible branches, must give the same results.
+# The reference engine, built on the XReal engine of `xreal_engine`, reads
+# guard probabilities afresh and sums each node term by term in XReal
+# arithmetic, x_add(total, x_mul(p, v)), multiplying by every weight, certain
+# or not, and by every value, zero or not.  The transformer's unreduced int
+# pair per node, which skips those multiplies and impossible branches and
+# reduces once, must give the same results.
 
 
-class _ReferenceEngine(transformer._Engine):
+class _ReferenceEngine(xreal_engine._Engine):
     def __init__(self, config):
         super().__init__(config)
         self._if_tick = ZERO if config.tick_mutation == "drop-if-tick" else ONE
@@ -562,11 +574,11 @@ class _ReferenceEngine(transformer._Engine):
 
 
 def _reference_char_functional(loop, f, config):
-    f_cont = transformer._as_cont(f)
+    f_cont = xreal_engine._as_cont(f)
 
     def apply(X, sigma):
         engine = _ReferenceEngine(config)
-        x_cont = transformer._as_cont(X)
+        x_cont = xreal_engine._as_cont(X)
         p_true = eval_guard(loop.guard, sigma)
         total, tainted = ONE, False
         if p_true < 1:
@@ -583,13 +595,13 @@ def _reference_char_functional(loop, f, config):
 
 
 def _reference_kleene_iterates(loop, f, states, config):
-    f_cont = transformer._as_cont(f)
+    f_cont = xreal_engine._as_cont(f)
     table = {s: ZERO for s in states}
     yield dict(table)
     while True:
         snapshot = table
         engine = _ReferenceEngine(config)
-        x_cont = transformer.FnCont(lambda q: snapshot.get(q, ZERO))
+        x_cont = xreal_engine.FnCont(lambda q: snapshot.get(q, ZERO))
         nxt = {}
         for s in states:
             p_true = eval_guard(loop.guard, s)
@@ -627,11 +639,10 @@ def test_one_accumulator_matches_the_per_term_arithmetic(monkeypatch):
         prob_guards += "*<true>" in program_to_text(program)
         for prog, rt in cases:
             for cfg in configs:
-                call = lambda: expected_runtime(prog, rt, sigma, cfg)
                 with monkeypatch.context() as m:
-                    m.setattr(transformer, "_Engine", _ReferenceEngine)
-                    old = call()
-                new = call()
+                    m.setattr(xreal_engine, "_Engine", _ReferenceEngine)
+                    old = xreal_engine.expected_runtime(prog, rt, sigma, cfg)
+                new = expected_runtime(prog, rt, sigma, cfg)
                 assert (new.value, new.kind, new.annotations_used) == (
                     old.value, old.kind, old.annotations_used
                 )
@@ -667,6 +678,94 @@ def test_loop_functional_matches_the_per_term_arithmetic(loop, cfg):
         old_it = _reference_kleene_iterates(loop, f, states, cfg)
         for _ in range(5):
             assert next(new_it) == next(old_it)
+
+
+# ---------------------------------------------------------------------------
+# the engine's int-pair arithmetic against Fraction and XReal arithmetic
+
+# weights in (0, 1] with small denominators, so sums often share one; 1 is
+# the certain weight
+_WEIGHTS = st.builds(Fraction, st.integers(1, 6), st.integers(1, 6)).filter(lambda p: p <= 1)
+# values: infinity, zero, integers and fractions
+_VALUES = st.one_of(
+    st.just(INF),
+    st.just(ZERO),
+    st.builds(lambda n, d: XReal(Fraction(n, d)), st.integers(0, 40), st.integers(1, 12)),
+)
+
+
+def _pair_of(x):
+    return (None, 1) if x.is_infinite else (x.q.numerator, x.q.denominator)
+
+
+def _assert_is(val, x, tainted=False):
+    """The engine value `val` is `x` in lowest terms, with the taint flag."""
+    n, d, t = val
+    assert t == tainted
+    if x.is_infinite:
+        assert n is None
+    else:
+        assert d > 0 and (n, d) == (x.q.numerator, x.q.denominator)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0, 1]), st.lists(st.tuples(_WEIGHTS, _VALUES), max_size=8))
+def test_pair_sum_matches_xreal_arithmetic(tick, terms):
+    n, d = tick, 1
+    expected = XReal(tick)
+    for p, v in terms:
+        vn, vd = _pair_of(v)
+        n, d = transformer._add(n, d, p.numerator, p.denominator, vn, vd)
+        expected = x_add(expected, x_mul(XReal(p), v))
+    _assert_is(transformer._reduced(n, d, False), expected)
+
+
+def _coin(p):
+    """The guard true with probability p, weights 0 and 1 included."""
+    return WeightedList(((p, BoolLit(True)), (1 - p, BoolLit(False))))
+
+
+def _to(x):
+    return ProbAssign(VarTarget("x"), Dirac(IntLit(x)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), _WEIGHTS),
+    _VALUES,
+    _VALUES,
+)
+def test_branch_weights_and_choice_match_xreal_arithmetic(p, a, b):
+    # f reads a after x := 0 and b after x := 1
+    f = transformer.FnCont(lambda s: (a, b)[s.get("x")])
+    sigma = State({"x": 0})
+    branch = If(_coin(p), _to(0), _to(1))
+    choice = NdChoice(_to(0), _to(1))
+    for cfg, tick in ((ErtConfig(), ONE), (ErtConfig(tick_mutation="drop-if-tick"), ZERO)):
+        engine = transformer._Engine(cfg)
+        tn, td, fn, fd = engine.guard(branch.guard, sigma)
+        assert (Fraction(tn, td), Fraction(fn, fd)) == (p, 1 - p)
+        # each side charges the tick of its assignment; an impossible side is
+        # never evaluated, so 0 * inf never arises
+        then, orelse = x_add(ONE, a), x_add(ONE, b)
+        expected = x_add(tick, x_add(x_mul(XReal(p), then), x_mul(XReal(1 - p), orelse)))
+        _assert_is(engine.eval(branch, sigma, f), expected)
+        _assert_is(engine.eval(choice, sigma, f), x_max(then, orelse))
+
+
+def test_certain_weights_are_one_over_one():
+    """`unif[3 .. 3]` and a one-entry list give a fresh Fraction(1), not a
+    shared constant; as an int pair it is (1, 1), so it is not multiplied."""
+    f = parse_rt("x")
+    sources = ("x :~ unif[3 .. 3]", "x :~ 1*<3>", "x := 3")
+    values = set()
+    for src in sources:
+        prog = parse_program(src)
+        engine = transformer._Engine(ErtConfig())
+        values.add(engine.eval(prog, State({"x": 0}), transformer.RtCont(f)))
+        assert engine.dist(prog.dist, State({"x": 0})) == [(1, 1, 3)]
+        assert expected_runtime(prog, f, State({"x": 0})).value == XReal(4)
+    assert values == {(4, 1, False)}
 
 
 # sha256 over (str(value), kind, annotations_used) of `expected_runtime`, one
