@@ -13,6 +13,7 @@ Exit codes: 0 success or Holds, 1 a check failed, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -27,7 +28,6 @@ from .corpus import ENTRIES
 from .invariants import (
     OmegaInvariantSpec,
     PreconditionFailed,
-    StateDomain,
     UpperInvariantSpec,
     Verdict,
     check_limit,
@@ -375,53 +375,49 @@ def _verdict_text(label: str, v: Verdict) -> List[str]:
     return lines
 
 
-def _spec_or_die(path: str) -> InvariantSpecFile:
-    return parse_spec(_read_text(path, "spec"))
+def _load_spec(args, kind: str) -> Tuple[InvariantSpecFile, dict]:
+    """The spec file of a spec command, and the start of its report."""
+    spec = parse_spec(_read_text(args.spec, "spec"))
+    if spec.check != kind:
+        raise CliError(f"{args.spec} declares `check: {spec.check}`, expected {kind}")
+    payload = _base_report(args, args.command)
+    payload["program_sha256"] = _sha256(spec.program_source)
+    return spec, payload
+
+
+def _verdicts_exit(verdicts: List[Verdict], rules: List[Verdict]) -> int:
+    """1 if any verdict fails, else 0 when every rule verdict holds, else 3."""
+    if any(v.status == "Fails" for v in verdicts):
+        return EXIT_CHECK_FAILED
+    return EXIT_OK if all(v.holds for v in rules) else EXIT_INCONCLUSIVE
 
 
 def _cmd_check_inv(args) -> int:
     started = time.monotonic()
-    spec = _spec_or_die(args.spec)
-    if spec.check != "upper":
-        raise CliError(f"{args.spec} declares `check: {spec.check}`, expected upper")
+    spec, payload = _load_spec(args, "upper")
     verdict = check_upper_invariant(
         spec.loop, spec.f, UpperInvariantSpec(spec.invariant), spec.domain
     )
-    payload = _base_report(args, "check-inv")
-    payload["program_sha256"] = _sha256(spec.program_source)
     payload["verdicts"] = [_verdict_json(verdict)]
     _emit(args, payload, _verdict_text("upper invariant", verdict), started)
-    if verdict.status == "Holds":
-        return EXIT_OK
-    if verdict.status == "Fails":
-        return EXIT_CHECK_FAILED
-    return EXIT_INCONCLUSIVE
-
-
-def _limit_consistent(v: Verdict) -> bool:
-    return v.status == "Inconclusive" and v.reason is not None and (
-        v.reason.startswith("consistent with")
-    )
+    return _verdicts_exit([verdict], [verdict])
 
 
 def _cmd_check_omega(args) -> int:
     started = time.monotonic()
-    spec = _spec_or_die(args.spec)
-    if spec.check != "omega":
-        raise CliError(f"{args.spec} declares `check: {spec.check}`, expected omega")
+    spec, payload = _load_spec(args, "omega")
     directions = ("lower", "upper") if spec.direction == "both" else (spec.direction,)
-    verdicts: List[Tuple[str, Verdict]] = []
-    for direction in directions:
-        ospec = OmegaInvariantSpec(spec.invariant_n, direction, limit=spec.limit)
-        verdicts.append(
-            (
-                f"omega invariant ({direction})",
-                check_omega_invariant(
-                    spec.loop, spec.f, ospec, n_max=spec.n_max, D=spec.domain
-                ),
-            )
+    rules = [
+        check_omega_invariant(
+            spec.loop, spec.f, OmegaInvariantSpec(spec.invariant_n, d, limit=spec.limit),
+            n_max=spec.n_max, D=spec.domain,
         )
+        for d in directions
+    ]
+    verdicts = [(f"omega invariant ({d})", v) for d, v in zip(directions, rules)]
     if spec.limit is not None:
+        # the limit probe is numeric evidence only: it never holds, and only
+        # its failure changes the exit code
         ospec = OmegaInvariantSpec(spec.invariant_n, directions[0], limit=spec.limit)
         verdicts.append(
             (
@@ -432,30 +428,17 @@ def _cmd_check_omega(args) -> int:
             )
         )
 
-    payload = _base_report(args, "check-omega")
-    payload["program_sha256"] = _sha256(spec.program_source)
     payload["verdicts"] = [dict(_verdict_json(v), part=label) for label, v in verdicts]
     text: List[str] = []
     for label, v in verdicts:
         text.extend(_verdict_text(label, v))
     _emit(args, payload, text, started)
-
-    if any(v.status == "Fails" for _, v in verdicts):
-        return EXIT_CHECK_FAILED
-    for label, v in verdicts:
-        if label.startswith("limit"):
-            if not _limit_consistent(v):
-                return EXIT_INCONCLUSIVE
-        elif v.status != "Holds":
-            return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return _verdicts_exit([v for _, v in verdicts], rules)
 
 
 def _cmd_refine(args) -> int:
     started = time.monotonic()
-    spec = _spec_or_die(args.spec)
-    if spec.check != "refine":
-        raise CliError(f"{args.spec} declares `check: {spec.check}`, expected refine")
+    spec, payload = _load_spec(args, "refine")
     try:
         table = refine(
             spec.loop,
@@ -465,8 +448,6 @@ def _cmd_refine(args) -> int:
             rounds=spec.rounds,
         )
     except PreconditionFailed as exc:
-        payload = _base_report(args, "refine")
-        payload["program_sha256"] = _sha256(spec.program_source)
         payload["error"] = {
             "kind": "PreconditionFailed",
             "state": repr(exc.state),
@@ -477,8 +458,6 @@ def _cmd_refine(args) -> int:
         return EXIT_CHECK_FAILED
 
     ordered = sorted(table.items(), key=lambda kv: repr(kv[0]))
-    payload = _base_report(args, "refine")
-    payload["program_sha256"] = _sha256(spec.program_source)
     payload["table"] = [
         {"state": repr(sigma), "rational": _rational_str(value)}
         for sigma, value in ordered
@@ -606,7 +585,10 @@ def _cmd_export_mdp(args) -> int:
 # -- wiring ------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="ertkit",
         description="Expected run-time analysis for probabilistic programs.",

@@ -13,13 +13,13 @@ remaining cases are reported as Inconclusive rather than guessed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .kernel import INF, KernelError, State, XReal, x_leq
-from .semantics import EvalError, eval_rt, rw_coefficient
+from .kernel import INF, KernelError, State, XReal, _deep_stack, x_leq
+from .semantics import EvalError, eval_rt
 from .syntax import Annotated, RT_ZERO, RtExpr, While
 from .transformer import ErtConfig, FnCont, RtCont, char_functional
 
@@ -48,10 +48,6 @@ class StateDomain:
 
     def __len__(self):
         return len(self.states)
-
-    @staticmethod
-    def explicit(states: Iterable[State]) -> "StateDomain":
-        return StateDomain(tuple(states))
 
     @staticmethod
     def product(ranges: Mapping[str, Sequence[int]]) -> "StateDomain":
@@ -132,6 +128,20 @@ def _point(direction: str, computed: XReal, tainted: bool, bound: XReal) -> str:
 # checks
 
 
+def _premises(
+    apply_F, X, bound: Callable[[State], XReal], direction: str, D: StateDomain
+) -> Iterator[Tuple[State, XReal, XReal, str]]:
+    """For each state of D in order: the state, F(X)(sigma), the bound at
+    sigma, and how the two compare in `direction`."""
+    for sigma in D:
+        try:
+            lhs, tainted = apply_F(X, sigma)
+        except EvalError as e:
+            _attach_state(e, sigma)
+        rhs = bound(sigma)
+        yield sigma, lhs, rhs, _point(direction, lhs, tainted, rhs)
+
+
 def check_upper_invariant(
     W: Union[While, Annotated],
     f: RtExpr,
@@ -141,22 +151,19 @@ def check_upper_invariant(
 ) -> Verdict:
     """Park's rule: F_f(I) pointwise at most I certifies ert at most I."""
     apply_F = char_functional(W, f, cfg)
-    I = RtCont(spec.invariant)
     inconclusive: Optional[str] = None
-    for sigma in D:
-        try:
-            lhs, tainted = apply_F(I, sigma)
-        except EvalError as e:
-            _attach_state(e, sigma)
-        rhs = _rt_at(spec.invariant, sigma)
-        res = _point("upper", lhs, tainted, rhs)
-        if res == "Fails":
-            return Verdict("Fails", witness=sigma, lhs=lhs, rhs=rhs)
-        if res == "Inconclusive" and inconclusive is None:
-            inconclusive = (
-                "a loop inside the body was cut off at %s; "
-                "annotate it or raise the unroll depth" % sigma
-            )
+    with _deep_stack():
+        for sigma, lhs, rhs, res in _premises(
+            apply_F, RtCont(spec.invariant),
+            lambda s: _rt_at(spec.invariant, s), "upper", D,
+        ):
+            if res == "Fails":
+                return Verdict("Fails", witness=sigma, lhs=lhs, rhs=rhs)
+            if res == "Inconclusive" and inconclusive is None:
+                inconclusive = (
+                    "a loop inside the body was cut off at %s; "
+                    "annotate it or raise the unroll depth" % sigma
+                )
     if inconclusive:
         return Verdict("Inconclusive", reason=inconclusive)
     return Verdict("Holds")
@@ -178,34 +185,21 @@ def check_omega_invariant(
     if D is None:
         raise ValueError("a state domain is required")
     apply_F = char_functional(W, f, cfg)
-    direction = spec.direction
     inconclusive: Optional[str] = None
-
-    def run_point(n_label, X, rhs_n, sigma):
-        nonlocal inconclusive
-        try:
-            lhs, tainted = apply_F(X, sigma)
-        except EvalError as e:
-            _attach_state(e, sigma)
-        rhs = _rt_at(spec.invariant_n, sigma, rhs_n)
-        res = _point(direction, lhs, tainted, rhs)
-        if res == "Fails":
-            return Verdict("Fails", witness=sigma, n=n_label, lhs=lhs, rhs=rhs)
-        if res == "Inconclusive" and inconclusive is None:
-            inconclusive = "body loop cut off at %s (n=%s)" % (sigma, n_label)
-        return None
-
-    zero = RtCont(RT_ZERO)
-    for sigma in D:
-        out = run_point(0, zero, 0, sigma)
-        if out:
-            return out
-    for n in range(n_max):
-        X = RtCont(spec.invariant_n, {"n": n})
-        for sigma in D:
-            out = run_point(n, X, n + 1, sigma)
-            if out:
-                return out
+    with _deep_stack():
+        # round 0 is the base case F(0) against I_0, round k the step
+        # F(I_{k-1}) against I_k; both report their n as max(k - 1, 0)
+        for k in range(n_max + 1):
+            n = max(k - 1, 0)
+            X = RtCont(spec.invariant_n, {"n": k - 1}) if k else RtCont(RT_ZERO)
+            for sigma, lhs, rhs, res in _premises(
+                apply_F, X, lambda s: _rt_at(spec.invariant_n, s, k),
+                spec.direction, D,
+            ):
+                if res == "Fails":
+                    return Verdict("Fails", witness=sigma, n=n, lhs=lhs, rhs=rhs)
+                if res == "Inconclusive" and inconclusive is None:
+                    inconclusive = "body loop cut off at %s (n=%s)" % (sigma, n)
     if inconclusive:
         return Verdict("Inconclusive", reason=inconclusive)
     return Verdict("Holds")
@@ -228,30 +222,31 @@ def check_limit(
     if spec.limit is None:
         return Verdict("Inconclusive", reason="no limit declared")
     probes = sorted({max(1, n_probe // 4), max(1, n_probe // 2), n_probe})
-    for sigma in D:
-        limit = _rt_at(spec.limit, sigma)
-        vals = [_rt_at(spec.invariant_n, sigma, n) for n in probes]
-        if limit.is_infinite:
-            if vals[-1].is_finite and vals[-1].q < big:
-                return Verdict(
-                    "Fails", witness=sigma, n=n_probe,
-                    lhs=vals[-1], rhs=XReal(big),
-                )
-            continue
-        devs = []
-        for v in vals:
-            if v.is_infinite:
-                devs.append(INF)
-            else:
-                devs.append(XReal(abs(v.q - limit.q)))
-        bad = (
-            not x_leq(devs[-1], XReal(tol))
-            or any(not x_leq(devs[i + 1], devs[i]) for i in range(len(devs) - 1))
-        )
-        if bad:
-            return Verdict(
-                "Fails", witness=sigma, n=n_probe, lhs=vals[-1], rhs=limit
+    with _deep_stack():
+        for sigma in D:
+            limit = _rt_at(spec.limit, sigma)
+            vals = [_rt_at(spec.invariant_n, sigma, n) for n in probes]
+            if limit.is_infinite:
+                if vals[-1].is_finite and vals[-1].q < big:
+                    return Verdict(
+                        "Fails", witness=sigma, n=n_probe,
+                        lhs=vals[-1], rhs=XReal(big),
+                    )
+                continue
+            devs = []
+            for v in vals:
+                if v.is_infinite:
+                    devs.append(INF)
+                else:
+                    devs.append(XReal(abs(v.q - limit.q)))
+            bad = (
+                not x_leq(devs[-1], XReal(tol))
+                or any(not x_leq(devs[i + 1], devs[i]) for i in range(len(devs) - 1))
             )
+            if bad:
+                return Verdict(
+                    "Fails", witness=sigma, n=n_probe, lhs=vals[-1], rhs=limit
+                )
     return Verdict(
         "Inconclusive",
         reason="consistent with the declared limit on the checked domain "
@@ -262,51 +257,38 @@ def check_limit(
 def refine(
     W: Union[While, Annotated],
     f: RtExpr,
-    I: Union[RtExpr, Mapping[State, XReal]],
+    I: RtExpr,
     D: StateDomain,
     rounds: int = 1,
     cfg: Optional[ErtConfig] = None,
-    direction: str = "upper",
 ) -> Dict[State, XReal]:
-    """Apply the characteristic functional `rounds` times, tightening a bound.
+    """Apply the characteristic functional `rounds` times, tightening an
+    upper bound.
 
-    Each round first re-checks that the current table still lies on the
-    correct side of its image, which is what licenses another application;
-    PreconditionFailed aborts the refinement otherwise.  With more than one
-    round the domain must be closed under body steps, since intermediate
-    bounds exist only as tables on D.
+    Each round first re-checks that the current table still lies above its
+    image, which is what licenses another application; PreconditionFailed
+    aborts the refinement otherwise.  With more than one round the domain
+    must be closed under body steps, since intermediate bounds exist only
+    as tables on D.
     """
-    if direction not in ("upper", "lower"):
-        raise ValueError("direction must be 'upper' or 'lower'")
     apply_F = char_functional(W, f, cfg)
-    if isinstance(I, Mapping):
-        table: Dict[State, XReal] = dict(I)
-        cont = FnCont(lambda q: table[q])
-    else:
+    with _deep_stack():
         table = {sigma: _rt_at(I, sigma) for sigma in D}
         cont = RtCont(I)
-    for r in range(rounds):
-        nxt: Dict[State, XReal] = {}
-        for sigma in D:
-            try:
-                lhs, tainted = apply_F(cont, sigma)
-            except EvalError as e:
-                _attach_state(e, sigma)
-            res = _point(direction, lhs, tainted, table[sigma])
-            if res != "ok":
-                raise PreconditionFailed(
-                    sigma, r,
-                    "round %d: F(I) is not %s I at %s (%s vs %s)"
-                    % (
-                        r,
-                        "below" if direction == "upper" else "above",
-                        sigma, lhs, table[sigma],
-                    ),
-                )
-            nxt[sigma] = lhs
-        table = nxt
-        snapshot = table
-        cont = FnCont(lambda q, _t=snapshot: _t[q])
+        for r in range(rounds):
+            nxt: Dict[State, XReal] = {}
+            for sigma, lhs, rhs, res in _premises(
+                apply_F, cont, table.__getitem__, "upper", D
+            ):
+                if res != "ok":
+                    raise PreconditionFailed(
+                        sigma, r,
+                        "round %d: F(I) is not below I at %s (%s vs %s)"
+                        % (r, sigma, lhs, rhs),
+                    )
+                nxt[sigma] = lhs
+            table = nxt
+            cont = FnCont(table.__getitem__)
     return table
 
 
@@ -336,7 +318,3 @@ def rw_coefficients(n: int, k: int) -> Fraction:
         return Fraction(0)
     return _rw_row(n)[k]
 
-
-def rw_coefficients_closed(n: int, k: int) -> Fraction:
-    """The same coefficient from the binomial closed form."""
-    return rw_coefficient(n, k)

@@ -70,9 +70,6 @@ class Mdp:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    def is_markov_chain(self) -> bool:
-        return all(len(t) == 1 for t in self.transitions)
-
 
 @dataclass(frozen=True)
 class Qualitative:
@@ -255,14 +252,6 @@ def head_reward(p: Program) -> XReal:
     return ZERO
 
 
-def node_reward(node: MdpNode, f: RtExpr) -> XReal:
-    if node.kind == "term":
-        return eval_rt(f, node.state)
-    if node.kind == "exec":
-        return head_reward(node.program)
-    return ZERO
-
-
 def build_mdp(
     C: Program, sigma0: State, f: RtExpr = RT_ZERO, node_cap: int = 200_000
 ) -> Mdp:
@@ -308,11 +297,6 @@ def build_mdp(
                 b.transitions[i] = out
             frontier = nxt
     return Mdp(b.nodes, b.transitions, b.rewards, initial, b.sink, f)
-
-
-def recompute_rewards(m: Mdp) -> List[XReal]:
-    """Independent second pass over the reward table, for auditing."""
-    return [node_reward(node, m.f) for node in m.nodes]
 
 
 # ---------------------------------------------------------------------------

@@ -293,9 +293,11 @@ def _int_arg(x: XReal, what: str) -> int:
 
 @lru_cache(maxsize=None)
 def harmonic_number(m: int) -> Fraction:
-    if m <= 0:
-        return Fraction(0)
-    return harmonic_number(m - 1) + Fraction(1, m)
+    # summed in a loop: one recursion per term overflows the C stack
+    total = Fraction(0)
+    for k in range(1, m + 1):
+        total += Fraction(1, k)
+    return total
 
 
 @lru_cache(maxsize=None)

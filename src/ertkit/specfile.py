@@ -250,16 +250,11 @@ def parse_spec(text: str) -> InvariantSpecFile:
     tol = rational("tol", Fraction(1, 10**12))
     big = rational("big", Fraction(10**6))
 
-    if kind == "upper" and invariant is None:
-        raise SpecError("check: upper requires `invariant`")
-    if kind == "refine" and invariant is None:
-        raise SpecError("check: refine requires `invariant`")
-    if kind == "omega" and invariant_n is None:
-        raise SpecError("check: omega requires `invariant_n`")
-    if kind in ("upper", "refine") and domain is None:
+    needed = "invariant_n" if kind == "omega" else "invariant"
+    if (invariant_n if kind == "omega" else invariant) is None:
+        raise SpecError(f"check: {kind} requires `{needed}`")
+    if domain is None:
         raise SpecError(f"check: {kind} requires `domain`")
-    if kind == "omega" and domain is None:
-        raise SpecError("check: omega requires `domain`")
 
     spec = InvariantSpecFile(
         check=kind,

@@ -521,12 +521,6 @@ def children(p: Program) -> List[Program]:
     return []
 
 
-def preorder(p: Program):
-    yield p
-    for c in children(p):
-        yield from preorder(c)
-
-
 def while_loops(p: Program) -> List[Union[While, Annotated]]:
     """All while loops in pre-order; an annotated loop counts once."""
     out: List[Union[While, Annotated]] = []
@@ -543,36 +537,6 @@ def while_loops(p: Program) -> List[Union[While, Annotated]]:
 
     walk(p)
     return out
-
-
-def contains_halt(p: Program) -> bool:
-    return any(isinstance(n, Halt) for n in preorder(p))
-
-
-def contains_ndchoice(p: Program) -> bool:
-    return any(isinstance(n, NdChoice) for n in preorder(p))
-
-
-def contains_while(p: Program) -> bool:
-    return any(isinstance(n, (While, WhileBounded, Annotated)) for n in preorder(p))
-
-
-def is_deterministic(p: Program) -> bool:
-    """No nondeterministic choice and every distribution is a point mass."""
-    for n in preorder(p):
-        if isinstance(n, NdChoice):
-            return False
-        dists = []
-        if isinstance(n, ProbAssign):
-            dists.append(n.dist)
-        if isinstance(n, (If, While, WhileBounded)):
-            dists.append(n.guard)
-        if isinstance(n, Annotated):
-            dists.append(n.loop.guard)
-        for d in dists:
-            if not isinstance(d, Dirac):
-                return False
-    return True
 
 
 def replace_whiles(p: Program, bound: int) -> Program:

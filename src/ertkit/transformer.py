@@ -488,29 +488,12 @@ def kleene_iterates(
     entry is a sound approximation from below; an entry is exact whenever
     its dependence cone across the computed iterates stays inside the table.
     """
-    if isinstance(loop, Annotated):
-        loop = loop.loop
-    cfg = config or ErtConfig()
-    f_cont = _as_cont(f)
+    apply_F = char_functional(loop, f, config)
     table: Dict[State, XReal] = {s: ZERO for s in states}
     yield dict(table)
     while True:
-        snapshot = table
-        engine = _Engine(cfg)
-        x_cont = FnCont(lambda q: snapshot.get(q, ZERO))
-        nxt: Dict[State, XReal] = {}
-        with _deep_stack():
-            for s in states:
-                tn, td, fn, fd = engine.guard(loop.guard, s)
-                n, d = 1, 1
-                if fn:
-                    vn, vd, _ = f_cont.eval(s)
-                    n, d = _add(n, d, fn, fd, vn, vd)
-                if tn:
-                    vn, vd, _ = engine.eval(loop.body, s, x_cont)
-                    n, d = _add(n, d, tn, td, vn, vd)
-                nxt[s] = _xreal(n, d)
-        table = nxt
+        x_cont = FnCont(lambda q, t=table: t.get(q, ZERO))
+        table = {s: apply_F(x_cont, s)[0] for s in states}
         yield dict(table)
 
 

@@ -19,13 +19,12 @@ from ertkit.invariants import (
     check_omega_invariant,
     check_upper_invariant,
     rw_coefficients,
-    rw_coefficients_closed,
 )
 from ertkit.kernel import State, XReal
 from ertkit.mdp import MdpConfig, build_mdp, cross_check, expected_reward
 from ertkit.parser import parse_program, parse_rt
 from ertkit.props import run_det_sweep, run_property_suite, run_soundness_sweep
-from ertkit.semantics import harmonic_number
+from ertkit.semantics import harmonic_number, rw_coefficient
 from ertkit.syntax import (
     Annotated,
     InvariantAnnotation,
@@ -163,7 +162,7 @@ def test_criterion_05_random_walk():
 
         for n in range(0, 21):
             for k in range(0, n + 1):
-                assert rw_coefficients(n, k) == rw_coefficients_closed(n, k)
+                assert rw_coefficients(n, k) == rw_coefficient(n, k)
         for n in range(2, 41):
             assert rw_coefficients(n, 0) >= 1 + harmonic_number(n // 2)
 

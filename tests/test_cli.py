@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import ertkit.corpus
 import ertkit.kernel
 from ertkit.cli import main
 from ertkit.parser import MAX_NESTING
@@ -541,11 +543,82 @@ def test_error_beyond_an_infinite_unrolling_is_reported(tmp_path, capsys):
 )
 def test_shipped_specs_all_pass(name, capsys):
     path = SPECS / f"{name}.spec"
+    code, _, _ = run(capsys, _spec_command(path), str(path))
+    assert code == 0
+
+
+def _spec_command(path):
     with open(path) as handle:
         kind = [l.split(":", 1)[1].strip() for l in handle if l.startswith("check:")][0]
-    command = {"upper": "check-inv", "omega": "check-omega", "refine": "refine"}[kind]
-    code, _, _ = run(capsys, command, str(path))
-    assert code == 0
+    return {"upper": "check-inv", "omega": "check-omega", "refine": "refine"}[kind]
+
+
+# the shipped specs, two whose body loop is cut off (every premise is
+# inconclusive) and the geometric chain with a wrong limit (the probe fails)
+SPEC_EXITS = {
+    "geo_upper": 0,
+    "geo_omega": 0,
+    "geo_refine": 0,
+    "rwalk_lower": 0,
+    "npast_b_omega": 0,
+    "npast_drain_omega": 0,
+    "nested_upper": 3,
+    "nested_omega": 3,
+    "geo_wrong_limit": 1,
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", list(SPEC_EXITS))
+def test_spec_output_matches_golden(name, fmt, monkeypatch, capsys):
+    path = SPECS / f"{name}.spec"
+    if not path.exists():
+        path = DATA / "specs" / f"{name}.spec"
+    # run beside the spec, so the JSON's argv echo holds only its file name
+    monkeypatch.chdir(path.parent)
+    code, out, err = run(capsys, _spec_command(path), path.name, "--format", fmt)
+    assert (code, err) == (SPEC_EXITS[name], "")
+    golden = DATA / "spec_golden" / f"{name}.{'txt' if fmt == 'text' else 'json'}"
+    assert out == golden.read_text()
+
+
+def test_harmonic_of_a_large_argument_is_an_input_error():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ertkit", "eval", "corpus:trunc", "--f", "harmonic(20000)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: the exact value has more digits than Python prints")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "bound",
+    ["1 + [c = 1] * 4 + harmonic(3000)", "[c = 1] * 4" + " + 1" * 2999],
+    ids=["harmonic", "long-sum"],
+)
+def test_spec_bounds_evaluate_on_a_deep_stack(bound, tmp_path, capsys):
+    spec = tmp_path / "deep.spec"
+    spec.write_text(f"check: upper\ncorpus: geo\ninvariant: {bound}\ndomain: c in {{0, 1}}\n")
+    limit = sys.getrecursionlimit()
+    code, out, err = run(capsys, "check-inv", str(spec))
+    assert (code, out, err) == (0, "upper invariant: Holds\n", "")
+    assert sys.getrecursionlimit() == limit
+
+
+def test_repeated_main_calls_see_only_their_own_flags(capsys):
+    docs = []
+    for n in (1, 2):
+        argv = ["eval", "corpus:coupon", "--param", f"N={n}", "--state", f"z={n}"]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        docs.append(json.loads(out))
+    for n, doc in zip((1, 2), docs):
+        assert [r["state"] for r in doc["results"]] == [f"{{z={n}}}"]
+        source = ertkit.corpus.ENTRIES["coupon"].source(N=n)
+        assert doc["program_sha256"] == hashlib.sha256(source.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("count", ["-5", "0"])

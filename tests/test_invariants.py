@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,8 @@ from ertkit.invariants import (
     check_upper_invariant,
     refine,
     rw_coefficients,
-    rw_coefficients_closed,
 )
-from ertkit.semantics import harmonic_number
+from ertkit.semantics import harmonic_number, rw_coefficient
 from ertkit.transformer import expected_runtime, kleene_iterates
 
 GEO = parse_program("while (c = 1) { c :~ 1/2*<0> + 1/2*<1> }")
@@ -30,7 +30,7 @@ def test_state_domain_product():
     assert len(dom) == 6
     assert State({"b": 0, "x": 1}) in list(dom)
     with pytest.raises(ValueError):
-        StateDomain.explicit([])
+        StateDomain(())
 
 
 def test_upper_invariant_holds_on_the_exact_value():
@@ -104,6 +104,18 @@ def test_omega_invariant_fails_with_indexed_witness():
     assert v.status == "Fails"
     assert v.witness == State({"c": 1})
     assert v.n == 0
+    # the base case F(0) against I_0, checked before any step
+    assert (v.lhs, v.rhs) == (XReal(2), XReal(6))
+
+
+def test_omega_invariant_reports_the_failing_step():
+    # F(I_n)(c=1) = 3 + min(n, 4) / 2 falls below I_{n+1} first at n = 3
+    capped = parse_rt("1 + [c = 1] * min(n, 4)")
+    v = check_omega_invariant(
+        GEO, ZERO_RT, OmegaInvariantSpec(capped, "lower"), n_max=10, D=GEO_DOM
+    )
+    assert (v.status, v.witness, v.n) == ("Fails", State({"c": 1}), 3)
+    assert (v.lhs, v.rhs) == (XReal(Fraction(9, 2)), XReal(5))
 
 
 def test_omega_iterates_dominate_lower_invariant_sequence():
@@ -173,7 +185,7 @@ def test_rw_coefficients_base_cases_and_closed_form():
     assert rw_coefficients(1, 0) == Fraction(5, 2)
     for n in range(0, 21):
         for k in range(0, n + 1):
-            assert rw_coefficients(n, k) == rw_coefficients_closed(n, k), (n, k)
+            assert rw_coefficients(n, k) == rw_coefficient(n, k), (n, k)
 
 
 def test_rw_coefficients_harmonic_lower_bound():
@@ -204,3 +216,27 @@ def test_invariant_checks_respect_the_continuation():
     assert check_upper_invariant(DRAIN, f, UpperInvariantSpec(inv), dom).holds
     short = parse_rt("1 + [x > 0] * 2 * x")
     assert check_upper_invariant(DRAIN, f, UpperInvariantSpec(short), dom).status == "Fails"
+
+
+def test_checkers_evaluate_bounds_on_a_deep_stack():
+    # a bound of 3000 terms nests deeper than the default recursion limit
+    ones = " + 1" * 2999
+    bound = parse_rt("[c = 1] * 4" + ones)
+    spec = OmegaInvariantSpec(bound, "upper", limit=bound)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        calls = [
+            lambda: check_upper_invariant(GEO, ZERO_RT, UpperInvariantSpec(bound), GEO_DOM),
+            lambda: check_omega_invariant(GEO, ZERO_RT, spec, 3, GEO_DOM),
+            lambda: check_limit(spec, GEO_DOM),
+            lambda: refine(GEO, ZERO_RT, bound, GEO_DOM),
+        ]
+        out = []
+        for call in calls:
+            out.append(call())
+            assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(old)
+    assert [v.status for v in out[:3]] == ["Holds", "Holds", "Inconclusive"]
+    assert out[3] == {State({"c": 0}): XReal(1), State({"c": 1}): XReal(3003)}

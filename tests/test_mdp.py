@@ -11,7 +11,7 @@ import pytest
 import ertkit.mdp as mdp_module
 from ertkit.corpus import ENTRIES, coupon_closed_form
 from ertkit.generator import PROFILES, random_program, random_runtime, random_state
-from ertkit.kernel import INF, State, XReal
+from ertkit.kernel import INF, ZERO, State, XReal
 from ertkit.mdp import (
     Mdp,
     MdpConfig,
@@ -24,10 +24,11 @@ from ertkit.mdp import (
     cross_check,
     expected_reward,
     mdp_to_dot,
+    head_reward,
     qualitative_check,
-    recompute_rewards,
 )
 from ertkit.parser import parse_program, parse_rt
+from ertkit.semantics import eval_rt
 from ertkit.syntax import (
     RT_ZERO,
     Annotated,
@@ -68,10 +69,14 @@ def test_every_action_row_is_a_distribution():
             assert all(p > 0 for p, _ in row)
 
 
+def is_markov_chain(m: Mdp) -> bool:
+    return all(len(t) == 1 for t in m.transitions)
+
+
 def test_markov_chain_exactly_when_no_choice():
-    assert build("skip; x :~ unif[0 .. 5]").is_markov_chain()
+    assert is_markov_chain(build("skip; x :~ unif[0 .. 5]"))
     m = build("{ skip } [] { skip; skip }")
-    assert not m.is_markov_chain()
+    assert not is_markov_chain(m)
     widths = sorted(len(rows) for rows in m.transitions)
     assert widths[-1] == 2
 
@@ -97,6 +102,19 @@ def test_halt_bypasses_the_runtime_collection():
     assert expected_reward(m).value == XReal(1)
     plain = build("skip", f="100")
     assert expected_reward(plain).value == XReal(101)
+
+
+def node_reward(node: MdpNode, f) -> XReal:
+    if node.kind == "term":
+        return eval_rt(f, node.state)
+    if node.kind == "exec":
+        return head_reward(node.program)
+    return ZERO
+
+
+def recompute_rewards(m: Mdp) -> List[XReal]:
+    """Independent second pass over the reward table, for auditing."""
+    return [node_reward(node, m.f) for node in m.nodes]
 
 
 def test_reward_audit_matches():

@@ -15,15 +15,54 @@ from ertkit.props import (
 )
 from ertkit.semantics import eval_rt
 from ertkit.syntax import (
-    contains_halt,
-    contains_ndchoice,
-    contains_while,
-    is_deterministic,
-    preorder,
-    program_to_text,
+    Annotated,
+    Dirac,
+    Halt,
+    If,
+    NdChoice,
+    ProbAssign,
     While,
+    WhileBounded,
+    children,
+    program_to_text,
 )
 from ertkit.transformer import ErtConfig
+
+
+def preorder(p):
+    yield p
+    for c in children(p):
+        yield from preorder(c)
+
+
+def contains_halt(p) -> bool:
+    return any(isinstance(n, Halt) for n in preorder(p))
+
+
+def contains_ndchoice(p) -> bool:
+    return any(isinstance(n, NdChoice) for n in preorder(p))
+
+
+def contains_while(p) -> bool:
+    return any(isinstance(n, (While, WhileBounded, Annotated)) for n in preorder(p))
+
+
+def is_deterministic(p) -> bool:
+    """No nondeterministic choice and every distribution is a point mass."""
+    for n in preorder(p):
+        if isinstance(n, NdChoice):
+            return False
+        dists = []
+        if isinstance(n, ProbAssign):
+            dists.append(n.dist)
+        if isinstance(n, (If, While, WhileBounded)):
+            dists.append(n.guard)
+        if isinstance(n, Annotated):
+            dists.append(n.loop.guard)
+        for d in dists:
+            if not isinstance(d, Dirac):
+                return False
+    return True
 
 
 def test_profiles_respect_their_contracts():

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,17 @@ def test_harmonic_number_table():
     assert harmonic_number(1) == 1
     assert harmonic_number(2) == Fraction(3, 2)
     assert harmonic_number(4) == Fraction(25, 12)
+
+
+def test_harmonic_of_a_large_argument_at_the_default_recursion_limit():
+    old = sys.getrecursionlimit()
+    harmonic_number.cache_clear()
+    sys.setrecursionlimit(1000)
+    try:
+        value = eval_rt(parse_rt("harmonic(3000)"), State())
+    finally:
+        sys.setrecursionlimit(old)
+    assert value == XReal(sum(Fraction(1, k) for k in range(1, 3001)))
 
 
 def test_rw_coefficient_base_cases():

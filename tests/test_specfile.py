@@ -121,3 +121,21 @@ def test_error_lines_are_reported():
     with pytest.raises(SpecError) as exc:
         parse_spec("check: upper\ncorpus: geo\nbogus: 1\n")
     assert exc.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "kind, keys, message",
+    [
+        ("upper", "domain: c in {0, 1}\n", "check: upper requires `invariant`"),
+        ("refine", "invariant_n: 1\ndomain: c in {0, 1}\n", "check: refine requires `invariant`"),
+        ("omega", "invariant: 1\ndomain: c in {0, 1}\n", "check: omega requires `invariant_n`"),
+        ("upper", "invariant: 1\n", "check: upper requires `domain`"),
+        ("refine", "invariant: 1\n", "check: refine requires `domain`"),
+        ("omega", "invariant_n: 1\n", "check: omega requires `domain`"),
+        ("omega", "", "check: omega requires `invariant_n`"),
+    ],
+)
+def test_each_check_names_the_key_it_requires(kind, keys, message):
+    with pytest.raises(SpecError) as exc:
+        parse_spec(f"check: {kind}\ncorpus: geo\n{keys}")
+    assert str(exc.value) == message

@@ -168,6 +168,24 @@ def test_char_functional_fixed_point():
         assert out == v
 
 
+def test_kleene_iterates_apply_the_char_functional():
+    rng = random.Random(17)
+    cfg = ErtConfig(max_unroll_depth=4)
+    for program, f, sigma in _loop_programs(40, 13):
+        loop = while_loops(program)[0]
+        states = [sigma, random_state(rng), random_state(rng)]
+        apply_F = char_functional(loop, f, cfg)
+        gen = kleene_iterates(loop, f, states, cfg)
+        table = next(gen)
+        assert table == {s: ZERO for s in states}
+        for _ in range(3):
+            nxt = next(gen)
+            assert nxt == {
+                s: apply_F(lambda q: table.get(q, ZERO), s)[0] for s in states
+            }
+            table = nxt
+
+
 def test_evaluation_scopes_the_recursion_limit():
     default = sys.getrecursionlimit()
     seen = []
