@@ -69,17 +69,25 @@ def _default_node_cap() -> int:
     return 200_000
 
 
+class _TooManyDigits(CliError):
+    """A value with more digits than Python prints."""
+
+    def __init__(self, depth_hint: bool = False):
+        hint = "use a smaller --depth, or " if depth_hint else ""
+        super().__init__(
+            "the exact value has more digits than Python prints "
+            f"({sys.get_int_max_str_digits()}); {hint}"
+            "raise the limit with PYTHONINTMAXSTRDIGITS"
+        )
+
+
 def _q_str(q: Fraction) -> str:
     try:
         return str(q)
     except ValueError:
         # Python refuses to print an integer of more than
         # sys.get_int_max_str_digits() digits
-        raise CliError(
-            "the exact value has more digits than Python prints "
-            f"({sys.get_int_max_str_digits()}); use a smaller --depth, or "
-            "raise the limit with PYTHONINTMAXSTRDIGITS"
-        )
+        raise _TooManyDigits()
 
 
 def _rational_str(x: XReal) -> str:
@@ -260,33 +268,39 @@ def _cmd_eval(args) -> int:
     text = [f"program sha256 {_sha256(source)[:12]}"]
     for sigma in states:
         res = expected_runtime(program, f, sigma, cfg)
-        entry = {
-            "state": repr(sigma),
-            "rational": _rational_str(res.value),
-            "float": _float_or_none(res.value),
-            "kind": res.kind,
-        }
-        if res.kind == "lower":
-            entry["depth"] = args.depth
-            half = expected_runtime(
-                program, f, sigma, ErtConfig(max_unroll_depth=max(1, args.depth // 2))
-            )
-            if res.value.is_finite and half.value.is_finite:
-                gain = res.value.q - half.value.q
-                entry["last_doubling_gain"] = _q_str(gain)
-                gap_note = f"; refinement from depth {max(1, args.depth // 2)}: +{float(gain):.6g}"
+        try:
+            entry = {
+                "state": repr(sigma),
+                "rational": _rational_str(res.value),
+                "float": _float_or_none(res.value),
+                "kind": res.kind,
+            }
+            if res.kind == "lower":
+                entry["depth"] = args.depth
+                half = expected_runtime(
+                    program, f, sigma, ErtConfig(max_unroll_depth=max(1, args.depth // 2))
+                )
+                if res.value.is_finite and half.value.is_finite:
+                    gain = res.value.q - half.value.q
+                    entry["last_doubling_gain"] = _q_str(gain)
+                    gap_note = f"; refinement from depth {max(1, args.depth // 2)}: +{float(gain):.6g}"
+                else:
+                    gap_note = ""
+                text.append(
+                    f"{sigma!r}: {_nice(res.value)} (lower bound, depth {args.depth})"
+                    + gap_note
+                )
+                text.append(f"  exact rational: {_rational_str(res.value)}")
             else:
-                gap_note = ""
-            text.append(
-                f"{sigma!r}: {_nice(res.value)} (lower bound, depth {args.depth})"
-                + gap_note
-            )
-            text.append(f"  exact rational: {_rational_str(res.value)}")
-        else:
-            text.append(f"{sigma!r}: {_rational_str(res.value)} (exact)")
-        if res.annotations_used:
-            entry["annotations_used"] = list(res.annotations_used)
-            text.append(f"  using annotated bounds: {', '.join(res.annotations_used)}")
+                text.append(f"{sigma!r}: {_rational_str(res.value)} (exact)")
+            if res.annotations_used:
+                entry["annotations_used"] = list(res.annotations_used)
+                text.append(f"  using annotated bounds: {', '.join(res.annotations_used)}")
+        except _TooManyDigits:
+            if res.kind == "lower":
+                # a cut-off value's digits grow with the unroll depth
+                raise _TooManyDigits(depth_hint=True)
+            raise
         results.append(entry)
 
     payload = _base_report(args, "eval")

@@ -106,9 +106,12 @@ class _Builder:
         self.seq_cache: Dict[Tuple[int, int], Seq] = {}
         self.unfold_cache: Dict[int, Program] = {}
         self.reward_cache: Dict[int, XReal] = {}
-        self.sink = self._intern(MdpNode("sink"), ("sink",))
+        self.sink = self._intern("sink", None, None, ("sink",))
 
-    def _intern(self, node: MdpNode, key: tuple) -> int:
+    def _intern(
+        self, kind: str, program: Optional[Program], state: Optional[State], key: tuple
+    ) -> int:
+        """The node of `key`, numbered when first reached."""
         i = self.index.get(key)
         if i is not None:
             return i
@@ -116,19 +119,19 @@ class _Builder:
             raise NodeCapExceeded(self.cap)
         i = len(self.nodes)
         self.index[key] = i
-        self.nodes.append(node)
+        self.nodes.append(MdpNode(kind, program, state))
         self.transitions.append({})
         self.rewards.append(ZERO)
         return i
 
     def exec_node(self, p: Program, sigma: State) -> int:
-        return self._intern(MdpNode("exec", p, sigma), ("exec", id(p), sigma))
+        return self._intern("exec", p, sigma, ("exec", id(p), sigma))
 
     def term_node(self, sigma: State) -> int:
-        return self._intern(MdpNode("term", None, sigma), ("term", sigma))
+        return self._intern("term", None, sigma, ("term", sigma))
 
     def termseq_node(self, p: Program, sigma: State) -> int:
-        return self._intern(MdpNode("termseq", p, sigma), ("termseq", id(p), sigma))
+        return self._intern("termseq", p, sigma, ("termseq", id(p), sigma))
 
     def compose(self, first: Program, second: Program) -> Seq:
         key = (id(first), id(second))
@@ -257,45 +260,31 @@ def build_mdp(
 ) -> Mdp:
     """Breadth-first closure of the step rules from the initial configuration.
 
-    Runs under a raised recursion limit, since evaluating a long operator
-    chain recurses once per operator.
+    Nodes are numbered when first reached, so expanding them in index order
+    is the breadth-first order.  Runs under a raised recursion limit, since
+    evaluating a long operator chain recurses once per operator.
     """
     b = _Builder(f, node_cap)
     b.transitions[b.sink]["t"] = [(_ONE, b.sink)]
     initial = b.exec_node(C, sigma0)
+    nodes = b.nodes
     with _deep_stack():
-        frontier = [initial]
-        seen = {b.sink, initial}
-        while frontier:
-            nxt: List[int] = []
-            for i in frontier:
-                node = b.nodes[i]
-                if node.kind == "term":
-                    b.rewards[i] = eval_rt(f, node.state)
-                    rows = {"t": [(_ONE, b.sink)]}
-                    b.transitions[i] = rows
-                    continue
-                if node.kind == "termseq":
-                    j = b.exec_node(node.program, node.state)
-                    b.transitions[i] = {"t": [(_ONE, j)]}
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-                    continue
-                # exec
+        i = initial
+        while i < len(nodes):
+            node = nodes[i]
+            if node.kind == "term":
+                b.rewards[i] = eval_rt(f, node.state)
+                b.transitions[i] = {"t": [(_ONE, b.sink)]}
+            elif node.kind == "termseq":
+                j = b.exec_node(node.program, node.state)
+                b.transitions[i] = {"t": [(_ONE, j)]}
+            else:
                 b.rewards[i] = b.head_reward(node.program)
-                out: Dict[str, List[Tuple[Fraction, int]]] = {}
-                for action, rows in b.step(node.program, node.state).items():
-                    resolved = []
-                    for prob, d in rows:
-                        j = b.resolve(d)
-                        resolved.append((prob, j))
-                        if j not in seen:
-                            seen.add(j)
-                            nxt.append(j)
-                    out[action] = resolved
-                b.transitions[i] = out
-            frontier = nxt
+                b.transitions[i] = {
+                    action: [(prob, b.resolve(d)) for prob, d in rows]
+                    for action, rows in b.step(node.program, node.state).items()
+                }
+            i += 1
     return Mdp(b.nodes, b.transitions, b.rewards, initial, b.sink, f)
 
 

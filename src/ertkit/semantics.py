@@ -4,6 +4,14 @@ State lookups go through an optional binding environment first, which is how
 summation indices and the iteration parameter `n` are scoped; program
 variables never shadow them because `n` is reserved and summation indices are
 checked at parse time.
+
+The weights that `eval_dist` and `eval_guard` return are the expression's
+own `Fraction` objects: a weighted entry's weight (a `WeightedList` holds
+`Fraction`s), the one shared `1/n` of a uniform range, or one shared `1` of
+a point mass.  A new `Fraction` is built by addition only where two entries
+merge: two entries of a weighted list with the same value, or two true
+entries of a guard.  A guard with no true entry gives one shared `0`.
+Fractions are immutable, so sharing them is safe.
 """
 from __future__ import annotations
 
@@ -13,8 +21,8 @@ from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .kernel import (
-    INF, ONE, ZERO, IndexOutOfBounds, KernelError, KindMismatch, State, Value,
-    XReal, value_kind, x_add, x_max, x_min, x_mul,
+    INF, ONE, ZERO, KernelError, KindMismatch, State, Value, XReal, value_kind,
+    x_add, x_max, x_min, x_mul,
 )
 from .syntax import (
     And, ArrayLit, BinOp, BoolLit, CellRef, Cmp, Dirac, DistExpr, Expr,
@@ -22,6 +30,10 @@ from .syntax import (
     RAdd, RCell, RDiv, RInf, RLit, RMax, RMin, RMonus, RMul, RPow, RVar,
     RtExpr, RwCoef, Uniform, VarRef, WeightedList,
 )
+
+
+# the trusted XReal constructor, for values non-negative by construction
+_of = XReal._of
 
 
 class EvalError(KernelError):
@@ -57,18 +69,9 @@ def eval_expr(e: Expr, sigma: State, bind: Optional[Bindings] = None) -> Value:
     if isinstance(e, BoolLit):
         return e.value
     if isinstance(e, VarRef):
-        if bind is not None and e.name in bind:
-            return bind[e.name]
-        try:
-            return sigma.get(e.name)
-        except KeyError:
-            raise UnboundVariable("undefined variable %r" % e.name)
+        return _var(e.name, sigma, bind)
     if isinstance(e, CellRef):
-        idx = _as_int(eval_expr(e.index, sigma, bind), "array index")
-        try:
-            return sigma.get_cell(e.name, idx)
-        except KeyError:
-            raise UnboundVariable("undefined array %r" % e.name)
+        return _cell(e.name, e.index, sigma, bind)
     if isinstance(e, BinOp):
         a = _as_int(eval_expr(e.left, sigma, bind), "arithmetic operand")
         b = _as_int(eval_expr(e.right, sigma, bind), "arithmetic operand")
@@ -112,6 +115,25 @@ def eval_expr(e: Expr, sigma: State, bind: Optional[Bindings] = None) -> Value:
     raise TypeError(e)
 
 
+def _var(name: str, sigma: State, bind: Optional[Bindings]) -> Value:
+    """A scalar read: the bindings first, then the state."""
+    if bind is not None and name in bind:
+        return bind[name]
+    try:
+        return sigma.get(name)
+    except KeyError:
+        raise UnboundVariable("undefined variable %r" % name)
+
+
+def _cell(name: str, index: Expr, sigma: State, bind: Optional[Bindings]) -> Value:
+    """An array cell read, at the value of `index`."""
+    idx = _as_int(eval_expr(index, sigma, bind), "array index")
+    try:
+        return sigma.get_cell(name, idx)
+    except KeyError:
+        raise UnboundVariable("undefined array %r" % name)
+
+
 def _as_int(v: Value, what: str) -> int:
     if value_kind(v) != "int":
         raise KindMismatch("%s must be an integer, got %r" % (what, v))
@@ -130,8 +152,10 @@ def _as_bool(v: Value) -> bool:
 # a sampled value is a scalar or, for whole-array installation, a tuple
 Sampled = Union[int, bool, Tuple[int, ...]]
 
-# the weight of every point mass; Fractions are immutable, so one is shared
+# the weight of every point mass, and the weight of a guard that is never
+# true; Fractions are immutable, so one of each is shared
 _CERTAIN = Fraction(1)
+_NEVER = Fraction(0)
 
 
 def eval_dist(
@@ -159,12 +183,14 @@ def eval_dist(
         p = Fraction(1, hi - lo + 1)
         return [(p, v) for v in range(lo, hi + 1)]
     if isinstance(d, WeightedList):
+        # an equal value merges into its first-seen key, in first-seen order
         acc: Dict[Sampled, Fraction] = {}
         for p, expr in d.entries:
-            if p == 0:
+            if not p:
                 continue
             v = eval_expr(expr, sigma, bind)
-            acc[v] = acc.get(v, Fraction(0)) + p
+            prev = acc.get(v)
+            acc[v] = p if prev is None else prev + p
         return [(p, v) for v, p in acc.items()]
     raise TypeError(d)
 
@@ -173,13 +199,13 @@ def eval_guard(
     g: DistExpr, sigma: State, bind: Optional[Bindings] = None
 ) -> Fraction:
     """Probability that the guard evaluates to true."""
-    p_true = Fraction(0)
+    p_true = None
     for p, v in eval_dist(g, sigma, bind):
-        if value_kind(v) != "bool":
+        if not isinstance(v, bool):
             raise KindMismatch("guard produced non-boolean value %r" % (v,))
         if v:
-            p_true += p
-    return p_true
+            p_true = p if p_true is None else p_true + p
+    return _NEVER if p_true is None else p_true
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +216,14 @@ def eval_rt(
     f: RtExpr, sigma: State, bind: Optional[Bindings] = None
 ) -> XReal:
     if isinstance(f, RLit):
-        return XReal(f.value)
+        # RLit's constructor makes its value a non-negative Fraction
+        return _of(f.value)
     if isinstance(f, RInf):
         return INF
     if isinstance(f, RVar):
-        return _nonneg(eval_expr(VarRef(f.name), sigma, bind), f.name)
+        return _nonneg(_var(f.name, sigma, bind), f.name)
     if isinstance(f, RCell):
-        return _nonneg(eval_expr(CellRef(f.name, f.index), sigma, bind), f.name)
+        return _nonneg(_cell(f.name, f.index, sigma, bind), f.name)
     if isinstance(f, OmegaParam):
         if bind is None or "n" not in bind:
             raise UnboundVariable("iteration parameter n is unbound here")
@@ -274,7 +301,7 @@ def _nonneg(v: Value, name: str) -> XReal:
             "%r is %d; run-times are non-negative (guard it with an indicator)"
             % (name, v)
         )
-    return XReal(v)
+    return _of(Fraction(v))
 
 
 def _nat(x: XReal, what: str) -> int:

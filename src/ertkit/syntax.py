@@ -84,6 +84,11 @@ class WeightedList:
     # entries: (probability, value expression); probabilities sum to 1
     entries: Tuple[Tuple[Fraction, Expr], ...]
 
+    def __post_init__(self):
+        object.__setattr__(
+            self, "entries", tuple((Fraction(p), e) for p, e in self.entries)
+        )
+
 
 @dataclass(frozen=True)
 class Uniform:

@@ -450,15 +450,23 @@ def char_functional(
     where X is a continuation, a callable, or a run-time expression.  The
     tainted flag is set when the body itself contained a loop that was cut
     off, in which case the value is only a lower bound on F(X)(sigma).
+
+    Consecutive applications to one X object share one engine, so the
+    states of one iterate share its guard and distribution tables and its
+    memo.  The engine is kept with X itself, so X's id cannot be reused by
+    another object while the engine's memo is keyed on it.
     """
     if isinstance(loop, Annotated):
         loop = loop.loop
     cfg = config or ErtConfig()
     f_cont = _as_cont(f)
+    # (X, its continuation, the engine applying F to it)
+    last: list = [None, None, None]
 
     def apply(X, sigma: State) -> Tuple[XReal, bool]:
-        engine = _Engine(cfg)
-        x_cont = _as_cont(X)
+        if last[2] is None or last[0] is not X:
+            last[:] = X, _as_cont(X), _Engine(cfg)
+        _, x_cont, engine = last
         with _deep_stack():
             tn, td, fn, fd = engine.guard(loop.guard, sigma)
             n, d, tainted = 1, 1, False

@@ -182,6 +182,42 @@ def test_value_too_long_to_print_is_an_input_error(fmt, capsys):
     )
 
 
+def _digits_error(capsys, *argv):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        return run(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+_NO_DEPTH_HINT = (
+    "error: the exact value has more digits than Python prints (4300); "
+    "raise the limit with PYTHONINTMAXSTRDIGITS\n"
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_exact_value_too_long_to_print_has_no_depth_hint(fmt, capsys):
+    # the value grows with --f, not with the depth: the result is exact
+    code, out, err = _digits_error(
+        capsys, "eval", "corpus:trunc", "--f", "harmonic(20000)", "--format", fmt
+    )
+    assert (code, out, err) == (2, "", _NO_DEPTH_HINT)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_spec_value_too_long_to_print_has_no_depth_hint(fmt, tmp_path, capsys):
+    # check-inv has no --depth flag to point to
+    spec = tmp_path / "long.spec"
+    spec.write_text(
+        "check: upper\ncorpus: geo\n"
+        "invariant: 1 + [c = 1] * 3 + harmonic(20000)\ndomain: c in {0, 1}\n"
+    )
+    code, out, err = _digits_error(capsys, "check-inv", str(spec), "--format", fmt)
+    assert (code, out, err) == (2, "", _NO_DEPTH_HINT)
+
+
 @pytest.mark.parametrize("digits, code", [("640", 2), ("0", 0)])
 def test_digit_limit_is_the_users_to_raise(digits, code):
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONINTMAXSTRDIGITS=digits)

@@ -1,13 +1,21 @@
+import dataclasses
+import random
 import sys
+import typing
 from fractions import Fraction
 
 import pytest
 
-from ertkit.kernel import INF, State, XReal
+import semantics_oracle
+from ertkit import semantics, transformer
+from ertkit.generator import PROFILES, random_program, random_runtime, random_state
+from ertkit.kernel import INF, KernelError, KindMismatch, State, XReal
 from ertkit.parser import parse_program, parse_rt
+from ertkit.props import run_property_suite
 from ertkit.semantics import (
     DivByZero,
     EmptyUniformRange,
+    EvalError,
     UnboundVariable,
     eval_dist,
     eval_expr,
@@ -15,6 +23,10 @@ from ertkit.semantics import (
     eval_rt,
     harmonic_number,
     rw_coefficient,
+)
+from ertkit.syntax import (
+    Annotated, BoolLit, Dirac, If, IntLit, NdChoice, ProbAssign, RCell, RLit,
+    RT_ZERO, RVar, RtExpr, Seq, VarRef, WeightedList, While, WhileBounded,
 )
 
 
@@ -127,3 +139,216 @@ def test_rw_coefficient_base_cases():
     assert rw_coefficient(0, 0) == 1
     assert rw_coefficient(1, 0) == Fraction(5, 2)
     assert rw_coefficient(0, 5) == 0
+
+
+# ---------------------------------------------------------------------------
+# the shared weights of distributions and guards
+
+
+def test_weighted_list_merges_duplicates_in_first_seen_order():
+    s = State({"x": 2})
+    d = parse_program("t :~ 1/8*<x> + 1/4*<1> + 3/8*<2> + 1/4*<3>").dist
+    support = eval_dist(d, s)
+    assert support == [
+        (Fraction(1, 2), 2),
+        (Fraction(1, 4), 1),
+        (Fraction(1, 4), 3),
+    ]
+    # an entry that merges with nothing keeps its own weight object
+    assert support[1][0] is d.entries[1][0]
+    assert support[2][0] is d.entries[3][0]
+
+
+def test_zero_weight_is_dropped_before_its_value_is_evaluated():
+    d = parse_program("t :~ 0*<undefined> + 1*<3>").dist
+    assert eval_dist(d, State()) == [(Fraction(1), 3)]
+    # the same entry with a positive weight does read the variable
+    with pytest.raises(UnboundVariable):
+        eval_dist(WeightedList(((Fraction(1), VarRef("undefined")),)), State())
+
+
+def test_int_weighted_list_yields_fraction_weights():
+    d = WeightedList(((1, IntLit(4)), (0, IntLit(5))))
+    assert [type(p) for p, _ in d.entries] == [Fraction, Fraction]
+    [(p, v)] = eval_dist(d, State())
+    assert (type(p), p, v) == (Fraction, 1, 4)
+    coin = WeightedList(((1, BoolLit(True)), (0, BoolLit(False))))
+    p_true = eval_guard(coin, State())
+    assert (type(p_true), p_true) == (Fraction, 1)
+
+
+def test_guard_with_two_true_entries_returns_their_sum(monkeypatch):
+    s = State({"x": 1})
+    g = parse_program("if (1/4*<x = 1> + 1/4*<true> + 1/2*<false>) { skip }").guard
+    assert eval_guard(g, s) == Fraction(1, 2)
+    # a support that lists two true entries apart is summed by the guard
+    monkeypatch.setattr(
+        semantics, "eval_dist",
+        lambda d, sigma, bind=None: [
+            (Fraction(1, 4), True), (Fraction(1, 2), False), (Fraction(1, 4), True),
+        ],
+    )
+    assert eval_guard(g, s) == Fraction(1, 2)
+
+
+def test_guard_with_no_true_entry_returns_zero():
+    s = State({"x": 1})
+    for src in ("if (x > 5) { skip }", "if (1/3*<false> + 2/3*<x = 0>) { skip }"):
+        p = eval_guard(parse_program(src).guard, s)
+        assert (type(p), p) == (Fraction, 0)
+
+
+def test_guard_that_yields_a_non_boolean_raises_kind_mismatch():
+    half = Fraction(1, 2)
+    for g, v in (
+        (Dirac(IntLit(1)), 1),
+        (WeightedList(((half, BoolLit(True)), (half, IntLit(3)))), 3),
+        (WeightedList(((half, IntLit(3)), (half, BoolLit(False)))), 3),
+    ):
+        with pytest.raises(KindMismatch) as info:
+            eval_guard(g, State())
+        assert str(info.value) == "guard produced non-boolean value %d" % v
+
+
+# ---------------------------------------------------------------------------
+# the leaves of run-time expressions
+
+
+def test_rt_variable_reads_bindings_before_the_state():
+    s = State({"k": 5}, {"a": (7, 8)})
+    assert eval_rt(RVar("k"), s) == XReal(5)
+    assert eval_rt(RVar("k"), s, {"k": 2}) == XReal(2)
+    assert eval_rt(RCell("a", VarRef("k")), s, {"k": 2}) == XReal(8)
+    assert eval_rt(RCell("a", IntLit(1)), s) == XReal(7)
+
+
+def test_rt_variable_errors_keep_their_texts():
+    s = State({"b": True}, {"a": (1,), "flags": (False,)})
+    cases = [
+        (RVar("z"), UnboundVariable, "undefined variable 'z'"),
+        (RCell("c", IntLit(1)), UnboundVariable, "undefined array 'c'"),
+        (RCell("a", VarRef("z")), UnboundVariable, "undefined variable 'z'"),
+        (
+            RVar("b"), KindMismatch,
+            "'b' is boolean; wrap it in an indicator to use it as a run-time",
+        ),
+        (
+            RCell("flags", IntLit(1)), KindMismatch,
+            "'flags' is boolean; wrap it in an indicator to use it as a run-time",
+        ),
+        (
+            RVar("n"), EvalError,
+            "'n' is -1; run-times are non-negative (guard it with an indicator)",
+        ),
+    ]
+    for f, exc, text in cases:
+        with pytest.raises(exc) as info:
+            eval_rt(f, s, {"n": -1})
+        assert str(info.value) == text
+
+
+def test_negative_rt_literal_is_rejected():
+    for value in (-1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="run-time literals are non-negative"):
+            RLit(value)
+
+
+# ---------------------------------------------------------------------------
+# differential test against the parent's evaluators
+
+
+def _outcome(fn, *args):
+    """What a call gives, as (exception class, message) or the value with
+    the type of every number in it."""
+    try:
+        out = fn(*args)
+    except KernelError as e:
+        return type(e), str(e)
+    if isinstance(out, XReal):
+        return "xreal", type(out.q), out.q
+    if isinstance(out, list):
+        return "support", [(type(p), p, type(v), v) for p, v in out]
+    return "weight", type(out), out
+
+
+def _guards_and_dists(p, out):
+    if isinstance(p, ProbAssign):
+        out.append(("dist", p.dist))
+    elif isinstance(p, Seq):
+        _guards_and_dists(p.first, out)
+        _guards_and_dists(p.second, out)
+    elif isinstance(p, NdChoice):
+        _guards_and_dists(p.left, out)
+        _guards_and_dists(p.right, out)
+    elif isinstance(p, If):
+        out.append(("guard", p.guard))
+        _guards_and_dists(p.then, out)
+        _guards_and_dists(p.orelse, out)
+    elif isinstance(p, (While, WhileBounded)):
+        out.append(("guard", p.guard))
+        _guards_and_dists(p.body, out)
+    elif isinstance(p, Annotated):
+        _guards_and_dists(p.loop, out)
+    return out
+
+
+def _rt_subterms(f, out):
+    # every node of a run-time expression, so that a leaf's own value is
+    # compared, not only what the operators above it make of it
+    out.append(f)
+    for field in dataclasses.fields(f):
+        sub = getattr(f, field.name)
+        if isinstance(sub, typing.get_args(RtExpr)):
+            _rt_subterms(sub, out)
+    return out
+
+
+_PAIRS = {
+    "dist": (eval_dist, semantics_oracle.eval_dist),
+    "guard": (eval_guard, semantics_oracle.eval_guard),
+    "rt": (eval_rt, semantics_oracle.eval_rt),
+}
+
+
+def test_evaluators_match_the_parent_on_the_soundness_sweep():
+    # the triples of run_soundness_sweep(11), drawn by its own loop
+    rng = random.Random(11)
+    names = list(PROFILES)
+    checked = {"dist": 0, "guard": 0, "rt": 0}
+    for i in range(500):
+        program = random_program(rng, PROFILES[names[i % len(names)]])
+        f = random_runtime(rng, terms=1) if i % 3 == 0 else RT_ZERO
+        sigma = random_state(rng)
+        calls = _guards_and_dists(program, []) + [("rt", t) for t in _rt_subterms(f, [])]
+        for kind, e in calls:
+            new, old = _PAIRS[kind]
+            assert _outcome(new, e, sigma) == _outcome(old, e, sigma), (kind, e, sigma)
+            checked[kind] += 1
+    assert min(checked.values()) >= 400, checked
+
+
+def test_evaluators_match_the_parent_on_the_property_suite(monkeypatch):
+    # every guard, distribution and run-time expression the transformer
+    # evaluates over 200 samples of the law suite, with its state and bindings
+    seen = {}
+
+    def recording(kind, fn):
+        def call(e, sigma, bind=None):
+            key = (kind, id(e), sigma, tuple(sorted(bind.items())) if bind else ())
+            seen.setdefault(key, (kind, e, sigma, dict(bind) if bind else None))
+            return fn(e, sigma, bind)
+
+        return call
+
+    for name, kind in (("eval_dist", "dist"), ("eval_guard", "guard"), ("eval_rt", "rt")):
+        monkeypatch.setattr(transformer, name, recording(kind, getattr(transformer, name)))
+    report = run_property_suite(seed=42, count=200)
+    monkeypatch.undo()
+    assert report.ok
+    kinds = {"dist": 0, "guard": 0, "rt": 0}
+    for kind, e, sigma, bind in seen.values():
+        new, old = _PAIRS[kind]
+        for t in _rt_subterms(e, []) if kind == "rt" else [e]:
+            assert _outcome(new, t, sigma, bind) == _outcome(old, t, sigma, bind), (kind, t, sigma)
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 100, kinds

@@ -186,6 +186,32 @@ def test_kleene_iterates_apply_the_char_functional():
             table = nxt
 
 
+def test_char_functional_shares_one_engine_per_x(monkeypatch):
+    built = []
+
+    class CountingEngine(transformer._Engine):
+        def __init__(self, config):
+            super().__init__(config)
+            built.append(self)
+
+    monkeypatch.setattr(transformer, "_Engine", CountingEngine)
+    c0, c1 = State({"c": 0}), State({"c": 1})
+    gen = kleene_iterates(GEO, RT_ZERO, [c0, c1, State({"c": 2})])
+    tables = [next(gen) for _ in range(4)]
+    # one engine per iterate, shared by the three states it is applied at
+    assert len(built) == 3
+    assert [t[c1] for t in tables] == [
+        ZERO, XReal(2), XReal(Fraction(7, 2)), XReal(Fraction(17, 4))
+    ]
+    # each new X object gets an engine of its own, whatever its id
+    built.clear()
+    F = char_functional(GEO, RT_ZERO)
+    for k in range(5):
+        assert F(lambda q, k=k: XReal(k), c1) == (XReal(2 + k), False)
+        assert F(lambda q, k=k: XReal(2 * k), c0) == (ONE, False)
+    assert len(built) == 10
+
+
 def test_evaluation_scopes_the_recursion_limit():
     default = sys.getrecursionlimit()
     seen = []
