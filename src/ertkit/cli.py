@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
-from .corpus import ENTRIES
+from .corpus import ENTRIES, lookup
 from .invariants import (
     OmegaInvariantSpec,
     PreconditionFailed,
@@ -184,11 +184,8 @@ def _load_program(ref: str, params: Dict[str, int]) -> Tuple[Program, str, Optio
     """Returns (program, source text, corpus name or None)."""
     if ref.startswith("corpus:"):
         name = ref[len("corpus:") :]
-        if name not in ENTRIES:
-            known = ", ".join(sorted(ENTRIES))
-            raise CliError(f"unknown corpus entry {name!r} (known: {known})")
         try:
-            source = ENTRIES[name].source(**params)
+            source = lookup(name).source(**params)
         except (KeyError, ValueError) as exc:
             raise CliError(str(exc.args[0]))
         return parse_program(source), source, name
@@ -537,10 +534,10 @@ def _cmd_props(args) -> int:
 
 def _cmd_corpus(args) -> int:
     started = time.monotonic()
-    if args.name not in ENTRIES:
-        known = ", ".join(sorted(ENTRIES))
-        raise CliError(f"unknown corpus entry {args.name!r} (known: {known})")
-    entry = ENTRIES[args.name]
+    try:
+        entry = lookup(args.name)
+    except KeyError as exc:
+        raise CliError(exc.args[0])
     params = _parse_params(args.param)
     for flag in ("N", "lead", "start", "threshold"):
         value = getattr(args, flag)

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from string import Template
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
-from .kernel import INF, State, XReal
+from .kernel import State, XReal
 from .mdp import MdpConfig, build_mdp, cross_check, expected_reward
 from .parser import parse_program, parse_rt
 from .semantics import harmonic_number
@@ -25,7 +25,6 @@ from .syntax import (
     Program,
     RT_ZERO,
     Seq,
-    program_to_text,
     replace_whiles,
     while_loops,
 )
@@ -203,6 +202,16 @@ ENTRIES: Dict[str, CorpusEntry] = {
         ),
     )
 }
+
+
+def lookup(name: str) -> CorpusEntry:
+    """The entry called `name`.  Raises `KeyError` naming the known entries
+    for any other name."""
+    entry = ENTRIES.get(name)
+    if entry is None:
+        known = ", ".join(sorted(ENTRIES))
+        raise KeyError(f"unknown corpus entry {name!r} (known: {known})")
+    return entry
 
 
 # -- scripted checks ---------------------------------------------------

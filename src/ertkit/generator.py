@@ -10,7 +10,7 @@ operational models tiny and make counterexamples readable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -59,7 +59,7 @@ class GenProfile:
 
     loops is one of "none", "bounded" (while^{<k} only, so every result
     is exact), or "countdown" (real while loops built as terminating
-    countdowns over one variable).
+    countdowns over one variable; strict ones without halt or probability).
     """
 
     name: str
@@ -67,25 +67,18 @@ class GenProfile:
     allow_ndchoice: bool = True
     allow_prob: bool = True
     loops: str = "bounded"
-    strict_countdown: bool = False
 
 
 PROFILES: Dict[str, GenProfile] = {
     "general": GenProfile("general", loops="countdown"),
     "loop-free": GenProfile("loop-free", loops="none"),
-    # Bounded loops carry a synthesized halt at the cut-off, so the
-    # halt-free laws need loops that provably run off their guard:
-    # strict countdowns.
-    "halt-free": GenProfile(
-        "halt-free", allow_halt=False, loops="countdown", strict_countdown=True
-    ),
+    "halt-free": GenProfile("halt-free", allow_halt=False, loops="countdown"),
     "probabilistic": GenProfile("probabilistic", allow_ndchoice=False),
     "deterministic": GenProfile(
         "deterministic",
         allow_ndchoice=False,
         allow_prob=False,
         loops="countdown",
-        strict_countdown=True,
     ),
 }
 
@@ -161,7 +154,10 @@ def _countdown(rng: random.Random, profile: GenProfile, depth: int) -> Program:
     v = rng.choice(POOL)
     rest = [name for name in POOL if name != v]
     with_prefix = depth > 0 and rng.random() < 0.7
-    if profile.strict_countdown or not profile.allow_prob:
+    # An unrolled loop halts at its cutoff, so the halt-free laws need loops
+    # that provably run off their guard: strict countdowns.  Without
+    # probability, strict decrease is the only menu.
+    if not profile.allow_halt or not profile.allow_prob:
         dec: DistExpr = Dirac(BinOp("-", VarRef(v), IntLit(1)))
     elif with_prefix or rng.random() < 0.6:
         # Strictly decreasing menus only next to state-changing prefixes:
@@ -179,13 +175,7 @@ def _countdown(rng: random.Random, profile: GenProfile, depth: int) -> Program:
         )
     body: Program = ProbAssign(VarTarget(v), dec)
     if with_prefix:
-        inner = GenProfile(
-            profile.name,
-            allow_halt=False,
-            allow_ndchoice=profile.allow_ndchoice,
-            allow_prob=profile.allow_prob,
-            loops="none",
-        )
+        inner = replace(profile, allow_halt=False, loops="none")
         prefix = _block(rng, depth - 1, inner, pool=rest)
         body = Seq(prefix, body)
     return While(Dirac(Cmp(">", VarRef(v), IntLit(0))), body)
@@ -204,13 +194,7 @@ def _stmt(rng: random.Random, depth: int, profile: GenProfile, pool) -> Program:
     if depth > 0 and profile.allow_ndchoice and roll < 0.3:
         return NdChoice(_block(rng, depth - 1, profile, pool), _block(rng, depth - 1, profile, pool))
     if depth > 0 and profile.loops == "bounded" and roll < 0.4:
-        inner = GenProfile(
-            profile.name,
-            allow_halt=profile.allow_halt,
-            allow_ndchoice=profile.allow_ndchoice,
-            allow_prob=profile.allow_prob,
-            loops="none",
-        )
+        inner = replace(profile, loops="none")
         return WhileBounded(
             rng.randint(1, 4), _guard(rng, profile), _block(rng, depth - 1, inner, pool)
         )

@@ -13,10 +13,10 @@ remaining cases are reported as Inconclusive rather than guessed.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .kernel import INF, KernelError, State, XReal, _deep_stack, x_leq
 from .semantics import EvalError, eval_rt
@@ -52,19 +52,10 @@ class StateDomain:
     @staticmethod
     def product(ranges: Mapping[str, Sequence[int]]) -> "StateDomain":
         """All combinations of the given scalar ranges, last name fastest."""
-        names = list(ranges)
-        out: List[State] = []
-
-        def rec(i: int, acc: Dict[str, int]):
-            if i == len(names):
-                out.append(State(dict(acc)))
-                return
-            for v in ranges[names[i]]:
-                acc[names[i]] = v
-                rec(i + 1, acc)
-
-        rec(0, {})
-        return StateDomain(tuple(out))
+        return StateDomain(tuple(
+            State(dict(zip(ranges, values)))
+            for values in itertools.product(*ranges.values())
+        ))
 
 
 @dataclass(frozen=True)
@@ -290,31 +281,3 @@ def refine(
             table = nxt
             cont = FnCont(table.__getitem__)
     return table
-
-
-# ---------------------------------------------------------------------------
-# walk coefficients
-
-
-@lru_cache(maxsize=None)
-def _rw_row(n: int) -> Tuple[Fraction, ...]:
-    # row n holds a(n, 0..n) by the defining recurrence
-    if n == 0:
-        return (Fraction(1),)
-    prev = _rw_row(n - 1)
-
-    def at(k: int) -> Fraction:
-        return prev[k] if k < len(prev) else Fraction(0)
-
-    row = [Fraction(2) + (at(0) + at(1)) / 2]
-    for k in range(1, n + 1):
-        row.append((at(k - 1) + at(k + 1)) / 2)
-    return tuple(row)
-
-
-def rw_coefficients(n: int, k: int) -> Fraction:
-    """Walk expansion coefficient a(n, k) from the defining recurrence."""
-    if k > n or n < 0 or k < 0:
-        return Fraction(0)
-    return _rw_row(n)[k]
-

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from .generator import (
     PROFILES,
@@ -406,27 +406,3 @@ def run_soundness_sweep(
             )
     return report
 
-
-def run_det_sweep(seed: int, count: int = 200) -> SweepReport:
-    """Exact agreement of the step counter and the transformer on
-    terminating deterministic programs."""
-    rng = random.Random(seed)
-    report = SweepReport(seed=seed, requested=count)
-    for _ in range(count):
-        program = random_program(rng, PROFILES["deterministic"])
-        sigma = random_state(rng)
-        counted, _ = det_step_count(program, sigma)
-        res = expected_runtime(program, None, sigma)
-        if res.is_exact and counted == res.value:
-            report.passed += 1
-            report.exact += 1
-        else:
-            report.failures.append(
-                SweepFailure(
-                    program_to_text(program),
-                    "0",
-                    repr(sigma),
-                    f"step count {counted}, transformer {res.value} ({res.kind})",
-                )
-            )
-    return report

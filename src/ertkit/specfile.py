@@ -17,8 +17,8 @@ indented by two spaces (programs typically do).  Keys:
     domain       states to check, e.g. `c in {0, 1}; x in 0 .. 6`
     nmax         omega step indices to check      (default 50)
     probe        limit probe index                (default 60)
-    tol          limit tolerance, rational        (default 1/10^12)
-    big          finite stand-in for infinity     (default 10^6)
+    tol          limit tolerance, rational >= 0   (default 1/10^12)
+    big          finite stand-in for inf, > 0     (default 10^6)
     rounds       refinement rounds                (default 1)
 """
 
@@ -187,12 +187,12 @@ def parse_spec(text: str) -> InvariantSpecFile:
         lineno, source = prog_entry
     else:
         lineno, name = corpus_entry
-        from .corpus import ENTRIES
+        from .corpus import lookup
 
-        if name not in ENTRIES:
-            known = ", ".join(sorted(ENTRIES))
-            raise SpecError(f"unknown corpus entry {name!r} (known: {known})", lineno)
-        source = ENTRIES[name].source()
+        try:
+            source = lookup(name).source()
+        except KeyError as exc:
+            raise SpecError(exc.args[0], lineno)
     try:
         program = parse_program(source)
     except ParseError as exc:
@@ -221,11 +221,16 @@ def parse_spec(text: str) -> InvariantSpecFile:
             raise SpecError(f"{key} must be at least {minimum}", lineno)
         return n
 
-    def rational(key: str, default: Fraction) -> Fraction:
+    def rational(key: str, default: Fraction, positive: bool) -> Fraction:
         entry = take(key)
         if entry is None:
             return default
-        return _rational(entry[1], entry[0])
+        lineno, value = entry
+        q = _rational(value, lineno)
+        if q < 0 or (positive and q == 0):
+            need = "positive" if positive else "at least 0"
+            raise SpecError(f"{key} must be {need}, found {value!r}", lineno)
+        return q
 
     f = rt("f")
     invariant = rt("invariant")
@@ -247,8 +252,8 @@ def parse_spec(text: str) -> InvariantSpecFile:
     n_max = integer("nmax", 50, minimum=1)
     probe = integer("probe", 60, minimum=1)
     rounds = integer("rounds", 1, minimum=1)
-    tol = rational("tol", Fraction(1, 10**12))
-    big = rational("big", Fraction(10**6))
+    tol = rational("tol", Fraction(1, 10**12), positive=False)
+    big = rational("big", Fraction(10**6), positive=True)
 
     needed = "invariant_n" if kind == "omega" else "invariant"
     if (invariant_n if kind == "omega" else invariant) is None:

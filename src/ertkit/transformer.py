@@ -7,12 +7,14 @@ sequence is literally the transformer of its head applied to the transformer
 of its tail.
 
 Unbounded loops are approximated from below by one depth-bounded unrolling,
-evaluated once at the cap `max_unroll_depth`.  An evaluation that never
-reaches the synthesized cutoff at depth 0 is exact: every path it explored
-left the loop before the cutoff, so every deeper unrolling explores the same
-paths and computes the same value, and so does the loop's least fixed point.
-One that does reach the cutoff is reported as a lower bound, which is always
-sound since bounded unrollings approximate the fixed point from below.
+evaluated once at the cap `max_unroll_depth`.  A loop is identified by its
+node, so `while` and `while^{<k}` share one unrolling rule and differ only
+at depth 0.  An evaluation that never reaches a `while`'s cutoff at depth 0
+is exact: every path it explored left the loop before the cutoff, so every
+deeper unrolling explores the same paths and computes the same value, and so
+does the loop's least fixed point.  One that does reach the cutoff is
+reported as a lower bound, which is always sound since bounded unrollings
+approximate the fixed point from below.
 
 Inside the engine a value is a pair of Python ints `(n, d)` in lowest
 terms, with `n = None` for infinity, plus the taint flag.  Within one
@@ -53,6 +55,9 @@ from .syntax import (
 # An engine value: numerator, denominator and taint; the numerator is None
 # for infinity, and a finite value is in lowest terms with d > 0.
 Val = Tuple[Optional[int], int, bool]
+
+# A loop node, which is also the loop's identity in the memo table.
+Loop = Union[While, WhileBounded]
 
 
 def _add(
@@ -121,7 +126,6 @@ class ErtConfig:
     """
 
     max_unroll_depth: int = 64
-    use_annotations: bool = True
     tick_mutation: Optional[str] = None
 
     def __post_init__(self):
@@ -224,11 +228,11 @@ class _Engine:
             self.seq_conts[key] = c
         return c
 
-    def bounded_cont(self, loop_key, guard, body, depth, after, synthesized) -> "_BoundedCont":
-        key = (loop_key, depth, id(after), synthesized)
+    def bounded_cont(self, loop: Loop, depth: int, after) -> "_BoundedCont":
+        key = (id(loop), depth, id(after))
         c = self.bounded_conts.get(key)
         if c is None:
-            c = _BoundedCont(self, loop_key, guard, body, depth, after, synthesized)
+            c = _BoundedCont(self, loop, depth, after)
             self.bounded_conts[key] = c
         return c
 
@@ -288,9 +292,9 @@ class _Engine:
         if isinstance(p, If):
             return self._branch(p.guard, p.then, p.orelse, sigma, cont)
         if isinstance(p, While):
-            return self._while(p, sigma, cont)
+            return self._bounded(p, self.config.max_unroll_depth, sigma, cont)
         if isinstance(p, WhileBounded):
-            return self._bounded(("xwb", id(p)), p.guard, p.body, p.bound, sigma, cont, synthesized=False)
+            return self._bounded(p, p.bound, sigma, cont)
         if isinstance(p, Annotated):
             return self._annotated(p, sigma, cont)
         raise TypeError(p)
@@ -323,28 +327,25 @@ class _Engine:
             tainted = tainted or t
         return _reduced(n, d, tainted)
 
-    def _bounded(
-        self, loop_key, guard, body, depth: int, sigma: State, cont,
-        synthesized: bool,
-    ) -> Val:
-        """Lazy evaluation of a depth-bounded loop.
+    def _bounded(self, loop: Loop, depth: int, sigma: State, cont) -> Val:
+        """Lazy evaluation of a loop unrolled `depth` more times.
 
-        Depth zero behaves like halt.  Reaching depth zero of a synthesized
-        bound means the fixed point may not have been reached, which taints
-        the result; an explicit bound is just the program's own semantics.
+        Depth zero behaves like halt.  A `While` cut off there may not have
+        reached its fixed point, which taints the result; a `WhileBounded`
+        that runs out is just the program's own semantics.
         """
-        key = (loop_key, depth, sigma, id(cont))
+        key = (id(loop), depth, sigma, id(cont))
         hit = self.memo.get(key)
         if hit is not None:
             return hit
         if depth <= 0:
-            out: Val = (0, 1, synthesized)
+            out: Val = (0, 1, loop.__class__ is While)
         else:
-            tn, td, fn, fd = self.guard(guard, sigma)
+            tn, td, fn, fd = self.guard(loop.guard, sigma)
             n, d, tainted = self._if_tick, 1, False
             if tn:
-                rest = self.bounded_cont(loop_key, guard, body, depth - 1, cont, synthesized)
-                vn, vd, tainted = self.eval(body, sigma, rest)
+                rest = self.bounded_cont(loop, depth - 1, cont)
+                vn, vd, tainted = self.eval(loop.body, sigma, rest)
                 n, d = _add(n, d, tn, td, vn, vd)
             if fn:
                 vn, vd, t = cont.eval(sigma)
@@ -354,45 +355,32 @@ class _Engine:
         self.memo[key] = out
         return out
 
-    def _while(self, p: While, sigma: State, cont) -> Val:
-        return self._bounded(
-            ("wb", id(p)), p.guard, p.body, self.config.max_unroll_depth,
-            sigma, cont, synthesized=True,
-        )
-
     def _annotated(self, p: Annotated, sigma: State, cont) -> Val:
         ann = p.annotation
         if (
-            self.config.use_annotations
-            and ann.direction == "lower"
+            ann.direction == "lower"
             and isinstance(cont, RtCont)
             and not cont.bind
             and cont.expr == ann.continuation
         ):
             self.annotations_used.append(rt_to_text(ann.bound))
             return _val_of(eval_rt(ann.bound, sigma), True)
-        return self._while(p.loop, sigma, cont)
+        return self._bounded(p.loop, self.config.max_unroll_depth, sigma, cont)
 
 
 class _BoundedCont:
-    """Continuation that resumes a bounded loop at one less depth."""
+    """Continuation that resumes a loop at one less depth."""
 
-    __slots__ = ("engine", "loop_key", "guard", "body", "depth", "after", "synthesized")
+    __slots__ = ("engine", "loop", "depth", "after")
 
-    def __init__(self, engine, loop_key, guard, body, depth, after, synthesized):
+    def __init__(self, engine: _Engine, loop: Loop, depth: int, after):
         self.engine = engine
-        self.loop_key = loop_key
-        self.guard = guard
-        self.body = body
+        self.loop = loop
         self.depth = depth
         self.after = after
-        self.synthesized = synthesized
 
     def eval(self, sigma: State) -> Val:
-        return self.engine._bounded(
-            self.loop_key, self.guard, self.body, self.depth, sigma,
-            self.after, self.synthesized,
-        )
+        return self.engine._bounded(self.loop, self.depth, sigma, self.after)
 
 
 def _as_cont(f) -> Union[RtCont, FnCont]:

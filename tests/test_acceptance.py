@@ -18,12 +18,11 @@ from ertkit.invariants import (
     check_limit,
     check_omega_invariant,
     check_upper_invariant,
-    rw_coefficients,
 )
 from ertkit.kernel import State, XReal
 from ertkit.mdp import MdpConfig, build_mdp, cross_check, expected_reward
 from ertkit.parser import parse_program, parse_rt
-from ertkit.props import run_det_sweep, run_property_suite, run_soundness_sweep
+from ertkit.props import run_property_suite, run_soundness_sweep
 from ertkit.semantics import harmonic_number, rw_coefficient
 from ertkit.syntax import (
     Annotated,
@@ -33,6 +32,7 @@ from ertkit.syntax import (
     while_loops,
 )
 from ertkit.transformer import ErtConfig, expected_runtime, kleene_iterates
+from references import run_det_sweep, rw_coefficients
 
 RESULTS = []
 

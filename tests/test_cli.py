@@ -308,6 +308,44 @@ def test_check_omega_failing_sequence(tmp_path, capsys):
     assert "Fails" in out
 
 
+OMEGA_GEO = (
+    "check: omega\ncorpus: geo\ninvariant_n: 1 + [c = 1] * (4 - 3 * (1/2)^n)\n"
+    "direction: lower\ndomain: c in {0, 1}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "limit, line, message",
+    [
+        ("4", "tol: -1", "tol must be at least 0, found '-1'"),
+        ("4", "tol: 1/-3", "tol must be at least 0, found '1/-3'"),
+        ("inf", "big: 0", "big must be positive, found '0'"),
+        ("inf", "big: -2", "big must be positive, found '-2'"),
+    ],
+)
+def test_spec_tolerance_and_big_are_checked(limit, line, message, tmp_path, capsys):
+    spec = tmp_path / "limit.spec"
+    spec.write_text(OMEGA_GEO + f"limit: 1 + [c = 1] * {limit}\n{line}\n")
+    code, out, err = run(capsys, "check-omega", str(spec))
+    assert code == 2
+    assert out == ""
+    assert err == f"spec error: line 7: {message}\n"
+
+
+def test_spec_limit_edge_values_still_decide(tmp_path, capsys):
+    # a zero tolerance is allowed, and a wrong infinite limit fails under
+    # the default stand-in for infinity
+    spec = tmp_path / "limit.spec"
+    spec.write_text(OMEGA_GEO + "limit: 1 + [c = 1] * 4\ntol: 0\n")
+    code, out, _ = run(capsys, "check-omega", str(spec))
+    assert code == 1
+    assert "limit consistency (probe 60): Fails" in out
+    spec.write_text(OMEGA_GEO + "limit: 1 + [c = 1] * inf\n")
+    code, out, _ = run(capsys, "check-omega", str(spec))
+    assert code == 1
+    assert "lhs 5 vs rhs 1000000" in out
+
+
 def test_refine_table(capsys):
     code, out, _ = run(capsys, "refine", str(SPECS / "geo_refine.spec"))
     assert code == 0
@@ -342,6 +380,33 @@ def test_corpus_command(capsys):
     code, _, err = run(capsys, "corpus", "nosuch")
     assert code == 2
     assert "unknown corpus entry" in err
+
+
+UNKNOWN_ENTRY = "unknown corpus entry 'nosuch' (known: coupon, geo, npast, race, rwalk, trunc)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("corpus", "nosuch"),
+        ("eval", "corpus:nosuch"),
+        ("crosscheck", "corpus:nosuch", "--param", "N=2"),
+    ],
+)
+def test_unknown_corpus_entry_names_the_known_ones(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {UNKNOWN_ENTRY}\n"
+
+
+def test_unknown_corpus_entry_in_a_spec(tmp_path, capsys):
+    spec = tmp_path / "nosuch.spec"
+    spec.write_text("check: upper\ncorpus: nosuch\ninvariant: 1\ndomain: c in {0, 1}\n")
+    code, out, err = run(capsys, "check-inv", str(spec))
+    assert code == 2
+    assert out == ""
+    assert err == f"spec error: line 2: {UNKNOWN_ENTRY}\n"
 
 
 def test_corpus_parameter_flags(capsys):

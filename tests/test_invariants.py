@@ -14,10 +14,10 @@ from ertkit.invariants import (
     check_omega_invariant,
     check_upper_invariant,
     refine,
-    rw_coefficients,
 )
 from ertkit.semantics import harmonic_number, rw_coefficient
 from ertkit.transformer import expected_runtime, kleene_iterates
+from references import rw_coefficients
 
 GEO = parse_program("while (c = 1) { c :~ 1/2*<0> + 1/2*<1> }")
 DRAIN = parse_program("while (x > 0) { x := x - 1 }")

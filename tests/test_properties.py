@@ -9,7 +9,6 @@ from ertkit.generator import (
 )
 from ertkit.props import (
     CANARY_TEXT,
-    run_det_sweep,
     run_property_suite,
     run_soundness_sweep,
 )
@@ -27,6 +26,7 @@ from ertkit.syntax import (
     program_to_text,
 )
 from ertkit.transformer import ErtConfig
+from references import run_det_sweep
 
 
 def preorder(p):

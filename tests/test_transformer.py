@@ -27,6 +27,7 @@ from ertkit.syntax import (
     Skip,
     VarTarget,
     WeightedList,
+    While,
     WhileBounded,
     expand_bounded_once,
     program_to_text,
@@ -297,9 +298,7 @@ def test_lower_annotation_substitutes_and_is_recorded():
     assert r.value == XReal(7)
     assert r.annotations_used == ("1 + [x > 0] * 2 * x",)
 
-    off = expected_runtime(
-        annotated, None, State({"x": 3}), ErtConfig(use_annotations=False)
-    )
+    off = expected_runtime(annotated.loop, None, State({"x": 3}))
     assert off.kind == "exact"
     assert off.value == XReal(7)
     assert off.annotations_used == ()
@@ -416,6 +415,19 @@ def test_unroll_cap_below_one_is_rejected():
             ErtConfig(max_unroll_depth=depth)
     r = expected_runtime(GEO, None, State({"c": 1}), ErtConfig(max_unroll_depth=1))
     assert r.kind == "lower" and r.value == XReal(2)  # F(0)(c=1) = 1 + 1/2 * 2
+
+
+def test_loops_sharing_guard_and_body_keep_their_own_cutoff():
+    # a while and a while^{<3} over one guard and one body object: at cap 3
+    # both run three rounds from x = 5, but only the while's cutoff taints,
+    # so neither loop may reuse the other's unrolling
+    drain = while_loops(parse_program("while (x > 0) { x := x - 1 }"))[0]
+    unbounded = While(drain.guard, drain.body)
+    bounded = WhileBounded(3, drain.guard, drain.body)
+    cfg = ErtConfig(max_unroll_depth=3)
+    for left, right in ((unbounded, bounded), (bounded, unbounded)):
+        r = expected_runtime(NdChoice(left, right), None, State({"x": 5}), cfg)
+        assert (r.kind, r.value) == ("lower", XReal(6))
 
 
 # ---------------------------------------------------------------------------

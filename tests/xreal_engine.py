@@ -274,8 +274,7 @@ class _Engine:
     def _annotated(self, p: Annotated, sigma: State, cont) -> Tuple[XReal, bool]:
         ann = p.annotation
         if (
-            self.config.use_annotations
-            and ann.direction == "lower"
+            ann.direction == "lower"
             and isinstance(cont, RtCont)
             and not cont.bind
             and cont.expr == ann.continuation
