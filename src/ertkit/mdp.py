@@ -6,7 +6,11 @@ configuration nodes: a running program with a state, a terminated marker
 marker for sequencing, and an absorbing sink.  Halting steps straight to the
 sink, so the post-run-time is not collected on halted runs.  Loops of all
 three forms (plain, depth-bounded, annotated) are unfolded one step at a time
-when they are reached; annotations are ignored.
+when they are reached; annotations are ignored.  The step of each program
+object is compiled once per build into a table entry: the head statement,
+and each branch's successor program with its own table of nodes by state.
+A node then evaluates only its head on its state, and finds each successor
+with one lookup.
 
 The expected total reward to the sink, maximized over schedulers, is the
 quantity the transformer computes; `cross_check` compares the two.  It is
@@ -14,13 +18,15 @@ solved in two steps: a safety fixed point decides whether some scheduler can
 avoid the sink (then the value is infinite), and otherwise Howard policy
 iteration finds the best scheduler.  The model is condensed once, over the
 union of all actions, and every policy is evaluated exactly by one pass over
-that condensation in reverse topological order.
+that condensation in reverse topological order, acyclic nodes in integer
+pair sums and cyclic blocks by elimination over `Fraction`s.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 from typing import Dict, List, Optional, Tuple, Union
 
 from .kernel import INF, ONE, ZERO, KernelError, State, XReal, _deep_stack
@@ -95,43 +101,63 @@ class MdpConfig:
 # construction
 
 
+class _Target:
+    """The nodes of one kind over one program object, by state.
+
+    An exec target also holds its compiled step, filled when its first node
+    is expanded: the head statement (with `Seq` chains and depth-bounded
+    loops unfolded), the head's reward, and the target of each branch of
+    the head, already composed with the continuation that follows it.  A
+    termseq target holds the exec target of its program.  Every node of a
+    target steps the same way, so a node evaluates its head on its state
+    and finds each successor with one lookup in the successor's `nodes`.
+    """
+
+    __slots__ = ("kind", "program", "nodes", "head", "reward", "succ")
+
+    def __init__(self, kind: str, program: Optional[Program]):
+        self.kind = kind
+        self.program = program
+        self.nodes: Dict[State, int] = {}
+        self.head: Optional[Program] = None
+        self.reward: XReal = ZERO
+        self.succ: Tuple[_Target, ...] = ()
+
+
 class _Builder:
-    def __init__(self, f: RtExpr, cap: int):
-        self.f = f
+    def __init__(self, cap: int):
         self.cap = cap
-        self.nodes: List[MdpNode] = []
-        self.transitions: List[Dict[str, List[Tuple[Fraction, int]]]] = []
-        self.rewards: List[XReal] = []
-        self.index: Dict[tuple, int] = {}
+        self.nodes: List[MdpNode] = [MdpNode("sink")]
+        self.owner: List[Optional[_Target]] = [None]  # per node: its target
+        self.term = _Target("term", None)
+        self.execs: Dict[int, _Target] = {}
+        self.termseqs: Dict[int, _Target] = {}
         self.seq_cache: Dict[Tuple[int, int], Seq] = {}
         self.unfold_cache: Dict[int, Program] = {}
-        self.reward_cache: Dict[int, XReal] = {}
-        self.sink = self._intern("sink", None, None, ("sink",))
 
-    def _intern(
-        self, kind: str, program: Optional[Program], state: Optional[State], key: tuple
-    ) -> int:
-        """The node of `key`, numbered when first reached."""
-        i = self.index.get(key)
-        if i is not None:
-            return i
-        if len(self.nodes) >= self.cap:
-            raise NodeCapExceeded(self.cap)
-        i = len(self.nodes)
-        self.index[key] = i
-        self.nodes.append(MdpNode(kind, program, state))
-        self.transitions.append({})
-        self.rewards.append(ZERO)
+    def node(self, t: _Target, sigma: State) -> int:
+        """The node of `t` at `sigma`, numbered when first reached."""
+        n = len(self.nodes)
+        i = t.nodes.setdefault(sigma, n)
+        if i == n:
+            if n >= self.cap:
+                raise NodeCapExceeded(self.cap)
+            self.nodes.append(MdpNode(t.kind, t.program, sigma))
+            self.owner.append(t)
         return i
 
-    def exec_node(self, p: Program, sigma: State) -> int:
-        return self._intern("exec", p, sigma, ("exec", id(p), sigma))
+    def exec_target(self, p: Program) -> _Target:
+        t = self.execs.get(id(p))
+        if t is None:
+            t = self.execs[id(p)] = _Target("exec", p)
+        return t
 
-    def term_node(self, sigma: State) -> int:
-        return self._intern("term", None, sigma, ("term", sigma))
-
-    def termseq_node(self, p: Program, sigma: State) -> int:
-        return self._intern("termseq", p, sigma, ("termseq", id(p), sigma))
+    def termseq_target(self, p: Program) -> _Target:
+        t = self.termseqs.get(id(p))
+        if t is None:
+            t = self.termseqs[id(p)] = _Target("termseq", p)
+            t.succ = (self.exec_target(p),)
+        return t
 
     def compose(self, first: Program, second: Program) -> Seq:
         key = (id(first), id(second))
@@ -158,86 +184,127 @@ class _Builder:
             self.unfold_cache[id(w)] = c
         return c
 
-    def head_reward(self, p: Program) -> XReal:
-        """`head_reward`, once per program object."""
-        r = self.reward_cache.get(id(p))
-        if r is None:
-            r = self.reward_cache[id(p)] = head_reward(p)
-        return r
+    def compile(self, t: _Target) -> Program:
+        """Fill in the step of an exec target; returns its head.
 
-    # successor descriptors: ("exec", p, σ) | ("term", σ) | ("termseq", p, σ) | ("sink",)
+        A sequence steps as its first component, with each successor
+        composed with the second; a depth-bounded loop steps as its one-step
+        expansion.  So a successor `q` of the head becomes `q; k1; ...; kn`
+        for the continuations `k1 ... kn` peeled off on the way down, and
+        the head's termination becomes `k1; ...; kn` after a termseq node.
+        """
+        h = t.program
+        conts: List[Program] = []
+        while True:
+            if isinstance(h, Seq):
+                conts.append(h.second)
+                h = h.first
+            elif isinstance(h, WhileBounded):
+                h = self.unfold(h)
+            else:
+                break
+        conts.reverse()  # innermost first
 
-    def step(self, p: Program, sigma: State) -> Dict[str, List[Tuple[Fraction, tuple]]]:
-        if isinstance(p, (Empty, Skip)):
-            return {"t": [(_ONE, ("term", sigma))]}
-        if isinstance(p, Halt):
-            return {"t": [(_ONE, ("sink",))]}
-        if isinstance(p, ProbAssign):
-            acc: Dict[tuple, Fraction] = {}
-            for prob, v in eval_dist(p.dist, sigma):
-                if isinstance(p.target, VarTarget):
-                    if isinstance(v, tuple):
-                        nxt = sigma.set_array(p.target.name, v)
+        def then(q: Program) -> _Target:
+            for k in conts:
+                q = self.compose(q, k)
+            return self.exec_target(q)
+
+        if isinstance(h, (Empty, Skip, ProbAssign)):
+            if conts:
+                k = conts[0]
+                for c in conts[1:]:
+                    k = self.compose(k, c)
+                t.succ = (self.termseq_target(k),)
+            else:
+                t.succ = (self.term,)
+        elif isinstance(h, NdChoice):
+            t.succ = (then(h.left), then(h.right))
+        elif isinstance(h, If):
+            t.succ = (then(h.then), then(h.orelse))
+        elif isinstance(h, (While, Annotated)):
+            t.succ = (then(self.unfold(h)),)
+        elif not isinstance(h, Halt):
+            raise TypeError(h)
+        t.reward = head_reward(h)
+        t.head = h
+        return h
+
+    def assign(
+        self, p: ProbAssign, sigma: State, term: _Target
+    ) -> List[Tuple[Fraction, int]]:
+        """The rows of a probabilistic assignment, one per support entry.
+
+        `eval_dist` merges equal values, and distinct values give distinct
+        next states, so no two rows share a node.  Every next state is
+        computed before any is numbered.
+        """
+        target = p.target
+        support = eval_dist(p.dist, sigma)
+        if isinstance(target, VarTarget):
+            name = target.name
+            nexts = [
+                (prob, sigma.set_array(name, v) if isinstance(v, tuple) else sigma.set(name, v))
+                for prob, v in support
+            ]
+        else:
+            nexts = [
+                (prob, sigma.set_cell(target.name, eval_expr(target.index, sigma), v))
+                for prob, v in support
+            ]
+        return [(prob, self.node(term, nxt)) for prob, nxt in nexts]
+
+    def closure(self, C: Program, sigma0: State, f: RtExpr) -> Mdp:
+        """Number and expand every node reachable from `C` at `sigma0`."""
+        sink = 0
+        transitions: List[Dict[str, List[Tuple[Fraction, int]]]] = [
+            {"t": [(_ONE, sink)]}
+        ]
+        rewards: List[XReal] = [ZERO]
+        initial = self.node(self.exec_target(C), sigma0)
+        nodes, owner, node = self.nodes, self.owner, self.node
+        i = initial
+        while i < len(nodes):
+            t = owner[i]
+            sigma = nodes[i].state
+            if t.kind == "exec":
+                h = t.head
+                if h is None:
+                    h = self.compile(t)
+                rewards.append(t.reward)
+                if isinstance(h, If):
+                    p_true = eval_guard(h.guard, sigma)
+                    then, orelse = t.succ
+                    if p_true == 1 or h.then is h.orelse:
+                        rows = [(_ONE, node(then, sigma))]
+                    elif p_true == 0:
+                        rows = [(_ONE, node(orelse, sigma))]
                     else:
-                        nxt = sigma.set(p.target.name, v)
+                        rows = [
+                            (p_true, node(then, sigma)),
+                            (1 - p_true, node(orelse, sigma)),
+                        ]
+                    transitions.append({"t": rows})
+                elif isinstance(h, ProbAssign):
+                    transitions.append({"t": self.assign(h, sigma, t.succ[0])})
+                elif isinstance(h, NdChoice):
+                    left, right = t.succ
+                    transitions.append({
+                        "L": [(_ONE, node(left, sigma))],
+                        "R": [(_ONE, node(right, sigma))],
+                    })
+                elif isinstance(h, Halt):
+                    transitions.append({"t": [(_ONE, sink)]})
                 else:
-                    idx = eval_expr(p.target.index, sigma)
-                    nxt = sigma.set_cell(p.target.name, idx, v)
-                d = ("term", nxt)
-                prev = acc.get(d)
-                acc[d] = prob if prev is None else prev + prob
-            return {"t": [(prob, d) for d, prob in acc.items()]}
-        if isinstance(p, NdChoice):
-            return {
-                "L": [(_ONE, ("exec", p.left, sigma))],
-                "R": [(_ONE, ("exec", p.right, sigma))],
-            }
-        if isinstance(p, If):
-            p_true = eval_guard(p.guard, sigma)
-            if p_true == 1 or p.then is p.orelse:
-                return {"t": [(_ONE, ("exec", p.then, sigma))]}
-            if p_true == 0:
-                return {"t": [(_ONE, ("exec", p.orelse, sigma))]}
-            return {"t": [
-                (p_true, ("exec", p.then, sigma)),
-                (1 - p_true, ("exec", p.orelse, sigma)),
-            ]}
-        if isinstance(p, While):
-            return {"t": [(_ONE, ("exec", self.unfold(p), sigma))]}
-        if isinstance(p, Seq):
-            inner = self.step(p.first, sigma)
-            out: Dict[str, List[Tuple[Fraction, tuple]]] = {}
-            for action, rows in inner.items():
-                lifted = []
-                for prob, d in rows:
-                    if d[0] == "term":
-                        lifted.append((prob, ("termseq", p.second, d[1])))
-                    elif d[0] == "termseq":
-                        lifted.append(
-                            (prob, ("termseq", self.compose(d[1], p.second), d[2]))
-                        )
-                    elif d[0] == "exec":
-                        lifted.append(
-                            (prob, ("exec", self.compose(d[1], p.second), d[2]))
-                        )
-                    else:
-                        lifted.append((prob, d))
-                out[action] = lifted
-            return out
-        if isinstance(p, Annotated):
-            return {"t": [(_ONE, ("exec", self.unfold(p), sigma))]}
-        if isinstance(p, WhileBounded):
-            return self.step(self.unfold(p), sigma)
-        raise TypeError(p)
-
-    def resolve(self, d: tuple) -> int:
-        if d[0] == "sink":
-            return self.sink
-        if d[0] == "term":
-            return self.term_node(d[1])
-        if d[0] == "termseq":
-            return self.termseq_node(d[1], d[2])
-        return self.exec_node(d[1], d[2])
+                    transitions.append({"t": [(_ONE, node(t.succ[0], sigma))]})
+            elif t.kind == "term":
+                rewards.append(eval_rt(f, sigma))
+                transitions.append({"t": [(_ONE, sink)]})
+            else:
+                rewards.append(ZERO)
+                transitions.append({"t": [(_ONE, node(t.succ[0], sigma))]})
+            i += 1
+        return Mdp(nodes, transitions, rewards, initial, sink, f)
 
 
 def head_reward(p: Program) -> XReal:
@@ -261,31 +328,22 @@ def build_mdp(
     """Breadth-first closure of the step rules from the initial configuration.
 
     Nodes are numbered when first reached, so expanding them in index order
-    is the breadth-first order.  Runs under a raised recursion limit, since
-    evaluating a long operator chain recurses once per operator.
+    is the breadth-first order.  Each program object's step is compiled
+    once per build into its `_Target`; a node then evaluates only its head
+    statement (a guard, a distribution or an assignment) on its state.  Runs
+    under a raised recursion limit, since evaluating a long operator chain
+    recurses once per operator.
     """
-    b = _Builder(f, node_cap)
-    b.transitions[b.sink]["t"] = [(_ONE, b.sink)]
-    initial = b.exec_node(C, sigma0)
-    nodes = b.nodes
-    with _deep_stack():
-        i = initial
-        while i < len(nodes):
-            node = nodes[i]
-            if node.kind == "term":
-                b.rewards[i] = eval_rt(f, node.state)
-                b.transitions[i] = {"t": [(_ONE, b.sink)]}
-            elif node.kind == "termseq":
-                j = b.exec_node(node.program, node.state)
-                b.transitions[i] = {"t": [(_ONE, j)]}
-            else:
-                b.rewards[i] = b.head_reward(node.program)
-                b.transitions[i] = {
-                    action: [(prob, b.resolve(d)) for prob, d in rows]
-                    for action, rows in b.step(node.program, node.state).items()
-                }
-            i += 1
-    return Mdp(b.nodes, b.transitions, b.rewards, initial, b.sink, f)
+    b = _Builder(node_cap)
+    try:
+        with _deep_stack():
+            return b.closure(C, sigma0, f)
+    finally:
+        # the targets of a loop point at each other: unlink them, so that
+        # their node tables go when the build ends, not at the next cycle
+        # collection
+        for t in b.execs.values():
+            t.succ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +459,12 @@ def _evaluate(
 ) -> None:
     """Exact expected reward-to-sink of the chain that plays `rows`, into `x`.
 
-    One pass over the union condensation.  A single node adds up its
-    successors' values, skipping zeros, without a multiplication on a single
-    successor (probability 1).  A cyclic block gets sparse Gaussian
+    One pass over the union condensation.  A single node takes a lone
+    successor's value or its own reward as is when the other is 0;
+    otherwise it sums its reward and its successors' weighted values as an
+    unreduced integer pair over the lcm of the denominators, skipping zeros,
+    and builds one `Fraction` from the sum, whose one gcd reduces it.  A
+    cyclic block gets sparse Gaussian
     elimination without pivoting, then back substitution, so a policy whose
     chain is acyclic inside a large union block costs about one pass over
     its rows; the pivots are positive once every scheduler reaches the sink
@@ -411,20 +472,36 @@ def _evaluate(
     """
     for comp in comps:
         if comp.__class__ is int:
-            total = reward[comp]
+            r = reward[comp]
             row = rows[comp]
             if len(row) == 1:
                 v = x[row[0][1]]
-                if not total:
-                    total = v
-                elif v:
-                    total += v
-            else:
-                for prob, j in row:
-                    v = x[j]
-                    if v:
-                        total += prob * v
-            x[comp] = total
+                if not v:
+                    x[comp] = r
+                    continue
+                if not r:
+                    x[comp] = v
+                    continue
+            n, d = r.numerator, r.denominator
+            for prob, j in row:
+                v = x[j]
+                if not v:
+                    continue
+                vn = prob.numerator * v.numerator
+                vd = prob.denominator * v.denominator
+                if vd == d:
+                    n += vn
+                elif d == 1:
+                    n = n * vd + vn
+                    d = vd
+                else:
+                    # add over the lcm: a long sum over many distinct
+                    # denominators grows like their lcm, not their product
+                    g = gcd(d, vd)
+                    s = d // g
+                    n = n * (vd // g) + vn * s
+                    d = s * vd
+            x[comp] = Fraction(n, d) if n else 0
             continue
         # sparse elimination in the block's own order: row k keeps only
         # the unknowns after k; every coefficient stays non-negative

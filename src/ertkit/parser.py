@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Tuple, TypeVar, Union
 
 from .syntax import (
-    And, Annotated, ArrayLit, BinOp, BoolLit, CellRef, CellTarget, Cmp, Dirac,
+    And, ArrayLit, BinOp, BoolLit, CellRef, CellTarget, Cmp, Dirac,
     DistExpr, Empty, Expr, FiniteSum, GeoSeries, Halt, Harmonic, If, Indicator,
     IntLit, Not, NdChoice, OmegaParam, Or, ProbAssign, Program, RAdd, RCell,
     RDiv, RInf, RLit, RMax, RMin, RMonus, RMul, RPow, RVar, RtExpr, RwCoef,

@@ -7,9 +7,9 @@ object identity, never on structural hashes of deep trees.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 # ---------------------------------------------------------------------------
 # integer/boolean expressions (used in programs, guards, indices, indicators)

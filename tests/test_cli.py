@@ -441,6 +441,23 @@ def test_export_mdp_cap_error(capsys, monkeypatch):
     assert "node" in err.lower()
 
 
+def test_cap_hit_again_after_the_fallback_is_an_input_error(capsys):
+    code, out, err = run(
+        capsys, "crosscheck", "corpus:rwalk", "--node-cap", "20", "--fallback-depth", "30"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: reachable node count exceeded the cap of 20\n"
+
+
+def test_export_over_the_cap_is_an_input_error(capsys):
+    code, out, err = run(capsys, "export-mdp", "corpus:rwalk", "--node-cap", "20")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: reachable node count exceeded the cap of 20; raise --node-cap / "
+        "ERTKIT_MAX_NODES or export a bounded variant of the program\n"
+    )
+
+
 def test_malformed_node_cap_environment_is_an_input_error(capsys, monkeypatch):
     monkeypatch.setenv("ERTKIT_MAX_NODES", "abc")
     code, _, err = run(capsys, "crosscheck", "corpus:geo")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ertkit.kernel import INF, State, XReal
+from ertkit.kernel import State, XReal
 from ertkit.parser import parse_program, parse_rt
 from ertkit.invariants import (
     OmegaInvariantSpec,

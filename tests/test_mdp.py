@@ -9,6 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import pytest
 
 import ertkit.mdp as mdp_module
+import mdp_oracle
 from ertkit.corpus import ENTRIES, coupon_closed_form
 from ertkit.generator import PROFILES, random_program, random_runtime, random_state
 from ertkit.kernel import INF, ZERO, State, XReal
@@ -35,6 +36,7 @@ from ertkit.syntax import (
     BoolLit,
     Dirac,
     Halt,
+    If,
     InvariantAnnotation,
     NdChoice,
     Seq,
@@ -816,3 +818,94 @@ def _sweep_dot_digest(seed=11, count=100):
 
 def test_sweep_dot_export_matches_golden_digest():
     assert _sweep_dot_digest() == SWEEP_DOT_SHA256
+
+
+# ---------------------------------------------------------------------------
+# the parent's builder and evaluator as an oracle: same models, same values
+
+
+def _sweep_triples(seed, count=500):
+    """The (program, runtime, state) triples `run_soundness_sweep(seed)`
+    cross-checks, drawn the same way."""
+    rng = random.Random(seed)
+    names = list(PROFILES)
+    for i in range(count):
+        program = random_program(rng, PROFILES[names[i % len(names)]])
+        f = random_runtime(rng, terms=1) if i % 3 == 0 else RT_ZERO
+        yield program, f, random_state(rng)
+
+
+def _recorded_reward(m, evaluate):
+    """`expected_reward(m)` with `evaluate` as its policy evaluator, and the
+    values of every policy it evaluated."""
+    seen = []
+
+    def recording(comps, reward, rows, x):
+        evaluate(comps, reward, rows, x)
+        seen.append(list(x))
+
+    saved = mdp_module._evaluate
+    mdp_module._evaluate = recording
+    try:
+        a = expected_reward(m)
+    finally:
+        mdp_module._evaluate = saved
+    return (a.value, a.method, a.schedulers), seen
+
+
+def _assert_matches_oracle(program, sigma, f, node_cap):
+    """Build with both builders and solve with both evaluators; returns
+    whether the model fit the cap."""
+    try:
+        old = mdp_oracle.build_mdp(program, sigma, f, node_cap)
+    except NodeCapExceeded as exc:
+        with pytest.raises(NodeCapExceeded, match="^%s$" % exc):
+            build_mdp(program, sigma, f, node_cap)
+        return False
+    new = build_mdp(program, sigma, f, node_cap)
+    assert [(n.kind, n.state) for n in new.nodes] == [
+        (n.kind, n.state) for n in old.nodes
+    ]
+    assert new.transitions == old.transitions
+    assert new.rewards == old.rewards
+    assert (new.initial, new.sink, new.f) == (old.initial, old.sink, old.f)
+    assert mdp_to_dot(new) == mdp_to_dot(old)
+    assert _recorded_reward(new, mdp_module._evaluate) == _recorded_reward(
+        old, mdp_oracle._evaluate
+    )
+    return True
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_sweep_models_match_the_oracle(seed):
+    for program, f, sigma in _sweep_triples(seed):
+        if not _assert_matches_oracle(program, sigma, f, 30_000):
+            assert _assert_matches_oracle(replace_whiles(program, 32), sigma, f, 30_000)
+
+
+def test_corpus_and_golden_models_match_the_oracle():
+    # the three case studies without a finite model, at bounded depths
+    depths = {"race": 40, "rwalk": 32, "npast": 8}
+    models = []
+    for name, entry in ENTRIES.items():
+        program = entry.program()
+        if name in depths:
+            program = replace_whiles(program, depths[name])
+        models.append((program, entry.initial_state(), RT_ZERO))
+    models += list(_golden_models().values())
+    # one branch object on both sides of an `if` and of a `[]`
+    step = parse_program("x := x + 1")
+    coin = parse_program("if (1/3*<true> + 2/3*<false>) { skip } else { skip }").guard
+    models += [
+        (If(coin, step, step), State({"x": 0}), RT_ZERO),
+        (NdChoice(step, step), State({"x": 0}), parse_rt("x")),
+    ]
+    for program, sigma, f in models:
+        assert _assert_matches_oracle(program, sigma, f, 200_000)
+
+
+def test_node_cap_admits_exactly_the_reachable_nodes():
+    trunc = ENTRIES["trunc"].program()
+    assert build_mdp(trunc, State(), RT_ZERO, node_cap=8).node_count == 8
+    with pytest.raises(NodeCapExceeded, match="^reachable node count exceeded the cap of 7$"):
+        build_mdp(trunc, State(), RT_ZERO, node_cap=7)
