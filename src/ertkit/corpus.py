@@ -498,11 +498,3 @@ _CHECKS: Dict[str, Callable[[CorpusEntry, Dict[str, int]], List[CheckOutcome]]] 
     "coupon": _check_coupon,
     "npast": _check_npast,
 }
-
-
-def _validate() -> None:
-    for entry in ENTRIES.values():
-        entry.program()  # every entry must parse with its defaults
-
-
-_validate()

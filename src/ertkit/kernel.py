@@ -2,10 +2,11 @@
 
 These are the semantic ground types: run-times live in the non-negative
 rationals extended with infinity (XReal), programs manipulate integer and
-boolean values (Value), and a State maps scalar variables and fixed-length
-arrays to values.  Everything here is immutable and total.  The module also
-holds the scoped recursion limit that both the transformer and the model
-builder evaluate under, so neither imports the other for it.
+boolean values (Value), and a State maps each variable to its value, a
+fixed-length array to a tuple of them.  A variable keeps its kind (int,
+bool or array) and an array its length.  Everything here is immutable.  The
+module also holds the scoped recursion limit that both the transformer and
+the model builder evaluate under, so neither imports the other for it.
 """
 from __future__ import annotations
 
@@ -164,119 +165,130 @@ def x_max(a: XReal, b: XReal) -> XReal:
     return b if a <= b else a
 
 
-# Values are plain Python: bool for truth values, int for integers.  bool is a
-# subclass of int, so kind checks test bool first throughout.
+# Values are plain Python: bool, int, and a tuple of ints for a whole array.
+# bool is a subclass of int, so kind checks test bool first throughout.
 Value = Union[int, bool]
 
 
-def value_kind(v: Value) -> str:
-    return "bool" if isinstance(v, bool) else "int"
+def value_kind(v: Union[Value, Tuple[Value, ...]]) -> str:
+    return "bool" if isinstance(v, bool) else "array" if isinstance(v, tuple) else "int"
+
+
+class UndefinedName(KernelError, KeyError):
+    """A name the state lacks: a `KeyError` too, printed without quotes."""
+
+    __str__ = KernelError.__str__
 
 
 class State:
-    """Immutable valuation of scalar variables and fixed-length arrays.
+    """Immutable map from each variable to its value, an array to a tuple.
 
-    Arrays keep their length forever; updates return fresh states.
+    A variable keeps its kind and an array its length; updates return fresh
+    states.
     """
 
-    __slots__ = ("scalars", "arrays", "_hash")
+    __slots__ = ("values", "_hash")
 
     def __init__(
         self,
         scalars: Mapping[str, Value] = (),
         arrays: Mapping[str, Iterable[Value]] = (),
     ):
-        sc = dict(scalars)
-        ar = {name: tuple(vals) for name, vals in dict(arrays).items()}
-        object.__setattr__(self, "scalars", sc)
-        object.__setattr__(self, "arrays", ar)
+        vals = dict(scalars)
+        for name, cells in dict(arrays).items():
+            if name in vals:
+                raise KindMismatch("%r is given both as a variable and as an array" % name)
+            vals[name] = tuple(cells)
+        object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_hash", None)
 
     @staticmethod
-    def _of(scalars: Dict[str, Value], arrays: Dict[str, Tuple[Value, ...]]) -> "State":
-        """Trusted constructor: the dicts are kept, not copied, so no one may
-        mutate them afterwards; array values must already be tuples."""
+    def _of(values: Dict[str, Union[Value, Tuple[Value, ...]]]) -> "State":
+        """Trusted constructor: `values` is kept, not copied, so no one may
+        mutate it afterwards; arrays must already be tuples."""
         s = _new(State)
-        s.scalars = scalars
-        s.arrays = arrays
+        s.values = values
         s._hash = None
         return s
 
     def __hash__(self) -> int:
-        # frozensets hash independently of insertion order, as __eq__ compares
+        # a frozenset hashes independently of insertion order, as __eq__ compares
         h = self._hash
         if h is None:
-            h = hash((frozenset(self.scalars.items()), frozenset(self.arrays.items())))
+            h = hash(frozenset(self.values.items()))
             self._hash = h
         return h
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, State):
             return NotImplemented
-        return self.scalars == other.scalars and self.arrays == other.arrays
+        return self.values == other.values
 
     def get(self, name: str) -> Value:
         try:
-            return self.scalars[name]
+            v = self.values[name]
         except KeyError:
-            raise KeyError(name)
+            raise UndefinedName("undefined variable %r" % name) from None
+        if v.__class__ is tuple:
+            raise KindMismatch("array %r is read without an index" % name)
+        return v
+
+    def _cells(self, name: str, index: int) -> Tuple[Value, ...]:
+        """The cells of array `name`, once `index` is known to address one."""
+        arr = self.values.get(name)
+        if arr.__class__ is not tuple:
+            if arr is None:
+                raise UndefinedName("undefined array %r" % name)
+            raise KindMismatch("%s variable %r is not an array" % (value_kind(arr), name))
+        if index.__class__ is not int:
+            raise KindMismatch("array index must be an integer, got %r" % (index,))
+        if not 1 <= index <= len(arr):
+            raise IndexOutOfBounds(
+                "%s[%d] out of bounds (length %d, indices are 1-based)"
+                % (name, index, len(arr))
+            )
+        return arr
 
     def get_cell(self, name: str, index: int) -> Value:
-        arr = self.arrays.get(name)
-        if arr is None:
-            raise KeyError(name)
-        if not 1 <= index <= len(arr):
-            raise IndexOutOfBounds(
-                "%s[%d] out of bounds (length %d, indices are 1-based)"
-                % (name, index, len(arr))
-            )
-        return arr[index - 1]
+        return self._cells(name, index)[index - 1]
 
-    def set(self, name: str, v: Value) -> "State":
-        old = self.scalars.get(name)
-        if old is not None and isinstance(old, bool) != isinstance(v, bool):
-            raise KindMismatch(
-                "cannot assign %s value to %s variable %r"
-                % (value_kind(v), value_kind(old), name)
-            )
-        sc = self.scalars.copy()
-        sc[name] = v
-        return State._of(sc, self.arrays)
+    def set(self, name: str, v: Union[Value, Iterable[Value]]) -> "State":
+        """Write the whole variable `name`; any iterable is a whole array."""
+        if v.__class__ is not int and v.__class__ is not bool:
+            v = tuple(v)
+        old = self.values.get(name)
+        if old is not None:
+            if old.__class__ is not v.__class__:
+                raise KindMismatch(
+                    "cannot assign %s value to %s variable %r"
+                    % (value_kind(v), value_kind(old), name)
+                )
+            if v.__class__ is tuple and len(v) != len(old):
+                raise KindMismatch(
+                    "array %r has fixed length %d, cannot assign %d values"
+                    % (name, len(old), len(v))
+                )
+        vals = self.values.copy()
+        vals[name] = v
+        return State._of(vals)
 
     def set_cell(self, name: str, index: int, v: Value) -> "State":
-        arr = self.arrays.get(name)
-        if arr is None:
-            raise KeyError(name)
-        if not 1 <= index <= len(arr):
-            raise IndexOutOfBounds(
-                "%s[%d] out of bounds (length %d, indices are 1-based)"
-                % (name, index, len(arr))
-            )
-        if value_kind(arr[index - 1]) != value_kind(v):
-            raise KindMismatch("cannot assign %s value to cell %s[%d]" % (value_kind(v), name, index))
-        ar = self.arrays.copy()
-        ar[name] = arr[: index - 1] + (v,) + arr[index:]
-        return State._of(self.scalars, ar)
-
-    def set_array(self, name: str, values: Iterable[Value]) -> "State":
-        values = tuple(values)
-        old = self.arrays.get(name)
-        if old is not None and len(old) != len(values):
+        arr = self._cells(name, index)
+        if arr[index - 1].__class__ is not v.__class__:
             raise KindMismatch(
-                "array %r has fixed length %d, cannot assign %d values"
-                % (name, len(old), len(values))
+                "cannot assign %s value to cell %s[%d]" % (value_kind(v), name, index)
             )
-        ar = self.arrays.copy()
-        ar[name] = values
-        return State._of(self.scalars, ar)
+        vals = self.values.copy()
+        vals[name] = arr[: index - 1] + (v,) + arr[index:]
+        return State._of(vals)
 
     def __repr__(self) -> str:
-        parts = ["%s=%s" % (k, v) for k, v in sorted(self.scalars.items())]
-        parts += [
-            "%s=[%s]" % (k, ",".join(str(x) for x in vs))
-            for k, vs in sorted(self.arrays.items())
-        ]
+        # scalars, then arrays, each sorted by name
+        items = sorted(self.values.items())
+        parts = ["%s=%s" % kv for kv in items if kv[1].__class__ is not tuple]
+        parts += ["%s=[%s]" % (k, ",".join(map(str, v))) for k, v in items if v.__class__ is tuple]
         return "{%s}" % ", ".join(parts)
+
 
 
 # Evaluation recurses once per statement, loop iteration and operator, far

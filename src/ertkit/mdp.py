@@ -242,11 +242,7 @@ class _Builder:
         target = p.target
         support = eval_dist(p.dist, sigma)
         if isinstance(target, VarTarget):
-            name = target.name
-            nexts = [
-                (prob, sigma.set_array(name, v) if isinstance(v, tuple) else sigma.set(name, v))
-                for prob, v in support
-            ]
+            nexts = [(prob, sigma.set(target.name, v)) for prob, v in support]
         else:
             nexts = [
                 (prob, sigma.set_cell(target.name, eval_expr(target.index, sigma), v))
@@ -669,23 +665,31 @@ def cross_check(
 # exports
 
 
-def _node_label(node: MdpNode) -> str:
-    if node.kind == "sink":
-        return "sink"
-    if node.kind == "term":
-        return "[down] %s" % node.state
+def _label_head(program: Program) -> str:
     # the first line of the program's text, without printing all of it: a
     # sequence's text is its leftmost statement's, then ";" and a newline
-    first = node.program
+    first = program
     while isinstance(first, Seq):
         first = first.first
     text = program_to_text(first)
     head = text.split("\n", 1)[0]
-    if first is not node.program and "\n" not in text:
+    if first is not program and "\n" not in text:
         head += ";"
     head = head.strip()
     if len(head) > 40:
         head = head[:37] + "..."
+    return head
+
+
+def _node_label(node: MdpNode, heads: Dict[int, str]) -> str:
+    # `heads` holds each program object's head, by id, for one export
+    if node.kind == "sink":
+        return "sink"
+    if node.kind == "term":
+        return "[down] %s" % node.state
+    head = heads.get(id(node.program))
+    if head is None:
+        head = heads[id(node.program)] = _label_head(node.program)
     if node.kind == "termseq":
         return "[down; %s] %s" % (head, node.state)
     return "%s %s" % (head, node.state)
@@ -693,13 +697,14 @@ def _node_label(node: MdpNode) -> str:
 
 def mdp_to_dot(m: Mdp) -> str:
     lines = ["digraph mdp {", '  rankdir=TB;', '  node [shape=box, fontsize=10];']
+    heads: Dict[int, str] = {}
     for i, node in enumerate(m.nodes):
         rew = m.rewards[i]
         extra = "" if rew == ZERO else '\\nreward %s' % rew
         shape = ', shape=doublecircle' if node.kind == "sink" else ""
         lines.append(
             '  n%d [label="%s%s", fontcolor=black, color=gray40%s];'
-            % (i, _escape(_node_label(node)), extra, shape)
+            % (i, _escape(_node_label(node, heads)), extra, shape)
         )
     for i, trans in enumerate(m.transitions):
         for action, rows in sorted(trans.items()):

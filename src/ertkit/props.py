@@ -48,17 +48,6 @@ from .transformer import (
 
 CANARY_TEXT = "if (x > 0) { skip } else { skip }"
 
-PROPERTY_NAMES = (
-    "monotonicity",
-    "constant-propagation",
-    "infinity-preservation",
-    "sub-additivity",
-    "scaling",
-    "loop-unrolling",
-    "fixed-point",
-    "deterministic-correspondence",
-)
-
 
 @dataclass(frozen=True)
 class PropFailure:

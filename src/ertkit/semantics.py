@@ -127,7 +127,7 @@ def _var(name: str, sigma: State, bind: Optional[Bindings]) -> Value:
 
 def _cell(name: str, index: Expr, sigma: State, bind: Optional[Bindings]) -> Value:
     """An array cell read, at the value of `index`."""
-    idx = _as_int(eval_expr(index, sigma, bind), "array index")
+    idx = eval_expr(index, sigma, bind)
     try:
         return sigma.get_cell(name, idx)
     except KeyError:

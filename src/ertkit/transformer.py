@@ -303,10 +303,7 @@ class _Engine:
         n, d, tainted = 1, 1, False
         for pn, pd, v in self.dist(p.dist, sigma):
             if isinstance(p.target, VarTarget):
-                if isinstance(v, tuple):
-                    nxt = sigma.set_array(p.target.name, v)
-                else:
-                    nxt = sigma.set(p.target.name, v)
+                nxt = sigma.set(p.target.name, v)
             else:
                 idx = eval_expr(p.target.index, sigma)
                 nxt = sigma.set_cell(p.target.name, idx, v)
@@ -522,10 +519,7 @@ def det_step_count(
             support = _det_support(node.dist, sigma)
             ticks += 1
             if isinstance(node.target, VarTarget):
-                if isinstance(support, tuple):
-                    sigma = sigma.set_array(node.target.name, support)
-                else:
-                    sigma = sigma.set(node.target.name, support)
+                sigma = sigma.set(node.target.name, support)
             else:
                 idx = eval_expr(node.target.index, sigma)
                 sigma = sigma.set_cell(node.target.name, idx, support)

@@ -111,7 +111,7 @@ class _Builder:
             for prob, v in eval_dist(p.dist, sigma):
                 if isinstance(p.target, VarTarget):
                     if isinstance(v, tuple):
-                        nxt = sigma.set_array(p.target.name, v)
+                        nxt = sigma.set(p.target.name, v)
                     else:
                         nxt = sigma.set(p.target.name, v)
                 else:

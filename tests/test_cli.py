@@ -648,6 +648,41 @@ def test_error_beyond_an_infinite_unrolling_is_reported(tmp_path, capsys):
         assert err == "error: a[2] out of bounds (length 1, indices are 1-based)\n"
 
 
+# A variable keeps its kind and an array its length, a cell is written only
+# in an array and at an integer index, and an array is read only by cell.
+# Every leg reports the first bad access, exit 2.
+BAD_ACCESSES = {
+    "array-over-int": (
+        "x := 1; x := [4, 5]; y := x + x[2]",
+        "error: cannot assign array value to int variable 'x'\n",
+    ),
+    "int-over-array": (
+        "x := [1, 2]; x := 3",
+        "error: cannot assign int value to array variable 'x'\n",
+    ),
+    "bool-index": (
+        "a := [0, 0]; a[true] := 5",
+        "error: array index must be an integer, got True\n",
+    ),
+    "undefined-array": ("y[1] := 3", "error: undefined array 'y'\n"),
+    "cell-of-int": ("x := 3; x[1] := 3", "error: int variable 'x' is not an array\n"),
+    "array-by-name": (
+        "a := [1, 2]; y := a",
+        "error: array 'a' is read without an index\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "crosscheck", "export-mdp"])
+@pytest.mark.parametrize("case", sorted(BAD_ACCESSES))
+def test_bad_variable_access_is_an_input_error(case, command, tmp_path, capsys):
+    source, expected = BAD_ACCESSES[case]
+    prog = tmp_path / "prog.pp"
+    prog.write_text(source)
+    code, out, err = run(capsys, command, str(prog))
+    assert (code, out, err) == (2, "", expected)
+
+
 @pytest.mark.parametrize(
     "name",
     [

@@ -8,9 +8,12 @@ from ertkit.kernel import (
     INF,
     IndexOutOfBounds,
     KindMismatch,
+    KernelError,
     State,
+    UndefinedName,
     XReal,
     ZERO,
+    value_kind,
     x_add,
     x_leq,
     x_max,
@@ -90,7 +93,65 @@ def test_state_arrays_one_based_fixed_length():
     assert s.get_cell("cp", 2) == 0
     assert t.get_cell("cp", 2) == 7
     with pytest.raises(KindMismatch):
-        s.set_array("cp", (1, 2))
+        s.set("cp", (1, 2))
+
+
+def test_value_kinds():
+    assert [value_kind(v) for v in (0, True, (1, 2), ())] == ["int", "bool", "array", "array"]
+
+
+def test_a_variable_keeps_its_kind_and_an_array_its_length():
+    s = State({"x": 1, "b": False}, {"a": (0, 0)})
+    for name, v, message in [
+        ("x", (4, 5), "cannot assign array value to int variable 'x'"),
+        ("b", (4, 5), "cannot assign array value to bool variable 'b'"),
+        ("a", 3, "cannot assign int value to array variable 'a'"),
+        ("a", True, "cannot assign bool value to array variable 'a'"),
+        ("a", (1, 2, 3), "array 'a' has fixed length 2, cannot assign 3 values"),
+        ("a", (), "array 'a' has fixed length 2, cannot assign 0 values"),
+    ]:
+        with pytest.raises(KindMismatch) as info:
+            s.set(name, v)
+        assert str(info.value) == message
+    assert s.set("a", [3, 4]) == State({"x": 1, "b": False}, {"a": (3, 4)})
+    assert s.set("q", (7,)).get_cell("q", 1) == 7
+
+
+def test_cell_access_checks_kind_index_and_bounds():
+    s = State({"x": 1}, {"a": (0, 0)})
+    for name, index, error, message in [
+        ("y", 1, UndefinedName, "undefined array 'y'"),
+        ("x", 1, KindMismatch, "int variable 'x' is not an array"),
+        ("a", True, KindMismatch, "array index must be an integer, got True"),
+        ("a", 3, IndexOutOfBounds, "a[3] out of bounds (length 2, indices are 1-based)"),
+    ]:
+        with pytest.raises(error) as read:
+            s.get_cell(name, index)
+        with pytest.raises(error) as write:
+            s.set_cell(name, index, 5)
+        assert str(read.value) == str(write.value) == message
+    for v, kind in ((True, "bool"), ((1, 2), "array")):
+        with pytest.raises(KindMismatch) as info:
+            s.set_cell("a", 1, v)
+        assert str(info.value) == "cannot assign %s value to cell a[1]" % kind
+
+
+def test_missing_and_misread_names():
+    s = State({"x": 1}, {"a": (0, 0)})
+    with pytest.raises(UndefinedName) as info:
+        s.get("y")
+    # a KernelError for the command line, a KeyError like a mapping's
+    assert isinstance(info.value, KernelError) and isinstance(info.value, KeyError)
+    assert str(info.value) == "undefined variable 'y'"
+    with pytest.raises(KindMismatch) as info:
+        s.get("a")
+    assert str(info.value) == "array 'a' is read without an index"
+
+
+def test_a_name_is_a_variable_or_an_array_not_both():
+    with pytest.raises(KindMismatch) as info:
+        State({"x": 1}, {"x": (0,)})
+    assert str(info.value) == "'x' is given both as a variable and as an array"
 
 
 def test_state_equality_hash_repr():
@@ -161,7 +222,7 @@ def test_state_hash_ignores_insertion_order():
 def test_state_updates_agree_with_fresh_states():
     start = State({"y": 0, "x": 0}, {"cp": [0, 0, 0]})
     reached = (
-        start.set("x", 4).set("b", False).set_cell("cp", 2, 7).set_array("q", [1, 2]).set("y", 5)
+        start.set("x", 4).set("b", False).set_cell("cp", 2, 7).set("q", [1, 2]).set("y", 5)
     )
     fresh = State({"b": False, "y": 5, "x": 4}, {"q": (1, 2), "cp": (0, 7, 0)})
     assert reached == fresh and hash(reached) == hash(fresh)
@@ -171,5 +232,5 @@ def test_state_updates_agree_with_fresh_states():
     # updates leave their source unchanged
     assert start == State({"x": 0, "y": 0}, {"cp": (0, 0, 0)})
     assert hash(start) == hash(State({"x": 0, "y": 0}, {"cp": (0, 0, 0)}))
-    assert reached.set_cell("cp", 2, 0).set_array("cp", (0, 7, 0)) == fresh
+    assert reached.set_cell("cp", 2, 0).set("cp", (0, 7, 0)) == fresh
     assert start.set("x", 0) == start and hash(start.set("x", 0)) == hash(start)

@@ -792,6 +792,22 @@ def test_dot_export_matches_golden_output(name):
     assert dot == (DATA / f"mdp_{name}.dot").read_text(encoding="utf-8")
 
 
+def test_dot_export_prints_each_program_head_once(monkeypatch):
+    # a node's label prints only its program's head, once per program object
+    # of the export, not once per node
+    program, sigma, f = _golden_models()["coupon2"]
+    m = build_mdp(program, sigma, f)
+    printed = []
+    real = mdp_module.program_to_text
+    monkeypatch.setattr(
+        mdp_module, "program_to_text", lambda p: printed.append(p) or real(p)
+    )
+    dot = mdp_to_dot(m)
+    programs = {id(n.program) for n in m.nodes if n.program is not None}
+    assert len(printed) == len(programs) < m.node_count
+    assert dot == (DATA / "mdp_coupon2.dot").read_text(encoding="utf-8")
+
+
 # sha256 over the DOT of the first 100 sweep models of data seed 11 that fit
 # the sweep's node cap, joined by newlines
 SWEEP_DOT_SHA256 = "c1b87981f0186fd09a3c64c25eed264a61c09846632202d583c25cd21583d548"

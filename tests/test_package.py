@@ -1,5 +1,6 @@
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import ertkit
@@ -62,3 +63,40 @@ def test_no_unused_imports():
         if unused:
             found[path.name] = unused
     assert found == {}
+
+
+ROOT = SRC.parent.parent
+
+
+def _module_level_names(tree: ast.Module) -> list:
+    """The names a module binds at its top level by `def`, `class` or
+    assignment, dunders left out."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.extend(
+                    n.id for n in ast.walk(target) if isinstance(n, ast.Name)
+                )
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_no_unreferenced_module_names():
+    # a top-level name that appears only where it is defined is dead code
+    words = Counter(
+        word
+        for folder in ("src/ertkit", "tests", "perfbench")
+        for p in sorted((ROOT / folder).glob("*.py"))
+        for word in re.findall(r"\w+", p.read_text(encoding="utf-8"))
+    )
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for name in _module_level_names(ast.parse(path.read_text(encoding="utf-8"))):
+            if words[name] < 2:
+                found.append("%s:%s" % (path.name, name))
+    assert found == []

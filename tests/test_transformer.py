@@ -581,7 +581,7 @@ class _ReferenceEngine(xreal_engine._Engine):
         for prob, v in self.dist(p.dist, sigma):
             if isinstance(p.target, VarTarget):
                 if isinstance(v, tuple):
-                    nxt = sigma.set_array(p.target.name, v)
+                    nxt = sigma.set(p.target.name, v)
                 else:
                     nxt = sigma.set(p.target.name, v)
             else:
