@@ -31,6 +31,20 @@ class PreconditionFailed(KernelError):
         self.round_index = round_index
 
 
+class DomainEscape(KernelError):
+    """A refinement round needs the previous round's table at a state
+    outside the domain, so the domain is not closed under body steps."""
+
+    def __init__(self, state: State, round_index: int):
+        super().__init__(
+            "round %d: a body step leaves the domain, reaching %s; refining for "
+            "more than one round needs a domain closed under body steps"
+            % (round_index, state)
+        )
+        self.state = state
+        self.round_index = round_index
+
+
 # ---------------------------------------------------------------------------
 # domains and specs
 
@@ -260,7 +274,8 @@ def refine(
     image, which is what licenses another application; PreconditionFailed
     aborts the refinement otherwise.  With more than one round the domain
     must be closed under body steps, since intermediate bounds exist only
-    as tables on D.
+    as tables on D; DomainEscape names the first state outside D a round
+    needs.
     """
     apply_F = char_functional(W, f, cfg)
     with _deep_stack():
@@ -279,5 +294,15 @@ def refine(
                     )
                 nxt[sigma] = lhs
             table = nxt
-            cont = FnCont(table.__getitem__)
+            cont = FnCont(_table_lookup(table, r + 1))
     return table
+
+
+def _table_lookup(table: Dict[State, XReal], round_index: int) -> Callable[[State], XReal]:
+    def lookup(sigma: State) -> XReal:
+        try:
+            return table[sigma]
+        except KeyError:
+            raise DomainEscape(sigma, round_index) from None
+
+    return lookup

@@ -1,70 +1,115 @@
 """Abstract syntax for programs, distribution expressions, and run-time
 expressions, plus pretty-printers and small tree utilities.
 
-All nodes are frozen dataclasses with structural equality, so parsed and
+Every node is an immutable object with structural equality, so parsed and
 programmatically built trees compare naturally.  Evaluators key caches on
 object identity, never on structural hashes of deep trees.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import List, Tuple, Union
+
+_set = object.__setattr__
+
+
+class _Node:
+    """Base of every syntax node.
+
+    A node class lists its fields once, in order, as `__slots__`.  It gets a
+    constructor taking them as positional or named parameters, unless it
+    writes its own `__init__` to normalise them.  Equality, hashing, `repr`,
+    pickling and `match` patterns follow the fields, as for a frozen
+    dataclass: nodes are equal when they have the same class and equal
+    fields, the hash is that of the tuple of fields, and assigning or
+    deleting an attribute raises `FrozenInstanceError`.  The constructor is
+    compiled once per class, which costs far less at import time than
+    dataclass generation.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = cls.__slots__
+        cls.__match_args__ = fields
+        if "__init__" not in cls.__dict__:
+            # each field is written through its slot's own setter, which is
+            # quicker than object.__setattr__ and bypasses the frozen guard
+            setters = {"_set_" + name: cls.__dict__[name].__set__ for name in fields}
+            params = "".join(", " + name for name in fields)
+            body = "".join("    _set_%s(self, %s)\n" % (name, name) for name in fields)
+            namespace: dict = {}
+            exec("def __init__(self%s):\n%s" % (params, body or "    pass\n"), setters, namespace)
+            init = namespace["__init__"]
+            init.__qualname__ = cls.__qualname__ + ".__init__"
+            cls.__init__ = init
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join(["%s=%r" % (name, getattr(self, name)) for name in self.__slots__]),
+        )
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
 
 # ---------------------------------------------------------------------------
 # integer/boolean expressions (used in programs, guards, indices, indicators)
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class IntLit(_Node):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
+class BoolLit(_Node):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class VarRef:
-    name: str
+class VarRef(_Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class CellRef:
-    name: str
-    index: "Expr"
+class CellRef(_Node):
+    __slots__ = ("name", "index")
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # + - *
-    left: "Expr"
-    right: "Expr"
+class BinOp(_Node):
+    __slots__ = ("op", "left", "right")  # op: + - *
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str  # = != < <= > >=
-    left: "Expr"
-    right: "Expr"
+class Cmp(_Node):
+    __slots__ = ("op", "left", "right")  # op: = != < <= > >=
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Expr"
-    right: "Expr"
+class And(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Expr"
-    right: "Expr"
+class Or(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Not:
-    arg: "Expr"
+class Not(_Node):
+    __slots__ = ("arg",)
 
 
 Expr = Union[IntLit, BoolLit, VarRef, CellRef, BinOp, Cmp, And, Or, Not]
@@ -74,31 +119,26 @@ Expr = Union[IntLit, BoolLit, VarRef, CellRef, BinOp, Cmp, And, Or, Not]
 # distribution expressions
 
 
-@dataclass(frozen=True)
-class ArrayLit:
-    items: Tuple[Expr, ...]
+class ArrayLit(_Node):
+    __slots__ = ("items",)  # a tuple of Expr
 
 
-@dataclass(frozen=True)
-class WeightedList:
+class WeightedList(_Node):
     # entries: (probability, value expression); probabilities sum to 1
-    entries: Tuple[Tuple[Fraction, Expr], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries", tuple((Fraction(p), e) for p, e in self.entries)
-        )
-
-
-@dataclass(frozen=True)
-class Uniform:
-    lo: Expr
-    hi: Expr
+    def __init__(self, entries: Tuple[Tuple[Fraction, Expr], ...]):
+        _set(self, "entries", tuple(
+            (p if type(p) is Fraction else Fraction(p), e) for p, e in entries
+        ))
 
 
-@dataclass(frozen=True)
-class Dirac:
-    value: Union[Expr, ArrayLit]
+class Uniform(_Node):
+    __slots__ = ("lo", "hi")
+
+
+class Dirac(_Node):
+    __slots__ = ("value",)  # an Expr or an ArrayLit
 
 
 DistExpr = Union[WeightedList, Uniform, Dirac]
@@ -108,96 +148,69 @@ DistExpr = Union[WeightedList, Uniform, Dirac]
 # assignment targets
 
 
-@dataclass(frozen=True)
-class VarTarget:
-    name: str
+class VarTarget(_Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class CellTarget:
-    name: str
-    index: Expr
-
-
-Target = Union[VarTarget, CellTarget]
+class CellTarget(_Node):
+    __slots__ = ("name", "index")
 
 
 # ---------------------------------------------------------------------------
 # programs
 
 
-@dataclass(frozen=True)
-class Empty:
-    pass
+class Empty(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Skip:
-    pass
+class Skip(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Halt:
-    pass
+class Halt(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ProbAssign:
-    target: Target
-    dist: DistExpr
+class ProbAssign(_Node):
+    __slots__ = ("target", "dist")  # a VarTarget or a CellTarget, a DistExpr
 
 
-@dataclass(frozen=True)
-class Seq:
-    first: "Program"
-    second: "Program"
+class Seq(_Node):
+    __slots__ = ("first", "second")
 
 
-@dataclass(frozen=True)
-class NdChoice:
-    left: "Program"
-    right: "Program"
+class NdChoice(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class If:
-    guard: DistExpr
-    then: "Program"
-    orelse: "Program"
+class If(_Node):
+    __slots__ = ("guard", "then", "orelse")
 
 
-@dataclass(frozen=True)
-class While:
-    guard: DistExpr
-    body: "Program"
+class While(_Node):
+    __slots__ = ("guard", "body")
 
 
-@dataclass(frozen=True)
-class WhileBounded:
-    bound: int
-    guard: DistExpr
-    body: "Program"
+class WhileBounded(_Node):
+    __slots__ = ("bound", "guard", "body")  # bound: an int
 
 
-@dataclass(frozen=True)
-class InvariantAnnotation:
-    direction: str  # "upper" | "lower"
-    bound: "RtExpr"
-    # the continuation the bound was certified against (default: the zero
-    # run-time); substitution is refused under any other continuation
-    continuation: "RtExpr" = None  # type: ignore[assignment]
+class InvariantAnnotation(_Node):
+    # continuation: the one the bound was certified against (default: the
+    # zero run-time); substitution is refused under any other continuation
+    __slots__ = ("direction", "bound", "continuation")
 
-    def __post_init__(self):
-        if self.direction not in ("upper", "lower"):
+    def __init__(self, direction: str, bound: "RtExpr", continuation: "RtExpr" = None):
+        if direction not in ("upper", "lower"):
             raise ValueError("annotation direction must be 'upper' or 'lower'")
-        if self.continuation is None:
-            object.__setattr__(self, "continuation", RLit(Fraction(0)))
+        _set(self, "direction", direction)
+        _set(self, "bound", bound)
+        _set(self, "continuation", RLit(Fraction(0)) if continuation is None else continuation)
 
 
-@dataclass(frozen=True)
-class Annotated:
-    loop: While
-    annotation: InvariantAnnotation
+class Annotated(_Node):
+    __slots__ = ("loop", "annotation")
 
 
 Program = Union[Empty, Skip, Halt, ProbAssign, Seq, NdChoice, If, While, WhileBounded, Annotated]
@@ -207,106 +220,79 @@ Program = Union[Empty, Skip, Halt, ProbAssign, Seq, NdChoice, If, While, WhileBo
 # run-time expressions
 
 
-@dataclass(frozen=True)
-class RLit:
-    value: Fraction
+class RLit(_Node):
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-        if self.value < 0:
+    def __init__(self, value: Fraction):
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        if value.numerator < 0:
             raise ValueError("run-time literals are non-negative")
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class RInf:
-    pass
+class RInf(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RVar:
-    name: str
+class RVar(_Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class RCell:
-    name: str
-    index: Expr
+class RCell(_Node):
+    __slots__ = ("name", "index")
 
 
-@dataclass(frozen=True)
-class Indicator:
-    cond: Expr
+class Indicator(_Node):
+    __slots__ = ("cond",)
 
 
-@dataclass(frozen=True)
-class RAdd:
-    left: "RtExpr"
-    right: "RtExpr"
+class RAdd(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class RMonus:
-    left: "RtExpr"
-    right: "RtExpr"
+class RMonus(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class RMul:
-    left: "RtExpr"
-    right: "RtExpr"
+class RMul(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class RDiv:
-    left: "RtExpr"
-    right: "RtExpr"
+class RDiv(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class RPow:
-    base: "RtExpr"
-    exponent: "RtExpr"  # must evaluate to a natural number
+class RPow(_Node):
+    __slots__ = ("base", "exponent")  # exponent: must evaluate to a natural number
 
 
-@dataclass(frozen=True)
-class RMin:
-    left: "RtExpr"
-    right: "RtExpr"
+class RMin(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class RMax:
-    left: "RtExpr"
-    right: "RtExpr"
+class RMax(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class FiniteSum:
-    var: str
-    lo: "RtExpr"
-    hi: "RtExpr"
-    body: "RtExpr"
+class FiniteSum(_Node):
+    __slots__ = ("var", "lo", "hi", "body")
 
 
-@dataclass(frozen=True)
-class GeoSeries:
-    ratio: "RtExpr"
+class GeoSeries(_Node):
+    __slots__ = ("ratio",)
 
 
-@dataclass(frozen=True)
-class Harmonic:
-    arg: "RtExpr"
+class Harmonic(_Node):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class OmegaParam:
-    pass
+class OmegaParam(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RwCoef:
-    n: "RtExpr"
-    k: "RtExpr"
+class RwCoef(_Node):
+    __slots__ = ("n", "k")
 
 
 RtExpr = Union[

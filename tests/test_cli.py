@@ -364,6 +364,20 @@ def test_refine_precondition_failure(tmp_path, capsys):
     assert "precondition failed" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_refine_on_a_domain_that_is_not_closed_is_an_input_error(fmt, tmp_path, capsys):
+    spec = tmp_path / "open_refine.spec"
+    spec.write_text(
+        "check: refine\nprogram: while (x < 5) { x := x + 1 }\n"
+        "invariant: 1 + 2 * (5 - x) + 3\nrounds: 2\ndomain: x in 0 .. 3\n"
+    )
+    code, out, err = run(capsys, "refine", str(spec), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: round 1: ") and "{x=4}" in err
+
+
 def test_props_clean_and_mutant(capsys):
     code, out, _ = run(capsys, "props", "--count", "30", "--seed", "5")
     assert code == 0

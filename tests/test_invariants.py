@@ -6,6 +6,7 @@ import pytest
 from ertkit.kernel import State, XReal
 from ertkit.parser import parse_program, parse_rt
 from ertkit.invariants import (
+    DomainEscape,
     OmegaInvariantSpec,
     PreconditionFailed,
     StateDomain,
@@ -178,6 +179,20 @@ def test_refine_requires_an_invariant_to_start_from():
         refine(GEO, ZERO_RT, parse_rt("1 + [c = 1] * 3"), GEO_DOM, rounds=1)
     assert exc.value.state == State({"c": 1})
     assert exc.value.round_index == 0
+
+
+def test_refine_names_the_state_a_round_needs_outside_the_domain():
+    loop = parse_program("while (x < 5) { x := x + 1 }")
+    bound = parse_rt("1 + 2 * (5 - x) + 3")
+    dom = StateDomain.product({"x": range(0, 4)})
+    assert len(refine(loop, ZERO_RT, bound, dom, rounds=1)) == 4
+    with pytest.raises(DomainEscape) as exc:
+        refine(loop, ZERO_RT, bound, dom, rounds=2)
+    assert exc.value.state == State({"x": 4})
+    assert exc.value.round_index == 1
+    # closed once the domain holds every state the body reaches
+    closed = StateDomain.product({"x": range(0, 6)})
+    assert len(refine(loop, ZERO_RT, bound, closed, rounds=2)) == 6
 
 
 def test_rw_coefficients_base_cases_and_closed_form():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import re
 from collections import Counter
 from pathlib import Path
@@ -100,3 +101,20 @@ def test_no_unreferenced_module_names():
             if words[name] < 2:
                 found.append("%s:%s" % (path.name, name))
     assert found == []
+
+
+def test_syntax_nodes_share_the_slotted_base():
+    # a node declared as a dataclass, or without its own __slots__, would
+    # add import time and a per-instance __dict__
+    from ertkit import syntax
+
+    classes = [
+        c for c in vars(syntax).values()
+        if isinstance(c, type) and c.__module__ == syntax.__name__ and c is not syntax._Node
+    ]
+    assert classes
+    for cls in classes:
+        assert issubclass(cls, syntax._Node), cls
+        assert "__slots__" in cls.__dict__, cls
+        assert not hasattr(object.__new__(cls), "__dict__"), cls
+        assert not dataclasses.is_dataclass(cls), cls

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import sys
 import typing
@@ -296,8 +295,8 @@ def _rt_subterms(f, out):
     # every node of a run-time expression, so that a leaf's own value is
     # compared, not only what the operators above it make of it
     out.append(f)
-    for field in dataclasses.fields(f):
-        sub = getattr(f, field.name)
+    for name in f.__slots__:
+        sub = getattr(f, name)
         if isinstance(sub, typing.get_args(RtExpr)):
             _rt_subterms(sub, out)
     return out
