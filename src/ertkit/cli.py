@@ -21,7 +21,8 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from string import Template
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import __version__
 from .corpus import ENTRIES, lookup
@@ -112,87 +113,86 @@ def _nice(x: XReal) -> str:
     return f"{float(x.q):.12g}"
 
 
-def _parse_value(text: str):
-    low = text.strip().lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        raise CliError(f"state values must be integers or booleans, found {text!r}")
-
-
 # a name a program can read: the parser's identifier token, not a keyword
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 
-def _parse_state(pairs: List[str]) -> State:
-    # Array values use ; between cells so , can keep separating bindings.
-    # All chunks form one state, so a name may be bound once across them.
-    scalars: Dict[str, object] = {}
-    arrays: Dict[str, tuple] = {}
-    for chunk in pairs:
+def _bindings(
+    chunks: List[str], flag: str, what: str, read: Callable[[str, str, str], object]
+) -> Dict[str, object]:
+    """The comma-separated `name=value` items of all `chunks`, each name
+    bound once, and each value given by `read(name, value, item)`."""
+    out: Dict[str, object] = {}
+    for chunk in chunks:
         for item in chunk.split(","):
             item = item.strip()
             if not item:
                 continue
             if "=" not in item:
-                raise CliError(f"state bindings look like name=value, found {item!r}")
+                raise CliError(f"{what} look like name=value, found {item!r}")
             name, _, value = item.partition("=")
             name = name.strip()
-            value = value.strip()
-            if not _NAME_RE.match(name) or name in _KEYWORDS:
-                raise CliError(f"{name!r} is not a variable name in --state")
-            if name in scalars or name in arrays:
-                raise CliError(f"{name} is bound twice in --state")
-            if value.startswith("["):
-                if not value.endswith("]"):
-                    raise CliError(f"unterminated array value in {item!r}")
-                cells = [v.strip() for v in value[1:-1].split(";") if v.strip()]
-                try:
-                    arrays[name] = tuple(int(c) for c in cells)
-                except ValueError:
-                    raise CliError(f"array cells must be integers in {item!r}")
-            else:
-                scalars[name] = _parse_value(value)
-    return State(scalars, arrays)
+            if name in out:
+                raise CliError(f"{name} is bound twice in {flag}")
+            out[name] = read(name, value.strip(), item)
+    return out
 
 
-def _parse_params(pairs: List[str]) -> Dict[str, int]:
-    params: Dict[str, int] = {}
-    for chunk in pairs:
-        for item in chunk.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if "=" not in item:
-                raise CliError(f"parameters look like name=value, found {item!r}")
-            name, _, value = item.partition("=")
-            name = name.strip()
-            if name in params:
-                raise CliError(f"{name} is bound twice in --param")
-            try:
-                params[name] = int(value)
-            except ValueError:
-                raise CliError(f"parameter {name!r} must be an integer")
-    return params
-
-
-def _load_program(ref: str, params: Dict[str, int]) -> Tuple[Program, str, Optional[str]]:
-    """Returns (program, source text, corpus name or None)."""
-    if ref.startswith("corpus:"):
-        name = ref[len("corpus:") :]
+def _state_value(name: str, value: str, item: str):
+    if not _NAME_RE.match(name) or name in _KEYWORDS:
+        raise CliError(f"{name!r} is not a variable name in --state")
+    if value.startswith("["):
+        # array cells are separated by ; so that , can separate bindings
+        if not value.endswith("]"):
+            raise CliError(f"unterminated array value in {item!r}")
         try:
-            source = lookup(name).source(**params)
-        except (KeyError, ValueError) as exc:
-            raise CliError(str(exc.args[0]))
-        return parse_program(source), source, name
-    if params:
-        raise CliError("--param only applies to corpus: programs")
-    source = _read_text(ref, "program")
-    return parse_program(source), source, None
+            return tuple(int(c) for c in value[1:-1].split(";") if c.strip())
+        except ValueError:
+            raise CliError(f"array cells must be integers in {item!r}")
+    if value.lower() in ("true", "false"):
+        return value.lower() == "true"
+    try:
+        return int(value)
+    except ValueError:
+        raise CliError(f"state values must be integers or booleans, found {value!r}")
+
+
+def _parse_state(chunks: List[str]) -> State:
+    """One state from all `chunks`."""
+    return State(_bindings(chunks, "--state", "state bindings", _state_value))
+
+
+def _param_value(name: str, value: str, item: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise CliError(f"parameter {name!r} must be an integer")
+
+
+def _program_inputs(args) -> Tuple[Program, str, RtExpr, State]:
+    """The program of `args` with its source text, the continuation
+    run-time `--f`, and the initial state used when no `--state` is given."""
+    params = _bindings(args.param, "--param", "parameters", _param_value)
+    if not args.program.startswith("corpus:"):
+        if params:
+            raise CliError("--param only applies to corpus: programs")
+        source = _read_text(args.program, "program")
+        return parse_program(source), source, _load_runtime(args.f), State()
+    name = args.program[len("corpus:") :]
+    try:
+        entry = lookup(name)
+        source = entry.source(**params)
+    except (KeyError, ValueError) as exc:
+        raise CliError(str(exc.args[0]))
+    # Template.get_identifiers needs Python 3.11
+    used = {m["named"] or m["braced"] for m in Template.pattern.finditer(entry.template)}
+    for k in params:
+        if k not in used:
+            raise CliError(
+                f"parameter {k} does not occur in the program of corpus entry "
+                f"{name}; it applies to `ertkit corpus {name}` only"
+            )
+    return parse_program(source), source, _load_runtime(args.f), entry.initial_state()
 
 
 def _read_text(path: str, what: str) -> str:
@@ -216,28 +216,22 @@ def _load_runtime(text: Optional[str]) -> RtExpr:
     return parse_rt(text)
 
 
-def _default_state(corpus_name: Optional[str]) -> State:
-    if corpus_name is not None:
-        return ENTRIES[corpus_name].initial_state()
-    return State()
-
-
 def _sha256(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
-def _emit(args, payload: dict, text_lines: List[str], started: float) -> None:
+def _emit(args, payload: dict, text_lines: List[str]) -> None:
     if args.format == "json":
         if args.timings:
             payload = dict(payload)
-            payload["timings"] = {"total_s": round(time.monotonic() - started, 6)}
+            payload["timings"] = {"total_s": round(time.monotonic() - args.started, 6)}
         json.dump(payload, sys.stdout, sort_keys=True, indent=2)
         sys.stdout.write("\n")
     else:
         for line in text_lines:
             print(line)
         if args.timings:
-            print(f"time: {time.monotonic() - started:.3f}s", file=sys.stderr)
+            print(f"time: {time.monotonic() - args.started:.3f}s", file=sys.stderr)
 
 
 def _base_report(args, command: str) -> dict:
@@ -254,12 +248,9 @@ def _base_report(args, command: str) -> dict:
 
 
 def _cmd_eval(args) -> int:
-    started = time.monotonic()
-    params = _parse_params(args.param)
-    program, source, corpus_name = _load_program(args.program, params)
-    f = _load_runtime(args.f)
+    program, source, f, default = _program_inputs(args)
     cfg = ErtConfig(max_unroll_depth=args.depth)
-    states = [_parse_state([s]) for s in args.state] or [_default_state(corpus_name)]
+    states = [_parse_state([s]) for s in args.state] or [default]
 
     results = []
     text = [f"program sha256 {_sha256(source)[:12]}"]
@@ -303,7 +294,7 @@ def _cmd_eval(args) -> int:
     payload = _base_report(args, "eval")
     payload["program_sha256"] = _sha256(source)
     payload["results"] = results
-    _emit(args, payload, text, started)
+    _emit(args, payload, text)
     return EXIT_OK
 
 
@@ -311,11 +302,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    started = time.monotonic()
-    params = _parse_params(args.param)
-    program, source, corpus_name = _load_program(args.program, params)
-    f = _load_runtime(args.f)
-    sigma = _parse_state(args.state) if args.state else _default_state(corpus_name)
+    program, source, f, default = _program_inputs(args)
+    sigma = _parse_state(args.state) if args.state else default
     cfg = MdpConfig(node_cap=args.node_cap)
     report = cross_check(
         program,
@@ -352,7 +340,7 @@ def _cmd_crosscheck(args) -> int:
         f"  model:       {_nice(report.mdp_value)} via {report.method}, "
         f"{report.node_count} nodes",
     ]
-    _emit(args, payload, text, started)
+    _emit(args, payload, text)
     return EXIT_OK if report.status == "pass" else EXIT_CHECK_FAILED
 
 
@@ -404,18 +392,16 @@ def _verdicts_exit(verdicts: List[Verdict], rules: List[Verdict]) -> int:
 
 
 def _cmd_check_inv(args) -> int:
-    started = time.monotonic()
     spec, payload = _load_spec(args, "upper")
     verdict = check_upper_invariant(
         spec.loop, spec.f, UpperInvariantSpec(spec.invariant), spec.domain
     )
     payload["verdicts"] = [_verdict_json(verdict)]
-    _emit(args, payload, _verdict_text("upper invariant", verdict), started)
+    _emit(args, payload, _verdict_text("upper invariant", verdict))
     return _verdicts_exit([verdict], [verdict])
 
 
 def _cmd_check_omega(args) -> int:
-    started = time.monotonic()
     spec, payload = _load_spec(args, "omega")
     directions = ("lower", "upper") if spec.direction == "both" else (spec.direction,)
     rules = [
@@ -443,12 +429,11 @@ def _cmd_check_omega(args) -> int:
     text: List[str] = []
     for label, v in verdicts:
         text.extend(_verdict_text(label, v))
-    _emit(args, payload, text, started)
+    _emit(args, payload, text)
     return _verdicts_exit([v for _, v in verdicts], rules)
 
 
 def _cmd_refine(args) -> int:
-    started = time.monotonic()
     spec, payload = _load_spec(args, "refine")
     try:
         table = refine(
@@ -465,7 +450,7 @@ def _cmd_refine(args) -> int:
             "round": exc.round_index,
             "message": str(exc),
         }
-        _emit(args, payload, [f"precondition failed: {exc}"], started)
+        _emit(args, payload, [f"precondition failed: {exc}"])
         return EXIT_CHECK_FAILED
 
     ordered = sorted(table.items(), key=lambda kv: repr(kv[0]))
@@ -475,7 +460,7 @@ def _cmd_refine(args) -> int:
     ]
     text = [f"refined bound after {spec.rounds} round(s):"]
     text.extend(f"  {sigma!r}: {_nice(value)}" for sigma, value in ordered)
-    _emit(args, payload, text, started)
+    _emit(args, payload, text)
     return EXIT_OK
 
 
@@ -483,7 +468,6 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_props(args) -> int:
-    started = time.monotonic()
     config = ErtConfig(tick_mutation="drop-if-tick") if args.mutant else None
     report = run_property_suite(args.seed, count=args.count, config=config)
     payload = _base_report(args, "props")
@@ -523,9 +507,9 @@ def _cmd_props(args) -> int:
         text.append(
             "mutant caught by the suite" if caught else "mutant NOT caught"
         )
-        _emit(args, payload, text, started)
+        _emit(args, payload, text)
         return EXIT_OK if caught else EXIT_CHECK_FAILED
-    _emit(args, payload, text, started)
+    _emit(args, payload, text)
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
@@ -533,15 +517,16 @@ def _cmd_props(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    started = time.monotonic()
     try:
         entry = lookup(args.name)
     except KeyError as exc:
         raise CliError(exc.args[0])
-    params = _parse_params(args.param)
+    params = _bindings(args.param, "--param", "parameters", _param_value)
     for flag in ("N", "lead", "start", "threshold"):
         value = getattr(args, flag)
         if value is not None:
+            if flag in params:
+                raise CliError(f"{flag} is bound twice: as --{flag} and in --param")
             params[flag] = value
     try:
         entry.resolved(**params)
@@ -561,7 +546,7 @@ def _cmd_corpus(args) -> int:
     for o in outcomes:
         text.append(f"  {'ok  ' if o.ok else 'FAIL'} {o.name}: {o.detail}")
     text.append("all checks passed" if ok else "some checks FAILED")
-    _emit(args, payload, text, started)
+    _emit(args, payload, text)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -569,10 +554,8 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_export_mdp(args) -> int:
-    params = _parse_params(args.param)
-    program, source, corpus_name = _load_program(args.program, params)
-    f = _load_runtime(args.f)
-    sigma = _parse_state(args.state) if args.state else _default_state(corpus_name)
+    program, source, f, default = _program_inputs(args)
+    sigma = _parse_state(args.state) if args.state else default
     try:
         m = build_mdp(program, sigma, f, node_cap=args.node_cap)
     except NodeCapExceeded as exc:
@@ -708,6 +691,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     args.argv_echo = argv
+    args.started = time.monotonic()
     try:
         if getattr(args, "node_cap", None) is None and hasattr(args, "node_cap"):
             args.node_cap = _default_node_cap()

@@ -85,7 +85,6 @@ class Qualitative:
 
 @dataclass(frozen=True)
 class RewardAnalysis:
-    qualitative: Qualitative
     value: XReal
     method: str  # "ExactLinearSolve" | "PolicyIteration" | "Qualitative" | "InfiniteReward"
     schedulers: Optional[int] = None  # policies evaluated by PolicyIteration
@@ -553,13 +552,12 @@ def expected_reward(m: Mdp) -> RewardAnalysis:
     strict rational improvement.  A model without choice nodes is a single
     evaluation.
     """
-    qual = qualitative_check(m)
-    if qual.kind == "SomeSchedulerAvoids":
-        return RewardAnalysis(qual, INF, "Qualitative")
+    if qualitative_check(m).kind == "SomeSchedulerAvoids":
+        return RewardAnalysis(INF, "Qualitative")
     if any(not r.is_finite for r in m.rewards):
         # an infinite reward sits on a reachable node, and every node is
         # reached with positive probability by construction
-        return RewardAnalysis(qual, INF, "InfiniteReward")
+        return RewardAnalysis(INF, "InfiniteReward")
     comps = _condense(m)
     reward = [r.q or 0 for r in m.rewards]  # int 0 tests fast
     nd = [i for i, t in enumerate(m.transitions) if len(t) > 1]
@@ -583,10 +581,8 @@ def expected_reward(m: Mdp) -> RewardAnalysis:
                 rows[i] = m.transitions[i][best]
                 improved = True
     if not nd:
-        return RewardAnalysis(qual, XReal(vals[m.initial]), "ExactLinearSolve")
-    return RewardAnalysis(
-        qual, XReal(vals[m.initial]), "PolicyIteration", schedulers=evaluated
-    )
+        return RewardAnalysis(XReal(vals[m.initial]), "ExactLinearSolve")
+    return RewardAnalysis(XReal(vals[m.initial]), "PolicyIteration", schedulers=evaluated)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .generator import (
     PROFILES,
@@ -362,22 +362,29 @@ class SweepReport:
         return not self.failures
 
 
+def sweep_triples(seed: int, count: int = 500) -> Iterator[Tuple[Program, RtExpr, State]]:
+    """The `(program, f, state)` triples of the soundness sweep: programs
+    cycle through all generator profiles, and every third one gets a
+    random continuation run-time."""
+    rng = random.Random(seed)
+    names = list(PROFILES)
+    for i in range(count):
+        program = random_program(rng, PROFILES[names[i % len(names)]])
+        f = random_runtime(rng, terms=1) if i % 3 == 0 else RT_ZERO
+        yield program, f, random_state(rng)
+
+
 def run_soundness_sweep(
     seed: int,
     count: int = 500,
     node_cap: int = 30_000,
     fallback_unroll: int = 32,
 ) -> SweepReport:
-    """Cross-check the transformer against the operational model on
-    `count` generated programs, cycling through all generator profiles."""
-    rng = random.Random(seed)
+    """Cross-check the transformer against the operational model on the
+    `count` triples of `sweep_triples(seed)`."""
     report = SweepReport(seed=seed, requested=count)
-    names = list(PROFILES)
     cfg = MdpConfig(node_cap=node_cap)
-    for i in range(count):
-        program = random_program(rng, PROFILES[names[i % len(names)]])
-        f = random_runtime(rng, terms=1) if i % 3 == 0 else RT_ZERO
-        sigma = random_state(rng)
+    for program, f, sigma in sweep_triples(seed, count):
         res = cross_check(program, f, sigma, cfg, fallback_unroll=fallback_unroll)
         if res.status == "pass":
             report.passed += 1

@@ -2,24 +2,34 @@
 
 A spec file is a sequence of `key: value` lines; `//` starts a comment
 and blank lines are ignored.  A value may continue over following lines
-indented by two spaces (programs typically do).  Keys:
+indented by two spaces (programs typically do).  Every file names its
+check and its program:
 
-    check        upper | omega | refine          (required)
-    program      inline program source           (this or corpus)
-    corpus       name of a built-in program
-    loop         which loop to check, by leftmost-outermost position
-                 (default 0)
-    f            continuation run-time            (default 0)
-    invariant    run-time expression              (upper / refine)
-    invariant_n  run-time expression in n         (omega)
-    direction    lower | upper | both             (omega; default lower)
-    limit        declared limit of invariant_n    (omega, optional)
-    domain       states to check, e.g. `c in {0, 1}; x in 0 .. 6`
-    nmax         omega step indices to check      (default 50)
-    probe        limit probe index                (default 60)
-    tol          limit tolerance, rational >= 0   (default 1/10^12)
-    big          finite stand-in for inf, > 0     (default 10^6)
-    rounds       refinement rounds                (default 1)
+    check        upper | omega | refine
+    program      inline program source, or
+    corpus       the name of a built-in program (exactly one of the two)
+
+and may give the keys its check reads, each at most once:
+
+    key          read by             default   value
+    f            upper omega refine  0         continuation run-time
+    invariant    upper refine        required  run-time expression
+    invariant_n  omega               required  run-time expression in n
+    limit        omega               none      declared limit of invariant_n
+    direction    omega               lower     lower | upper | both
+    domain       upper omega refine  required  states to check, e.g.
+                                               `c in {0, 1}; x in 0 .. 6`
+    loop         upper omega refine  0         which loop to check, by
+                                               leftmost-outermost position
+    nmax         omega               50        omega step indices to check
+    probe        omega               60        limit probe index
+    rounds       refine              1         refinement rounds
+    tol          omega               1e-12     limit tolerance, rational >= 0
+    big          omega               1e6       finite stand-in for inf, > 0
+
+Values are read in this order, so the first bad value is the one
+reported; then a missing required key; then a key the check does not
+read, as `rounds` under `check: upper`, which would change nothing.
 """
 
 from __future__ import annotations
@@ -27,29 +37,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .invariants import StateDomain
 from .parser import ParseError, parse_program, parse_rt
 from .syntax import Program, RtExpr, RT_ZERO, while_loops
 
-_KEYS = {
-    "check",
-    "program",
-    "corpus",
-    "loop",
-    "f",
-    "invariant",
-    "invariant_n",
-    "direction",
-    "limit",
-    "domain",
-    "nmax",
-    "probe",
-    "tol",
-    "big",
-    "rounds",
-}
+Reader = Callable[[str, str, int], object]  # (key, value, line) -> field value
 
 
 class SpecError(ValueError):
@@ -107,7 +101,7 @@ def _raw_pairs(text: str) -> List[Tuple[int, str, str]]:
             raise SpecError(f"expected `key: value`, found {line!r}", lineno)
         key, _, value = line.partition(":")
         key = key.strip()
-        if key not in _KEYS:
+        if key not in KEY_TABLE and key not in ("check", "program", "corpus"):
             raise SpecError(f"unknown key {key!r}", lineno)
         pairs.append((lineno, key, value.strip()))
     return pairs
@@ -146,41 +140,97 @@ def parse_domain(text: str) -> StateDomain:
     return StateDomain.product(ranges)
 
 
-def _rational(text: str, lineno: int) -> Fraction:
+def _rt(key: str, value: str, lineno: int) -> RtExpr:
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num.strip()), int(den.strip()))
-        if "e" in text.lower() or "." in text:
-            # decimal notation is converted exactly
-            from decimal import Decimal
+        return parse_rt(value)
+    except ParseError as exc:
+        raise SpecError(f"{key} does not parse: {exc}", lineno)
 
-            return Fraction(Decimal(text))
-        return Fraction(int(text))
-    except (ValueError, ArithmeticError) as exc:
-        raise SpecError(f"cannot read rational {text!r}: {exc}", lineno)
+
+def _direction(key: str, value: str, lineno: int) -> str:
+    if value not in ("lower", "upper", "both"):
+        raise SpecError("direction must be lower, upper, or both", lineno)
+    return value
+
+
+def _domain(key: str, value: str, lineno: int) -> StateDomain:
+    return parse_domain(value)
+
+
+def _integer(minimum: int) -> Reader:
+    def read(key: str, value: str, lineno: int) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            raise SpecError(f"{key} must be an integer, found {value!r}", lineno)
+        if n < minimum:
+            raise SpecError(f"{key} must be at least {minimum}", lineno)
+        return n
+
+    return read
+
+
+def _rational(positive: bool) -> Reader:
+    def read(key: str, value: str, lineno: int) -> Fraction:
+        try:
+            if "/" in value:
+                num, den = value.split("/", 1)
+                q = Fraction(int(num.strip()), int(den.strip()))
+            elif "e" in value.lower() or "." in value:
+                # decimal notation is converted exactly
+                from decimal import Decimal
+
+                q = Fraction(Decimal(value))
+            else:
+                q = Fraction(int(value))
+        except (ValueError, ArithmeticError) as exc:
+            raise SpecError(f"cannot read rational {value!r}: {exc}", lineno)
+        if q < 0 or (positive and q == 0):
+            need = "positive" if positive else "at least 0"
+            raise SpecError(f"{key} must be {need}, found {value!r}", lineno)
+        return q
+
+    return read
+
+
+REQUIRED = "required"
+_ALL = ("upper", "omega", "refine")
+
+# key: (field, reader, default, the checks that read it), for every key after
+# `check`, `program` and `corpus`, in the order values are read; a REQUIRED
+# key is needed by every check that reads it
+KEY_TABLE: Dict[str, Tuple[str, Reader, object, Tuple[str, ...]]] = {
+    "f": ("f", _rt, RT_ZERO, _ALL),
+    "invariant": ("invariant", _rt, REQUIRED, ("upper", "refine")),
+    "invariant_n": ("invariant_n", _rt, REQUIRED, ("omega",)),
+    "limit": ("limit", _rt, None, ("omega",)),
+    "direction": ("direction", _direction, "lower", ("omega",)),
+    "domain": ("domain", _domain, REQUIRED, _ALL),
+    "loop": ("loop_index", _integer(0), 0, _ALL),
+    "nmax": ("n_max", _integer(1), 50, ("omega",)),
+    "probe": ("probe", _integer(1), 60, ("omega",)),
+    "rounds": ("rounds", _integer(1), 1, ("refine",)),
+    "tol": ("tol", _rational(positive=False), Fraction(1, 10**12), ("omega",)),
+    "big": ("big", _rational(positive=True), Fraction(10**6), ("omega",)),
+}
 
 
 def parse_spec(text: str) -> InvariantSpecFile:
-    pairs = _raw_pairs(text)
     seen: Dict[str, Tuple[int, str]] = {}
-    for lineno, key, value in pairs:
+    for lineno, key, value in _raw_pairs(text):
         if key in seen:
             raise SpecError(f"duplicate key {key!r}", lineno)
         seen[key] = (lineno, value)
 
-    def take(key: str) -> Optional[Tuple[int, str]]:
-        return seen.pop(key, None)
-
-    check = take("check")
+    check = seen.pop("check", None)
     if check is None:
         raise SpecError("missing required key `check`")
     kind = check[1]
-    if kind not in ("upper", "omega", "refine"):
+    if kind not in _ALL:
         raise SpecError("check must be upper, omega, or refine", check[0])
 
-    prog_entry = take("program")
-    corpus_entry = take("corpus")
+    prog_entry = seen.pop("program", None)
+    corpus_entry = seen.pop("corpus", None)
     if (prog_entry is None) == (corpus_entry is None):
         raise SpecError("exactly one of `program` and `corpus` is required")
     if prog_entry is not None:
@@ -198,86 +248,21 @@ def parse_spec(text: str) -> InvariantSpecFile:
     except ParseError as exc:
         raise SpecError(f"program does not parse: {exc}", lineno)
 
-    def rt(key: str) -> Optional[RtExpr]:
-        entry = take(key)
-        if entry is None:
-            return None
-        lineno, value = entry
-        try:
-            return parse_rt(value)
-        except ParseError as exc:
-            raise SpecError(f"{key} does not parse: {exc}", lineno)
+    values: Dict[str, object] = {}
+    for key, (field, read, default, _) in KEY_TABLE.items():
+        if key in seen:
+            values[field] = read(key, seen[key][1], seen[key][0])
+        else:
+            values[field] = None if default is REQUIRED else default
+    for key, (_, _, default, checks) in KEY_TABLE.items():
+        if default is REQUIRED and kind in checks and key not in seen:
+            raise SpecError(f"check: {kind} requires `{key}`")
+    for key, (lineno, _) in seen.items():
+        checks = KEY_TABLE[key][3]
+        if kind not in checks:
+            only = " and ".join(checks)
+            raise SpecError(f"`{key}` is not read by check: {kind}, only by {only}", lineno)
 
-    def integer(key: str, default: int, minimum: int = 0) -> int:
-        entry = take(key)
-        if entry is None:
-            return default
-        lineno, value = entry
-        try:
-            n = int(value)
-        except ValueError:
-            raise SpecError(f"{key} must be an integer, found {value!r}", lineno)
-        if n < minimum:
-            raise SpecError(f"{key} must be at least {minimum}", lineno)
-        return n
-
-    def rational(key: str, default: Fraction, positive: bool) -> Fraction:
-        entry = take(key)
-        if entry is None:
-            return default
-        lineno, value = entry
-        q = _rational(value, lineno)
-        if q < 0 or (positive and q == 0):
-            need = "positive" if positive else "at least 0"
-            raise SpecError(f"{key} must be {need}, found {value!r}", lineno)
-        return q
-
-    f = rt("f")
-    invariant = rt("invariant")
-    invariant_n = rt("invariant_n")
-    limit = rt("limit")
-
-    direction_entry = take("direction")
-    direction = direction_entry[1] if direction_entry else "lower"
-    if direction not in ("lower", "upper", "both"):
-        raise SpecError(
-            "direction must be lower, upper, or both",
-            direction_entry[0] if direction_entry else None,
-        )
-
-    domain_entry = take("domain")
-    domain = parse_domain(domain_entry[1]) if domain_entry else None
-
-    loop_index = integer("loop", 0)
-    n_max = integer("nmax", 50, minimum=1)
-    probe = integer("probe", 60, minimum=1)
-    rounds = integer("rounds", 1, minimum=1)
-    tol = rational("tol", Fraction(1, 10**12), positive=False)
-    big = rational("big", Fraction(10**6), positive=True)
-
-    needed = "invariant_n" if kind == "omega" else "invariant"
-    if (invariant_n if kind == "omega" else invariant) is None:
-        raise SpecError(f"check: {kind} requires `{needed}`")
-    if domain is None:
-        raise SpecError(f"check: {kind} requires `domain`")
-
-    spec = InvariantSpecFile(
-        check=kind,
-        program=program,
-        program_source=source,
-        loop_index=loop_index,
-        f=f if f is not None else RT_ZERO,
-        invariant=invariant,
-        invariant_n=invariant_n,
-        direction=direction,
-        limit=limit,
-        domain=domain,
-        n_max=n_max,
-        probe=probe,
-        tol=tol,
-        big=big,
-        rounds=rounds,
-    )
+    spec = InvariantSpecFile(check=kind, program=program, program_source=source, **values)
     spec.loop  # validates the loop index against the parsed program
     return spec
-

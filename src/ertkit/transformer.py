@@ -120,8 +120,8 @@ class NotDeterministic(KernelError):
 class ErtConfig:
     """Knobs for the transformer.
 
-    tick_mutation exists for the mutation test in the property suite; the
-    only recognized value, "drop-if-tick", suppresses the tick charged by
+    tick_mutation exists for the mutation test in the property suite; its
+    only value besides None, "drop-if-tick", suppresses the tick charged by
     conditionals (including the conditionals arising from loop unrolling).
     """
 
@@ -132,6 +132,10 @@ class ErtConfig:
         if self.max_unroll_depth < 1:
             raise ValueError(
                 "max_unroll_depth must be at least 1, got %r" % (self.max_unroll_depth,)
+            )
+        if self.tick_mutation not in (None, "drop-if-tick"):
+            raise ValueError(
+                "tick_mutation must be None or 'drop-if-tick', got %r" % (self.tick_mutation,)
             )
 
 

@@ -854,3 +854,68 @@ def test_parameter_bound_twice_is_an_input_error(command, params, capsys):
         argv += ["--param", p]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: N is bound twice in --param\n")
+
+
+UNREAD_KEYS = {
+    # the same loop and domain under each check, with one key it does not read
+    "check-inv": (
+        "check: upper\ncorpus: geo\ninvariant: 1 + [c = 1] * 4\ndomain: c in {0, 1}\n"
+        "rounds: 5\nnmax: 3\nlimit: 7\ndirection: both\n",
+        "line 5: `rounds` is not read by check: upper, only by refine",
+    ),
+    "check-omega": (
+        "check: omega\ncorpus: geo\ninvariant_n: 1 + [c = 1] * (4 - 3 * (1/2)^n)\n"
+        "domain: c in {0, 1}\ninvariant: 1 + [c = 1] * 4\n",
+        "line 5: `invariant` is not read by check: omega, only by upper and refine",
+    ),
+    "refine": (
+        "check: refine\ncorpus: geo\ninvariant: 1 + [c = 1] * 6\ndomain: c in {0, 1}\n"
+        "probe: 60\n",
+        "line 5: `probe` is not read by check: refine, only by omega",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNREAD_KEYS))
+def test_spec_key_the_check_does_not_read_is_an_input_error(command, tmp_path, capsys):
+    text, message = UNREAD_KEYS[command]
+    spec = tmp_path / "unread.spec"
+    spec.write_text(text)
+    code, out, err = run(capsys, command, str(spec))
+    assert (code, out, err) == (2, "", f"spec error: {message}\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "crosscheck", "export-mdp"])
+@pytest.mark.parametrize("entry, param", [("rwalk", "start=5"), ("npast", "threshold=3")])
+def test_parameter_outside_the_program_is_an_input_error(command, entry, param, capsys):
+    code, out, err = run(capsys, command, f"corpus:{entry}", "--param", param)
+    name = param.partition("=")[0]
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: parameter {name} does not occur in the program of corpus entry "
+        f"{entry}; it applies to `ertkit corpus {entry}` only\n"
+    )
+    assert "Traceback" not in err
+
+
+def test_template_parameters_are_read_without_get_identifiers(monkeypatch, capsys):
+    # Template.get_identifiers only exists from Python 3.11
+    import string
+
+    monkeypatch.delattr(string.Template, "get_identifiers", raising=False)
+    code, _, err = run(capsys, "eval", "corpus:rwalk", "--param", "start=5")
+    assert code == 2 and "parameter start does not occur" in err
+    code, out, _ = run(capsys, "eval", "corpus:coupon", "--param", "N=3", "--format", "json")
+    assert code == 0
+    source = ertkit.corpus.ENTRIES["coupon"].source(N=3)
+    assert json.loads(out)["program_sha256"] == hashlib.sha256(source.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("flag, param", [("--N", "N=2"), ("--start", "start=2")])
+def test_parameter_given_as_flag_and_param_is_an_input_error(flag, param, capsys):
+    entry = "coupon" if flag == "--N" else "rwalk"
+    code, out, err = run(capsys, "corpus", entry, flag, "3", "--param", param)
+    name = flag[2:]
+    assert (code, out, err) == (2, "", f"error: {name} is bound twice: as {flag} and in --param\n")
+    assert "Traceback" not in err

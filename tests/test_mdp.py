@@ -29,6 +29,7 @@ from ertkit.mdp import (
     qualitative_check,
 )
 from ertkit.parser import parse_program, parse_rt
+from ertkit.props import sweep_triples
 from ertkit.semantics import eval_rt
 from ertkit.syntax import (
     RT_ZERO,
@@ -571,13 +572,8 @@ SWEEP_REWARD_SHA256 = "517a47ceb528272ca6133465199a948d4e6dcb70c706db38651067a46
 
 
 def test_sweep_rewards_match_golden_digest():
-    rng = random.Random(11)
-    names = list(PROFILES)
     digest = hashlib.sha256()
-    for i in range(500):
-        program = random_program(rng, PROFILES[names[i % len(names)]])
-        f = random_runtime(rng, terms=1) if i % 3 == 0 else RT_ZERO
-        sigma = random_state(rng)
+    for program, f, sigma in sweep_triples(11):
         try:
             m = build_mdp(program, sigma, f, 30_000)
         except NodeCapExceeded:
@@ -814,22 +810,19 @@ SWEEP_DOT_SHA256 = "c1b87981f0186fd09a3c64c25eed264a61c09846632202d583c25cd21583
 
 
 def _sweep_dot_digest(seed=11, count=100):
-    rng = random.Random(seed)
-    names = list(PROFILES)
+    """The digest of the first `count` sweep models that fit the cap."""
     digest = hashlib.sha256()
-    i = built = 0
-    while built < count:
-        program = random_program(rng, PROFILES[names[i % len(names)]])
-        f = random_runtime(rng, terms=1) if i % 3 == 0 else RT_ZERO
-        sigma = random_state(rng)
-        i += 1
+    built = 0
+    for program, f, sigma in sweep_triples(seed):
         try:
             m = build_mdp(program, sigma, f, 30_000)
         except NodeCapExceeded:
             continue
         digest.update(mdp_to_dot(m).encode() + b"\n")
         built += 1
-    return digest.hexdigest()
+        if built == count:
+            return digest.hexdigest()
+    raise AssertionError(f"fewer than {count} sweep models fit the cap")
 
 
 def test_sweep_dot_export_matches_golden_digest():
@@ -838,17 +831,6 @@ def test_sweep_dot_export_matches_golden_digest():
 
 # ---------------------------------------------------------------------------
 # the parent's builder and evaluator as an oracle: same models, same values
-
-
-def _sweep_triples(seed, count=500):
-    """The (program, runtime, state) triples `run_soundness_sweep(seed)`
-    cross-checks, drawn the same way."""
-    rng = random.Random(seed)
-    names = list(PROFILES)
-    for i in range(count):
-        program = random_program(rng, PROFILES[names[i % len(names)]])
-        f = random_runtime(rng, terms=1) if i % 3 == 0 else RT_ZERO
-        yield program, f, random_state(rng)
 
 
 def _recorded_reward(m, evaluate):
@@ -894,7 +876,7 @@ def _assert_matches_oracle(program, sigma, f, node_cap):
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_sweep_models_match_the_oracle(seed):
-    for program, f, sigma in _sweep_triples(seed):
+    for program, f, sigma in sweep_triples(seed):
         if not _assert_matches_oracle(program, sigma, f, 30_000):
             assert _assert_matches_oracle(replace_whiles(program, 32), sigma, f, 30_000)
 

@@ -1,4 +1,3 @@
-import random
 import sys
 import typing
 from fractions import Fraction
@@ -7,10 +6,9 @@ import pytest
 
 import semantics_oracle
 from ertkit import semantics, transformer
-from ertkit.generator import PROFILES, random_program, random_runtime, random_state
 from ertkit.kernel import INF, KernelError, KindMismatch, State, XReal
 from ertkit.parser import parse_program, parse_rt
-from ertkit.props import run_property_suite
+from ertkit.props import run_property_suite, sweep_triples
 from ertkit.semantics import (
     DivByZero,
     EmptyUniformRange,
@@ -25,7 +23,7 @@ from ertkit.semantics import (
 )
 from ertkit.syntax import (
     Annotated, BoolLit, Dirac, If, IntLit, NdChoice, ProbAssign, RCell, RLit,
-    RT_ZERO, RVar, RtExpr, Seq, VarRef, WeightedList, While, WhileBounded,
+    RVar, RtExpr, Seq, VarRef, WeightedList, While, WhileBounded,
 )
 
 
@@ -310,14 +308,9 @@ _PAIRS = {
 
 
 def test_evaluators_match_the_parent_on_the_soundness_sweep():
-    # the triples of run_soundness_sweep(11), drawn by its own loop
-    rng = random.Random(11)
-    names = list(PROFILES)
+    # the triples of run_soundness_sweep(11)
     checked = {"dist": 0, "guard": 0, "rt": 0}
-    for i in range(500):
-        program = random_program(rng, PROFILES[names[i % len(names)]])
-        f = random_runtime(rng, terms=1) if i % 3 == 0 else RT_ZERO
-        sigma = random_state(rng)
+    for program, f, sigma in sweep_triples(11):
         calls = _guards_and_dists(program, []) + [("rt", t) for t in _rt_subterms(f, [])]
         for kind, e in calls:
             new, old = _PAIRS[kind]

@@ -1,9 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from ertkit import specfile
 from ertkit.kernel import State
-from ertkit.specfile import SpecError, parse_domain, parse_spec
+from ertkit.specfile import KEY_TABLE, REQUIRED, SpecError, parse_domain, parse_spec
 from ertkit.syntax import While
 
 
@@ -136,6 +138,51 @@ def test_error_lines_are_reported():
     ],
 )
 def test_each_check_names_the_key_it_requires(kind, keys, message):
+    with pytest.raises(SpecError) as exc:
+        parse_spec(f"check: {kind}\ncorpus: geo\n{keys}")
+    assert str(exc.value) == message
+
+
+def _documented_keys():
+    """{key: (checks, default)} from the key table in the module docstring."""
+    doc = specfile.__doc__.split("    key          read by", 1)[1]
+    rows = {}
+    for line in doc.split("\n\n", 1)[0].splitlines()[1:]:
+        if line[4:5] == " ":
+            continue  # a description continued from the row above
+        key, *words = line.split()
+        checks = tuple(itertools.takewhile(lambda w: w in ("upper", "omega", "refine"), words))
+        rows[key] = (checks, words[len(checks)])
+    return rows
+
+
+def test_docstring_key_table_is_the_parsers():
+    rows = _documented_keys()
+    assert list(rows) == list(KEY_TABLE)
+    for key, (checks, default) in rows.items():
+        _, read, value, read_by = KEY_TABLE[key]
+        assert checks == read_by, key
+        if default == "required":
+            assert value is REQUIRED, key
+        elif default == "none":
+            assert value is None, key
+        else:
+            assert read(key, default, 1) == value, key
+
+
+@pytest.mark.parametrize(
+    "kind, keys, message",
+    [
+        # a bad value comes first, then a missing required key
+        ("upper", "invariant: 1\ndomain: c in {0, 1}\nnmax: 0\n", "line 5: nmax must be at least 1"),
+        ("refine", "invariant_n: 1\nrounds: 2\n", "check: refine requires `invariant`"),
+        ("omega", "invariant_n: 1\ndomain: c in {0, 1}\nrounds: 2\nf: 1\n",
+         "line 5: `rounds` is not read by check: omega, only by refine"),
+        ("upper", "invariant: 1\ndomain: c in {0, 1}\nbig: 2\n",
+         "line 5: `big` is not read by check: upper, only by omega"),
+    ],
+)
+def test_a_key_the_check_does_not_read_is_reported_last(kind, keys, message):
     with pytest.raises(SpecError) as exc:
         parse_spec(f"check: {kind}\ncorpus: geo\n{keys}")
     assert str(exc.value) == message

@@ -12,6 +12,7 @@ from ertkit import transformer
 from ertkit.generator import PROFILES, random_program, random_runtime, random_state
 from ertkit.kernel import INF, ONE, ZERO, State, XReal, x_add, x_max, x_mul
 from ertkit.parser import parse_program, parse_rt
+from ertkit.props import sweep_triples
 from ertkit.semantics import EvalError, eval_dist, eval_expr, eval_guard
 from ertkit.syntax import (
     RT_ZERO,
@@ -382,6 +383,12 @@ def test_drop_if_tick_mutation_changes_conditionals_only():
     assert ert(src, None, State({"x": 1})).value == XReal(2)
     assert ert(src, None, State({"x": 1}), cfg).value == XReal(1)
     assert ert("skip", None, None, cfg).value == XReal(1)
+
+
+@pytest.mark.parametrize("mutation", ["drop_if_tick", "", "DROP-IF-TICK"])
+def test_unknown_tick_mutation_is_rejected(mutation):
+    with pytest.raises(ValueError, match="tick_mutation must be None or 'drop-if-tick'"):
+        ErtConfig(tick_mutation=mutation)
 
 
 def test_callable_continuation():
@@ -831,13 +838,8 @@ SWEEP_ERT_SHA256 = "bcc608baa9db76f6fc39a4110942a779b10fe9a11e0a9da9aacccf85ece7
 
 
 def test_sweep_runtimes_match_golden_digest():
-    rng = random.Random(11)
-    names = list(PROFILES)
     digest = hashlib.sha256()
-    for i in range(500):
-        program = random_program(rng, PROFILES[names[i % len(names)]])
-        f = random_runtime(rng, terms=1) if i % 3 == 0 else RT_ZERO
-        sigma = random_state(rng)
+    for program, f, sigma in sweep_triples(11):
         r = expected_runtime(program, f, sigma)
         digest.update(repr((str(r.value), r.kind, r.annotations_used)).encode() + b"\n")
     assert digest.hexdigest() == SWEEP_ERT_SHA256
