@@ -449,15 +449,16 @@ def npast_annotated(program: Program) -> Program:
     nothing."""
     drain = while_loops(program)[-1]
     annotation = InvariantAnnotation("lower", parse_rt(_NPAST_DRAIN_BOUND))
+    return _replace_in_seq(program, drain, Annotated(drain, annotation))
 
-    def rebuild(p: Program) -> Program:
-        if p is drain:
-            return Annotated(p, annotation)
-        if isinstance(p, Seq):
-            return Seq(rebuild(p.first), rebuild(p.second))
-        return p
 
-    return rebuild(program)
+def _replace_in_seq(p: Program, old: Program, new: Program) -> Program:
+    """`p` with the node `old`, found along its sequence spine, replaced."""
+    if p is old:
+        return new
+    if isinstance(p, Seq):
+        return Seq(_replace_in_seq(p.first, old, new), _replace_in_seq(p.second, old, new))
+    return p
 
 
 def _check_npast(entry: CorpusEntry, params: Dict[str, int]) -> List[CheckOutcome]:

@@ -633,6 +633,9 @@ def cross_check(
         program = replace_whiles(C, fallback_unroll)
         m = build_mdp(program, sigma, f, cfg.node_cap)
     analysis = expected_reward(m)
+    # free the model before the transformer builds its own tables
+    node_count = m.node_count
+    del m
     e_cfg = ert_config or ErtConfig()
     ert = expected_runtime(program, f, sigma, e_cfg)
 
@@ -651,7 +654,7 @@ def cross_check(
         ert_value=ev,
         mdp_value=mv,
         method=analysis.method,
-        node_count=m.node_count,
+        node_count=node_count,
         bounded_at=bounded_at,
         detail=detail,
     )

@@ -113,6 +113,13 @@ _DOMAIN_PART = re.compile(
 )
 
 
+def _domain_value(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecError(f"value {text!r} of {name!r} is not an integer")
+
+
 def parse_domain(text: str) -> StateDomain:
     """`c in {0, 1}; x in 0 .. 6` into the product of the listed ranges."""
     ranges: Dict[str, List[int]] = {}
@@ -129,7 +136,7 @@ def parse_domain(text: str) -> StateDomain:
             items = [s.strip() for s in m.group("set").split(",") if s.strip()]
             if not items:
                 raise SpecError(f"empty value set for {name!r}")
-            ranges[name] = [int(s) for s in items]
+            ranges[name] = [_domain_value(name, s) for s in items]
         else:
             lo, hi = int(m.group("lo")), int(m.group("hi"))
             if hi < lo:
@@ -154,7 +161,10 @@ def _direction(key: str, value: str, lineno: int) -> str:
 
 
 def _domain(key: str, value: str, lineno: int) -> StateDomain:
-    return parse_domain(value)
+    try:
+        return parse_domain(value)
+    except SpecError as exc:
+        raise SpecError(exc.message, lineno)
 
 
 def _integer(minimum: int) -> Reader:

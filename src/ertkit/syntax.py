@@ -515,18 +515,16 @@ def children(p: Program) -> List[Program]:
 def while_loops(p: Program) -> List[Union[While, Annotated]]:
     """All while loops in pre-order; an annotated loop counts once."""
     out: List[Union[While, Annotated]] = []
-
-    def walk(node: Program):
+    stack = [p]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Annotated):
             out.append(node)
-            walk(node.loop.body)
-            return
+            stack.append(node.loop.body)
+            continue
         if isinstance(node, While):
             out.append(node)
-        for c in children(node):
-            walk(c)
-
-    walk(p)
+        stack.extend(reversed(children(node)))
     return out
 
 

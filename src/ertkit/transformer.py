@@ -154,9 +154,12 @@ class ErtResult:
 # continuations
 #
 # A continuation stands for the run-time function applied after a program
-# fragment; its `eval` gives an engine value.  Continuations are compared by
-# identity in the memo table; the engine canonicalizes sequence continuations
-# so identical tails share one object.
+# fragment; `cont.eval(engine, sigma)` gives an engine value.  The engine
+# passes itself in, so a continuation holds no reference to it and nothing
+# an evaluation builds points back at its engine: once the engine is
+# dropped, reference counting frees its memo, its tables and its states.
+# Continuations are compared by identity in the memo table; the engine
+# canonicalizes sequence continuations so identical tails share one object.
 
 
 class RtCont:
@@ -168,7 +171,7 @@ class RtCont:
         self.expr = expr
         self.bind = dict(bind) if bind else None
 
-    def eval(self, sigma: State) -> Val:
+    def eval(self, engine: "_Engine", sigma: State) -> Val:
         return _val_of(eval_rt(self.expr, sigma, self.bind), False)
 
 
@@ -180,22 +183,21 @@ class FnCont:
     def __init__(self, fn: Callable[[State], XReal]):
         self.fn = fn
 
-    def eval(self, sigma: State) -> Val:
+    def eval(self, engine: "_Engine", sigma: State) -> Val:
         return _val_of(self.fn(sigma), False)
 
 
 class _SeqCont:
     """Run a program, then the next continuation."""
 
-    __slots__ = ("program", "after", "engine")
+    __slots__ = ("program", "after")
 
-    def __init__(self, program: Program, after, engine: "_Engine"):
+    def __init__(self, program: Program, after):
         self.program = program
         self.after = after
-        self.engine = engine
 
-    def eval(self, sigma: State) -> Val:
-        return self.engine.eval(self.program, sigma, self.after)
+    def eval(self, engine: "_Engine", sigma: State) -> Val:
+        return engine.eval(self.program, sigma, self.after)
 
 
 ZERO_CONT = RtCont(RT_ZERO)
@@ -221,14 +223,15 @@ class _Engine:
 
     # continuations ------------------------------------------------------
     #
-    # memo keys use continuation identity, so every continuation the engine
-    # creates is interned for the engine's lifetime; ids never get recycled
+    # memo keys use continuation identity, so the engine keeps every
+    # continuation it creates until it is dropped itself; ids never get
+    # recycled while the memo is keyed on them
 
     def seq_cont(self, program: Program, after) -> _SeqCont:
         key = (id(program), id(after))
         c = self.seq_conts.get(key)
         if c is None:
-            c = _SeqCont(program, after, self)
+            c = _SeqCont(program, after)
             self.seq_conts[key] = c
         return c
 
@@ -236,7 +239,7 @@ class _Engine:
         key = (id(loop), depth, id(after))
         c = self.bounded_conts.get(key)
         if c is None:
-            c = _BoundedCont(self, loop, depth, after)
+            c = _BoundedCont(loop, depth, after)
             self.bounded_conts[key] = c
         return c
 
@@ -276,9 +279,9 @@ class _Engine:
 
     def _eval(self, p: Program, sigma: State, cont) -> Val:
         if isinstance(p, Empty):
-            return cont.eval(sigma)
+            return cont.eval(self, sigma)
         if isinstance(p, Skip):
-            n, d, t = cont.eval(sigma)
+            n, d, t = cont.eval(self, sigma)
             return (None if n is None else n + d), d, t
         if isinstance(p, Halt):
             return 0, 1, False
@@ -311,7 +314,7 @@ class _Engine:
             else:
                 idx = eval_expr(p.target.index, sigma)
                 nxt = sigma.set_cell(p.target.name, idx, v)
-            vn, vd, t = cont.eval(nxt)
+            vn, vd, t = cont.eval(self, nxt)
             n, d = _add(n, d, pn, pd, vn, vd)
             tainted = tainted or t
         return _reduced(n, d, tainted)
@@ -349,7 +352,7 @@ class _Engine:
                 vn, vd, tainted = self.eval(loop.body, sigma, rest)
                 n, d = _add(n, d, tn, td, vn, vd)
             if fn:
-                vn, vd, t = cont.eval(sigma)
+                vn, vd, t = cont.eval(self, sigma)
                 n, d = _add(n, d, fn, fd, vn, vd)
                 tainted = tainted or t
             out = _reduced(n, d, tainted)
@@ -372,16 +375,15 @@ class _Engine:
 class _BoundedCont:
     """Continuation that resumes a loop at one less depth."""
 
-    __slots__ = ("engine", "loop", "depth", "after")
+    __slots__ = ("loop", "depth", "after")
 
-    def __init__(self, engine: _Engine, loop: Loop, depth: int, after):
-        self.engine = engine
+    def __init__(self, loop: Loop, depth: int, after):
         self.loop = loop
         self.depth = depth
         self.after = after
 
-    def eval(self, sigma: State) -> Val:
-        return self.engine._bounded(self.loop, self.depth, sigma, self.after)
+    def eval(self, engine: _Engine, sigma: State) -> Val:
+        return engine._bounded(self.loop, self.depth, sigma, self.after)
 
 
 def _as_cont(f) -> Union[RtCont, FnCont]:
@@ -443,7 +445,10 @@ def char_functional(
     Consecutive applications to one X object share one engine, so the
     states of one iterate share its guard and distribution tables and its
     memo.  The engine is kept with X itself, so X's id cannot be reused by
-    another object while the engine's memo is keyed on it.
+    another object while the engine's memo is keyed on it.  Continuations
+    take the engine as an argument and hold no reference to it, so when a
+    new X replaces the engine, or `apply` itself is dropped, reference
+    counting frees the old engine and its tables at once.
     """
     if isinstance(loop, Annotated):
         loop = loop.loop
@@ -460,7 +465,7 @@ def char_functional(
             tn, td, fn, fd = engine.guard(loop.guard, sigma)
             n, d, tainted = 1, 1, False
             if fn:
-                vn, vd, tainted = f_cont.eval(sigma)
+                vn, vd, tainted = f_cont.eval(engine, sigma)
                 n, d = _add(n, d, fn, fd, vn, vd)
             if tn:
                 vn, vd, t = engine.eval(loop.body, sigma, x_cont)

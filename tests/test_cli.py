@@ -423,6 +423,22 @@ def test_unknown_corpus_entry_in_a_spec(tmp_path, capsys):
     assert err == f"spec error: line 2: {UNKNOWN_ENTRY}\n"
 
 
+@pytest.mark.parametrize(
+    "domain, message",
+    [
+        ("c in {0, x}", "value 'x' of 'c' is not an integer"),
+        ("c in 5 .. 2", "empty range 5..2 for 'c'"),
+        ("c in {0, 1}; c in {2}", "variable 'c' listed twice in the domain"),
+    ],
+)
+def test_bad_domain_is_an_input_error_with_its_line(domain, message, tmp_path, capsys):
+    spec = tmp_path / "domain.spec"
+    spec.write_text(f"check: upper\ncorpus: geo\ninvariant: 1 + [c = 1] * 6\ndomain: {domain}\n")
+    code, out, err = run(capsys, "check-inv", str(spec))
+    assert (code, out, err) == (2, "", f"spec error: line 4: {message}\n")
+    assert "Traceback" not in err
+
+
 def test_corpus_parameter_flags(capsys):
     code, out, _ = run(capsys, "corpus", "coupon", "--N", "2", "--format", "json")
     assert code == 0

@@ -115,6 +115,8 @@ def test_parse_domain_forms():
         parse_domain("c in {0}; c in {1}")
     with pytest.raises(SpecError):
         parse_domain("c in 5 .. 2")
+    with pytest.raises(SpecError, match="value 'x' of 'c' is not an integer"):
+        parse_domain("c in {0, x}")
     with pytest.raises(SpecError):
         parse_domain("just words")
 
