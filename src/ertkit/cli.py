@@ -21,7 +21,6 @@ import re
 import sys
 import time
 from fractions import Fraction
-from string import Template
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import __version__
@@ -67,7 +66,7 @@ def _default_node_cap() -> int:
         if cap < 1:
             raise CliError(f"--node-cap must be at least 1 (ERTKIT_MAX_NODES={env})")
         return cap
-    return 200_000
+    return MdpConfig.node_cap
 
 
 class _TooManyDigits(CliError):
@@ -184,8 +183,7 @@ def _program_inputs(args) -> Tuple[Program, str, RtExpr, State]:
         source = entry.source(**params)
     except (KeyError, ValueError) as exc:
         raise CliError(str(exc.args[0]))
-    # Template.get_identifiers needs Python 3.11
-    used = {m["named"] or m["braced"] for m in Template.pattern.finditer(entry.template)}
+    used = entry.template_names()
     for k in params:
         if k not in used:
             raise CliError(
@@ -620,7 +618,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="BINDINGS",
         help="initial state, e.g. c=1 or x=2,y=0 (repeatable for several states)",
     )
-    p.add_argument("--depth", type=int, default=64, help="loop unrolling cap")
+    p.add_argument(
+        "--depth", type=int, default=ErtConfig.max_unroll_depth, help="loop unrolling cap"
+    )
     common(p)
     p.set_defaults(func=_cmd_eval)
 
@@ -629,7 +629,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     program_args(p)
     p.add_argument("--state", action="append", default=[], metavar="BINDINGS")
-    p.add_argument("--depth", type=int, default=64)
+    p.add_argument("--depth", type=int, default=ErtConfig.max_unroll_depth)
     p.add_argument("--node-cap", type=int, default=None)
     p.add_argument(
         "--fallback-depth",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from string import Template
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Set
 
 from .kernel import State, XReal
 from .mdp import MdpConfig, build_mdp, cross_check, expected_reward
@@ -70,6 +70,12 @@ class CorpusEntry:
         if self.derive is not None:
             text.update(self.derive(params))
         return Template(self.template).substitute(text)
+
+    def template_names(self) -> Set[str]:
+        """The names the program template substitutes: parameters, and the
+        names `derive` computes from them."""
+        # Template.get_identifiers needs Python 3.11
+        return {m["named"] or m["braced"] for m in Template.pattern.finditer(self.template)}
 
     def program(self, **overrides: int) -> Program:
         return parse_program(self.source(**overrides))

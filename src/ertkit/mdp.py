@@ -318,7 +318,7 @@ def head_reward(p: Program) -> XReal:
 
 
 def build_mdp(
-    C: Program, sigma0: State, f: RtExpr = RT_ZERO, node_cap: int = 200_000
+    C: Program, sigma0: State, f: RtExpr = RT_ZERO, node_cap: int = MdpConfig.node_cap
 ) -> Mdp:
     """Breadth-first closure of the step rules from the initial configuration.
 

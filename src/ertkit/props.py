@@ -7,6 +7,11 @@ programs, sub-additivity needs fully probabilistic ones, and the
 deterministic correspondence compares against the step-counting
 interpreter.  A fixed canary program guards the harness itself: any
 mutation of the if-guard tick is caught by it deterministically.
+
+Each law is stated once, in a case: a function of a program and a state
+that gives, for each law it checks, None where the law holds or the
+failure's detail.  The same function checks the drawn program and
+shrinks a failing one.
 """
 
 from __future__ import annotations
@@ -14,10 +19,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .generator import (
     PROFILES,
+    _countdown,
+    _guard,
     random_program,
     random_runtime,
     random_state,
@@ -37,6 +44,7 @@ from .syntax import (
     expand_bounded_once,
     program_to_text,
     rt_to_text,
+    While,
     WhileBounded,
 )
 from .transformer import (
@@ -47,6 +55,12 @@ from .transformer import (
 )
 
 CANARY_TEXT = "if (x > 0) { skip } else { skip }"
+
+# (program, state) -> {law: None where it holds, else the failure's detail}
+Case = Callable[[Program, State], Dict[str, Optional[str]]]
+# a case with the program, the run-time f (None for the zero run-time of
+# the step counter) and the states it is checked on
+Sample = Tuple[Case, Program, Optional[RtExpr], List[State]]
 
 
 @dataclass(frozen=True)
@@ -75,251 +89,187 @@ class PropReport:
         self.per_property[prop] = self.per_property.get(prop, 0) + 1
 
 
-def _fail(
-    report: PropReport,
-    prop: str,
-    program: Program,
-    f: Optional[RtExpr],
-    sigma: State,
-    detail: str,
-    still_fails: Optional[Callable[[Program], bool]] = None,
-) -> None:
-    if still_fails is not None:
-        program = shrink(program, still_fails)
-    report.failures.append(
-        PropFailure(
-            prop,
-            program_to_text(program),
-            rt_to_text(f) if f is not None else "-",
-            repr(sigma),
-            detail,
-        )
-    )
+def _check(report: PropReport, sample: Sample) -> None:
+    """Count each law the sample's case checks on its program at each of
+    its states.  A failing program is shrunk while the same law fails on it
+    (`shrink` skips a candidate on which the case raises), and is reported
+    with the detail the case gives for the shrunk program."""
+    case, program, f, states = sample
+    for sigma in states:
+        for prop, detail in case(program, sigma).items():
+            report._count(prop)
+            if detail is None:
+                continue
+
+            def law(p: Program) -> Optional[str]:
+                return case(p, sigma).get(prop)
+
+            small = shrink(program, lambda p: law(p) is not None)
+            text = rt_to_text(f) if f is not None else "-"
+            report.failures.append(
+                PropFailure(prop, program_to_text(small), text, repr(sigma), law(small))
+            )
 
 
 def _states(rng: random.Random, k: int = 2) -> List[State]:
     return [random_state(rng) for _ in range(k)]
 
 
-def _check_canary(report: PropReport, cfg: Optional[ErtConfig]) -> None:
+def _det_case(program: Program, cfg: Optional[ErtConfig]) -> Case:
+    """The deterministic correspondence: the step count equals the
+    transformer's exact value for the zero run-time."""
+
+    def case(p: Program, sigma: State) -> Dict[str, Optional[str]]:
+        if p is program:
+            counted, _ = det_step_count(p, sigma)
+        else:
+            # a shrink candidate may have lost its loop's decrease: a small
+            # step budget, which raises when it runs out, skips it quickly
+            counted, _ = det_step_count(p, sigma, fuel=50_000)
+        res = expected_runtime(p, None, sigma, cfg)
+        return {
+            "deterministic-correspondence": None if res.is_exact and counted == res.value
+            else f"step count {counted} but transformer value {res.value} ({res.kind})"
+        }
+
+    return case
+
+
+def _canary(cfg: Optional[ErtConfig]) -> Sample:
     program = parse_program(CANARY_TEXT)
-    sigma = State({"x": 1, "y": 0, "z": 0})
-    counted, _ = det_step_count(program, sigma)
-    val = expected_runtime(program, None, sigma, cfg).value
-    report._count("deterministic-correspondence")
-    if counted != val:
-        _fail(
-            report,
-            "deterministic-correspondence",
-            program,
-            None,
-            sigma,
-            f"step count {counted} but transformer value {val}",
-        )
+    return _det_case(program, cfg), program, None, [State({"x": 1, "y": 0, "z": 0})]
 
 
-def _check_monotone_scaling(
-    report: PropReport, rng: random.Random, cfg: Optional[ErtConfig]
-) -> None:
+def _monotone_scaling(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
     program = random_program(rng, PROFILES["general"])
     f = random_runtime(rng)
     h = random_runtime(rng, terms=1)
     r = rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(2), Fraction(3)])
-    for sigma in _states(rng):
-        lo = expected_runtime(program, f, sigma, cfg).value
-        hi = expected_runtime(program, RAdd(f, h), sigma, cfg).value
-        report._count("monotonicity")
-        if not x_leq(lo, hi):
-            _fail(
-                report,
-                "monotonicity",
-                program,
-                f,
-                sigma,
-                f"value {lo} for f exceeds value {hi} for f + ({rt_to_text(h)})",
-                lambda p: not x_leq(
-                    expected_runtime(p, f, sigma, cfg).value,
-                    expected_runtime(p, RAdd(f, h), sigma, cfg).value,
-                ),
-            )
-        scaled = expected_runtime(program, RMul(RLit(r), f), sigma, cfg).value
+
+    def case(p: Program, sigma: State) -> Dict[str, Optional[str]]:
+        lo = expected_runtime(p, f, sigma, cfg).value
+        hi = expected_runtime(p, RAdd(f, h), sigma, cfg).value
+        scaled = expected_runtime(p, RMul(RLit(r), f), sigma, cfg).value
         lower = x_mul(XReal(min(Fraction(1), r)), lo)
         upper = x_mul(XReal(max(Fraction(1), r)), lo)
-        report._count("scaling")
-        if not (x_leq(lower, scaled) and x_leq(scaled, upper)):
-            _fail(
-                report,
-                "scaling",
-                program,
-                f,
-                sigma,
-                f"r = {r}: value {scaled} outside [{lower}, {upper}]",
-            )
+        scaled_ok = x_leq(lower, scaled) and x_leq(scaled, upper)
+        return {
+            "monotonicity": None if x_leq(lo, hi)
+            else f"value {lo} for f exceeds value {hi} for f + ({rt_to_text(h)})",
+            "scaling": None if scaled_ok
+            else f"r = {r}: value {scaled} outside [{lower}, {upper}]",
+        }
+
+    return case, program, f, _states(rng)
 
 
-def _check_const_prop(
-    report: PropReport, rng: random.Random, cfg: Optional[ErtConfig]
-) -> None:
+def _const_prop(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
     program = random_program(rng, PROFILES["halt-free"])
     f = random_runtime(rng)
     k = Fraction(rng.randint(0, 5), rng.randint(1, 4))
-    shifted = RAdd(f, RLit(k))
-    for sigma in _states(rng):
-        base = expected_runtime(program, f, sigma, cfg).value
-        moved = expected_runtime(program, shifted, sigma, cfg).value
-        report._count("constant-propagation")
-        if moved != x_add(base, XReal(k)):
-            _fail(
-                report,
-                "constant-propagation",
-                program,
-                f,
-                sigma,
-                f"value for f + {k} is {moved}, expected {base} + {k}",
-                lambda p: expected_runtime(p, shifted, sigma, cfg).value
-                != x_add(expected_runtime(p, f, sigma, cfg).value, XReal(k)),
-            )
+
+    def case(p: Program, sigma: State) -> Dict[str, Optional[str]]:
+        base = expected_runtime(p, f, sigma, cfg).value
+        moved = expected_runtime(p, RAdd(f, RLit(k)), sigma, cfg).value
+        return {
+            "constant-propagation": None if moved == x_add(base, XReal(k))
+            else f"value for f + {k} is {moved}, expected {base} + {k}"
+        }
+
+    return case, program, f, _states(rng)
 
 
-def _check_infinity(
-    report: PropReport, rng: random.Random, cfg: Optional[ErtConfig]
-) -> None:
+def _infinity(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
     program = random_program(rng, PROFILES["halt-free"])
-    for sigma in _states(rng, 1):
-        value = expected_runtime(program, RInf(), sigma, cfg).value
-        report._count("infinity-preservation")
-        if value != INF:
-            _fail(
-                report,
-                "infinity-preservation",
-                program,
-                RInf(),
-                sigma,
-                f"finite value {value} for the infinite run-time",
-                lambda p: expected_runtime(p, RInf(), sigma, cfg).value != INF,
-            )
+
+    def case(p: Program, sigma: State) -> Dict[str, Optional[str]]:
+        value = expected_runtime(p, RInf(), sigma, cfg).value
+        return {
+            "infinity-preservation": None if value == INF
+            else f"finite value {value} for the infinite run-time"
+        }
+
+    return case, program, RInf(), _states(rng, 1)
 
 
-def _check_subadditive(
-    report: PropReport, rng: random.Random, cfg: Optional[ErtConfig]
-) -> None:
+def _subadditive(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
     program = random_program(rng, PROFILES["probabilistic"])
     f = random_runtime(rng)
     g = random_runtime(rng)
-    for sigma in _states(rng):
-        joint = expected_runtime(program, RAdd(f, g), sigma, cfg).value
+
+    def case(p: Program, sigma: State) -> Dict[str, Optional[str]]:
+        joint = expected_runtime(p, RAdd(f, g), sigma, cfg).value
         split = x_add(
-            expected_runtime(program, f, sigma, cfg).value,
-            expected_runtime(program, g, sigma, cfg).value,
+            expected_runtime(p, f, sigma, cfg).value,
+            expected_runtime(p, g, sigma, cfg).value,
         )
-        report._count("sub-additivity")
-        if not x_leq(joint, split):
-            _fail(
-                report,
-                "sub-additivity",
-                program,
-                f,
-                sigma,
-                f"value {joint} for f + g exceeds the sum {split}",
-                lambda p: not x_leq(
-                    expected_runtime(p, RAdd(f, g), sigma, cfg).value,
-                    x_add(
-                        expected_runtime(p, f, sigma, cfg).value,
-                        expected_runtime(p, g, sigma, cfg).value,
-                    ),
-                ),
-            )
+        return {
+            "sub-additivity": None if x_leq(joint, split)
+            else f"value {joint} for f + g exceeds the sum {split}"
+        }
+
+    return case, program, f, _states(rng)
 
 
-def _random_bounded_loop(rng: random.Random) -> WhileBounded:
+def _unrolling(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
     inner = random_program(rng, PROFILES["loop-free"], max_depth=1)
-    from .generator import _guard  # menu shared with statement generation
-
-    return WhileBounded(rng.randint(1, 4), _guard(rng, PROFILES["general"]), inner)
-
-
-def _check_unrolling(
-    report: PropReport, rng: random.Random, cfg: Optional[ErtConfig]
-) -> None:
-    loop = _random_bounded_loop(rng)
-    unrolled = expand_bounded_once(loop)
+    loop = WhileBounded(rng.randint(1, 4), _guard(rng, PROFILES["general"]), inner)
     f = random_runtime(rng)
-    for sigma in _states(rng):
-        lhs = expected_runtime(loop, f, sigma, cfg).value
-        rhs = expected_runtime(unrolled, f, sigma, cfg).value
-        report._count("loop-unrolling")
-        if lhs != rhs:
-            _fail(
-                report,
-                "loop-unrolling",
-                loop,
-                f,
-                sigma,
-                f"bounded loop gives {lhs} but its one-step expansion gives {rhs}",
-            )
+
+    def case(p: Program, sigma: State) -> Dict[str, Optional[str]]:
+        if not isinstance(p, WhileBounded):
+            return {}  # a shrink candidate that is no longer a bounded loop
+        lhs = expected_runtime(p, f, sigma, cfg).value
+        rhs = expected_runtime(expand_bounded_once(p), f, sigma, cfg).value
+        return {
+            "loop-unrolling": None if lhs == rhs
+            else f"bounded loop gives {lhs} but its one-step expansion gives {rhs}"
+        }
+
+    return case, loop, f, _states(rng)
 
 
-def _check_fixed_point(
-    report: PropReport, rng: random.Random, cfg: Optional[ErtConfig]
-) -> None:
+def _fixed_point(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
     """Where the loop's run-time is computed exactly, it is a fixed point
     of the characteristic functional."""
-    from .generator import _countdown
-
     loop = _countdown(rng, PROFILES["general"], 1)
     f = random_runtime(rng)
-    apply_F = char_functional(loop, f, cfg)
+    # the last loop checked with its functional and table, which its states
+    # share, so that they share one engine and its memo of table lookups
+    last: list = [None, None, None]
 
-    def table(sigma: State) -> XReal:
-        return expected_runtime(loop, f, sigma, cfg).value
-
-    for sigma in _states(rng):
-        res = expected_runtime(loop, f, sigma, cfg)
+    def case(p: Program, sigma: State) -> Dict[str, Optional[str]]:
+        if not isinstance(p, While):
+            return {}  # a shrink candidate that is no longer a loop
+        res = expected_runtime(p, f, sigma, cfg)
         if not res.is_exact:
-            continue  # a cut-off value is only a lower bound, not a fixed point
+            return {}  # a cut-off value is only a lower bound, not a fixed point
+        if last[0] is not p:
+            table = lambda s: expected_runtime(p, f, s, cfg).value  # noqa: E731
+            last[:] = p, char_functional(p, f, cfg), table
+        _, apply_F, table = last
         image, tainted = apply_F(table, sigma)
-        report._count("fixed-point")
-        if tainted or image != res.value:
-            _fail(
-                report,
-                "fixed-point",
-                loop,
-                f,
-                sigma,
-                f"F applied to the computed run-time gives {image}, table has {res.value}",
-            )
+        return {
+            "fixed-point": None if not tainted and image == res.value
+            else f"F applied to the computed run-time gives {image}, table has {res.value}"
+        }
+
+    return case, loop, f, _states(rng)
 
 
-def _check_det(
-    report: PropReport, rng: random.Random, cfg: Optional[ErtConfig]
-) -> None:
+def _deterministic(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
     program = random_program(rng, PROFILES["deterministic"])
-    for sigma in _states(rng, 1):
-        counted, _ = det_step_count(program, sigma)
-        res = expected_runtime(program, None, sigma, cfg)
-        report._count("deterministic-correspondence")
-        if not res.is_exact or counted != res.value:
-            _fail(
-                report,
-                "deterministic-correspondence",
-                program,
-                None,
-                sigma,
-                f"step count {counted} but transformer value {res.value} ({res.kind})",
-                # small fuel: a shrink candidate may have lost its decrease
-                lambda p: det_step_count(p, sigma, fuel=50_000)[0]
-                != expected_runtime(p, None, sigma, cfg).value,
-            )
+    return _det_case(program, cfg), program, None, _states(rng, 1)
 
 
-_BUNDLES = (
-    _check_monotone_scaling,
-    _check_const_prop,
-    _check_infinity,
-    _check_subadditive,
-    _check_unrolling,
-    _check_fixed_point,
-    _check_det,
+_SAMPLERS = (
+    _monotone_scaling,
+    _const_prop,
+    _infinity,
+    _subadditive,
+    _unrolling,
+    _fixed_point,
+    _deterministic,
 )
 
 
@@ -335,9 +285,9 @@ def run_property_suite(
     """
     rng = random.Random(seed)
     report = PropReport(seed=seed, requested=count)
-    _check_canary(report, config)
+    _check(report, _canary(config))
     for i in range(count):
-        _BUNDLES[i % len(_BUNDLES)](report, rng, config)
+        _check(report, _SAMPLERS[i % len(_SAMPLERS)](rng, config))
     return report
 
 

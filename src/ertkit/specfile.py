@@ -29,7 +29,8 @@ and may give the keys its check reads, each at most once:
 
 Values are read in this order, so the first bad value is the one
 reported; then a missing required key; then a key the check does not
-read, as `rounds` under `check: upper`, which would change nothing.
+read, as `rounds` under `check: upper`, which would change nothing; last,
+a program without the loop that `loop` names.
 """
 
 from __future__ import annotations
@@ -74,15 +75,8 @@ class InvariantSpecFile:
 
     @property
     def loop(self):
-        loops = while_loops(self.program)
-        if not loops:
-            raise SpecError("the program contains no loop")
-        if not 0 <= self.loop_index < len(loops):
-            raise SpecError(
-                f"loop index {self.loop_index} out of range; "
-                f"the program has {len(loops)} loop(s)"
-            )
-        return loops[self.loop_index]
+        """The checked loop; `parse_spec` has checked that it exists."""
+        return while_loops(self.program)[self.loop_index]
 
 
 def _raw_pairs(text: str) -> List[Tuple[int, str, str]]:
@@ -244,19 +238,19 @@ def parse_spec(text: str) -> InvariantSpecFile:
     if (prog_entry is None) == (corpus_entry is None):
         raise SpecError("exactly one of `program` and `corpus` is required")
     if prog_entry is not None:
-        lineno, source = prog_entry
+        program_line, source = prog_entry
     else:
-        lineno, name = corpus_entry
+        program_line, name = corpus_entry
         from .corpus import lookup
 
         try:
             source = lookup(name).source()
         except KeyError as exc:
-            raise SpecError(exc.args[0], lineno)
+            raise SpecError(exc.args[0], program_line)
     try:
         program = parse_program(source)
     except ParseError as exc:
-        raise SpecError(f"program does not parse: {exc}", lineno)
+        raise SpecError(f"program does not parse: {exc}", program_line)
 
     values: Dict[str, object] = {}
     for key, (field, read, default, _) in KEY_TABLE.items():
@@ -273,6 +267,13 @@ def parse_spec(text: str) -> InvariantSpecFile:
             only = " and ".join(checks)
             raise SpecError(f"`{key}` is not read by check: {kind}, only by {only}", lineno)
 
-    spec = InvariantSpecFile(check=kind, program=program, program_source=source, **values)
-    spec.loop  # validates the loop index against the parsed program
-    return spec
+    loops = while_loops(program)
+    if not loops:
+        raise SpecError("the program contains no loop", program_line)
+    if values["loop_index"] >= len(loops):
+        raise SpecError(
+            f"loop index {values['loop_index']} out of range; "
+            f"the program has {len(loops)} loop(s)",
+            seen["loop"][0],
+        )
+    return InvariantSpecFile(check=kind, program=program, program_source=source, **values)

@@ -123,6 +123,9 @@ class ErtConfig:
     tick_mutation exists for the mutation test in the property suite; its
     only value besides None, "drop-if-tick", suppresses the tick charged by
     conditionals (including the conditionals arising from loop unrolling).
+    `char_functional` charges the loop guard's tick under every config, so
+    under the mutation it maps a loop's exactly computed run-time to that
+    run-time plus 1.
     """
 
     max_unroll_depth: int = 64

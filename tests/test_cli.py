@@ -439,6 +439,21 @@ def test_bad_domain_is_an_input_error_with_its_line(domain, message, tmp_path, c
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "program, loop, message",
+    [
+        ("corpus: geo", "loop: 3", "line 5: loop index 3 out of range; the program has 1 loop(s)"),
+        ("program: x := 1", "", "line 2: the program contains no loop"),
+    ],
+)
+def test_missing_loop_is_an_input_error_with_its_line(program, loop, message, tmp_path, capsys):
+    spec = tmp_path / "loop.spec"
+    spec.write_text(f"check: upper\n{program}\ninvariant: 1\ndomain: c in {{0, 1}}\n{loop}\n")
+    code, out, err = run(capsys, "check-inv", str(spec))
+    assert (code, out, err) == (2, "", f"spec error: {message}\n")
+    assert "Traceback" not in err
+
+
 def test_corpus_parameter_flags(capsys):
     code, out, _ = run(capsys, "corpus", "coupon", "--N", "2", "--format", "json")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+import re
 
 from ertkit.generator import (
     PROFILES,
@@ -6,7 +7,10 @@ from ertkit.generator import (
     random_runtime,
     random_state,
     shrink,
+    shrink_candidates,
 )
+from ertkit.kernel import State
+from ertkit.parser import parse_program, parse_rt
 from ertkit.props import (
     CANARY_TEXT,
     run_property_suite,
@@ -25,7 +29,13 @@ from ertkit.syntax import (
     children,
     program_to_text,
 )
-from ertkit.transformer import ErtConfig
+from ertkit.transformer import (
+    ErtConfig,
+    FuelExhausted,
+    char_functional,
+    det_step_count,
+    expected_runtime,
+)
 from references import run_det_sweep
 
 
@@ -149,3 +159,77 @@ def test_shrink_keeps_failure_and_never_grows():
     small = shrink(p, too_long)
     assert too_long(small)
     assert len(program_to_text(small)) <= len(program_to_text(p))
+
+
+MUTANT = ErtConfig(tick_mutation="drop-if-tick")
+
+
+def _parse_state(text):
+    return State({k: int(v) for k, v in (kv.split("=") for kv in text.strip("{}").split(", "))})
+
+
+def _det_numbers(p, sigma):
+    """(step count, transformer value) under the mutant, as text."""
+    counted, _ = det_step_count(p, sigma, fuel=50_000)
+    return str(counted), str(expected_runtime(p, None, sigma, MUTANT).value)
+
+
+def _fixed_point_numbers(p, f, sigma):
+    """(F applied to the table, table value) under the mutant, as text, or
+    None where the law does not apply: no loop, or a cut-off value."""
+    if not isinstance(p, While):
+        return None
+    res = expected_runtime(p, f, sigma, MUTANT)
+    if not res.is_exact:
+        return None
+    image, tainted = char_functional(p, f, MUTANT)(
+        lambda s: expected_runtime(p, f, s, MUTANT).value, sigma
+    )
+    assert not tainted
+    return str(image), str(res.value)
+
+
+def _mutant_failures():
+    for seed, count in ((5, 14), (42, 40)):
+        for failure in run_property_suite(seed, count, config=MUTANT).failures:
+            f = None if failure.f == "-" else parse_rt(failure.f)
+            yield failure, parse_program(failure.program), f, _parse_state(failure.state)
+
+
+def _fails(prop, p, f, sigma):
+    """Whether law `prop` fails on `p`, stated here apart from props.py;
+    a candidate the law does not apply to, or that diverges, does not fail."""
+    try:
+        if prop == "deterministic-correspondence":
+            counted, value = _det_numbers(p, sigma)
+            return counted != value
+        numbers = _fixed_point_numbers(p, f, sigma)
+        return numbers is not None and numbers[0] != numbers[1]
+    except FuelExhausted:
+        return False
+
+
+def test_mutant_failures_report_the_reported_programs_numbers():
+    seen = set()
+    for failure, p, f, sigma in _mutant_failures():
+        seen.add(failure.prop)
+        if failure.prop == "deterministic-correspondence":
+            pattern = r"step count (\S+) but transformer value (\S+) \(exact\)"
+            assert re.fullmatch(pattern, failure.detail).groups() == _det_numbers(p, sigma)
+        else:
+            assert failure.prop == "fixed-point"
+            pattern = r"F applied to the computed run-time gives (\S+), table has (\S+)"
+            numbers = re.fullmatch(pattern, failure.detail).groups()
+            assert numbers == _fixed_point_numbers(p, f, sigma)
+    assert seen == {"deterministic-correspondence", "fixed-point"}
+
+
+def test_mutant_failures_are_shrunk_to_a_local_minimum_of_their_law():
+    failures = list(_mutant_failures())
+    # the canary, shrunk: its branches' ticks are what the mutant miscounts
+    canary = program_to_text(parse_program("if (x > 0) { empty } else { empty }"))
+    assert canary in {failure.program for failure, _, _, _ in failures}
+    for failure, p, f, sigma in failures:
+        assert _fails(failure.prop, p, f, sigma)
+        for candidate in shrink_candidates(p):
+            assert not _fails(failure.prop, candidate, f, sigma), (failure, candidate)
