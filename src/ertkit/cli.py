@@ -520,21 +520,15 @@ def _cmd_corpus(args) -> int:
     except KeyError as exc:
         raise CliError(exc.args[0])
     params = _bindings(args.param, "--param", "parameters", _param_value)
-    for flag in ("N", "lead", "start", "threshold"):
-        value = getattr(args, flag)
-        if value is not None:
-            if flag in params:
-                raise CliError(f"{flag} is bound twice: as --{flag} and in --param")
-            params[flag] = value
     try:
-        entry.resolved(**params)
+        resolved = entry.resolved(**params)
     except (KeyError, ValueError) as exc:
         raise CliError(str(exc.args[0]))
     outcomes = entry.run_checks(**params)
 
     payload = _base_report(args, "corpus")
     payload["entry"] = entry.name
-    payload["params"] = dict(sorted(entry.resolved(**params).items()))
+    payload["params"] = dict(sorted(resolved.items()))
     payload["notes"] = entry.notes
     payload["checks"] = [
         {"name": o.name, "ok": o.ok, "detail": o.detail} for o in outcomes
@@ -668,10 +662,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="run a case study's scripted checks")
     p.add_argument("name", help=", ".join(sorted(ENTRIES)))
     p.add_argument("--param", action="append", default=[], metavar="K=V")
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--lead", type=int, default=None)
-    p.add_argument("--start", type=int, default=None)
-    p.add_argument("--threshold", type=int, default=None)
     common(p)
     p.set_defaults(func=_cmd_corpus)
 
@@ -710,9 +700,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except RecursionError:
+        # only eval and crosscheck have an unroll depth to lower
+        hint = "; use a smaller --depth" if hasattr(args, "depth") else ""
         print(
-            "error: the evaluation nests deeper than the recursion limit; "
-            "use a smaller --depth",
+            f"error: the evaluation nests deeper than the recursion limit{hint}",
             file=sys.stderr,
         )
         return EXIT_INPUT_ERROR

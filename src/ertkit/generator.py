@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .kernel import State
+from .kernel import KernelError, State
 from .syntax import (
     And,
     BinOp,
@@ -51,6 +51,7 @@ POOL: Tuple[str, ...] = ("x", "y", "z")
 
 MAX_SUPPORT = 4
 MAX_DENOMINATOR = 8
+MAX_SHRINK_TRIES = 300
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,10 @@ PROFILES: Dict[str, GenProfile] = {
 }
 
 
-def random_state(rng: random.Random, lo: int = 0, hi: int = 3) -> State:
+def random_state(rng: random.Random) -> State:
     # Non-negative values so that run-time expressions over the pool
     # always evaluate.
-    return State({v: rng.randint(lo, hi) for v in POOL})
+    return State({v: rng.randint(0, 3) for v in POOL})
 
 
 def _int_expr(rng: random.Random, depth: int = 1) -> Expr:
@@ -275,25 +276,26 @@ def shrink_candidates(p: Program):
         yield Empty()
 
 
-def shrink(p: Program, still_fails, max_tries: int = 300) -> Program:
+def shrink(p: Program, still_fails) -> Program:
     """Greedily minimize p while still_fails(candidate) stays true.
 
-    Candidates that raise are skipped; max_tries caps the total number
-    of candidate evaluations so that pathological candidates (say, a
-    countdown loop whose decrease got removed) cannot stall reporting.
+    Candidates on which still_fails raises a `KernelError` are skipped; at
+    most 300 candidates are evaluated in total, so that pathological
+    candidates (say, a countdown loop whose decrease got removed) cannot
+    stall reporting.
     """
     current = p
     tries = 0
     progress = True
-    while progress and tries < max_tries:
+    while progress and tries < MAX_SHRINK_TRIES:
         progress = False
         for cand in shrink_candidates(current):
             tries += 1
-            if tries > max_tries:
+            if tries > MAX_SHRINK_TRIES:
                 break
             try:
                 bad = still_fails(cand)
-            except Exception:
+            except KernelError:
                 continue
             if bad:
                 current = cand

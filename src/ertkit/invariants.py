@@ -21,7 +21,7 @@ from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple,
 from .kernel import INF, KernelError, State, XReal, _deep_stack, x_leq
 from .semantics import EvalError, eval_rt
 from .syntax import Annotated, RT_ZERO, RtExpr, While
-from .transformer import ErtConfig, FnCont, RtCont, char_functional
+from .transformer import FnCont, RtCont, char_functional
 
 
 class PreconditionFailed(KernelError):
@@ -152,10 +152,9 @@ def check_upper_invariant(
     f: RtExpr,
     spec: UpperInvariantSpec,
     D: StateDomain,
-    cfg: Optional[ErtConfig] = None,
 ) -> Verdict:
     """Park's rule: F_f(I) pointwise at most I certifies ert at most I."""
-    apply_F = char_functional(W, f, cfg)
+    apply_F = char_functional(W, f)
     inconclusive: Optional[str] = None
     with _deep_stack():
         for sigma, lhs, rhs, res in _premises(
@@ -178,18 +177,15 @@ def check_omega_invariant(
     W: Union[While, Annotated],
     f: RtExpr,
     spec: OmegaInvariantSpec,
-    n_max: int = 50,
-    D: Optional[StateDomain] = None,
-    cfg: Optional[ErtConfig] = None,
+    n_max: int,
+    D: StateDomain,
 ) -> Verdict:
     """Base and step conditions of the omega-invariant rule.
 
     Lower direction: F_f(0) at least I_0 and F_f(I_n) at least I_{n+1};
     the upper direction is the same with the orders flipped.
     """
-    if D is None:
-        raise ValueError("a state domain is required")
-    apply_F = char_functional(W, f, cfg)
+    apply_F = char_functional(W, f)
     inconclusive: Optional[str] = None
     with _deep_stack():
         # round 0 is the base case F(0) against I_0, round k the step
@@ -265,7 +261,6 @@ def refine(
     I: RtExpr,
     D: StateDomain,
     rounds: int = 1,
-    cfg: Optional[ErtConfig] = None,
 ) -> Dict[State, XReal]:
     """Apply the characteristic functional `rounds` times, tightening an
     upper bound.
@@ -277,7 +272,7 @@ def refine(
     as tables on D; DomainEscape names the first state outside D a round
     needs.
     """
-    apply_F = char_functional(W, f, cfg)
+    apply_F = char_functional(W, f)
     with _deep_stack():
         table = {sigma: _rt_at(I, sigma) for sigma in D}
         cont = RtCont(I)

@@ -348,19 +348,24 @@ class _Engine:
         if depth <= 0:
             out: Val = (0, 1, loop.__class__ is While)
         else:
-            tn, td, fn, fd = self.guard(loop.guard, sigma)
-            n, d, tainted = self._if_tick, 1, False
-            if tn:
-                rest = self.bounded_cont(loop, depth - 1, cont)
-                vn, vd, tainted = self.eval(loop.body, sigma, rest)
-                n, d = _add(n, d, tn, td, vn, vd)
-            if fn:
-                vn, vd, t = cont.eval(self, sigma)
-                n, d = _add(n, d, fn, fd, vn, vd)
-                tainted = tainted or t
-            out = _reduced(n, d, tainted)
+            rest = self.bounded_cont(loop, depth - 1, cont)
+            out = self.step(loop, self._if_tick, sigma, rest, cont)
         self.memo[key] = out
         return out
+
+    def step(self, loop: Loop, tick: int, sigma: State, rest, after) -> Val:
+        """One step of a loop: tick + Pr[guard] * ert[body](rest)(sigma)
+        + Pr[not guard] * after(sigma)."""
+        tn, td, fn, fd = self.guard(loop.guard, sigma)
+        n, d, tainted = tick, 1, False
+        if tn:
+            vn, vd, tainted = self.eval(loop.body, sigma, rest)
+            n, d = _add(n, d, tn, td, vn, vd)
+        if fn:
+            vn, vd, t = after.eval(self, sigma)
+            n, d = _add(n, d, fn, fd, vn, vd)
+            tainted = tainted or t
+        return _reduced(n, d, tainted)
 
     def _annotated(self, p: Annotated, sigma: State, cont) -> Val:
         ann = p.annotation
@@ -465,15 +470,7 @@ def char_functional(
             last[:] = X, _as_cont(X), _Engine(cfg)
         _, x_cont, engine = last
         with _deep_stack():
-            tn, td, fn, fd = engine.guard(loop.guard, sigma)
-            n, d, tainted = 1, 1, False
-            if fn:
-                vn, vd, tainted = f_cont.eval(engine, sigma)
-                n, d = _add(n, d, fn, fd, vn, vd)
-            if tn:
-                vn, vd, t = engine.eval(loop.body, sigma, x_cont)
-                n, d = _add(n, d, tn, td, vn, vd)
-                tainted = tainted or t
+            n, d, tainted = engine.step(loop, 1, sigma, x_cont, f_cont)
         return _xreal(n, d), tainted
 
     return apply

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 
 import ertkit.corpus
 import ertkit.kernel
-from ertkit.cli import main
+from ertkit.cli import _build_parser, main
 from ertkit.parser import MAX_NESTING
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -120,22 +121,22 @@ def test_unroll_cap_of_one(capsys):
     "argv, message",
     [
         pytest.param(
-            ("corpus", "coupon", "--N", "0"),
+            ("corpus", "coupon", "--param", "N=0"),
             "parameter N of corpus entry coupon must be at least 1, found 0",
             id="coupon-0",
         ),
         pytest.param(
-            ("corpus", "coupon", "--N", "-1"),
+            ("corpus", "coupon", "--param", "N=-1"),
             "parameter N of corpus entry coupon must be at least 1, found -1",
             id="coupon-negative",
         ),
         pytest.param(
-            ("corpus", "rwalk", "--start", "-3"),
+            ("corpus", "rwalk", "--param", "start=-3"),
             "parameter start of corpus entry rwalk must be at least 0, found -3",
             id="rwalk-start",
         ),
         pytest.param(
-            ("corpus", "npast", "--threshold", "-1"),
+            ("corpus", "npast", "--param", "threshold=-1"),
             "parameter threshold of corpus entry npast must be at least 0, found -1",
             id="npast-threshold",
         ),
@@ -240,6 +241,25 @@ def test_depth_beyond_the_recursion_limit_is_an_input_error(monkeypatch, capsys)
         "use a smaller --depth\n"
     )
     assert sys.getrecursionlimit() < 3_000
+
+
+def test_recursion_limit_without_a_depth_flag_gives_no_depth_advice(
+    monkeypatch, tmp_path, capsys
+):
+    # a loop body too long to evaluate within the limit, on a command that
+    # has no --depth to lower
+    monkeypatch.setattr(ertkit.kernel, "_DEEP_STACK", 3_000)
+    body = "; ".join(["x := x + 1"] * 1500)
+    spec = tmp_path / "long.spec"
+    spec.write_text(
+        f"check: upper\nprogram: while (c = 1) {{ {body} }}\ninvariant: 1\n"
+        "domain: c in {0, 1}; x in {0}\n"
+    )
+    code, out, err = run(capsys, "check-inv", str(spec))
+    assert (code, out) == (2, "")
+    assert err == "error: the evaluation nests deeper than the recursion limit\n"
+    assert "--depth" not in err and "Traceback" not in err
+
 
 def test_timings_are_opt_in(capsys):
     argv = ("eval", "corpus:trunc", "--format", "json")
@@ -455,7 +475,7 @@ def test_missing_loop_is_an_input_error_with_its_line(program, loop, message, tm
 
 
 def test_corpus_parameter_flags(capsys):
-    code, out, _ = run(capsys, "corpus", "coupon", "--N", "2", "--format", "json")
+    code, out, _ = run(capsys, "corpus", "coupon", "--param", "N=2", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["params"]["N"] == 2
@@ -943,10 +963,13 @@ def test_template_parameters_are_read_without_get_identifiers(monkeypatch, capsy
     assert json.loads(out)["program_sha256"] == hashlib.sha256(source.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("flag, param", [("--N", "N=2"), ("--start", "start=2")])
-def test_parameter_given_as_flag_and_param_is_an_input_error(flag, param, capsys):
-    entry = "coupon" if flag == "--N" else "rwalk"
-    code, out, err = run(capsys, "corpus", entry, flag, "3", "--param", param)
-    name = flag[2:]
-    assert (code, out, err) == (2, "", f"error: {name} is bound twice: as {flag} and in --param\n")
-    assert "Traceback" not in err
+def test_corpus_parameters_have_no_flags_of_their_own(capsys):
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {s for a in commands.choices["corpus"]._actions for s in a.option_strings}
+    params = {k for entry in ertkit.corpus.ENTRIES.values() for k in entry.params}
+    assert not {o.lstrip("-") for o in options} & params
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "coupon", "--N", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --N 2" in capsys.readouterr().err

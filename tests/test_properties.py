@@ -1,6 +1,7 @@
 import random
 import re
 
+import ertkit.props
 from ertkit.generator import (
     PROFILES,
     random_program,
@@ -162,6 +163,26 @@ def test_shrink_keeps_failure_and_never_grows():
 
 
 MUTANT = ErtConfig(tick_mutation="drop-if-tick")
+
+
+def test_mutant_shrinking_never_runs_the_step_counter_out(monkeypatch):
+    # a shrink candidate whose transformer value is a cut-off is skipped
+    # before the step counter runs on it
+    calls, exhausted = [0], [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        try:
+            return det_step_count(*args, **kwargs)
+        except FuelExhausted:
+            exhausted[0] += 1
+            raise
+
+    monkeypatch.setattr(ertkit.props, "det_step_count", counting)
+    report = run_property_suite(seed=42, count=40, config=MUTANT)
+    assert not report.ok
+    assert calls[0] > 0
+    assert exhausted[0] == 0
 
 
 def _parse_state(text):
