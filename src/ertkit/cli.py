@@ -41,7 +41,7 @@ from .parser import _KEYWORDS, ParseError, parse_program, parse_rt
 from .props import run_property_suite
 from .semantics import EvalError
 from .specfile import InvariantSpecFile, SpecError, parse_spec
-from .syntax import Program, RtExpr, RT_ZERO
+from .syntax import Program, RtExpr, RT_ZERO, while_loops
 from .transformer import ErtConfig, expected_runtime
 
 EXIT_OK = 0
@@ -172,25 +172,30 @@ def _program_inputs(args) -> Tuple[Program, str, RtExpr, State]:
     """The program of `args` with its source text, the continuation
     run-time `--f`, and the initial state used when no `--state` is given."""
     params = _bindings(args.param, "--param", "parameters", _param_value)
+    entry = None
     if not args.program.startswith("corpus:"):
         if params:
             raise CliError("--param only applies to corpus: programs")
         source = _read_text(args.program, "program")
-        return parse_program(source), source, _load_runtime(args.f), State()
-    name = args.program[len("corpus:") :]
-    try:
-        entry = lookup(name)
-        source = entry.source(**params)
-    except (KeyError, ValueError) as exc:
-        raise CliError(str(exc.args[0]))
-    used = entry.template_names()
-    for k in params:
-        if k not in used:
-            raise CliError(
-                f"parameter {k} does not occur in the program of corpus entry "
-                f"{name}; it applies to `ertkit corpus {name}` only"
-            )
-    return parse_program(source), source, _load_runtime(args.f), entry.initial_state()
+    else:
+        name = args.program[len("corpus:") :]
+        try:
+            entry = lookup(name)
+            source = entry.source(**params)
+        except (KeyError, ValueError) as exc:
+            raise CliError(str(exc.args[0]))
+        used = entry.template_names()
+        for k in params:
+            if k not in used:
+                raise CliError(
+                    f"parameter {k} does not occur in the program of corpus entry "
+                    f"{name}; it applies to `ertkit corpus {name}` only"
+                )
+    program = parse_program(source)
+    # a smaller --depth shortens only the unrolling of a loop
+    args.depth_helps = hasattr(args, "depth") and bool(while_loops(program))
+    f = _load_runtime(args.f)
+    return program, source, f, entry.initial_state() if entry else State()
 
 
 def _read_text(path: str, what: str) -> str:
@@ -700,8 +705,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except RecursionError:
-        # only eval and crosscheck have an unroll depth to lower
-        hint = "; use a smaller --depth" if hasattr(args, "depth") else ""
+        hint = "; use a smaller --depth" if getattr(args, "depth_helps", False) else ""
         print(
             f"error: the evaluation nests deeper than the recursion limit{hint}",
             file=sys.stderr,

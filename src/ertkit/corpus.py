@@ -87,10 +87,6 @@ class CorpusEntry:
         return _CHECKS[self.name](self, self.resolved(**overrides))
 
 
-def _outcome(name: str, ok: bool, detail: str) -> CheckOutcome:
-    return CheckOutcome(name, bool(ok), detail)
-
-
 # -- the entries -------------------------------------------------------
 
 _TRUNC = """\
@@ -233,7 +229,7 @@ def _check_trunc(entry: CorpusEntry, params: Dict[str, int]) -> List[CheckOutcom
     sigma = entry.initial_state()
     res = expected_runtime(program, None, sigma)
     out = [
-        _outcome(
+        CheckOutcome(
             "eval",
             res.is_exact and res.value == XReal(Fraction(5, 2)),
             f"run-time {res.value} ({res.kind}), expected exactly 5/2",
@@ -241,7 +237,7 @@ def _check_trunc(entry: CorpusEntry, params: Dict[str, int]) -> List[CheckOutcom
     ]
     cc = cross_check(program, RT_ZERO, sigma)
     out.append(
-        _outcome(
+        CheckOutcome(
             "crosscheck",
             cc.status == "pass" and cc.mdp_value == XReal(Fraction(5, 2)),
             f"{cc.status} via {cc.method}: model {cc.mdp_value}",
@@ -256,7 +252,7 @@ def _check_geo(entry: CorpusEntry, params: Dict[str, int]) -> List[CheckOutcome]
     res = expected_runtime(program, None, State({"c": 1}))
     expected = XReal(Fraction(5) - Fraction(3, 2**63))
     out.append(
-        _outcome(
+        CheckOutcome(
             "eval-from-1",
             res.kind == "lower" and res.value == expected,
             f"run-time {res.value} ({res.kind}) at depth 64, "
@@ -265,7 +261,7 @@ def _check_geo(entry: CorpusEntry, params: Dict[str, int]) -> List[CheckOutcome]
     )
     res0 = expected_runtime(program, None, State({"c": 0}))
     out.append(
-        _outcome(
+        CheckOutcome(
             "eval-from-0",
             res0.is_exact and res0.value == XReal(1),
             f"run-time {res0.value} ({res0.kind}), expected exactly 1",
@@ -274,14 +270,14 @@ def _check_geo(entry: CorpusEntry, params: Dict[str, int]) -> List[CheckOutcome]
     m = build_mdp(program, State({"c": 1}))
     a = expected_reward(m)
     out.append(
-        _outcome(
+        CheckOutcome(
             "model-exact",
             a.value == XReal(5) and a.method == "ExactLinearSolve",
             f"model value {a.value} via {a.method}, expected exactly 5",
         )
     )
     cc = cross_check(program, RT_ZERO, State({"c": 1}))
-    out.append(_outcome("crosscheck", cc.status == "pass", f"{cc.status}: {cc.detail}"))
+    out.append(CheckOutcome("crosscheck", cc.status == "pass", f"{cc.status}: {cc.detail}"))
     return out
 
 
@@ -293,7 +289,7 @@ def _check_race(entry: CorpusEntry, params: Dict[str, int]) -> List[CheckOutcome
         program, RT_ZERO, entry.initial_state(), MdpConfig(node_cap=150_000)
     )
     return [
-        _outcome(
+        CheckOutcome(
             "crosscheck",
             cc.status == "pass",
             f"{cc.status} ({cc.detail}); both engines give {cc.ert_value} "
@@ -324,12 +320,12 @@ def _check_rwalk(entry: CorpusEntry, params: Dict[str, int]) -> List[CheckOutcom
             break  # beyond this the truncated table would go inexact
     nondecreasing = all(a <= b for a, b in zip(values, values[1:]))
     out = [
-        _outcome(
+        CheckOutcome(
             "iterates-nondecreasing",
             nondecreasing,
             f"{len(values)} fixed-point iterates at x = {start} are nondecreasing",
         ),
-        _outcome(
+        CheckOutcome(
             "iterates-exceed",
             hit is not None,
             f"iterate {hit} = {values[-1]} first exceeds {threshold}"
@@ -345,7 +341,7 @@ def _check_rwalk(entry: CorpusEntry, params: Dict[str, int]) -> List[CheckOutcom
         MdpConfig(node_cap=20_000),
     )
     out.append(
-        _outcome(
+        CheckOutcome(
             "crosscheck",
             cc.status == "pass",
             f"{cc.status} ({cc.detail}) on the depth-{RWALK_DEPTH} bounded program",
@@ -368,7 +364,7 @@ def _check_coupon(entry: CorpusEntry, params: Dict[str, int]) -> List[CheckOutco
     m = build_mdp(program, sigma)
     a = expected_reward(m)
     out = [
-        _outcome(
+        CheckOutcome(
             "model-closed-form",
             a.value == closed,
             f"model value {a.value} via {a.method}, closed form {closed}",
@@ -384,7 +380,7 @@ def _check_coupon(entry: CorpusEntry, params: Dict[str, int]) -> List[CheckOutco
     below = all(b <= closed for b in bounds)
     gap = closed.q - bounds[-1].q
     out.append(
-        _outcome(
+        CheckOutcome(
             "bounded-approach",
             monotone and below and gap < Fraction(1, 10**6),
             f"bounded run-times at depths 1..128 climb monotonically to "
@@ -392,7 +388,7 @@ def _check_coupon(entry: CorpusEntry, params: Dict[str, int]) -> List[CheckOutco
         )
     )
     cc = cross_check(program, RT_ZERO, sigma)
-    out.append(_outcome("crosscheck", cc.status == "pass", f"{cc.status}: {cc.detail}"))
+    out.append(CheckOutcome("crosscheck", cc.status == "pass", f"{cc.status}: {cc.detail}"))
     return out
 
 
@@ -440,7 +436,7 @@ def _npast_part_one_exact(part_one: Program, sigma: State) -> CheckOutcome:
         and engine.kind == "lower"
         and floor <= engine.value <= XReal(9)
     )
-    return _outcome(
+    return CheckOutcome(
         "part-one-exact",
         ok,
         "doubling phase alone: exactly 9 (two-sided invariant certificate; "
@@ -475,7 +471,7 @@ def _check_npast(entry: CorpusEntry, params: Dict[str, int]) -> List[CheckOutcom
     out = [_npast_part_one_exact(part_one, sigma)]
     r2 = expected_runtime(part_two, None, State({"x": 1}))
     out.append(
-        _outcome(
+        CheckOutcome(
             "part-two-finite",
             r2.is_exact and r2.value == XReal(3),
             f"countdown alone from x = 1: {r2.value} ({r2.kind}), expected exactly 3",
@@ -484,7 +480,7 @@ def _check_npast(entry: CorpusEntry, params: Dict[str, int]) -> List[CheckOutcom
     composed = npast_annotated(entry.program())
     rc = expected_runtime(composed, None, sigma)
     out.append(
-        _outcome(
+        CheckOutcome(
             "composition-exceeds",
             rc.kind == "lower"
             and rc.value > XReal(threshold)

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
-from .kernel import INF, KernelError, State, XReal, _deep_stack, x_leq
+from .kernel import INF, KernelError, State, XReal, _deep_stack
 from .semantics import EvalError, eval_rt
 from .syntax import Annotated, RT_ZERO, RtExpr, While
-from .transformer import FnCont, RtCont, char_functional
+from .transformer import char_functional
 
 
 class PreconditionFailed(KernelError):
@@ -121,10 +121,10 @@ def _rt_at(expr: RtExpr, sigma: State, n: Optional[int] = None) -> XReal:
 
 def _point(direction: str, computed: XReal, tainted: bool, bound: XReal) -> str:
     if direction == "upper":
-        if not x_leq(computed, bound):
+        if not computed <= bound:
             return "Fails"  # true value >= computed > bound
         return "ok" if not tainted else "Inconclusive"
-    if x_leq(bound, computed):
+    if bound <= computed:
         return "ok"  # true value >= computed >= bound
     return "Inconclusive" if tainted else "Fails"
 
@@ -158,7 +158,7 @@ def check_upper_invariant(
     inconclusive: Optional[str] = None
     with _deep_stack():
         for sigma, lhs, rhs, res in _premises(
-            apply_F, RtCont(spec.invariant),
+            apply_F, spec.invariant,
             lambda s: _rt_at(spec.invariant, s), "upper", D,
         ):
             if res == "Fails":
@@ -192,7 +192,10 @@ def check_omega_invariant(
         # F(I_{k-1}) against I_k; both report their n as max(k - 1, 0)
         for k in range(n_max + 1):
             n = max(k - 1, 0)
-            X = RtCont(spec.invariant_n, {"n": k - 1}) if k else RtCont(RT_ZERO)
+            X = RT_ZERO
+            if k:
+                # I_{k-1} as a function of the state, its binding built once
+                X = lambda s, b={"n": k - 1}: eval_rt(spec.invariant_n, s, b)  # noqa: E731
             for sigma, lhs, rhs, res in _premises(
                 apply_F, X, lambda s: _rt_at(spec.invariant_n, s, k),
                 spec.direction, D,
@@ -241,8 +244,8 @@ def check_limit(
                 else:
                     devs.append(XReal(abs(v.q - limit.q)))
             bad = (
-                not x_leq(devs[-1], XReal(tol))
-                or any(not x_leq(devs[i + 1], devs[i]) for i in range(len(devs) - 1))
+                not devs[-1] <= XReal(tol)
+                or any(not devs[i + 1] <= devs[i] for i in range(len(devs) - 1))
             )
             if bad:
                 return Verdict(
@@ -275,11 +278,11 @@ def refine(
     apply_F = char_functional(W, f)
     with _deep_stack():
         table = {sigma: _rt_at(I, sigma) for sigma in D}
-        cont = RtCont(I)
+        X = I
         for r in range(rounds):
             nxt: Dict[State, XReal] = {}
             for sigma, lhs, rhs, res in _premises(
-                apply_F, cont, table.__getitem__, "upper", D
+                apply_F, X, table.__getitem__, "upper", D
             ):
                 if res != "ok":
                     raise PreconditionFailed(
@@ -289,7 +292,7 @@ def refine(
                     )
                 nxt[sigma] = lhs
             table = nxt
-            cont = FnCont(_table_lookup(table, r + 1))
+            X = _table_lookup(table, r + 1)
     return table
 
 

@@ -142,29 +142,6 @@ ONE = XReal(1)
 INF = XReal(None)
 
 
-def x_add(a: XReal, b: XReal) -> XReal:
-    # XReal.__add__ coerces its right operand itself
-    return (a if isinstance(a, XReal) else XReal(a)) + b
-
-
-def x_mul(a: XReal, b: XReal) -> XReal:
-    return (a if isinstance(a, XReal) else XReal(a)) * b
-
-
-def x_leq(a: XReal, b: XReal) -> bool:
-    return _coerce(a) <= _coerce(b)
-
-
-def x_min(a: XReal, b: XReal) -> XReal:
-    a, b = _coerce(a), _coerce(b)
-    return a if a <= b else b
-
-
-def x_max(a: XReal, b: XReal) -> XReal:
-    a, b = _coerce(a), _coerce(b)
-    return b if a <= b else a
-
-
 # Values are plain Python: bool, int, and a tuple of ints for a whole array.
 # bool is a subclass of int, so kind checks test bool first throughout.
 Value = Union[int, bool]
@@ -189,16 +166,12 @@ class State:
 
     __slots__ = ("values", "_hash")
 
-    def __init__(
-        self,
-        scalars: Mapping[str, Value] = (),
-        arrays: Mapping[str, Iterable[Value]] = (),
-    ):
-        vals = dict(scalars)
-        for name, cells in dict(arrays).items():
-            if name in vals:
-                raise KindMismatch("%r is given both as a variable and as an array" % name)
-            vals[name] = tuple(cells)
+    def __init__(self, values: Mapping[str, Union[Value, Iterable[Value]]] = ()):
+        # as in `set`, any value that is not an int or a bool is a whole array
+        vals = {
+            name: v if v.__class__ is int or v.__class__ is bool else tuple(v)
+            for name, v in dict(values).items()
+        }
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_hash", None)
 

@@ -34,7 +34,7 @@ from .semantics import eval_dist, eval_expr, eval_guard, eval_rt
 from .syntax import (
     Annotated, Empty, Halt, If, NdChoice, ProbAssign, Program, RtExpr, RT_ZERO,
     Seq, Skip, VarTarget, While, WhileBounded, expand_bounded_once,
-    program_to_text,
+    program_to_text, replace_whiles,
 )
 
 
@@ -619,7 +619,6 @@ def cross_check(
     Both values are exact: an exact transformer result must equal the model
     value, and a lower one must not exceed it.
     """
-    from .syntax import replace_whiles
     from .transformer import ErtConfig, expected_runtime
 
     sigma = sigma or State()

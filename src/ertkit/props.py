@@ -30,7 +30,7 @@ from .generator import (
     random_state,
     shrink,
 )
-from .kernel import INF, State, XReal, x_add, x_leq, x_mul
+from .kernel import INF, State, XReal
 from .mdp import MdpConfig, cross_check
 from .parser import parse_program
 from .syntax import (
@@ -149,11 +149,11 @@ def _monotone_scaling(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
         lo = expected_runtime(p, f, sigma, cfg).value
         hi = expected_runtime(p, RAdd(f, h), sigma, cfg).value
         scaled = expected_runtime(p, RMul(RLit(r), f), sigma, cfg).value
-        lower = x_mul(XReal(min(Fraction(1), r)), lo)
-        upper = x_mul(XReal(max(Fraction(1), r)), lo)
-        scaled_ok = x_leq(lower, scaled) and x_leq(scaled, upper)
+        lower = XReal(min(Fraction(1), r)) * lo
+        upper = XReal(max(Fraction(1), r)) * lo
+        scaled_ok = lower <= scaled <= upper
         return {
-            "monotonicity": None if x_leq(lo, hi)
+            "monotonicity": None if lo <= hi
             else f"value {lo} for f exceeds value {hi} for f + ({rt_to_text(h)})",
             "scaling": None if scaled_ok
             else f"r = {r}: value {scaled} outside [{lower}, {upper}]",
@@ -171,7 +171,7 @@ def _const_prop(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
         base = expected_runtime(p, f, sigma, cfg).value
         moved = expected_runtime(p, RAdd(f, RLit(k)), sigma, cfg).value
         return {
-            "constant-propagation": None if moved == x_add(base, XReal(k))
+            "constant-propagation": None if moved == base + XReal(k)
             else f"value for f + {k} is {moved}, expected {base} + {k}"
         }
 
@@ -198,12 +198,12 @@ def _subadditive(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
 
     def case(p: Program, sigma: State) -> Dict[str, Optional[str]]:
         joint = expected_runtime(p, RAdd(f, g), sigma, cfg).value
-        split = x_add(
-            expected_runtime(p, f, sigma, cfg).value,
-            expected_runtime(p, g, sigma, cfg).value,
+        split = (
+            expected_runtime(p, f, sigma, cfg).value
+            + expected_runtime(p, g, sigma, cfg).value
         )
         return {
-            "sub-additivity": None if x_leq(joint, split)
+            "sub-additivity": None if joint <= split
             else f"value {joint} for f + g exceeds the sum {split}"
         }
 

@@ -22,7 +22,6 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .kernel import (
     INF, ONE, ZERO, KernelError, KindMismatch, State, Value, XReal, value_kind,
-    x_add, x_max, x_min, x_mul,
 )
 from .syntax import (
     And, ArrayLit, BinOp, BoolLit, CellRef, Cmp, Dirac, DistExpr, Expr,
@@ -158,9 +157,7 @@ _CERTAIN = Fraction(1)
 _NEVER = Fraction(0)
 
 
-def eval_dist(
-    d: DistExpr, sigma: State, bind: Optional[Bindings] = None
-) -> List[Tuple[Fraction, Sampled]]:
+def eval_dist(d: DistExpr, sigma: State) -> List[Tuple[Fraction, Sampled]]:
     """Finite support with merged duplicates; probabilities sum to one.
 
     Zero-weight entries are dropped before their value expression is
@@ -170,14 +167,14 @@ def eval_dist(
     if isinstance(d, Dirac):
         if isinstance(d.value, ArrayLit):
             vals = tuple(
-                _as_int(eval_expr(item, sigma, bind), "array element")
+                _as_int(eval_expr(item, sigma), "array element")
                 for item in d.value.items
             )
             return [(_CERTAIN, vals)]
-        return [(_CERTAIN, eval_expr(d.value, sigma, bind))]
+        return [(_CERTAIN, eval_expr(d.value, sigma))]
     if isinstance(d, Uniform):
-        lo = _as_int(eval_expr(d.lo, sigma, bind), "uniform bound")
-        hi = _as_int(eval_expr(d.hi, sigma, bind), "uniform bound")
+        lo = _as_int(eval_expr(d.lo, sigma), "uniform bound")
+        hi = _as_int(eval_expr(d.hi, sigma), "uniform bound")
         if lo > hi:
             raise EmptyUniformRange("unif[%d .. %d] is empty" % (lo, hi))
         p = Fraction(1, hi - lo + 1)
@@ -188,19 +185,17 @@ def eval_dist(
         for p, expr in d.entries:
             if not p:
                 continue
-            v = eval_expr(expr, sigma, bind)
+            v = eval_expr(expr, sigma)
             prev = acc.get(v)
             acc[v] = p if prev is None else prev + p
         return [(p, v) for v, p in acc.items()]
     raise TypeError(d)
 
 
-def eval_guard(
-    g: DistExpr, sigma: State, bind: Optional[Bindings] = None
-) -> Fraction:
+def eval_guard(g: DistExpr, sigma: State) -> Fraction:
     """Probability that the guard evaluates to true."""
     p_true = None
-    for p, v in eval_dist(g, sigma, bind):
+    for p, v in eval_dist(g, sigma):
         if not isinstance(v, bool):
             raise KindMismatch("guard produced non-boolean value %r" % (v,))
         if v:
@@ -231,7 +226,7 @@ def eval_rt(
     if isinstance(f, Indicator):
         return ONE if _as_bool(eval_expr(f.cond, sigma, bind)) else ZERO
     if isinstance(f, RAdd):
-        return x_add(eval_rt(f.left, sigma, bind), eval_rt(f.right, sigma, bind))
+        return eval_rt(f.left, sigma, bind) + eval_rt(f.right, sigma, bind)
     if isinstance(f, RMonus):
         a = eval_rt(f.left, sigma, bind)
         b = eval_rt(f.right, sigma, bind)
@@ -248,7 +243,7 @@ def eval_rt(
         if a == ZERO:
             return ZERO
         b = eval_rt(f.right, sigma, bind)
-        return x_mul(a, b)
+        return a * b
     if isinstance(f, RDiv):
         b = eval_rt(f.right, sigma, bind)
         if b == ZERO:
@@ -264,9 +259,11 @@ def eval_rt(
             return ONE if k == 0 else INF
         return XReal(base.q ** k)
     if isinstance(f, RMin):
-        return x_min(eval_rt(f.left, sigma, bind), eval_rt(f.right, sigma, bind))
+        a, b = eval_rt(f.left, sigma, bind), eval_rt(f.right, sigma, bind)
+        return a if a <= b else b
     if isinstance(f, RMax):
-        return x_max(eval_rt(f.left, sigma, bind), eval_rt(f.right, sigma, bind))
+        a, b = eval_rt(f.left, sigma, bind), eval_rt(f.right, sigma, bind)
+        return b if a <= b else a
     if isinstance(f, FiniteSum):
         lo = _int_arg(eval_rt(f.lo, sigma, bind), "summation bound")
         hi = _int_arg(eval_rt(f.hi, sigma, bind), "summation bound")
@@ -274,7 +271,7 @@ def eval_rt(
         inner: Dict[str, int] = dict(bind) if bind else {}
         for k in range(lo, hi + 1):
             inner[f.var] = k
-            total = x_add(total, eval_rt(f.body, sigma, inner))
+            total += eval_rt(f.body, sigma, inner)
         return total
     if isinstance(f, GeoSeries):
         r = eval_rt(f.ratio, sigma, bind)

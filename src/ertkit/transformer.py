@@ -44,7 +44,7 @@ from math import gcd
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .kernel import INF, ZERO, KernelError, State, XReal, _deep_stack
-from .semantics import Bindings, eval_dist, eval_expr, eval_guard, eval_rt
+from .semantics import eval_dist, eval_expr, eval_guard, eval_rt
 from .syntax import (
     Annotated, Empty, Halt, If, NdChoice, ProbAssign, Program, RtExpr,
     RT_ZERO, Seq, Skip, VarTarget, While, WhileBounded, expand_bounded_once,
@@ -58,6 +58,10 @@ Val = Tuple[Optional[int], int, bool]
 
 # A loop node, which is also the loop's identity in the memo table.
 Loop = Union[While, WhileBounded]
+
+# A run-time as the entry points take it: an expression, a function from
+# states to XReal, or None for the zero run-time.
+RunTime = Union[RtExpr, Callable[[State], XReal], None]
 
 
 def _add(
@@ -166,16 +170,15 @@ class ErtResult:
 
 
 class RtCont:
-    """A literal run-time expression, optionally with extra bindings."""
+    """A literal run-time expression."""
 
-    __slots__ = ("expr", "bind")
+    __slots__ = ("expr",)
 
-    def __init__(self, expr: RtExpr, bind: Optional[Bindings] = None):
+    def __init__(self, expr: RtExpr):
         self.expr = expr
-        self.bind = dict(bind) if bind else None
 
     def eval(self, engine: "_Engine", sigma: State) -> Val:
-        return _val_of(eval_rt(self.expr, sigma, self.bind), False)
+        return _val_of(eval_rt(self.expr, sigma), False)
 
 
 class FnCont:
@@ -372,7 +375,6 @@ class _Engine:
         if (
             ann.direction == "lower"
             and isinstance(cont, RtCont)
-            and not cont.bind
             and cont.expr == ann.continuation
         ):
             self.annotations_used.append(rt_to_text(ann.bound))
@@ -394,11 +396,9 @@ class _BoundedCont:
         return engine._bounded(self.loop, self.depth, sigma, self.after)
 
 
-def _as_cont(f) -> Union[RtCont, FnCont]:
+def _as_cont(f: RunTime) -> Union[RtCont, FnCont]:
     if f is None:
         return ZERO_CONT
-    if isinstance(f, (RtCont, FnCont)):
-        return f
     if callable(f):
         return FnCont(f)
     return RtCont(f)
@@ -410,7 +410,7 @@ def _as_cont(f) -> Union[RtCont, FnCont]:
 
 def expected_runtime(
     program: Program,
-    f: Union[RtExpr, RtCont, FnCont, Callable, None] = None,
+    f: RunTime = None,
     sigma: Optional[State] = None,
     config: Optional[ErtConfig] = None,
 ) -> ErtResult:
@@ -436,7 +436,7 @@ def expected_runtime(
 
 def char_functional(
     loop: Union[While, Annotated],
-    f: Union[RtExpr, RtCont],
+    f: RunTime,
     config: Optional[ErtConfig] = None,
 ):
     """The characteristic functional F of a loop with respect to `f`.
@@ -446,7 +446,7 @@ def char_functional(
         F(X)(sigma) = tick + Pr[guard false] * f(sigma)
                            + Pr[guard true] * ert[body](X)(sigma)
 
-    where X is a continuation, a callable, or a run-time expression.  The
+    where X is a run-time expression or a function of the state.  The
     tainted flag is set when the body itself contained a loop that was cut
     off, in which case the value is only a lower bound on F(X)(sigma).
 
@@ -478,7 +478,7 @@ def char_functional(
 
 def kleene_iterates(
     loop: Union[While, Annotated],
-    f: Union[RtExpr, RtCont],
+    f: RunTime,
     states: List[State],
     config: Optional[ErtConfig] = None,
 ):
@@ -494,8 +494,8 @@ def kleene_iterates(
     table: Dict[State, XReal] = {s: ZERO for s in states}
     yield dict(table)
     while True:
-        x_cont = FnCont(lambda q, t=table: t.get(q, ZERO))
-        table = {s: apply_F(x_cont, s)[0] for s in states}
+        lookup = lambda q, t=table: t.get(q, ZERO)  # noqa: E731
+        table = {s: apply_F(lookup, s)[0] for s in states}
         yield dict(table)
 
 

@@ -17,8 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ertkit.kernel import (
-    INF, ONE, ZERO, KindMismatch, State, Value, XReal, value_kind, x_add,
-    x_max, x_min, x_mul,
+    INF, ONE, ZERO, KindMismatch, State, Value, XReal, value_kind,
 )
 from ertkit.semantics import (
     _CERTAIN, Bindings, DivByZero, EmptyUniformRange, EvalError,
@@ -98,7 +97,7 @@ def eval_rt(
     if isinstance(f, Indicator):
         return ONE if _as_bool(eval_expr(f.cond, sigma, bind)) else ZERO
     if isinstance(f, RAdd):
-        return x_add(eval_rt(f.left, sigma, bind), eval_rt(f.right, sigma, bind))
+        return eval_rt(f.left, sigma, bind) + eval_rt(f.right, sigma, bind)
     if isinstance(f, RMonus):
         a = eval_rt(f.left, sigma, bind)
         b = eval_rt(f.right, sigma, bind)
@@ -115,7 +114,7 @@ def eval_rt(
         if a == ZERO:
             return ZERO
         b = eval_rt(f.right, sigma, bind)
-        return x_mul(a, b)
+        return a * b
     if isinstance(f, RDiv):
         b = eval_rt(f.right, sigma, bind)
         if b == ZERO:
@@ -131,9 +130,11 @@ def eval_rt(
             return ONE if k == 0 else INF
         return XReal(base.q ** k)
     if isinstance(f, RMin):
-        return x_min(eval_rt(f.left, sigma, bind), eval_rt(f.right, sigma, bind))
+        a, b = eval_rt(f.left, sigma, bind), eval_rt(f.right, sigma, bind)
+        return a if a <= b else b
     if isinstance(f, RMax):
-        return x_max(eval_rt(f.left, sigma, bind), eval_rt(f.right, sigma, bind))
+        a, b = eval_rt(f.left, sigma, bind), eval_rt(f.right, sigma, bind)
+        return b if a <= b else a
     if isinstance(f, FiniteSum):
         lo = _int_arg(eval_rt(f.lo, sigma, bind), "summation bound")
         hi = _int_arg(eval_rt(f.hi, sigma, bind), "summation bound")
@@ -141,7 +142,7 @@ def eval_rt(
         inner: Dict[str, int] = dict(bind) if bind else {}
         for k in range(lo, hi + 1):
             inner[f.var] = k
-            total = x_add(total, eval_rt(f.body, sigma, inner))
+            total = total + eval_rt(f.body, sigma, inner)
         return total
     if isinstance(f, GeoSeries):
         r = eval_rt(f.ratio, sigma, bind)

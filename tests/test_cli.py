@@ -261,6 +261,20 @@ def test_recursion_limit_without_a_depth_flag_gives_no_depth_advice(
     assert "--depth" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["eval", "crosscheck"])
+def test_recursion_limit_on_a_loop_free_program_gives_no_depth_advice(
+    command, monkeypatch, tmp_path, capsys
+):
+    # no --depth can help a program that has no loop to unroll
+    monkeypatch.setattr(ertkit.kernel, "_DEEP_STACK", 3_000)
+    prog = tmp_path / "flat.pp"
+    prog.write_text("; ".join(["x := x + 1"] * 1500))
+    code, out, err = run(capsys, command, str(prog), "--state", "x=0")
+    assert (code, out) == (2, "")
+    assert err == "error: the evaluation nests deeper than the recursion limit\n"
+    assert "Traceback" not in err
+
+
 def test_timings_are_opt_in(capsys):
     argv = ("eval", "corpus:trunc", "--format", "json")
     _, plain, _ = run(capsys, *argv)

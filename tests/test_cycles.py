@@ -15,7 +15,7 @@ from ertkit.kernel import State, XReal
 from ertkit.mdp import MdpConfig, build_mdp, cross_check, expected_reward
 from ertkit.parser import parse_program, parse_rt
 from ertkit.props import run_property_suite
-from ertkit.transformer import FnCont, char_functional, expected_runtime, kleene_iterates
+from ertkit.transformer import char_functional, expected_runtime, kleene_iterates
 
 GEO = parse_program("while (c = 1) { c :~ 1/2*<0> + 1/2*<1>; skip }")
 CHOICE = parse_program(
@@ -28,7 +28,7 @@ F = parse_rt("[c = 1] * 2")
 def _char_functional_twice():
     apply_F = char_functional(GEO, F)
     # a new X replaces the engine of the last one
-    for X in (parse_rt("3"), FnCont(lambda s: XReal(s.get("c")))):
+    for X in (parse_rt("3"), lambda s: XReal(s.get("c"))):
         for c in (0, 1):
             apply_F(X, State({"c": c}))
 

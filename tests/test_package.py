@@ -118,3 +118,52 @@ def test_syntax_nodes_share_the_slotted_base():
         assert "__slots__" in cls.__dict__, cls
         assert not hasattr(object.__new__(cls), "__dict__"), cls
         assert not dataclasses.is_dataclass(cls), cls
+
+
+def _imports(tree: ast.Module, module: str) -> list:
+    """The name of the function around each import of `ertkit.<module>` in
+    `tree`, None for an import at module level."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            names = []
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                base = ".".join(filter(None, ["ertkit" * child.level, child.module]))
+                names = [base] + [base + "." + a.name for a in child.names]
+            if "ertkit." + module in names:
+                found.append(function)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_three_legs_stay_independent():
+    # the transformer and the model check each other only while neither
+    # evaluates through the other; the step counter is the third leg
+    transformer = ast.parse((SRC / "transformer.py").read_text(encoding="utf-8"))
+    mdp = ast.parse((SRC / "mdp.py").read_text(encoding="utf-8"))
+    assert _imports(transformer, "mdp") == []
+    assert set(_imports(mdp, "transformer")) == {"cross_check"}
+    engine = {
+        "_Engine", "_add", "_reduced", "RtCont", "FnCont",
+        "expected_runtime", "char_functional", "kleene_iterates",
+    }
+    counter = [
+        node for node in transformer.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("det_step_count", "_det_support", "_det_guard")
+    ]
+    assert len(counter) == 3
+    for function in counter:
+        loaded = {
+            n.id for n in ast.walk(function)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        assert loaded & engine == set(), function.name

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import xreal_engine
 from ertkit import transformer
 from ertkit.generator import PROFILES, random_program, random_runtime, random_state
-from ertkit.kernel import INF, ONE, ZERO, State, XReal, x_add, x_max, x_mul
+from ertkit.kernel import INF, ONE, ZERO, State, XReal
 from ertkit.parser import parse_program, parse_rt
 from ertkit.props import sweep_triples
 from ertkit.semantics import EvalError, eval_dist, eval_expr, eval_guard
@@ -563,7 +563,7 @@ def test_char_functional_matches_the_doubling_schedule(loop, monkeypatch):
 #
 # The reference engine, built on the XReal engine of `xreal_engine`, reads
 # guard probabilities afresh and sums each node term by term in XReal
-# arithmetic, x_add(total, x_mul(p, v)), multiplying by every weight, certain
+# arithmetic, total + p * v, multiplying by every weight, certain
 # or not, and by every value, zero or not.  The transformer's unreduced int
 # pair per node, which skips those multiplies and impossible branches and
 # reduces once, must give the same results.
@@ -580,7 +580,7 @@ class _ReferenceEngine(xreal_engine._Engine):
     def _eval(self, p, sigma, cont):
         if isinstance(p, Skip):
             v, t = cont.eval(sigma)
-            return x_add(ONE, v), t
+            return ONE + v, t
         return super()._eval(p, sigma, cont)
 
     def _assign(self, p, sigma, cont):
@@ -595,7 +595,7 @@ class _ReferenceEngine(xreal_engine._Engine):
                 idx = eval_expr(p.target.index, sigma)
                 nxt = sigma.set_cell(p.target.name, idx, v)
             sub, t = cont.eval(nxt)
-            total = x_add(total, x_mul(_of(prob), sub))
+            total = total + _of(prob) * sub
             tainted = tainted or t
         return total, tainted
 
@@ -604,11 +604,11 @@ class _ReferenceEngine(xreal_engine._Engine):
         total, tainted = self._if_tick, False
         if p_true > 0:
             v, t = self.eval(then, sigma, cont)
-            total = x_add(total, x_mul(_of(p_true), v))
+            total = total + _of(p_true) * v
             tainted = tainted or t
         if p_true < 1:
             v, t = self.eval(orelse, sigma, cont)
-            total = x_add(total, x_mul(_of(1 - p_true), v))
+            total = total + _of(1 - p_true) * v
             tainted = tainted or t
         return total, tainted
 
@@ -625,11 +625,11 @@ class _ReferenceEngine(xreal_engine._Engine):
             if p_true > 0:
                 rest = self.bounded_cont(loop_key, guard, body, depth - 1, cont, synthesized)
                 v, t = self.eval(body, sigma, rest)
-                total = x_add(total, x_mul(_of(p_true), v))
+                total = total + _of(p_true) * v
                 tainted = tainted or t
             if p_true < 1:
                 v, t = cont.eval(sigma)
-                total = x_add(total, x_mul(_of(1 - p_true), v))
+                total = total + _of(1 - p_true) * v
                 tainted = tainted or t
             out = (total, tainted)
         self.memo[key] = out
@@ -646,11 +646,11 @@ def _reference_char_functional(loop, f, config):
         total, tainted = ONE, False
         if p_true < 1:
             v, t = f_cont.eval(sigma)
-            total = x_add(total, x_mul(_of(1 - p_true), v))
+            total = total + _of(1 - p_true) * v
             tainted = tainted or t
         if p_true > 0:
             v, t = engine.eval(loop.body, sigma, x_cont)
-            total = x_add(total, x_mul(_of(p_true), v))
+            total = total + _of(p_true) * v
             tainted = tainted or t
         return total, tainted
 
@@ -670,10 +670,10 @@ def _reference_kleene_iterates(loop, f, states, config):
             p_true = eval_guard(loop.guard, s)
             total = ONE
             if p_true < 1:
-                total = x_add(total, x_mul(_of(1 - p_true), f_cont.eval(s)[0]))
+                total = total + _of(1 - p_true) * f_cont.eval(s)[0]
             if p_true > 0:
                 v, _ = engine.eval(loop.body, s, x_cont)
-                total = x_add(total, x_mul(_of(p_true), v))
+                total = total + _of(p_true) * v
             nxt[s] = total
         table = nxt
         yield dict(table)
@@ -779,7 +779,7 @@ def test_pair_sum_matches_xreal_arithmetic(tick, terms):
     for p, v in terms:
         vn, vd = _pair_of(v)
         n, d = transformer._add(n, d, p.numerator, p.denominator, vn, vd)
-        expected = x_add(expected, x_mul(XReal(p), v))
+        expected = expected + XReal(p) * v
     _assert_is(transformer._reduced(n, d, False), expected)
 
 
@@ -810,10 +810,10 @@ def test_branch_weights_and_choice_match_xreal_arithmetic(p, a, b):
         assert (Fraction(tn, td), Fraction(fn, fd)) == (p, 1 - p)
         # each side charges the tick of its assignment; an impossible side is
         # never evaluated, so 0 * inf never arises
-        then, orelse = x_add(ONE, a), x_add(ONE, b)
-        expected = x_add(tick, x_add(x_mul(XReal(p), then), x_mul(XReal(1 - p), orelse)))
+        then, orelse = ONE + a, ONE + b
+        expected = tick + (XReal(p) * then + XReal(1 - p) * orelse)
         _assert_is(engine.eval(branch, sigma, f), expected)
-        _assert_is(engine.eval(choice, sigma, f), x_max(then, orelse))
+        _assert_is(engine.eval(choice, sigma, f), orelse if then <= orelse else then)
 
 
 def test_certain_weights_are_one_over_one():

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from ertkit.kernel import INF, ZERO, State, XReal, _deep_stack, x_max
+from ertkit.kernel import INF, ZERO, State, XReal, _deep_stack
 from ertkit.semantics import (
     _CERTAIN, Bindings, eval_dist, eval_expr, eval_guard, eval_rt,
 )
@@ -195,7 +195,7 @@ class _Engine:
         if isinstance(p, NdChoice):
             lv, lt = self.eval(p.left, sigma, cont)
             rv, rt_ = self.eval(p.right, sigma, cont)
-            return x_max(lv, rv), lt or rt_
+            return rv if lv <= rv else lv, lt or rt_
         if isinstance(p, If):
             return self._branch(p.guard, p.then, p.orelse, sigma, cont)
         if isinstance(p, While):
