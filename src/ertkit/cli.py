@@ -36,7 +36,9 @@ from .invariants import (
     refine,
 )
 from .kernel import KernelError, State, XReal
-from .mdp import MdpConfig, NodeCapExceeded, build_mdp, cross_check, mdp_to_dot
+from .mdp import (
+    FALLBACK_UNROLL, MdpConfig, NodeCapExceeded, build_mdp, cross_check, mdp_to_dot,
+)
 from .parser import _KEYWORDS, ParseError, parse_program, parse_rt
 from .props import run_property_suite
 from .semantics import EvalError
@@ -54,19 +56,6 @@ _SCHEMA = "ertkit-report/1"
 
 class CliError(Exception):
     """Input or usage error; maps to exit code 2."""
-
-
-def _default_node_cap() -> int:
-    env = os.environ.get("ERTKIT_MAX_NODES")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise CliError(f"ERTKIT_MAX_NODES must be an integer, found {env!r}")
-        if cap < 1:
-            raise CliError(f"--node-cap must be at least 1 (ERTKIT_MAX_NODES={env})")
-        return cap
-    return MdpConfig.node_cap
 
 
 class _TooManyDigits(CliError):
@@ -307,12 +296,11 @@ def _cmd_eval(args) -> int:
 def _cmd_crosscheck(args) -> int:
     program, source, f, default = _program_inputs(args)
     sigma = _parse_state(args.state) if args.state else default
-    cfg = MdpConfig(node_cap=args.node_cap)
     report = cross_check(
         program,
         f,
         sigma,
-        cfg,
+        MdpConfig(node_cap=args.node_cap),
         ert_config=ErtConfig(max_unroll_depth=args.depth),
         fallback_unroll=args.fallback_depth,
     )
@@ -557,8 +545,7 @@ def _cmd_export_mdp(args) -> int:
         m = build_mdp(program, sigma, f, node_cap=args.node_cap)
     except NodeCapExceeded as exc:
         raise CliError(
-            f"{exc}; raise --node-cap / ERTKIT_MAX_NODES or export a bounded "
-            "variant of the program"
+            f"{exc}; raise --node-cap or export a bounded variant of the program"
         )
     dot = mdp_to_dot(m)
     if args.out:
@@ -629,11 +616,11 @@ def _build_parser() -> argparse.ArgumentParser:
     program_args(p)
     p.add_argument("--state", action="append", default=[], metavar="BINDINGS")
     p.add_argument("--depth", type=int, default=ErtConfig.max_unroll_depth)
-    p.add_argument("--node-cap", type=int, default=None)
+    p.add_argument("--node-cap", type=int, default=MdpConfig.node_cap)
     p.add_argument(
         "--fallback-depth",
         type=int,
-        default=40,
+        default=FALLBACK_UNROLL,
         help="loop bound used when the full model exceeds the node cap",
     )
     common(p)
@@ -673,7 +660,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-mdp", help="write the operational model as DOT")
     program_args(p)
     p.add_argument("--state", action="append", default=[], metavar="BINDINGS")
-    p.add_argument("--node-cap", type=int, default=None)
+    p.add_argument("--node-cap", type=int, default=MdpConfig.node_cap)
     p.add_argument("--out", default=None, metavar="FILE")
     common(p)
     p.set_defaults(func=_cmd_export_mdp)
@@ -688,8 +675,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args.argv_echo = argv
     args.started = time.monotonic()
     try:
-        if getattr(args, "node_cap", None) is None and hasattr(args, "node_cap"):
-            args.node_cap = _default_node_cap()
         for flag in ("depth", "fallback_depth", "node_cap", "count"):
             if getattr(args, flag, 1) < 1:
                 raise CliError(f"--{flag.replace('_', '-')} must be at least 1")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -151,6 +151,16 @@ def value_kind(v: Union[Value, Tuple[Value, ...]]) -> str:
     return "bool" if isinstance(v, bool) else "array" if isinstance(v, tuple) else "int"
 
 
+ArrayValue = Union[Tuple[Value, ...], List[Value]]
+
+
+def _array(name: str, v: object) -> Tuple[Value, ...]:
+    """`v`, the value given for variable `name`, as a whole array."""
+    if v.__class__ in (tuple, list) and all(x.__class__ in (int, bool) for x in v):
+        return tuple(v)
+    raise KindMismatch("variable %r: %r is not an int, a bool or an array" % (name, v))
+
+
 class UndefinedName(KernelError, KeyError):
     """A name the state lacks: a `KeyError` too, printed without quotes."""
 
@@ -166,10 +176,10 @@ class State:
 
     __slots__ = ("values", "_hash")
 
-    def __init__(self, values: Mapping[str, Union[Value, Iterable[Value]]] = ()):
+    def __init__(self, values: Mapping[str, Union[Value, ArrayValue]] = ()):
         # as in `set`, any value that is not an int or a bool is a whole array
         vals = {
-            name: v if v.__class__ is int or v.__class__ is bool else tuple(v)
+            name: v if v.__class__ is int or v.__class__ is bool else _array(name, v)
             for name, v in dict(values).items()
         }
         object.__setattr__(self, "values", vals)
@@ -225,10 +235,10 @@ class State:
     def get_cell(self, name: str, index: int) -> Value:
         return self._cells(name, index)[index - 1]
 
-    def set(self, name: str, v: Union[Value, Iterable[Value]]) -> "State":
-        """Write the whole variable `name`; any iterable is a whole array."""
+    def set(self, name: str, v: Union[Value, ArrayValue]) -> "State":
+        """Write the whole variable `name`; a tuple or list is a whole array."""
         if v.__class__ is not int and v.__class__ is not bool:
-            v = tuple(v)
+            v = _array(name, v)
         old = self.values.get(name)
         if old is not None:
             if old.__class__ is not v.__class__:

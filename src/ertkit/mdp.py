@@ -96,6 +96,10 @@ class MdpConfig:
     node_cap: int = 200_000
 
 
+# the loop bound `cross_check` falls back to when the node cap is hit
+FALLBACK_UNROLL = 40
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -607,14 +611,16 @@ def cross_check(
     sigma: Optional[State] = None,
     cfg: Optional[MdpConfig] = None,
     ert_config=None,
-    fallback_unroll: int = 64,
+    fallback_unroll: int = FALLBACK_UNROLL,
 ) -> CrossCheckReport:
     """Compute the transformer and the operational value and compare.
 
     Programs whose reachable model does not fit the node cap are compared on
-    their depth-bounded form instead: both sides are exact on that program,
+    their form with each `while` bounded at `fallback_unroll` (default
+    `FALLBACK_UNROLL`, 40) instead: both sides are exact on that program,
     so the comparison is an exact equality, at the price of speaking about
-    the bounded program only.
+    the bounded program only.  A program without `while` loops is its own
+    fallback, so it raises `NodeCapExceeded`.
 
     Both values are exact: an exact transformer result must equal the model
     value, and a lower one must not exceed it.

@@ -11,6 +11,7 @@ import pytest
 import ertkit.corpus
 import ertkit.kernel
 from ertkit.cli import _build_parser, main
+from ertkit.mdp import MdpConfig, cross_check
 from ertkit.parser import MAX_NESTING
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -155,13 +156,18 @@ def test_corpus_parameter_below_its_minimum(argv, message, capsys):
 
 
 @pytest.mark.parametrize("cap", ["-3", "0"])
-def test_node_cap_below_one_is_an_input_error(cap, monkeypatch, capsys):
+def test_node_cap_below_one_is_an_input_error(cap, capsys):
     code, out, err = run(capsys, "crosscheck", "corpus:geo", "--node-cap", cap)
     assert (code, out, err) == (2, "", "error: --node-cap must be at least 1\n")
-    monkeypatch.setenv("ERTKIT_MAX_NODES", cap)
-    code, out, err = run(capsys, "crosscheck", "corpus:geo")
-    assert (code, out) == (2, "")
-    assert err == f"error: --node-cap must be at least 1 (ERTKIT_MAX_NODES={cap})\n"
+
+
+def test_a_report_follows_from_its_argv_alone(capsys, monkeypatch):
+    argv = ("crosscheck", "corpus:geo", "--fallback-depth", "1", "--format", "json")
+    monkeypatch.delenv("ERTKIT_MAX_NODES", raising=False)
+    expected = run(capsys, *argv)
+    monkeypatch.setenv("ERTKIT_MAX_NODES", "8")
+    assert run(capsys, *argv) == expected
+    assert json.loads(expected[1])["result"]["bounded_at"] is None
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -513,9 +519,21 @@ def test_export_mdp_stdout_and_file(tmp_path, capsys):
     assert target.read_text().startswith("digraph")
 
 
-def test_export_mdp_cap_error(capsys, monkeypatch):
-    monkeypatch.setenv("ERTKIT_MAX_NODES", "10")
-    code, _, err = run(capsys, "export-mdp", "corpus:coupon")
+def test_library_and_command_line_fall_back_to_the_same_depth(capsys):
+    rwalk = ertkit.corpus.ENTRIES["rwalk"].program()
+    sigma = ertkit.kernel.State({"x": 1})
+    report = cross_check(rwalk, sigma=sigma, cfg=MdpConfig(node_cap=2000))
+    assert (report.status, report.bounded_at) == ("pass", 40)
+    code, out, _ = run(
+        capsys, "crosscheck", "corpus:rwalk", "--node-cap", "2000", "--format", "json"
+    )
+    result = json.loads(out)["result"]
+    assert (code, result["status"], result["bounded_at"]) == (0, "pass", 40)
+    assert result["nodes"] == report.node_count
+
+
+def test_export_mdp_cap_error(capsys):
+    code, _, err = run(capsys, "export-mdp", "corpus:coupon", "--node-cap", "10")
     assert code == 2
     assert "node" in err.lower()
 
@@ -532,23 +550,9 @@ def test_export_over_the_cap_is_an_input_error(capsys):
     code, out, err = run(capsys, "export-mdp", "corpus:rwalk", "--node-cap", "20")
     assert (code, out) == (2, "")
     assert err == (
-        "error: reachable node count exceeded the cap of 20; raise --node-cap / "
-        "ERTKIT_MAX_NODES or export a bounded variant of the program\n"
+        "error: reachable node count exceeded the cap of 20; raise --node-cap or "
+        "export a bounded variant of the program\n"
     )
-
-
-def test_malformed_node_cap_environment_is_an_input_error(capsys, monkeypatch):
-    monkeypatch.setenv("ERTKIT_MAX_NODES", "abc")
-    code, _, err = run(capsys, "crosscheck", "corpus:geo")
-    assert code == 2
-    assert "error: ERTKIT_MAX_NODES must be an integer" in err
-
-
-def test_node_cap_flag_beats_environment(capsys, monkeypatch):
-    monkeypatch.setenv("ERTKIT_MAX_NODES", "10")
-    code, out, _ = run(capsys, "export-mdp", "corpus:trunc", "--node-cap", "1000")
-    assert code == 0
-    assert out.startswith("digraph")
 
 
 @pytest.mark.parametrize(

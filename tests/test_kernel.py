@@ -151,6 +151,16 @@ def test_a_list_value_is_an_array():
     assert listed.get_cell("cp", 1) == 0
 
 
+@pytest.mark.parametrize("v", [1.5, "ab", None, [1, "a"], ((1,),)], ids=repr)
+def test_a_value_of_no_kind_is_a_kind_mismatch(v):
+    message = "variable 'y': %r is not an int, a bool or an array" % (v,)
+    with pytest.raises(KindMismatch) as built:
+        State({"y": v})
+    with pytest.raises(KindMismatch) as written:
+        State({"x": 1}).set("y", v)
+    assert str(built.value) == str(written.value) == message
+
+
 def test_state_equality_hash_repr():
     a = State({"x": 1, "y": 2})
     b = State({"y": 2, "x": 1})

@@ -66,6 +66,22 @@ def test_no_unused_imports():
     assert found == {}
 
 
+def test_no_module_reads_the_environment():
+    # every input of a report is then in its argv or in a file named there
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += ["%s:%d" % (path.name, node.lineno) for n in names if n in readers]
+    assert found == []
+
+
 ROOT = SRC.parent.parent
 
 

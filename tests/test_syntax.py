@@ -14,7 +14,7 @@ import random
 import pytest
 
 from ertkit import syntax
-from ertkit.corpus import ENTRIES, npast_annotated
+from ertkit.corpus import ENTRIES
 from ertkit.generator import PROFILES, random_program, random_runtime
 from ertkit.parser import parse_program, parse_rt
 from ertkit.syntax import Annotated, InvariantAnnotation, RLit, RVar, WeightedList, replace_whiles
@@ -143,7 +143,9 @@ def test_corpus_programs_survive_deepcopy_and_pickle(name):
     program = ENTRIES[name].program()
     _assert_copies_equal(program)
     if name == "npast":
-        _assert_copies_equal(npast_annotated(program))
+        drain = syntax.while_loops(program)[-1]
+        bound = parse_rt("1 + [x > 0] * 2 * x")
+        _assert_copies_equal(Annotated(drain, InvariantAnnotation("lower", bound)))
 
 
 def test_generated_programs_survive_deepcopy_and_pickle():
