@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 # the library entry points; everything else is imported from its submodule
 from .kernel import INF, State, XReal
-from .syntax import Annotated, InvariantAnnotation, program_to_text
+from .syntax import Annotated, program_to_text
 from .parser import ParseError, parse_program, parse_rt
 from .transformer import (
     ErtConfig,
@@ -51,7 +51,6 @@ __all__ = [
     "parse_rt",
     "program_to_text",
     "Annotated",
-    "InvariantAnnotation",
     "ErtConfig",
     "ErtResult",
     "expected_runtime",

@@ -662,7 +662,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", action="append", default=[], metavar="BINDINGS")
     p.add_argument("--node-cap", type=int, default=MdpConfig.node_cap)
     p.add_argument("--out", default=None, metavar="FILE")
-    common(p)
     p.set_defaults(func=_cmd_export_mdp)
 
     return parser

@@ -21,7 +21,6 @@ from .parser import parse_program, parse_rt
 from .semantics import harmonic_number
 from .syntax import (
     Annotated,
-    InvariantAnnotation,
     Program,
     RT_ZERO,
     Seq,
@@ -450,8 +449,7 @@ def _check_npast(entry: CorpusEntry, params: Dict[str, int]) -> List[CheckOutcom
             f"countdown alone from x = 1: {r2.value} ({r2.kind}), expected exactly 3",
         )
     )
-    annotation = InvariantAnnotation("lower", parse_rt(_NPAST_DRAIN_BOUND))
-    composed = Seq(part_one, Annotated(part_two, annotation))
+    composed = Seq(part_one, Annotated(part_two, parse_rt(_NPAST_DRAIN_BOUND)))
     rc = expected_runtime(composed, None, sigma)
     out.append(
         CheckOutcome(

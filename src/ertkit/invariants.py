@@ -212,9 +212,9 @@ def check_omega_invariant(
 def check_limit(
     spec: OmegaInvariantSpec,
     D: StateDomain,
-    n_probe: int = 60,
-    tol: Fraction = Fraction(1, 10 ** 12),
-    big: Fraction = Fraction(10 ** 6),
+    n_probe: int,
+    tol: Fraction,
+    big: Fraction,
 ) -> Verdict:
     """Numeric evidence that I_n tends to the declared limit on the domain.
 
@@ -263,7 +263,7 @@ def refine(
     f: RtExpr,
     I: RtExpr,
     D: StateDomain,
-    rounds: int = 1,
+    rounds: int,
 ) -> Dict[State, XReal]:
     """Apply the characteristic functional `rounds` times, tightening an
     upper bound.

@@ -91,9 +91,17 @@ class RewardAnalysis:
     iterations: Optional[int] = None  # always None; perfbench/tracer.py reads it
 
 
-@dataclass
+@dataclass(frozen=True)
 class MdpConfig:
     node_cap: int = 200_000
+
+    def __post_init__(self):
+        _check_node_cap(self.node_cap)
+
+
+def _check_node_cap(node_cap: int) -> None:
+    if node_cap < 1:
+        raise ValueError("node_cap must be at least 1, got %r" % (node_cap,))
 
 
 # the loop bound `cross_check` falls back to when the node cap is hit
@@ -333,6 +341,7 @@ def build_mdp(
     under a raised recursion limit, since evaluating a long operator chain
     recurses once per operator.
     """
+    _check_node_cap(node_cap)
     b = _Builder(node_cap)
     try:
         with _deep_stack():
@@ -627,6 +636,8 @@ def cross_check(
     """
     from .transformer import ErtConfig, expected_runtime
 
+    if fallback_unroll < 1:
+        raise ValueError("fallback_unroll must be at least 1, got %r" % (fallback_unroll,))
     sigma = sigma or State()
     cfg = cfg or MdpConfig()
     bounded_at = None

@@ -274,7 +274,7 @@ _SAMPLERS = (
 
 def run_property_suite(
     seed: int,
-    count: int = 500,
+    count: int,
     config: Optional[ErtConfig] = None,
 ) -> PropReport:
     """Check the algebraic laws on `count` generated programs.
@@ -323,7 +323,7 @@ def sweep_triples(seed: int, count: int = 500) -> Iterator[Tuple[Program, RtExpr
         yield program, f, random_state(rng)
 
 
-def run_soundness_sweep(seed: int, count: int = 500) -> SweepReport:
+def run_soundness_sweep(seed: int, count: int) -> SweepReport:
     """Cross-check the transformer against the operational model on the
     `count` triples of `sweep_triples(seed)`, with a node cap of 30 000
     and a fallback unrolling of 32."""

@@ -196,21 +196,10 @@ class WhileBounded(_Node):
     __slots__ = ("bound", "guard", "body")  # bound: an int
 
 
-class InvariantAnnotation(_Node):
-    # continuation: the one the bound was certified against (default: the
-    # zero run-time); substitution is refused under any other continuation
-    __slots__ = ("direction", "bound", "continuation")
-
-    def __init__(self, direction: str, bound: "RtExpr", continuation: "RtExpr" = None):
-        if direction not in ("upper", "lower"):
-            raise ValueError("annotation direction must be 'upper' or 'lower'")
-        _set(self, "direction", direction)
-        _set(self, "bound", bound)
-        _set(self, "continuation", RLit(Fraction(0)) if continuation is None else continuation)
-
-
 class Annotated(_Node):
-    __slots__ = ("loop", "annotation")
+    # bound: a certified lower bound on the loop's run-time under the zero
+    # post-run-time, which the transformer may stand in for the loop there
+    __slots__ = ("loop", "bound")
 
 
 Program = Union[Empty, Skip, Halt, ProbAssign, Seq, NdChoice, If, While, WhileBounded, Annotated]

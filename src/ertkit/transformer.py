@@ -31,8 +31,8 @@ the rest of the sum; since zero-weight branches are skipped, the product
 enters the engine (a run-time expression, a table, an annotation's bound)
 and where one leaves it, at the three entry points.
 
-A loop carrying a lower-bound annotation may be replaced by its certified
-bound when it is applied to the continuation the bound was certified against.
+An annotated loop is replaced by its certified lower bound when it is
+applied to the zero post-run-time, the one the bound was certified against.
 All contexts of the transformer are monotone, so the result then remains a
 lower bound for the whole program.
 """
@@ -116,11 +116,15 @@ class FuelExhausted(KernelError):
     pass
 
 
+# the most statements `det_step_count` executes before it gives a run up
+STEP_BUDGET = 10_000_000
+
+
 class NotDeterministic(KernelError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ErtConfig:
     """Knobs for the transformer.
 
@@ -371,14 +375,9 @@ class _Engine:
         return _reduced(n, d, tainted)
 
     def _annotated(self, p: Annotated, sigma: State, cont) -> Val:
-        ann = p.annotation
-        if (
-            ann.direction == "lower"
-            and isinstance(cont, RtCont)
-            and cont.expr == ann.continuation
-        ):
-            self.annotations_used.append(rt_to_text(ann.bound))
-            return _val_of(eval_rt(ann.bound, sigma), True)
+        if isinstance(cont, RtCont) and cont.expr == RT_ZERO:
+            self.annotations_used.append(rt_to_text(p.bound))
+            return _val_of(eval_rt(p.bound, sigma), True)
         return self._bounded(p.loop, self.config.max_unroll_depth, sigma, cont)
 
 
@@ -480,7 +479,6 @@ def kleene_iterates(
     loop: Union[While, Annotated],
     f: RunTime,
     states: List[State],
-    config: Optional[ErtConfig] = None,
 ):
     """Yield the fixed-point iterates of a loop as state tables.
 
@@ -490,7 +488,7 @@ def kleene_iterates(
     entry is a sound approximation from below; an entry is exact whenever
     its dependence cone across the computed iterates stays inside the table.
     """
-    apply_F = char_functional(loop, f, config)
+    apply_F = char_functional(loop, f)
     table: Dict[State, XReal] = {s: ZERO for s in states}
     yield dict(table)
     while True:
@@ -499,17 +497,17 @@ def kleene_iterates(
         yield dict(table)
 
 
-def det_step_count(
-    program: Program, sigma: Optional[State] = None, fuel: int = 10_000_000
-) -> Tuple[XReal, State]:
+def det_step_count(program: Program, sigma: Optional[State] = None) -> Tuple[XReal, State]:
     """Run a deterministic program, counting ticks.
 
     Equals the transformer applied to the zero run-time on programs where
     every distribution is a point mass and no nondeterministic choice
     occurs.  Returns the tick count and the final state; a halt statement
-    stops the run keeping the count accumulated so far.
+    stops the run keeping the count accumulated so far.  A run that executes
+    more than `STEP_BUDGET` statements raises `FuelExhausted`.
     """
     sigma = sigma or State()
+    fuel = STEP_BUDGET
     ticks = 0
     stack: List[Program] = [program]
     while stack:

@@ -26,7 +26,6 @@ from ertkit.props import run_property_suite, run_soundness_sweep
 from ertkit.semantics import harmonic_number, rw_coefficient
 from ertkit.syntax import (
     Annotated,
-    InvariantAnnotation,
     Seq,
     replace_whiles,
     while_loops,
@@ -101,6 +100,7 @@ def test_criterion_03_invariant_checks():
             dom,
             n_probe=60,
             tol=Fraction(1, 10**12),
+            big=Fraction(10**6),
         )
         assert limit.status == "Inconclusive" and "consistent" in limit.reason
         # the probe sequence really is inside the tolerance at n = 60
@@ -206,7 +206,11 @@ def test_criterion_06_two_phase_composition():
         )
         assert lower.status == "Holds"
         consistent = check_limit(
-            OmegaInvariantSpec(seq, "lower", limit=lim), dom, n_probe=60
+            OmegaInvariantSpec(seq, "lower", limit=lim),
+            dom,
+            n_probe=60,
+            tol=Fraction(1, 10**12),
+            big=Fraction(10**6),
         )
         assert "consistent" in consistent.reason
         # upper bound 1 + 6 = 7 meets the lower limit 7: value certified
@@ -220,10 +224,7 @@ def test_criterion_06_two_phase_composition():
 
         # the composition needs the annotation to clear 100
         drain = while_loops(part_two)[0]
-        annotated = Annotated(
-            drain,
-            InvariantAnnotation("lower", parse_rt("1 + [x > 0] * 2 * x")),
-        )
+        annotated = Annotated(drain, parse_rt("1 + [x > 0] * 2 * x"))
         composed = Seq(part_one, annotated)
         rc = expected_runtime(composed, None, sigma)
         assert rc.kind == "lower"

@@ -519,6 +519,17 @@ def test_export_mdp_stdout_and_file(tmp_path, capsys):
     assert target.read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize("flags", [["--format", "json"], ["--timings"], ["--seed", "1"]])
+def test_export_mdp_refuses_the_report_flags(flags, capsys):
+    # its output is always DOT, so it has no report format, timings or seed
+    with pytest.raises(SystemExit) as exc:
+        main(["export-mdp", "corpus:geo", *flags])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "digraph" not in out
+    assert f"unrecognized arguments: {' '.join(flags)}" in err
+
+
 def test_library_and_command_line_fall_back_to_the_same_depth(capsys):
     rwalk = ertkit.corpus.ENTRIES["rwalk"].program()
     sigma = ertkit.kernel.State({"x": 1})

@@ -24,6 +24,9 @@ GEO = parse_program("while (c = 1) { c :~ 1/2*<0> + 1/2*<1> }")
 DRAIN = parse_program("while (x > 0) { x := x - 1 }")
 ZERO_RT = parse_rt("0")
 GEO_DOM = StateDomain.product({"c": (0, 1)})
+# the limit probe's tolerance and divergence threshold, as a spec file's
+# `tol` and `big` default to
+TOL, BIG = Fraction(1, 10**12), Fraction(10**6)
 
 
 def test_state_domain_product():
@@ -135,12 +138,12 @@ def test_omega_iterates_dominate_lower_invariant_sequence():
 
 def test_limit_probe_consistent_and_inconsistent():
     spec = OmegaInvariantSpec(GEO_OMEGA, "lower", limit=parse_rt("1 + [c = 1] * 4"))
-    v = check_limit(spec, GEO_DOM, n_probe=60)
+    v = check_limit(spec, GEO_DOM, n_probe=60, tol=TOL, big=BIG)
     assert v.status == "Inconclusive"
     assert "consistent" in v.reason
 
     wrong = OmegaInvariantSpec(GEO_OMEGA, "lower", limit=parse_rt("1 + [c = 1] * 9"))
-    v = check_limit(wrong, GEO_DOM, n_probe=60)
+    v = check_limit(wrong, GEO_DOM, n_probe=60, tol=TOL, big=BIG)
     assert v.status == "Fails"
     assert v.witness == State({"c": 1})
 
@@ -150,7 +153,7 @@ def test_limit_probe_handles_divergent_limits():
     spec = OmegaInvariantSpec(
         parse_rt("[c = 1] * n"), "lower", limit=parse_rt("[c = 1] * inf")
     )
-    v = check_limit(spec, GEO_DOM, n_probe=10**6)
+    v = check_limit(spec, GEO_DOM, n_probe=10**6, tol=TOL, big=BIG)
     assert v.status == "Inconclusive"
     assert "consistent" in v.reason
 
@@ -244,8 +247,8 @@ def test_checkers_evaluate_bounds_on_a_deep_stack():
         calls = [
             lambda: check_upper_invariant(GEO, ZERO_RT, UpperInvariantSpec(bound), GEO_DOM),
             lambda: check_omega_invariant(GEO, ZERO_RT, spec, 3, GEO_DOM),
-            lambda: check_limit(spec, GEO_DOM),
-            lambda: refine(GEO, ZERO_RT, bound, GEO_DOM),
+            lambda: check_limit(spec, GEO_DOM, n_probe=60, tol=TOL, big=BIG),
+            lambda: refine(GEO, ZERO_RT, bound, GEO_DOM, rounds=1),
         ]
         out = []
         for call in calls:

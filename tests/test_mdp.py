@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -38,7 +39,6 @@ from ertkit.syntax import (
     Dirac,
     Halt,
     If,
-    InvariantAnnotation,
     NdChoice,
     Seq,
     Skip,
@@ -144,7 +144,7 @@ def test_geometric_loop_value_is_exact_in_the_model():
 
 def test_annotated_loop_builds_the_model_of_the_plain_loop():
     geo = ENTRIES["geo"].program()
-    ann = Annotated(geo, InvariantAnnotation("upper", parse_rt("1 + [c = 1] * 4")))
+    ann = Annotated(geo, parse_rt("1 + [c = 1] * 4"))
     plain = build_mdp(geo, State({"c": 1}), RT_ZERO)
     m = build_mdp(ann, State({"c": 1}), RT_ZERO)
     assert m.node_count == plain.node_count
@@ -712,6 +712,31 @@ def test_node_cap_is_enforced():
         build("while (x > 0) { x := x + 1 }", State({"x": 1}), node_cap=50)
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_node_cap_below_one_is_rejected(cap):
+    with pytest.raises(ValueError, match="node_cap must be at least 1"):
+        MdpConfig(node_cap=cap)
+    with pytest.raises(ValueError, match="node_cap must be at least 1"):
+        build("skip", node_cap=cap)
+
+
+@pytest.mark.parametrize("depth", [0, -3])
+def test_fallback_unroll_below_one_is_rejected(depth):
+    # an unchecked depth would compare the empty unrolling, 0 against 0
+    rwalk = ENTRIES["rwalk"].program()
+    with pytest.raises(ValueError, match="fallback_unroll must be at least 1"):
+        cross_check(
+            rwalk, RT_ZERO, State({"x": 1}), MdpConfig(node_cap=100), fallback_unroll=depth
+        )
+
+
+def test_a_model_config_is_frozen():
+    cfg = MdpConfig(node_cap=100)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.node_cap = -5
+    assert cfg.node_cap == 100
+
+
 def test_cross_check_exact_on_loop_free_programs():
     report = cross_check(parse_program(ENTRIES["trunc"].source()))
     assert report.status == "pass"
@@ -761,7 +786,7 @@ def _golden_models():
     geo = ENTRIES["geo"].program()
     drain = parse_program("while (x > 0) { x := x - 1 }")
     annotated = Seq(
-        Annotated(geo, InvariantAnnotation("upper", parse_rt("1 + [c = 1] * 4"))),
+        Annotated(geo, parse_rt("1 + [c = 1] * 4")),
         WhileBounded(4, drain.guard, drain.body),
     )
     coupon = ENTRIES["coupon"]

@@ -1,7 +1,10 @@
 import random
 import re
 
+import pytest
+
 import ertkit.props
+import ertkit.transformer
 from ertkit.generator import (
     PROFILES,
     random_program,
@@ -191,7 +194,9 @@ def _parse_state(text):
 
 def _det_numbers(p, sigma):
     """(step count, transformer value) under the mutant, as text."""
-    counted, _ = det_step_count(p, sigma, fuel=50_000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ertkit.transformer, "STEP_BUDGET", 50_000)
+        counted, _ = det_step_count(p, sigma)
     return str(counted), str(expected_runtime(p, None, sigma, MUTANT).value)
 
 

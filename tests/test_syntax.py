@@ -17,7 +17,7 @@ from ertkit import syntax
 from ertkit.corpus import ENTRIES
 from ertkit.generator import PROFILES, random_program, random_runtime
 from ertkit.parser import parse_program, parse_rt
-from ertkit.syntax import Annotated, InvariantAnnotation, RLit, RVar, WeightedList, replace_whiles
+from ertkit.syntax import Annotated, RLit, RVar, WeightedList, replace_whiles
 
 NODE_CLASSES = sorted(
     (c for c in vars(syntax).values()
@@ -26,7 +26,7 @@ NODE_CLASSES = sorted(
 )
 
 # the classes whose own constructor normalises its arguments
-NORMALISING = (WeightedList, RLit, InvariantAnnotation)
+NORMALISING = (WeightedList, RLit)
 
 _PROGRAM = """\
 empty; skip; a := [1, 2]; a[0] :~ unif[0 .. 2];
@@ -58,7 +58,7 @@ def _samples():
     trees = [
         program,
         replace_whiles(program, 2),
-        Annotated(loop, InvariantAnnotation("upper", parse_rt("2 * x"))),
+        Annotated(loop, parse_rt("2 * x")),
         parse_rt(_RT),
     ]
     rng = random.Random(5)
@@ -145,7 +145,7 @@ def test_corpus_programs_survive_deepcopy_and_pickle(name):
     if name == "npast":
         drain = syntax.while_loops(program)[-1]
         bound = parse_rt("1 + [x > 0] * 2 * x")
-        _assert_copies_equal(Annotated(drain, InvariantAnnotation("lower", bound)))
+        _assert_copies_equal(Annotated(drain, bound))
 
 
 def test_generated_programs_survive_deepcopy_and_pickle():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import sys
@@ -21,7 +22,6 @@ from ertkit.syntax import (
     Dirac,
     If,
     IntLit,
-    InvariantAnnotation,
     NdChoice,
     ProbAssign,
     Seq,
@@ -172,12 +172,11 @@ def test_char_functional_fixed_point():
 
 def test_kleene_iterates_apply_the_char_functional():
     rng = random.Random(17)
-    cfg = ErtConfig(max_unroll_depth=4)
     for program, f, sigma in _loop_programs(40, 13):
         loop = while_loops(program)[0]
         states = [sigma, random_state(rng), random_state(rng)]
-        apply_F = char_functional(loop, f, cfg)
-        gen = kleene_iterates(loop, f, states, cfg)
+        apply_F = char_functional(loop, f)
+        gen = kleene_iterates(loop, f, states)
         table = next(gen)
         assert table == {s: ZERO for s in states}
         for _ in range(3):
@@ -293,11 +292,13 @@ def test_strictly_decreasing_loop_is_exact():
 def test_lower_annotation_substitutes_and_is_recorded():
     drain = while_loops(parse_program("while (x > 0) { x := x - 1 }"))[0]
     bound = parse_rt("1 + [x > 0] * 2 * x")
-    annotated = Annotated(drain, InvariantAnnotation("lower", bound))
-    r = expected_runtime(annotated, None, State({"x": 3}))
-    assert r.kind == "lower"
-    assert r.value == XReal(7)
-    assert r.annotations_used == ("1 + [x > 0] * 2 * x",)
+    annotated = Annotated(drain, bound)
+    # the zero post-run-time, left out or written out
+    for f in (None, parse_rt("0")):
+        r = expected_runtime(annotated, f, State({"x": 3}))
+        assert r.kind == "lower"
+        assert r.value == XReal(7)
+        assert r.annotations_used == ("1 + [x > 0] * 2 * x",)
 
     off = expected_runtime(annotated.loop, None, State({"x": 3}))
     assert off.kind == "exact"
@@ -307,9 +308,7 @@ def test_lower_annotation_substitutes_and_is_recorded():
 
 def test_annotation_duplicates_collapse():
     drain = while_loops(parse_program("while (x > 0) { x := x - 1 }"))[0]
-    annotated = Annotated(
-        drain, InvariantAnnotation("lower", parse_rt("1 + [x > 0] * 2 * x"))
-    )
+    annotated = Annotated(drain, parse_rt("1 + [x > 0] * 2 * x"))
     prog = Seq(parse_program("x :~ unif[1 .. 3]"), annotated)
     r = expected_runtime(prog, None, State({"x": 0}))
     assert r.kind == "lower"
@@ -320,22 +319,10 @@ def test_annotation_duplicates_collapse():
 
 def test_annotation_refused_under_other_continuations():
     drain = while_loops(parse_program("while (x > 0) { x := x - 1 }"))[0]
-    annotated = Annotated(
-        drain, InvariantAnnotation("lower", parse_rt("1 + [x > 0] * 2 * x"))
-    )
+    annotated = Annotated(drain, parse_rt("1 + [x > 0] * 2 * x"))
     r = expected_runtime(annotated, parse_rt("100"), State({"x": 3}))
     assert r.annotations_used == ()
     assert r.value == XReal(107)  # computed by unrolling, continuation kept
-
-
-def test_upper_annotation_never_substitutes():
-    drain = while_loops(parse_program("while (x > 0) { x := x - 1 }"))[0]
-    annotated = Annotated(
-        drain, InvariantAnnotation("upper", parse_rt("1 + [x > 0] * 2 * x"))
-    )
-    r = expected_runtime(annotated, None, State({"x": 3}))
-    assert r.annotations_used == ()
-    assert r.kind == "exact" and r.value == XReal(7)
 
 
 def test_det_step_count_frozen_pairs():
@@ -370,11 +357,12 @@ def test_det_step_count_unfolds_bounded_loops_like_the_transformer():
         assert final.get("y") == y
 
 
-def test_det_step_count_rejects_nondeterminism_and_diverging_runs():
+def test_det_step_count_rejects_nondeterminism_and_diverging_runs(monkeypatch):
     with pytest.raises(NotDeterministic):
         det_step_count(parse_program("{ skip } [] { skip }"))
+    monkeypatch.setattr(transformer, "STEP_BUDGET", 1000)
     with pytest.raises(FuelExhausted):
-        det_step_count(parse_program("while (true) { skip }"), fuel=1000)
+        det_step_count(parse_program("while (true) { skip }"))
 
 
 def test_drop_if_tick_mutation_changes_conditionals_only():
@@ -422,6 +410,15 @@ def test_unroll_cap_below_one_is_rejected():
             ErtConfig(max_unroll_depth=depth)
     r = expected_runtime(GEO, None, State({"c": 1}), ErtConfig(max_unroll_depth=1))
     assert r.kind == "lower" and r.value == XReal(2)  # F(0)(c=1) = 1 + 1/2 * 2
+
+
+def test_a_transformer_config_is_frozen():
+    # a depth changed after the constructor's check would go unchecked
+    cfg = ErtConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.max_unroll_depth = 0
+    r = expected_runtime(GEO, None, State({"c": 1}), cfg)
+    assert r.kind == "lower" and r.value > XReal(4)
 
 
 def test_loops_sharing_guard_and_body_keep_their_own_cutoff():
@@ -506,10 +503,7 @@ def test_single_unrolling_matches_the_doubling_schedule(monkeypatch):
     drain = while_loops(parse_program("while (x > 0) { x := x - 1 }"))[0]
     # two distinct lower bounds, reached on the exit paths of the loops before
     # them, so the order in which they are first used is compared as well
-    ann = [
-        Annotated(drain, InvariantAnnotation("lower", parse_rt(b)))
-        for b in ("1 + [x > 0] * 2 * x", "[x > 0] * 2 * x")
-    ]
+    ann = [Annotated(drain, parse_rt(b)) for b in ("1 + [x > 0] * 2 * x", "[x > 0] * 2 * x")]
     tail = If(parse_program("if (y > 1) { skip }").guard, ann[0], ann[1])
     lower = annotated = 0
     for i, (program, f, sigma) in enumerate(_loop_programs(200, 7)):
@@ -550,8 +544,11 @@ def test_char_functional_matches_the_doubling_schedule(loop, monkeypatch):
                     if not ov.is_infinite:
                         assert nt == ot
 
+            if cfg != ErtConfig():
+                continue  # kleene_iterates runs at the default config only
+
             def iterates(m):
-                gen = m.kleene_iterates(loop, f, states, cfg)
+                gen = m.kleene_iterates(loop, f, states)
                 return [next(gen) for _ in range(4)]
 
             old, new = _under_both(monkeypatch, iterates)
@@ -685,8 +682,8 @@ def test_one_accumulator_matches_the_per_term_arithmetic(monkeypatch):
     drain = while_loops(parse_program("while (x > 0) { x := x - 1 }"))[0]
     coin = while_loops(parse_program("while (1/2*<true> + 1/2*<false>) { y := y + 1 }"))[0]
     ann = [
-        Annotated(drain, InvariantAnnotation("lower", parse_rt("[x > 0] * 2 * x"))),
-        Annotated(coin, InvariantAnnotation("lower", parse_rt("1"))),
+        Annotated(drain, parse_rt("[x > 0] * 2 * x")),
+        Annotated(coin, parse_rt("1")),
     ]
     tail = If(parse_program("if (1/2*<true> + 1/2*<false>) { skip }").guard, ann[0], ann[1])
     configs = [
@@ -737,7 +734,9 @@ def test_loop_functional_matches_the_per_term_arithmetic(loop, cfg):
             new = [char_functional(loop, f, cfg)(X, s) for s in states]
             old = [_reference_char_functional(loop, f, cfg)(X, s) for s in states]
             assert new == old
-        new_it = kleene_iterates(loop, f, states, cfg)
+        if cfg != ErtConfig():
+            continue  # kleene_iterates runs at the default config only
+        new_it = kleene_iterates(loop, f, states)
         old_it = _reference_kleene_iterates(loop, f, states, cfg)
         for _ in range(5):
             assert next(new_it) == next(old_it)

@@ -272,15 +272,9 @@ class _Engine:
         )
 
     def _annotated(self, p: Annotated, sigma: State, cont) -> Tuple[XReal, bool]:
-        ann = p.annotation
-        if (
-            ann.direction == "lower"
-            and isinstance(cont, RtCont)
-            and not cont.bind
-            and cont.expr == ann.continuation
-        ):
-            self.annotations_used.append(rt_to_text(ann.bound))
-            return eval_rt(ann.bound, sigma), True
+        if isinstance(cont, RtCont) and not cont.bind and cont.expr == RT_ZERO:
+            self.annotations_used.append(rt_to_text(p.bound))
+            return eval_rt(p.bound, sigma), True
         return self._while(p.loop, sigma, cont)
 
 
