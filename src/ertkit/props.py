@@ -5,8 +5,8 @@ states.  Profiles restrict samples to the class a law is stated for:
 constant propagation and preservation of infinity need halt-free
 programs, sub-additivity needs fully probabilistic ones, and the
 deterministic correspondence compares against the step-counting
-interpreter.  A fixed canary program guards the harness itself: any
-mutation of the if-guard tick is caught by it deterministically.
+interpreter.  A fixed canary program guards the harness itself: a
+transformer that miscounts the if-guard tick fails on it at every seed.
 
 Each law is stated once, in a case: a function of a program and a state
 that gives, for each law it checks, None where the law holds or the
@@ -47,12 +47,7 @@ from .syntax import (
     While,
     WhileBounded,
 )
-from .transformer import (
-    ErtConfig,
-    char_functional,
-    det_step_count,
-    expected_runtime,
-)
+from .transformer import char_functional, det_step_count, expected_runtime
 
 CANARY_TEXT = "if (x > 0) { skip } else { skip }"
 
@@ -74,7 +69,6 @@ class PropFailure:
 
 @dataclass
 class PropReport:
-    seed: int
     requested: int
     checked: int = 0
     per_property: dict = field(default_factory=dict)
@@ -115,12 +109,12 @@ def _states(rng: random.Random, k: int = 2) -> List[State]:
     return [random_state(rng) for _ in range(k)]
 
 
-def _det_case(program: Program, cfg: Optional[ErtConfig]) -> Case:
+def _det_case(program: Program) -> Case:
     """The deterministic correspondence: the step count equals the
     transformer's exact value for the zero run-time."""
 
     def case(p: Program, sigma: State) -> Dict[str, Optional[str]]:
-        res = expected_runtime(p, None, sigma, cfg)
+        res = expected_runtime(p, None, sigma)
         if p is not program and not res.is_exact:
             # a shrink candidate with a cut-off value may have lost its
             # loop's decrease: skipped before the step counter runs on it
@@ -134,21 +128,21 @@ def _det_case(program: Program, cfg: Optional[ErtConfig]) -> Case:
     return case
 
 
-def _canary(cfg: Optional[ErtConfig]) -> Sample:
+def _canary() -> Sample:
     program = parse_program(CANARY_TEXT)
-    return _det_case(program, cfg), program, None, [State({"x": 1, "y": 0, "z": 0})]
+    return _det_case(program), program, None, [State({"x": 1, "y": 0, "z": 0})]
 
 
-def _monotone_scaling(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
+def _monotone_scaling(rng: random.Random) -> Sample:
     program = random_program(rng, PROFILES["general"])
     f = random_runtime(rng)
     h = random_runtime(rng, terms=1)
     r = rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(2), Fraction(3)])
 
     def case(p: Program, sigma: State) -> Dict[str, Optional[str]]:
-        lo = expected_runtime(p, f, sigma, cfg).value
-        hi = expected_runtime(p, RAdd(f, h), sigma, cfg).value
-        scaled = expected_runtime(p, RMul(RLit(r), f), sigma, cfg).value
+        lo = expected_runtime(p, f, sigma).value
+        hi = expected_runtime(p, RAdd(f, h), sigma).value
+        scaled = expected_runtime(p, RMul(RLit(r), f), sigma).value
         lower = XReal(min(Fraction(1), r)) * lo
         upper = XReal(max(Fraction(1), r)) * lo
         scaled_ok = lower <= scaled <= upper
@@ -162,14 +156,14 @@ def _monotone_scaling(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
     return case, program, f, _states(rng)
 
 
-def _const_prop(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
+def _const_prop(rng: random.Random) -> Sample:
     program = random_program(rng, PROFILES["halt-free"])
     f = random_runtime(rng)
     k = Fraction(rng.randint(0, 5), rng.randint(1, 4))
 
     def case(p: Program, sigma: State) -> Dict[str, Optional[str]]:
-        base = expected_runtime(p, f, sigma, cfg).value
-        moved = expected_runtime(p, RAdd(f, RLit(k)), sigma, cfg).value
+        base = expected_runtime(p, f, sigma).value
+        moved = expected_runtime(p, RAdd(f, RLit(k)), sigma).value
         return {
             "constant-propagation": None if moved == base + XReal(k)
             else f"value for f + {k} is {moved}, expected {base} + {k}"
@@ -178,11 +172,11 @@ def _const_prop(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
     return case, program, f, _states(rng)
 
 
-def _infinity(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
+def _infinity(rng: random.Random) -> Sample:
     program = random_program(rng, PROFILES["halt-free"])
 
     def case(p: Program, sigma: State) -> Dict[str, Optional[str]]:
-        value = expected_runtime(p, RInf(), sigma, cfg).value
+        value = expected_runtime(p, RInf(), sigma).value
         return {
             "infinity-preservation": None if value == INF
             else f"finite value {value} for the infinite run-time"
@@ -191,16 +185,16 @@ def _infinity(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
     return case, program, RInf(), _states(rng, 1)
 
 
-def _subadditive(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
+def _subadditive(rng: random.Random) -> Sample:
     program = random_program(rng, PROFILES["probabilistic"])
     f = random_runtime(rng)
     g = random_runtime(rng)
 
     def case(p: Program, sigma: State) -> Dict[str, Optional[str]]:
-        joint = expected_runtime(p, RAdd(f, g), sigma, cfg).value
+        joint = expected_runtime(p, RAdd(f, g), sigma).value
         split = (
-            expected_runtime(p, f, sigma, cfg).value
-            + expected_runtime(p, g, sigma, cfg).value
+            expected_runtime(p, f, sigma).value
+            + expected_runtime(p, g, sigma).value
         )
         return {
             "sub-additivity": None if joint <= split
@@ -210,7 +204,7 @@ def _subadditive(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
     return case, program, f, _states(rng)
 
 
-def _unrolling(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
+def _unrolling(rng: random.Random) -> Sample:
     inner = random_program(rng, PROFILES["loop-free"], max_depth=1)
     loop = WhileBounded(rng.randint(1, 4), _guard(rng, PROFILES["general"]), inner)
     f = random_runtime(rng)
@@ -218,8 +212,8 @@ def _unrolling(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
     def case(p: Program, sigma: State) -> Dict[str, Optional[str]]:
         if not isinstance(p, WhileBounded):
             return {}  # a shrink candidate that is no longer a bounded loop
-        lhs = expected_runtime(p, f, sigma, cfg).value
-        rhs = expected_runtime(expand_bounded_once(p), f, sigma, cfg).value
+        lhs = expected_runtime(p, f, sigma).value
+        rhs = expected_runtime(expand_bounded_once(p), f, sigma).value
         return {
             "loop-unrolling": None if lhs == rhs
             else f"bounded loop gives {lhs} but its one-step expansion gives {rhs}"
@@ -228,7 +222,7 @@ def _unrolling(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
     return case, loop, f, _states(rng)
 
 
-def _fixed_point(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
+def _fixed_point(rng: random.Random) -> Sample:
     """Where the loop's run-time is computed exactly, it is a fixed point
     of the characteristic functional."""
     loop = _countdown(rng, PROFILES["general"], 1)
@@ -240,12 +234,12 @@ def _fixed_point(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
     def case(p: Program, sigma: State) -> Dict[str, Optional[str]]:
         if not isinstance(p, While):
             return {}  # a shrink candidate that is no longer a loop
-        res = expected_runtime(p, f, sigma, cfg)
+        res = expected_runtime(p, f, sigma)
         if not res.is_exact:
             return {}  # a cut-off value is only a lower bound, not a fixed point
         if last[0] is not p:
-            table = lambda s: expected_runtime(p, f, s, cfg).value  # noqa: E731
-            last[:] = p, char_functional(p, f, cfg), table
+            table = lambda s: expected_runtime(p, f, s).value  # noqa: E731
+            last[:] = p, char_functional(p, f), table
         _, apply_F, table = last
         image, tainted = apply_F(table, sigma)
         return {
@@ -256,9 +250,9 @@ def _fixed_point(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
     return case, loop, f, _states(rng)
 
 
-def _deterministic(rng: random.Random, cfg: Optional[ErtConfig]) -> Sample:
+def _deterministic(rng: random.Random) -> Sample:
     program = random_program(rng, PROFILES["deterministic"])
-    return _det_case(program, cfg), program, None, _states(rng, 1)
+    return _det_case(program), program, None, _states(rng, 1)
 
 
 _SAMPLERS = (
@@ -272,21 +266,14 @@ _SAMPLERS = (
 )
 
 
-def run_property_suite(
-    seed: int,
-    count: int,
-    config: Optional[ErtConfig] = None,
-) -> PropReport:
-    """Check the algebraic laws on `count` generated programs.
-
-    `config` is the transformer configuration under test; passing a
-    mutated one must make the suite fail (the canary guarantees it).
-    """
+def run_property_suite(seed: int, count: int) -> PropReport:
+    """Check the algebraic laws on `count` generated programs, after the
+    canary."""
     rng = random.Random(seed)
-    report = PropReport(seed=seed, requested=count)
-    _check(report, _canary(config))
+    report = PropReport(requested=count)
+    _check(report, _canary())
     for i in range(count):
-        _check(report, _SAMPLERS[i % len(_SAMPLERS)](rng, config))
+        _check(report, _SAMPLERS[i % len(_SAMPLERS)](rng))
     return report
 
 
@@ -300,8 +287,6 @@ class SweepFailure:
 
 @dataclass
 class SweepReport:
-    seed: int
-    requested: int
     passed: int = 0
     exact: int = 0
     failures: List[SweepFailure] = field(default_factory=list)
@@ -327,7 +312,7 @@ def run_soundness_sweep(seed: int, count: int) -> SweepReport:
     """Cross-check the transformer against the operational model on the
     `count` triples of `sweep_triples(seed)`, with a node cap of 30 000
     and a fallback unrolling of 32."""
-    report = SweepReport(seed=seed, requested=count)
+    report = SweepReport()
     cfg = MdpConfig(node_cap=30_000)
     for program, f, sigma in sweep_triples(seed, count):
         res = cross_check(program, f, sigma, cfg, fallback_unroll=32)

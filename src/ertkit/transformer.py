@@ -126,27 +126,14 @@ class NotDeterministic(KernelError):
 
 @dataclass(frozen=True)
 class ErtConfig:
-    """Knobs for the transformer.
-
-    tick_mutation exists for the mutation test in the property suite; its
-    only value besides None, "drop-if-tick", suppresses the tick charged by
-    conditionals (including the conditionals arising from loop unrolling).
-    `char_functional` charges the loop guard's tick under every config, so
-    under the mutation it maps a loop's exactly computed run-time to that
-    run-time plus 1.
-    """
+    """Knobs for the transformer."""
 
     max_unroll_depth: int = 64
-    tick_mutation: Optional[str] = None
 
     def __post_init__(self):
         if self.max_unroll_depth < 1:
             raise ValueError(
                 "max_unroll_depth must be at least 1, got %r" % (self.max_unroll_depth,)
-            )
-        if self.tick_mutation not in (None, "drop-if-tick"):
-            raise ValueError(
-                "tick_mutation must be None or 'drop-if-tick', got %r" % (self.tick_mutation,)
             )
 
 
@@ -228,8 +215,6 @@ class _Engine:
         self.guards: Dict[tuple, Tuple[int, int, int, int]] = {}
         self.dists: Dict[tuple, list] = {}
         self.annotations_used: List[str] = []
-        # the ticks a conditional or loop step charges itself
-        self._if_tick = 0 if config.tick_mutation == "drop-if-tick" else 1
 
     # continuations ------------------------------------------------------
     #
@@ -331,7 +316,7 @@ class _Engine:
 
     def _branch(self, guard, then, orelse, sigma: State, cont) -> Val:
         tn, td, fn, fd = self.guard(guard, sigma)
-        n, d, tainted = self._if_tick, 1, False
+        n, d, tainted = 1, 1, False
         if tn:
             vn, vd, tainted = self.eval(then, sigma, cont)
             n, d = _add(n, d, tn, td, vn, vd)
@@ -356,15 +341,15 @@ class _Engine:
             out: Val = (0, 1, loop.__class__ is While)
         else:
             rest = self.bounded_cont(loop, depth - 1, cont)
-            out = self.step(loop, self._if_tick, sigma, rest, cont)
+            out = self.step(loop, sigma, rest, cont)
         self.memo[key] = out
         return out
 
-    def step(self, loop: Loop, tick: int, sigma: State, rest, after) -> Val:
-        """One step of a loop: tick + Pr[guard] * ert[body](rest)(sigma)
+    def step(self, loop: Loop, sigma: State, rest, after) -> Val:
+        """One step of a loop: 1 + Pr[guard] * ert[body](rest)(sigma)
         + Pr[not guard] * after(sigma)."""
         tn, td, fn, fd = self.guard(loop.guard, sigma)
-        n, d, tainted = tick, 1, False
+        n, d, tainted = 1, 1, False
         if tn:
             vn, vd, tainted = self.eval(loop.body, sigma, rest)
             n, d = _add(n, d, tn, td, vn, vd)
@@ -433,16 +418,12 @@ def expected_runtime(
     )
 
 
-def char_functional(
-    loop: Union[While, Annotated],
-    f: RunTime,
-    config: Optional[ErtConfig] = None,
-):
+def char_functional(loop: Union[While, Annotated], f: RunTime):
     """The characteristic functional F of a loop with respect to `f`.
 
     Returns apply(X, sigma) -> (value, tainted) computing
 
-        F(X)(sigma) = tick + Pr[guard false] * f(sigma)
+        F(X)(sigma) = 1 + Pr[guard false] * f(sigma)
                            + Pr[guard true] * ert[body](X)(sigma)
 
     where X is a run-time expression or a function of the state.  The
@@ -459,7 +440,7 @@ def char_functional(
     """
     if isinstance(loop, Annotated):
         loop = loop.loop
-    cfg = config or ErtConfig()
+    cfg = ErtConfig()
     f_cont = _as_cont(f)
     # (X, its continuation, the engine applying F to it)
     last: list = [None, None, None]
@@ -469,7 +450,7 @@ def char_functional(
             last[:] = X, _as_cont(X), _Engine(cfg)
         _, x_cont, engine = last
         with _deep_stack():
-            n, d, tainted = engine.step(loop, 1, sigma, x_cont, f_cont)
+            n, d, tainted = engine.step(loop, sigma, x_cont, f_cont)
         return _xreal(n, d), tainted
 
     return apply

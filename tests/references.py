@@ -40,7 +40,7 @@ def run_det_sweep(seed: int, count: int = 200) -> SweepReport:
     """Exact agreement of the step counter and the transformer on
     terminating deterministic programs."""
     rng = random.Random(seed)
-    report = SweepReport(seed=seed, requested=count)
+    report = SweepReport()
     for _ in range(count):
         program = random_program(rng, PROFILES["deterministic"])
         sigma = random_state(rng)

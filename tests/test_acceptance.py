@@ -30,8 +30,9 @@ from ertkit.syntax import (
     replace_whiles,
     while_loops,
 )
-from ertkit.transformer import ErtConfig, expected_runtime, kleene_iterates
+from ertkit.transformer import expected_runtime, kleene_iterates
 from references import run_det_sweep, rw_coefficients
+from test_mutants import drop_if_tick
 
 RESULTS = []
 
@@ -254,7 +255,7 @@ def test_criterion_07_operational_agreement():
         assert sweep.exact >= 400  # the overwhelming majority settle exactly
 
 
-def test_criterion_08_algebraic_laws_and_mutant():
+def test_criterion_08_algebraic_laws_and_mutant(monkeypatch):
     with criterion(
         "8 algebraic laws", 120.0, "500-program suite clean; seeded mutant caught"
     ):
@@ -262,9 +263,8 @@ def test_criterion_08_algebraic_laws_and_mutant():
         assert report.ok, report.failures[:3]
         assert report.requested == 500
 
-        mutated = run_property_suite(
-            seed=42, count=40, config=ErtConfig(tick_mutation="drop-if-tick")
-        )
+        drop_if_tick(monkeypatch)
+        mutated = run_property_suite(seed=42, count=40)
         assert not mutated.ok, "the tick-dropping mutant must be caught"
 
 

@@ -3,6 +3,8 @@
 Each mutant breaks one rule of the model or of the transformer through a
 monkeypatch, and a small fixed sweep (seed 11, 200 triples) must then report
 a failure.  The seed and the count were fixed before the mutants were run.
+`drop_if_tick` is also the mutant that the property suite's tests and
+acceptance criterion 8 must catch.
 """
 
 import pytest
@@ -44,7 +46,33 @@ def _choice_takes_the_minimum(engine, p, sigma, cont):
     return rn, rd, lt or rt_
 
 
+def _untick(val):
+    """An engine value less the tick its node charged: a finite (n, d) in
+    lowest terms becomes (n - d, d), still in lowest terms."""
+    n, d, tainted = val
+    return (None if n is None else n - d), d, tainted
+
+
+def drop_if_tick(monkeypatch):
+    """Transformer: neither a conditional nor a step of an unrolled loop
+    charges the tick of its guard.  `char_functional` still charges the loop
+    guard's tick, so it maps a loop's exactly computed run-time under the
+    mutant to that run-time plus 1."""
+    branch, bounded = _Engine._branch, _Engine._bounded
+
+    def _branch(engine, guard, then, orelse, sigma, cont):
+        return _untick(branch(engine, guard, then, orelse, sigma, cont))
+
+    def _bounded(engine, loop, depth, sigma, cont):
+        out = bounded(engine, loop, depth, sigma, cont)
+        return out if depth <= 0 else _untick(out)
+
+    monkeypatch.setattr(_Engine, "_branch", _branch)
+    monkeypatch.setattr(_Engine, "_bounded", _bounded)
+
+
 MUTANTS = {
+    "drop-if-tick": drop_if_tick,
     "model-skip-is-free": _free_skip,
     "choice-takes-the-minimum": lambda mp: _patch_eval(
         mp, NdChoice, _choice_takes_the_minimum

@@ -82,6 +82,46 @@ def test_no_module_reads_the_environment():
     assert found == []
 
 
+def _identifiers(tree: ast.Module):
+    """(line, name) of every name the module binds or reads: functions,
+    classes, parameters, attributes, keyword arguments, variables, fields
+    and imports, and every option string given to `add_argument`."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, ast.arg):
+            yield node.lineno, node.arg
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.lineno, node.arg
+        elif isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+        ):
+            for a in node.args:
+                if isinstance(a, ast.Constant) and isinstance(a.value, str):
+                    yield a.lineno, a.value
+
+
+def test_no_mutation_switch_in_the_package():
+    # mutants are monkeypatches in tests/test_mutants.py; the package
+    # carries no switch, option or field that turns one on
+    found = [
+        "%s:%d:%s" % (path.name, line, name)
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+        if "mutant" in name.lower() or "mutation" in name.lower()
+    ]
+    assert found == []
+
+
 ROOT = SRC.parent.parent
 
 

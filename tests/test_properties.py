@@ -1,5 +1,7 @@
 import random
 import re
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -34,13 +36,13 @@ from ertkit.syntax import (
     program_to_text,
 )
 from ertkit.transformer import (
-    ErtConfig,
     FuelExhausted,
     char_functional,
     det_step_count,
     expected_runtime,
 )
 from references import run_det_sweep
+from test_mutants import drop_if_tick
 
 
 def preorder(p):
@@ -122,20 +124,36 @@ def test_property_suite_is_reproducible():
     assert a.checked == b.checked
 
 
-def test_mutant_is_caught():
-    mutated = ErtConfig(tick_mutation="drop-if-tick")
-    report = run_property_suite(seed=42, count=40, config=mutated)
+def test_mutant_is_caught(monkeypatch):
+    drop_if_tick(monkeypatch)
+    report = run_property_suite(seed=42, count=40)
     assert not report.ok
     props = {f.prop for f in report.failures}
     assert "deterministic-correspondence" in props or "fixed-point" in props
 
 
-def test_canary_catches_the_mutant_at_any_seed():
+def test_mutant_gives_the_readme_failure_counts(monkeypatch):
+    # README, "Property suite": at seed 42 with count 500, 171 failures; 136
+    # come from the fixed-point law, each off by the one tick that
+    # `char_functional` still charges, and 35 from the deterministic law
+    drop_if_tick(monkeypatch)
+    failures = run_property_suite(seed=42, count=500).failures
+    assert len(failures) == 171
+    assert Counter(f.prop for f in failures) == {
+        "fixed-point": 136, "deterministic-correspondence": 35
+    }
+    pattern = r"F applied to the computed run-time gives (\S+), table has (\S+)"
+    for failure in failures:
+        if failure.prop == "fixed-point":
+            image, table = re.fullmatch(pattern, failure.detail).groups()
+            assert Fraction(image) - Fraction(table) == 1, failure
+
+
+def test_canary_catches_the_mutant_at_any_seed(monkeypatch):
     # the deterministic canary makes the catch independent of generator luck
+    drop_if_tick(monkeypatch)
     for seed in (0, 1, 99):
-        report = run_property_suite(
-            seed=seed, count=8, config=ErtConfig(tick_mutation="drop-if-tick")
-        )
+        report = run_property_suite(seed=seed, count=8)
         assert not report.ok
     assert "if" in CANARY_TEXT
 
@@ -165,9 +183,6 @@ def test_shrink_keeps_failure_and_never_grows():
     assert len(program_to_text(small)) <= len(program_to_text(p))
 
 
-MUTANT = ErtConfig(tick_mutation="drop-if-tick")
-
-
 def test_mutant_shrinking_never_runs_the_step_counter_out(monkeypatch):
     # a shrink candidate whose transformer value is a cut-off is skipped
     # before the step counter runs on it
@@ -182,7 +197,8 @@ def test_mutant_shrinking_never_runs_the_step_counter_out(monkeypatch):
             raise
 
     monkeypatch.setattr(ertkit.props, "det_step_count", counting)
-    report = run_property_suite(seed=42, count=40, config=MUTANT)
+    drop_if_tick(monkeypatch)
+    report = run_property_suite(seed=42, count=40)
     assert not report.ok
     assert calls[0] > 0
     assert exhausted[0] == 0
@@ -193,31 +209,34 @@ def _parse_state(text):
 
 
 def _det_numbers(p, sigma):
-    """(step count, transformer value) under the mutant, as text."""
+    """(step count, transformer value) as text."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ertkit.transformer, "STEP_BUDGET", 50_000)
         counted, _ = det_step_count(p, sigma)
-    return str(counted), str(expected_runtime(p, None, sigma, MUTANT).value)
+    return str(counted), str(expected_runtime(p, None, sigma).value)
 
 
 def _fixed_point_numbers(p, f, sigma):
-    """(F applied to the table, table value) under the mutant, as text, or
-    None where the law does not apply: no loop, or a cut-off value."""
+    """(F applied to the table, table value) as text, or None where the law
+    does not apply: no loop, or a cut-off value."""
     if not isinstance(p, While):
         return None
-    res = expected_runtime(p, f, sigma, MUTANT)
+    res = expected_runtime(p, f, sigma)
     if not res.is_exact:
         return None
-    image, tainted = char_functional(p, f, MUTANT)(
-        lambda s: expected_runtime(p, f, s, MUTANT).value, sigma
+    image, tainted = char_functional(p, f)(
+        lambda s: expected_runtime(p, f, s).value, sigma
     )
     assert not tainted
     return str(image), str(res.value)
 
 
-def _mutant_failures():
+def _mutant_failures(monkeypatch):
+    """The failures the suite reports under the mutant, which stays applied
+    for the rest of the calling test."""
+    drop_if_tick(monkeypatch)
     for seed, count in ((5, 14), (42, 40)):
-        for failure in run_property_suite(seed, count, config=MUTANT).failures:
+        for failure in run_property_suite(seed, count).failures:
             f = None if failure.f == "-" else parse_rt(failure.f)
             yield failure, parse_program(failure.program), f, _parse_state(failure.state)
 
@@ -235,9 +254,9 @@ def _fails(prop, p, f, sigma):
         return False
 
 
-def test_mutant_failures_report_the_reported_programs_numbers():
+def test_mutant_failures_report_the_reported_programs_numbers(monkeypatch):
     seen = set()
-    for failure, p, f, sigma in _mutant_failures():
+    for failure, p, f, sigma in _mutant_failures(monkeypatch):
         seen.add(failure.prop)
         if failure.prop == "deterministic-correspondence":
             pattern = r"step count (\S+) but transformer value (\S+) \(exact\)"
@@ -250,8 +269,8 @@ def test_mutant_failures_report_the_reported_programs_numbers():
     assert seen == {"deterministic-correspondence", "fixed-point"}
 
 
-def test_mutant_failures_are_shrunk_to_a_local_minimum_of_their_law():
-    failures = list(_mutant_failures())
+def test_mutant_failures_are_shrunk_to_a_local_minimum_of_their_law(monkeypatch):
+    failures = list(_mutant_failures(monkeypatch))
     # the canary, shrunk: its branches' ticks are what the mutant miscounts
     canary = program_to_text(parse_program("if (x > 0) { empty } else { empty }"))
     assert canary in {failure.program for failure, _, _, _ in failures}

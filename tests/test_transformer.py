@@ -43,6 +43,7 @@ from ertkit.transformer import (
     expected_runtime,
     kleene_iterates,
 )
+from test_mutants import drop_if_tick
 
 _of = XReal._of
 
@@ -365,18 +366,12 @@ def test_det_step_count_rejects_nondeterminism_and_diverging_runs(monkeypatch):
         det_step_count(parse_program("while (true) { skip }"))
 
 
-def test_drop_if_tick_mutation_changes_conditionals_only():
-    cfg = ErtConfig(tick_mutation="drop-if-tick")
+def test_drop_if_tick_mutation_changes_conditionals_only(monkeypatch):
     src = "if (x > 0) { skip } else { skip }"
     assert ert(src, None, State({"x": 1})).value == XReal(2)
-    assert ert(src, None, State({"x": 1}), cfg).value == XReal(1)
-    assert ert("skip", None, None, cfg).value == XReal(1)
-
-
-@pytest.mark.parametrize("mutation", ["drop_if_tick", "", "DROP-IF-TICK"])
-def test_unknown_tick_mutation_is_rejected(mutation):
-    with pytest.raises(ValueError, match="tick_mutation must be None or 'drop-if-tick'"):
-        ErtConfig(tick_mutation=mutation)
+    drop_if_tick(monkeypatch)
+    assert ert(src, None, State({"x": 1})).value == XReal(1)
+    assert ert("skip").value == XReal(1)
 
 
 def test_callable_continuation():
@@ -530,29 +525,28 @@ NESTED = parse_program(
 
 @pytest.mark.parametrize("loop", [GEO, NESTED], ids=["geo", "nested"])
 def test_char_functional_matches_the_doubling_schedule(loop, monkeypatch):
+    # both run at the default config, where NESTED's inner loop reaches its
+    # cut-off, so the taint the functional passes on is compared as well
     states = [State({"c": c, "x": x}) for c in (0, 1) for x in (0, 1, 2)]
-    for cap in ORACLE_CAPS:
-        cfg = ErtConfig(max_unroll_depth=cap)
-        for f in (parse_rt("x + c"), parse_rt("inf")):
-            for X in (parse_rt("2 * x"), parse_rt("inf")):
-                old, new = _under_both(
-                    monkeypatch,
-                    lambda m: [m.char_functional(loop, f, cfg)(X, s) for s in states],
-                )
-                for (ov, ot), (nv, nt) in zip(old, new):
-                    assert nv == ov
-                    if not ov.is_infinite:
-                        assert nt == ot
+    tainted = False
+    for f in (parse_rt("x + c"), parse_rt("inf")):
+        for X in (parse_rt("2 * x"), parse_rt("inf")):
+            old, new = _under_both(
+                monkeypatch, lambda m: [m.char_functional(loop, f)(X, s) for s in states]
+            )
+            for (ov, ot), (nv, nt) in zip(old, new):
+                assert nv == ov
+                if not ov.is_infinite:
+                    assert nt == ot
+                    tainted = tainted or nt
 
-            if cfg != ErtConfig():
-                continue  # kleene_iterates runs at the default config only
+        def iterates(m):
+            gen = m.kleene_iterates(loop, f, states)
+            return [next(gen) for _ in range(4)]
 
-            def iterates(m):
-                gen = m.kleene_iterates(loop, f, states)
-                return [next(gen) for _ in range(4)]
-
-            old, new = _under_both(monkeypatch, iterates)
-            assert new == old
+        old, new = _under_both(monkeypatch, iterates)
+        assert new == old
+    assert tainted == (loop is NESTED)
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +561,6 @@ def test_char_functional_matches_the_doubling_schedule(loop, monkeypatch):
 
 
 class _ReferenceEngine(xreal_engine._Engine):
-    def __init__(self, config):
-        super().__init__(config)
-        self._if_tick = ZERO if config.tick_mutation == "drop-if-tick" else ONE
-
     def guard(self, g, sigma):
         return eval_guard(g, sigma)
 
@@ -598,7 +588,7 @@ class _ReferenceEngine(xreal_engine._Engine):
 
     def _branch(self, guard, then, orelse, sigma, cont):
         p_true = self.guard(guard, sigma)
-        total, tainted = self._if_tick, False
+        total, tainted = ONE, False
         if p_true > 0:
             v, t = self.eval(then, sigma, cont)
             total = total + _of(p_true) * v
@@ -618,7 +608,7 @@ class _ReferenceEngine(xreal_engine._Engine):
             out = (ZERO, synthesized)
         else:
             p_true = self.guard(guard, sigma)
-            total, tainted = self._if_tick, False
+            total, tainted = ONE, False
             if p_true > 0:
                 rest = self.bounded_cont(loop_key, guard, body, depth - 1, cont, synthesized)
                 v, t = self.eval(body, sigma, rest)
@@ -633,11 +623,11 @@ class _ReferenceEngine(xreal_engine._Engine):
         return out
 
 
-def _reference_char_functional(loop, f, config):
+def _reference_char_functional(loop, f):
     f_cont = xreal_engine._as_cont(f)
 
     def apply(X, sigma):
-        engine = _ReferenceEngine(config)
+        engine = _ReferenceEngine(ErtConfig())
         x_cont = xreal_engine._as_cont(X)
         p_true = eval_guard(loop.guard, sigma)
         total, tainted = ONE, False
@@ -654,13 +644,13 @@ def _reference_char_functional(loop, f, config):
     return apply
 
 
-def _reference_kleene_iterates(loop, f, states, config):
+def _reference_kleene_iterates(loop, f, states):
     f_cont = xreal_engine._as_cont(f)
     table = {s: ZERO for s in states}
     yield dict(table)
     while True:
         snapshot = table
-        engine = _ReferenceEngine(config)
+        engine = _ReferenceEngine(ErtConfig())
         x_cont = xreal_engine.FnCont(lambda q: snapshot.get(q, ZERO))
         nxt = {}
         for s in states:
@@ -686,9 +676,7 @@ def test_one_accumulator_matches_the_per_term_arithmetic(monkeypatch):
         Annotated(coin, parse_rt("1")),
     ]
     tail = If(parse_program("if (1/2*<true> + 1/2*<false>) { skip }").guard, ann[0], ann[1])
-    configs = [
-        ErtConfig(), ErtConfig(max_unroll_depth=3), ErtConfig(tick_mutation="drop-if-tick")
-    ]
+    configs = [ErtConfig(), ErtConfig(max_unroll_depth=3), ErtConfig(max_unroll_depth=1)]
     prob_guards = lower = annotated = infinite = 0
     for i in range(200):
         program = random_program(rng, PROFILES[names[i % len(names)]], max_depth=2)
@@ -721,23 +709,19 @@ COIN_GUARD = parse_program(
 )
 
 
-@pytest.mark.parametrize("loop", [GEO, COIN_GUARD], ids=["geo", "coin-guard"])
+# both functionals run at the default config, the one config they have
 @pytest.mark.parametrize(
-    "cfg",
-    [ErtConfig(), ErtConfig(max_unroll_depth=2), ErtConfig(tick_mutation="drop-if-tick")],
-    ids=["default", "cap-2", "drop-if-tick"],
+    "loop", [GEO, COIN_GUARD], ids=["default-geo", "default-coin-guard"]
 )
-def test_loop_functional_matches_the_per_term_arithmetic(loop, cfg):
+def test_loop_functional_matches_the_per_term_arithmetic(loop):
     states = [State({"c": c, "x": x}) for c in (0, 1) for x in (0, 1, 2)]
     for f in (parse_rt("x + c"), parse_rt("0"), parse_rt("inf")):
         for X in (parse_rt("2 * x"), parse_rt("0"), parse_rt("inf")):
-            new = [char_functional(loop, f, cfg)(X, s) for s in states]
-            old = [_reference_char_functional(loop, f, cfg)(X, s) for s in states]
+            new = [char_functional(loop, f)(X, s) for s in states]
+            old = [_reference_char_functional(loop, f)(X, s) for s in states]
             assert new == old
-        if cfg != ErtConfig():
-            continue  # kleene_iterates runs at the default config only
         new_it = kleene_iterates(loop, f, states)
-        old_it = _reference_kleene_iterates(loop, f, states, cfg)
+        old_it = _reference_kleene_iterates(loop, f, states)
         for _ in range(5):
             assert next(new_it) == next(old_it)
 
@@ -803,16 +787,15 @@ def test_branch_weights_and_choice_match_xreal_arithmetic(p, a, b):
     sigma = State({"x": 0})
     branch = If(_coin(p), _to(0), _to(1))
     choice = NdChoice(_to(0), _to(1))
-    for cfg, tick in ((ErtConfig(), ONE), (ErtConfig(tick_mutation="drop-if-tick"), ZERO)):
-        engine = transformer._Engine(cfg)
-        tn, td, fn, fd = engine.guard(branch.guard, sigma)
-        assert (Fraction(tn, td), Fraction(fn, fd)) == (p, 1 - p)
-        # each side charges the tick of its assignment; an impossible side is
-        # never evaluated, so 0 * inf never arises
-        then, orelse = ONE + a, ONE + b
-        expected = tick + (XReal(p) * then + XReal(1 - p) * orelse)
-        _assert_is(engine.eval(branch, sigma, f), expected)
-        _assert_is(engine.eval(choice, sigma, f), orelse if then <= orelse else then)
+    engine = transformer._Engine(ErtConfig())
+    tn, td, fn, fd = engine.guard(branch.guard, sigma)
+    assert (Fraction(tn, td), Fraction(fn, fd)) == (p, 1 - p)
+    # each side charges the tick of its assignment; an impossible side is
+    # never evaluated, so 0 * inf never arises
+    then, orelse = ONE + a, ONE + b
+    expected = ONE + (XReal(p) * then + XReal(1 - p) * orelse)
+    _assert_is(engine.eval(branch, sigma, f), expected)
+    _assert_is(engine.eval(choice, sigma, f), orelse if then <= orelse else then)
 
 
 def test_certain_weights_are_one_over_one():

@@ -30,8 +30,8 @@ from ertkit.transformer import ErtConfig, ErtResult
 # 1/n; so sums of weighted values skip the checks of the public XReal
 # constructor.
 _of = XReal._of
-# a node's accumulator starts at the ticks the node charges itself
-_TICK, _NO_TICK = Fraction(1), Fraction(0)
+# a node's accumulator starts at the tick the node charges itself
+_TICK = Fraction(1)
 
 
 Weights = Tuple[Optional[Fraction], Optional[Fraction]]
@@ -130,7 +130,6 @@ class _Engine:
         self.guards: Dict[tuple, Weights] = {}
         self.dists: Dict[tuple, list] = {}
         self.annotations_used: List[str] = []
-        self._if_tick = _NO_TICK if config.tick_mutation == "drop-if-tick" else _TICK
 
     # continuations ------------------------------------------------------
     #
@@ -224,7 +223,7 @@ class _Engine:
 
     def _branch(self, guard, then, orelse, sigma: State, cont) -> Tuple[XReal, bool]:
         p_true, p_false = self.guard(guard, sigma)
-        total, tainted = self._if_tick, False
+        total, tainted = _TICK, False
         if p_true is not None:
             v, tainted = self.eval(then, sigma, cont)
             total = _acc(total, p_true, v)
@@ -252,7 +251,7 @@ class _Engine:
             out: Tuple[XReal, bool] = (ZERO, synthesized)
         else:
             p_true, p_false = self.guard(guard, sigma)
-            total, tainted = self._if_tick, False
+            total, tainted = _TICK, False
             if p_true is not None:
                 rest = self.bounded_cont(loop_key, guard, body, depth - 1, cont, synthesized)
                 v, tainted = self.eval(body, sigma, rest)
@@ -339,16 +338,12 @@ def expected_runtime(
     )
 
 
-def char_functional(
-    loop: Union[While, Annotated],
-    f: Union[RtExpr, RtCont],
-    config: Optional[ErtConfig] = None,
-):
+def char_functional(loop: Union[While, Annotated], f: Union[RtExpr, RtCont]):
     """The characteristic functional F of a loop with respect to `f`.
 
     Returns apply(X, sigma) -> (value, tainted) computing
 
-        F(X)(sigma) = tick + Pr[guard false] * f(sigma)
+        F(X)(sigma) = 1 + Pr[guard false] * f(sigma)
                            + Pr[guard true] * ert[body](X)(sigma)
 
     where X is a continuation, a callable, or a run-time expression.  The
@@ -357,11 +352,10 @@ def char_functional(
     """
     if isinstance(loop, Annotated):
         loop = loop.loop
-    cfg = config or ErtConfig()
     f_cont = _as_cont(f)
 
     def apply(X, sigma: State) -> Tuple[XReal, bool]:
-        engine = _Engine(cfg)
+        engine = _Engine(ErtConfig())
         x_cont = _as_cont(X)
         with _deep_stack():
             p_true, p_false = engine.guard(loop.guard, sigma)
@@ -382,7 +376,6 @@ def kleene_iterates(
     loop: Union[While, Annotated],
     f: Union[RtExpr, RtCont],
     states: List[State],
-    config: Optional[ErtConfig] = None,
 ):
     """Yield the fixed-point iterates of a loop as state tables.
 
@@ -394,13 +387,12 @@ def kleene_iterates(
     """
     if isinstance(loop, Annotated):
         loop = loop.loop
-    cfg = config or ErtConfig()
     f_cont = _as_cont(f)
     table: Dict[State, XReal] = {s: ZERO for s in states}
     yield dict(table)
     while True:
         snapshot = table
-        engine = _Engine(cfg)
+        engine = _Engine(ErtConfig())
         x_cont = FnCont(lambda q: snapshot.get(q, ZERO))
         nxt: Dict[State, XReal] = {}
         with _deep_stack():
