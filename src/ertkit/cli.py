@@ -85,10 +85,22 @@ def _rational_str(x: XReal) -> str:
     return _q_str(x.q)
 
 
-def _float_or_none(x: XReal) -> Optional[float]:
-    if x.is_infinite:
+def _float_or_none(q: Optional[Fraction]) -> Optional[float]:
+    """q as a float; None for infinity (q is None) and for a value beyond
+    the range of a double."""
+    if q is None:
         return None
-    return float(x.q)
+    try:
+        return float(q)
+    except OverflowError:
+        return None
+
+
+def _rounded(q: Fraction, digits: int) -> str:
+    """q as a decimal of `digits` significant digits, or the exact rational
+    when q is beyond the range of a double."""
+    f = _float_or_none(q)
+    return _q_str(q) if f is None else f"{f:.{digits}g}"
 
 
 def _nice(x: XReal) -> str:
@@ -98,7 +110,7 @@ def _nice(x: XReal) -> str:
         return "inf"
     if x.q.denominator <= 1000:
         return _q_str(x.q)
-    return f"{float(x.q):.12g}"
+    return _rounded(x.q, 12)
 
 
 # a name a program can read: the parser's identifier token, not a keyword
@@ -252,7 +264,7 @@ def _cmd_eval(args) -> int:
             entry = {
                 "state": repr(sigma),
                 "rational": _rational_str(res.value),
-                "float": _float_or_none(res.value),
+                "float": _float_or_none(res.value.q),
                 "kind": res.kind,
             }
             if res.kind == "lower":
@@ -263,7 +275,7 @@ def _cmd_eval(args) -> int:
                 if res.value.is_finite and half.value.is_finite:
                     gain = res.value.q - half.value.q
                     entry["last_doubling_gain"] = _q_str(gain)
-                    gap_note = f"; refinement from depth {max(1, args.depth // 2)}: +{float(gain):.6g}"
+                    gap_note = f"; refinement from depth {max(1, args.depth // 2)}: +{_rounded(gain, 6)}"
                 else:
                     gap_note = ""
                 text.append(
@@ -312,12 +324,12 @@ def _cmd_crosscheck(args) -> int:
         "detail": report.detail,
         "transformer": {
             "rational": _rational_str(report.ert_value),
-            "float": _float_or_none(report.ert_value),
+            "float": _float_or_none(report.ert_value.q),
             "kind": report.ert_kind,
         },
         "model": {
             "rational": _rational_str(report.mdp_value),
-            "float": _float_or_none(report.mdp_value),
+            "float": _float_or_none(report.mdp_value.q),
             "method": report.method,
         },
         "nodes": report.node_count,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,42 @@ def test_spec_value_too_long_to_print_has_no_depth_hint(fmt, tmp_path, capsys):
     )
     code, out, err = _digits_error(capsys, "check-inv", str(spec), "--format", fmt)
     assert (code, out, err) == (2, "", _NO_DEPTH_HINT)
+
+
+_BIG = 2**2000
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv, exact",
+    [
+        # F^64(0)(c=1) = 5 + f - (3 + f) / 2^63 for geo's loop functional F
+        pytest.param(
+            ("eval", "corpus:geo", "--state", "c=1", "--f", "2^2000"),
+            5 + _BIG - Fraction(3 + _BIG, 2**63),
+            id="eval",
+        ),
+        # trunc is 5/2 + f
+        pytest.param(
+            ("crosscheck", "corpus:trunc", "--f", "2^2000"), _BIG + Fraction(5, 2), id="crosscheck"
+        ),
+        # one round of F at c = 1: 2 + (1 + 1 + B) / 2 for B = 2^2000 / 3^7
+        pytest.param(("refine",), 3 + Fraction(_BIG, 2 * 3**7), id="refine"),
+    ],
+)
+def test_a_value_beyond_the_double_range_prints_exactly(argv, exact, fmt, tmp_path, capsys):
+    # float() overflows: JSON gives null, as for inf, and text the rational
+    if argv == ("refine",):
+        spec = tmp_path / "big.spec"
+        spec.write_text(
+            "check: refine\ncorpus: geo\ninvariant: 1 + [c = 1] * 2^2000 / 3^7\n"
+            "rounds: 1\ndomain: c in {0, 1}\n"
+        )
+        argv += (str(spec),)
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, "Traceback" in out + err) == (0, False)
+    assert str(exact) in out
+    assert '"float": ' not in out or '"float": null' in out
 
 
 @pytest.mark.parametrize("digits, code", [("640", 2), ("0", 0)])

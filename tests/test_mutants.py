@@ -1,19 +1,23 @@
-"""Seeded defects that the soundness sweep must catch.
+"""Seeded defects that the checks must catch.
 
 Each mutant breaks one rule of the model or of the transformer through a
-monkeypatch, and a small fixed sweep (seed 11, 200 triples) must then report
-a failure.  The seed and the count were fixed before the mutants were run.
-`drop_if_tick` is also the mutant that the property suite's tests and
-acceptance criterion 8 must catch.
+monkeypatch.  The sweep mutants make a small fixed sweep (seed 11, 200
+triples) report a failure; the seed and the count were fixed before the
+mutants were run.  Every transformer mutant makes the comparison with the
+reference transformer fail (`test_transformer`).  `drop_if_tick` is also
+the mutant that the property suite's tests and acceptance criterion 8 must
+catch, and `guard_drift` breaks a helper that every leg shares.
 """
+
+import sys
 
 import pytest
 
-from ertkit import mdp
+from ertkit import mdp, semantics
 from ertkit.kernel import ZERO
 from ertkit.props import run_soundness_sweep
-from ertkit.syntax import Halt, NdChoice, Skip, WhileBounded
-from ertkit.transformer import _Engine
+from ertkit.syntax import Annotated, Halt, NdChoice, Skip, WhileBounded
+from ertkit.transformer import ZERO_CONT, FnCont, _Engine, _xreal
 
 SEED, COUNT = 11, 200
 
@@ -71,9 +75,29 @@ def drop_if_tick(monkeypatch):
     monkeypatch.setattr(_Engine, "_bounded", _bounded)
 
 
-MUTANTS = {
+def _cut_off_does_not_taint(monkeypatch):
+    """Transformer: a `while` cut off at the unroll cap counts as exact."""
+    bounded = _Engine._bounded
+    monkeypatch.setattr(
+        _Engine, "_bounded",
+        lambda e, loop, depth, sigma, cont:
+            (0, 1, False) if depth <= 0 else bounded(e, loop, depth, sigma, cont),
+    )
+
+
+def _loop_exit_drops_taint(monkeypatch):
+    """Transformer: a loop step drops the taint of what runs after the loop."""
+    step = _Engine.step
+
+    def untainted(engine, loop, sigma, rest, after):
+        exit_ = FnCont(lambda s: _xreal(*after.eval(engine, s)[:2]))
+        return step(engine, loop, sigma, rest, exit_)
+
+    monkeypatch.setattr(_Engine, "step", untainted)
+
+
+TRANSFORMER_MUTANTS = {
     "drop-if-tick": drop_if_tick,
-    "model-skip-is-free": _free_skip,
     "choice-takes-the-minimum": lambda mp: _patch_eval(
         mp, NdChoice, _choice_takes_the_minimum
     ),
@@ -83,7 +107,35 @@ MUTANTS = {
     "halt-keeps-its-continuation": lambda mp: _patch_eval(
         mp, Halt, lambda e, p, sigma, cont: cont.eval(e, sigma)
     ),
+    "cut-off-does-not-taint": _cut_off_does_not_taint,
+    # the bound, certified under the zero run-time, stands in under any
+    "annotation-under-any-continuation": lambda mp: _patch_eval(
+        mp, Annotated, lambda e, p, sigma, cont: e._annotated(p, sigma, ZERO_CONT)
+    ),
+    "loop-exit-drops-taint": _loop_exit_drops_taint,
 }
+
+# the sweep catches every mutant but these two, which the comparison with
+# the reference transformer catches
+SWEEP_MISSES = ("annotation-under-any-continuation", "loop-exit-drops-taint")
+MUTANTS = {k: v for k, v in TRANSFORMER_MUTANTS.items() if k not in SWEEP_MISSES}
+MUTANTS["model-skip-is-free"] = _free_skip
+
+
+def guard_drift(monkeypatch):
+    """Shared semantics: every strictly probabilistic guard moves 1/8 of
+    the way towards true.  The defect is patched into `semantics` and into
+    every module that imported `eval_guard` by name, as a defect in its
+    source would be, so all three legs and the references share it."""
+    eval_guard = semantics.eval_guard
+
+    def drifted(g, sigma):
+        p = eval_guard(g, sigma)
+        return p + (1 - p) / 8 if 0 < p < 1 else p
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "eval_guard", None) is eval_guard:
+            monkeypatch.setattr(module, "eval_guard", drifted)
 
 
 def test_the_unmutated_sweep_is_clean():

@@ -55,11 +55,17 @@ def _unused_imports(source: str) -> list:
     )
 
 
+# the package's modules but __init__.py, which imports names to re-export
+# them, and the tests' helper modules
+CHECKED = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"] + [
+    p for p in sorted((SRC.parent.parent / "tests").glob("*.py"))
+    if not p.name.startswith(("test_", "conftest"))
+]
+
+
 def test_no_unused_imports():
     found = {}
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":  # it imports names to re-export them
-            continue
+    for path in CHECKED:
         unused = _unused_imports(path.read_text(encoding="utf-8"))
         if unused:
             found[path.name] = unused
@@ -150,9 +156,7 @@ def test_no_unreferenced_module_names():
         for word in re.findall(r"\w+", p.read_text(encoding="utf-8"))
     )
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in CHECKED:
         for name in _module_level_names(ast.parse(path.read_text(encoding="utf-8"))):
             if words[name] < 2:
                 found.append("%s:%s" % (path.name, name))
