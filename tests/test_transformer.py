@@ -558,6 +558,81 @@ def test_loop_functional_matches_the_per_term_arithmetic(loop, fs):
 
 
 # ---------------------------------------------------------------------------
+# the single unrolling against a doubling schedule
+#
+# A doubling schedule evaluates at caps 1, 2, 4, ... up to the cap and stops
+# at the first result that is exact or infinite.  An exact result reached no
+# cut-off, so every deeper unrolling explores the same paths, and an infinite
+# lower bound stays infinite; either way the transformer's one unrolling at
+# the cap must give the result the schedule stops at.  The schedule runs on
+# the reference engine.
+
+
+def _doubling_caps(cap: int):
+    depth = 1
+    while depth < cap:
+        yield depth
+        depth *= 2
+    yield cap
+
+
+def test_single_unrolling_matches_the_doubling_schedule():
+    lower = early = 0
+    for program, f, sigma, caps in _runtime_cases(200):
+        for cap in caps:
+            new = expected_runtime(program, f, sigma, ErtConfig(max_unroll_depth=cap))
+            for depth in _doubling_caps(cap):
+                old = xreal_engine.expected_runtime(
+                    program, f, sigma, ErtConfig(max_unroll_depth=depth)
+                )
+                if old.kind == "exact":
+                    break
+            assert (new.value, new.kind, new.annotations_used) == (
+                old.value, old.kind, old.annotations_used
+            )
+            lower += new.kind == "lower"
+            early += depth < cap
+    # the sample reaches the cap, and the schedule often stops before it
+    assert lower > 500 and early > 500
+
+
+@pytest.mark.parametrize("loop", [GEO, NESTED], ids=["geo", "nested"])
+def test_char_functional_matches_the_doubling_schedule(loop, monkeypatch):
+    # NESTED's inner loop reaches its cut-off at every cap, so the schedule
+    # runs to the default cap and the taint the functional passes on is
+    # compared as well
+    states = [State({"c": c, "x": x}) for c in (0, 1) for x in (0, 1, 2)]
+
+    def by_doubling(f, X, sigma):
+        for depth in _doubling_caps(ErtConfig().max_unroll_depth):
+            with monkeypatch.context() as m:
+                m.setattr(xreal_engine, "ErtConfig", lambda: ErtConfig(max_unroll_depth=depth))
+                value, tainted = xreal_engine.char_functional(loop, f)(X, sigma)
+            if not tainted or value.is_infinite:
+                break
+        return value, tainted
+
+    tainted = False
+    for f in (parse_rt("x + c"), parse_rt("inf")):
+        F = char_functional(loop, f)
+        for X in (parse_rt("2 * x"), parse_rt("inf")):
+            for s in states:
+                (nv, nt), (ov, ot) = F(X, s), by_doubling(f, X, s)
+                assert nv == ov
+                if not ov.is_infinite:
+                    assert nt == ot
+                    tainted = tainted or nt
+        iterates = kleene_iterates(loop, f, states)
+        table = {s: ZERO for s in states}
+        assert next(iterates) == table
+        for _ in range(3):
+            X = lambda q, t=table: t.get(q, ZERO)  # noqa: E731
+            table = {s: by_doubling(f, X, s)[0] for s in states}
+            assert next(iterates) == table
+    assert tainted == (loop is NESTED)
+
+
+# ---------------------------------------------------------------------------
 # the engine's int-pair arithmetic against Fraction and XReal arithmetic
 
 # weights in (0, 1] with small denominators, so sums often share one; 1 is
