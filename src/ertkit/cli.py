@@ -285,9 +285,6 @@ def _cmd_eval(args) -> int:
                 text.append(f"  exact rational: {_rational_str(res.value)}")
             else:
                 text.append(f"{sigma!r}: {_rational_str(res.value)} (exact)")
-            if res.annotations_used:
-                entry["annotations_used"] = list(res.annotations_used)
-                text.append(f"  using annotated bounds: {', '.join(res.annotations_used)}")
         except _TooManyDigits:
             if res.kind == "lower":
                 # a cut-off value's digits grow with the unroll depth

@@ -23,6 +23,7 @@ brackets `[b]`, `sum(k, lo, hi, e)`, `geoseries(r)`, `harmonic(e)`,
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple, TypeVar, Union
 
@@ -134,6 +135,19 @@ class _Parser:
         t = self.peek(ahead)
         return t.kind == kind and (text is None or t.text == text)
 
+    def integer(self, t: _Tok) -> int:
+        """The value of a `num` token, refused at the token when it has
+        more digits than Python reads."""
+        try:
+            return int(t.text)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(
+                "integer literal has more digits than Python reads (%d); "
+                "raise the limit with PYTHONINTMAXSTRDIGITS" % limit,
+                t.line, t.col,
+            )
+
     def expect(self, kind: str) -> _Tok:
         t = self.peek()
         if t.kind != kind:
@@ -215,7 +229,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "num":
             self.next()
-            return IntLit(int(t.text))
+            return IntLit(self.integer(t))
         if t.kind == "ident":
             if t.text == "true":
                 self.next()
@@ -243,14 +257,15 @@ class _Parser:
     # -- distributions -----------------------------------------------------
 
     def fraction(self) -> Fraction:
-        num = self.expect("num")
+        num = self.integer(self.expect("num"))
         if self.at("/"):
             self.next()
-            den = self.expect("num")
-            if int(den.text) == 0:
-                raise ParseError("zero denominator", den.line, den.col)
-            return Fraction(int(num.text), int(den.text))
-        return Fraction(int(num.text))
+            t = self.expect("num")
+            den = self.integer(t)
+            if den == 0:
+                raise ParseError("zero denominator", t.line, t.col)
+            return Fraction(num, den)
+        return Fraction(num)
 
     def angle_payload(self) -> Expr:
         self.expect("<")
@@ -427,7 +442,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "num":
             self.next()
-            return RLit(Fraction(int(t.text)))
+            return RLit(Fraction(self.integer(t)))
         if t.kind == "(":
             self.next()
             e = self.nested(t, self.rt)

@@ -36,7 +36,9 @@ a program without the loop that `loop` names.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -107,10 +109,19 @@ _DOMAIN_PART = re.compile(
 )
 
 
+def _too_long() -> str:
+    return (
+        f"has more digits than Python reads ({sys.get_int_max_str_digits()}); "
+        "raise the limit with PYTHONINTMAXSTRDIGITS"
+    )
+
+
 def _domain_value(name: str, text: str) -> int:
     try:
         return int(text)
     except ValueError:
+        if re.fullmatch(r"-?\d+", text):
+            raise SpecError(f"value of {name!r} {_too_long()}")
         raise SpecError(f"value {text!r} of {name!r} is not an integer")
 
 
@@ -132,7 +143,7 @@ def parse_domain(text: str) -> StateDomain:
                 raise SpecError(f"empty value set for {name!r}")
             ranges[name] = [_domain_value(name, s) for s in items]
         else:
-            lo, hi = int(m.group("lo")), int(m.group("hi"))
+            lo, hi = _domain_value(name, m.group("lo")), _domain_value(name, m.group("hi"))
             if hi < lo:
                 raise SpecError(f"empty range {lo}..{hi} for {name!r}")
             ranges[name] = list(range(lo, hi + 1))
@@ -174,6 +185,25 @@ def _integer(minimum: int) -> Reader:
     return read
 
 
+def _decimal(value: str) -> Fraction:
+    """Decimal notation, converted exactly.  Like `int`, this refuses a
+    value with more digits than Python reads: here, one whose exact
+    numerator or denominator has more.  A long exponent is refused before
+    the conversion computes 10 ** abs(exponent)."""
+    d = Decimal(value)
+    limit = sys.get_int_max_str_digits()
+    if limit and d.is_finite() and d:
+        _, digits, exponent = d.as_tuple()
+        # the numerator (exponent >= 0) or the denominator (exponent < 0)
+        # has at least abs(exponent) - len(digits) + 1 digits
+        if abs(exponent) - len(digits) >= limit:
+            raise ValueError("the exact value " + _too_long())
+    q = Fraction(d)
+    if limit and max(abs(q.numerator), q.denominator) >= 10**limit:
+        raise ValueError("the exact value " + _too_long())
+    return q
+
+
 def _rational(positive: bool) -> Reader:
     def read(key: str, value: str, lineno: int) -> Fraction:
         try:
@@ -181,10 +211,7 @@ def _rational(positive: bool) -> Reader:
                 num, den = value.split("/", 1)
                 q = Fraction(int(num.strip()), int(den.strip()))
             elif "e" in value.lower() or "." in value:
-                # decimal notation is converted exactly
-                from decimal import Decimal
-
-                q = Fraction(Decimal(value))
+                q = _decimal(value)
             else:
                 q = Fraction(int(value))
         except (ValueError, ArithmeticError) as exc:

@@ -152,52 +152,33 @@ class ErtResult:
 # continuations
 #
 # A continuation stands for the run-time function applied after a program
-# fragment; `cont.eval(engine, sigma)` gives an engine value.  The engine
-# passes itself in, so a continuation holds no reference to it and nothing
-# an evaluation builds points back at its engine: once the engine is
-# dropped, reference counting frees its memo, its tables and its states.
-# Continuations are compared by identity in the memo table; the engine
-# canonicalizes sequence continuations so identical tails share one object.
+# fragment: a post-run-time, the rest of a sequence, or the rest of a loop
+# unrolling.  One class covers all of them, holding a function of
+# `(engine, sigma)` that gives an engine value.  The engine passes itself
+# in, so a continuation holds no reference to it and nothing an evaluation
+# builds points back at its engine: once the engine is dropped, reference
+# counting frees its memo, its tables and its states.  The memo table
+# compares continuations by identity, so the engine interns the ones it
+# creates and identical tails share one object.
 
 
-class RtCont:
-    """A literal run-time expression."""
+class _Cont:
+    __slots__ = ("eval",)
 
-    __slots__ = ("expr",)
-
-    def __init__(self, expr: RtExpr):
-        self.expr = expr
-
-    def eval(self, engine: "_Engine", sigma: State) -> Val:
-        return _val_of(eval_rt(self.expr, sigma), False)
+    def __init__(self, fn: Callable[["_Engine", State], Val]):
+        self.eval = fn
 
 
-class FnCont:
-    """An opaque state-indexed table or function, e.g. a fixed-point iterate."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[State], XReal]):
-        self.fn = fn
-
-    def eval(self, engine: "_Engine", sigma: State) -> Val:
-        return _val_of(self.fn(sigma), False)
+# the zero run-time, the one an annotated loop's bound was certified against
+ZERO_CONT = _Cont(lambda engine, sigma: (0, 1, False))
 
 
-class _SeqCont:
-    """Run a program, then the next continuation."""
-
-    __slots__ = ("program", "after")
-
-    def __init__(self, program: Program, after):
-        self.program = program
-        self.after = after
-
-    def eval(self, engine: "_Engine", sigma: State) -> Val:
-        return engine.eval(self.program, sigma, self.after)
-
-
-ZERO_CONT = RtCont(RT_ZERO)
+def _as_cont(f: RunTime) -> _Cont:
+    if f is None or f == RT_ZERO:
+        return ZERO_CONT
+    if callable(f):
+        return _Cont(lambda engine, sigma: _val_of(f(sigma), False))
+    return _Cont(lambda engine, sigma: _val_of(eval_rt(f, sigma), False))
 
 
 # ---------------------------------------------------------------------------
@@ -208,47 +189,44 @@ class _Engine:
     def __init__(self, config: ErtConfig):
         self.config = config
         self.memo: Dict[tuple, Val] = {}
-        self.seq_conts: Dict[tuple, _SeqCont] = {}
-        self.bounded_conts: Dict[tuple, "_BoundedCont"] = {}
+        # interned for the engine's lifetime, so that ids in memo keys never
+        # get recycled
+        self.conts: Dict[tuple, _Cont] = {}
         # branch weights and distribution supports as int pairs, keyed by
         # (id(expression), state); the program outlives the engine
-        self.guards: Dict[tuple, Tuple[int, int, int, int]] = {}
+        self.guards: Dict[tuple, Tuple[int, int, int]] = {}
         self.dists: Dict[tuple, list] = {}
         self.annotations_used: List[str] = []
 
-    # continuations ------------------------------------------------------
-    #
-    # memo keys use continuation identity, so the engine keeps every
-    # continuation it creates until it is dropped itself; ids never get
-    # recycled while the memo is keyed on them
-
-    def seq_cont(self, program: Program, after) -> _SeqCont:
+    def seq_cont(self, program: Program, after: _Cont) -> _Cont:
+        """Run `program`, then `after`."""
         key = (id(program), id(after))
-        c = self.seq_conts.get(key)
+        c = self.conts.get(key)
         if c is None:
-            c = _SeqCont(program, after)
-            self.seq_conts[key] = c
+            c = self.conts[key] = _Cont(
+                lambda engine, sigma: engine.eval(program, sigma, after)
+            )
         return c
 
-    def bounded_cont(self, loop: Loop, depth: int, after) -> "_BoundedCont":
+    def loop_cont(self, loop: Loop, depth: int, after: _Cont) -> _Cont:
+        """Resume `loop` unrolled `depth` more times, then `after`."""
         key = (id(loop), depth, id(after))
-        c = self.bounded_conts.get(key)
+        c = self.conts.get(key)
         if c is None:
-            c = _BoundedCont(loop, depth, after)
-            self.bounded_conts[key] = c
+            c = self.conts[key] = _Cont(
+                lambda engine, sigma: engine._bounded(loop, depth, sigma, after)
+            )
         return c
 
-    # guards and distributions --------------------------------------------
-
-    def guard(self, g, sigma: State) -> Tuple[int, int, int, int]:
-        """The branch weights (tn, td, fn, fd) of Pr[true] = tn/td and
-        Pr[false] = fn/fd; a zero numerator marks an impossible side."""
+    def guard(self, g, sigma: State) -> Tuple[int, int, int]:
+        """The branch weights (tn, fn, d) of Pr[true] = tn/d and
+        Pr[false] = fn/d; a zero numerator marks an impossible side."""
         key = (id(g), sigma)
         w = self.guards.get(key)
         if w is None:
             p = eval_guard(g, sigma)
-            tn, td = p.numerator, p.denominator
-            w = self.guards[key] = (tn, td, td - tn, td)
+            tn, d = p.numerator, p.denominator
+            w = self.guards[key] = (tn, d - tn, d)
         return w
 
     def dist(self, d, sigma: State) -> list:
@@ -261,18 +239,14 @@ class _Engine:
             ]
         return entries
 
-    # evaluation ---------------------------------------------------------
-
-    def eval(self, p: Program, sigma: State, cont) -> Val:
+    def eval(self, p: Program, sigma: State, cont: _Cont) -> Val:
         key = (id(p), sigma, id(cont))
         hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._eval(p, sigma, cont)
-        self.memo[key] = out
-        return out
+        if hit is None:
+            hit = self.memo[key] = self._eval(p, sigma, cont)
+        return hit
 
-    def _eval(self, p: Program, sigma: State, cont) -> Val:
+    def _eval(self, p: Program, sigma: State, cont: _Cont) -> Val:
         if isinstance(p, Empty):
             return cont.eval(self, sigma)
         if isinstance(p, Skip):
@@ -292,16 +266,19 @@ class _Engine:
                 return ln, ld, lt or rt_
             return rn, rd, lt or rt_
         if isinstance(p, If):
-            return self._branch(p.guard, p.then, p.orelse, sigma, cont)
+            return self.step(p.guard, p.then, sigma, cont, self.seq_cont(p.orelse, cont))
         if isinstance(p, While):
             return self._bounded(p, self.config.max_unroll_depth, sigma, cont)
         if isinstance(p, WhileBounded):
             return self._bounded(p, p.bound, sigma, cont)
         if isinstance(p, Annotated):
-            return self._annotated(p, sigma, cont)
+            if cont is ZERO_CONT:
+                self.annotations_used.append(rt_to_text(p.bound))
+                return _val_of(eval_rt(p.bound, sigma), True)
+            return self._bounded(p.loop, self.config.max_unroll_depth, sigma, cont)
         raise TypeError(p)
 
-    def _assign(self, p: ProbAssign, sigma: State, cont) -> Val:
+    def _assign(self, p: ProbAssign, sigma: State, cont: _Cont) -> Val:
         n, d, tainted = 1, 1, False
         for pn, pd, v in self.dist(p.dist, sigma):
             if isinstance(p.target, VarTarget):
@@ -314,19 +291,7 @@ class _Engine:
             tainted = tainted or t
         return _reduced(n, d, tainted)
 
-    def _branch(self, guard, then, orelse, sigma: State, cont) -> Val:
-        tn, td, fn, fd = self.guard(guard, sigma)
-        n, d, tainted = 1, 1, False
-        if tn:
-            vn, vd, tainted = self.eval(then, sigma, cont)
-            n, d = _add(n, d, tn, td, vn, vd)
-        if fn:
-            vn, vd, t = self.eval(orelse, sigma, cont)
-            n, d = _add(n, d, fn, fd, vn, vd)
-            tainted = tainted or t
-        return _reduced(n, d, tainted)
-
-    def _bounded(self, loop: Loop, depth: int, sigma: State, cont) -> Val:
+    def _bounded(self, loop: Loop, depth: int, sigma: State, cont: _Cont) -> Val:
         """Lazy evaluation of a loop unrolled `depth` more times.
 
         Depth zero behaves like halt.  A `While` cut off there may not have
@@ -340,52 +305,30 @@ class _Engine:
         if depth <= 0:
             out: Val = (0, 1, loop.__class__ is While)
         else:
-            rest = self.bounded_cont(loop, depth - 1, cont)
-            out = self.step(loop, sigma, rest, cont)
+            rest = self.loop_cont(loop, depth - 1, cont)
+            out = self.step(loop.guard, loop.body, sigma, rest, cont)
         self.memo[key] = out
         return out
 
-    def step(self, loop: Loop, sigma: State, rest, after) -> Val:
-        """One step of a loop: 1 + Pr[guard] * ert[body](rest)(sigma)
-        + Pr[not guard] * after(sigma)."""
-        tn, td, fn, fd = self.guard(loop.guard, sigma)
+    def step(self, guard, body: Program, sigma: State, rest: _Cont, other: _Cont) -> Val:
+        """1 + Pr[guard] * ert[body](rest)(sigma) + Pr[not guard] * other(sigma).
+
+        For a conditional, `body` is the then-branch, `rest` the
+        conditional's continuation and `other` the else-branch followed by
+        that continuation.  For a loop round, `body` is the loop body,
+        `rest` the rest of the unrolling and `other` the run-time after the
+        loop.  A side whose weight is zero is never evaluated.
+        """
+        tn, fn, wd = self.guard(guard, sigma)
         n, d, tainted = 1, 1, False
         if tn:
-            vn, vd, tainted = self.eval(loop.body, sigma, rest)
-            n, d = _add(n, d, tn, td, vn, vd)
+            vn, vd, tainted = self.eval(body, sigma, rest)
+            n, d = _add(n, d, tn, wd, vn, vd)
         if fn:
-            vn, vd, t = after.eval(self, sigma)
-            n, d = _add(n, d, fn, fd, vn, vd)
+            vn, vd, t = other.eval(self, sigma)
+            n, d = _add(n, d, fn, wd, vn, vd)
             tainted = tainted or t
         return _reduced(n, d, tainted)
-
-    def _annotated(self, p: Annotated, sigma: State, cont) -> Val:
-        if isinstance(cont, RtCont) and cont.expr == RT_ZERO:
-            self.annotations_used.append(rt_to_text(p.bound))
-            return _val_of(eval_rt(p.bound, sigma), True)
-        return self._bounded(p.loop, self.config.max_unroll_depth, sigma, cont)
-
-
-class _BoundedCont:
-    """Continuation that resumes a loop at one less depth."""
-
-    __slots__ = ("loop", "depth", "after")
-
-    def __init__(self, loop: Loop, depth: int, after):
-        self.loop = loop
-        self.depth = depth
-        self.after = after
-
-    def eval(self, engine: _Engine, sigma: State) -> Val:
-        return engine._bounded(self.loop, self.depth, sigma, self.after)
-
-
-def _as_cont(f: RunTime) -> Union[RtCont, FnCont]:
-    if f is None:
-        return ZERO_CONT
-    if callable(f):
-        return FnCont(f)
-    return RtCont(f)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +393,7 @@ def char_functional(loop: Union[While, Annotated], f: RunTime):
             last[:] = X, _as_cont(X), _Engine(cfg)
         _, x_cont, engine = last
         with _deep_stack():
-            n, d, tainted = engine.step(loop, sigma, x_cont, f_cont)
+            n, d, tainted = engine.step(loop.guard, loop.body, sigma, x_cont, f_cont)
         return _xreal(n, d), tainted
 
     return apply

@@ -644,6 +644,51 @@ def test_unreadable_input_is_an_input_error(argv, tmp_path, capsys):
     assert err.startswith("error: cannot ") and "Traceback" not in err
 
 
+_LONG = "1" * 5000
+# 10^4999 and 10^4999 - 1, without converting 5000 digits
+_TEN, _NINES = "1" + "0" * 4999, "9" * 4999
+
+
+@pytest.mark.parametrize("limit", [4300, 0])
+@pytest.mark.parametrize(
+    "argv, source, message",
+    [
+        (("eval", "corpus:trunc", "--f", _LONG), None, "parse error: 1:1: "),
+        (("eval", "{path}"), "x := " + _LONG, "parse error: 1:6: "),
+        (("eval", "{path}"), f"x :~ 1/{_TEN}*<0> + {_NINES}/{_TEN}*<1>", "parse error: 1:8: "),
+        (
+            ("check-inv", "{path}"),
+            f"check: upper\nprogram: while (c = {_LONG}) {{ c := 0 }}\n"
+            "invariant: 1\ndomain: c in {0}\n",
+            "spec error: line 2: program does not parse: 1:12: ",
+        ),
+    ],
+    ids=["runtime", "program", "weight", "spec"],
+)
+def test_a_literal_longer_than_python_reads_is_a_parse_error(
+    argv, source, message, limit, tmp_path, capsys
+):
+    path = tmp_path / "long.in"
+    if source is not None:
+        path.write_text(source)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        code, _, err = run(capsys, *(a.format(path=path) for a in argv))
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert "Traceback" not in err
+    if limit:
+        assert code == 2
+        assert err == message + (
+            "integer literal has more digits than Python reads (4300); "
+            "raise the limit with PYTHONINTMAXSTRDIGITS\n"
+        )
+    else:
+        # no limit: the literal is read
+        assert (code, err) == (0, "")
+
+
 def _nested_ifs(depth: int) -> str:
     return "x := 0; " + "if (x >= 0) { " * depth + "x := x + 1" + " }" * depth
 

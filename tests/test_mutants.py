@@ -16,8 +16,8 @@ import pytest
 from ertkit import mdp, semantics
 from ertkit.kernel import ZERO
 from ertkit.props import run_soundness_sweep
-from ertkit.syntax import Annotated, Halt, NdChoice, Skip, WhileBounded
-from ertkit.transformer import ZERO_CONT, FnCont, _Engine, _xreal
+from ertkit.syntax import Annotated, Halt, If, NdChoice, Skip, WhileBounded
+from ertkit.transformer import ZERO_CONT, _as_cont, _Engine, _xreal
 
 SEED, COUNT = 11, 200
 
@@ -31,18 +31,19 @@ def _free_skip(monkeypatch):
 
 
 def _patch_eval(monkeypatch, kind, mutated):
-    """Transformer: statements of `kind` are evaluated by `mutated`."""
-    _eval = _Engine._eval
+    """Transformer: statements of `kind` are evaluated by `mutated`, which
+    is passed the rule it replaces, so that mutants compose."""
+    rule = _Engine._eval
 
     def patched(engine, p, sigma, cont):
         if isinstance(p, kind):
-            return mutated(engine, p, sigma, cont)
-        return _eval(engine, p, sigma, cont)
+            return mutated(rule, engine, p, sigma, cont)
+        return rule(engine, p, sigma, cont)
 
     monkeypatch.setattr(_Engine, "_eval", patched)
 
 
-def _choice_takes_the_minimum(engine, p, sigma, cont):
+def _choice_takes_the_minimum(rule, engine, p, sigma, cont):
     ln, ld, lt = engine.eval(p.left, sigma, cont)
     rn, rd, rt_ = engine.eval(p.right, sigma, cont)
     if rn is None or (ln is not None and ln * rd < rn * ld):
@@ -62,16 +63,15 @@ def drop_if_tick(monkeypatch):
     charges the tick of its guard.  `char_functional` still charges the loop
     guard's tick, so it maps a loop's exactly computed run-time under the
     mutant to that run-time plus 1."""
-    branch, bounded = _Engine._branch, _Engine._bounded
-
-    def _branch(engine, guard, then, orelse, sigma, cont):
-        return _untick(branch(engine, guard, then, orelse, sigma, cont))
+    bounded = _Engine._bounded
 
     def _bounded(engine, loop, depth, sigma, cont):
         out = bounded(engine, loop, depth, sigma, cont)
         return out if depth <= 0 else _untick(out)
 
-    monkeypatch.setattr(_Engine, "_branch", _branch)
+    _patch_eval(
+        monkeypatch, If, lambda rule, e, p, sigma, cont: _untick(rule(e, p, sigma, cont))
+    )
     monkeypatch.setattr(_Engine, "_bounded", _bounded)
 
 
@@ -86,14 +86,19 @@ def _cut_off_does_not_taint(monkeypatch):
 
 
 def _loop_exit_drops_taint(monkeypatch):
-    """Transformer: a loop step drops the taint of what runs after the loop."""
+    """Transformer: a loop step drops the taint of what runs after the loop.
+    A conditional takes the same step with its else-branch as the other
+    side, and keeps that side's taint."""
     step = _Engine.step
 
-    def untainted(engine, loop, sigma, rest, after):
-        exit_ = FnCont(lambda s: _xreal(*after.eval(engine, s)[:2]))
-        return step(engine, loop, sigma, rest, exit_)
+    def untainted(engine, guard, body, sigma, rest, other):
+        exit_ = _as_cont(lambda s: _xreal(*other.eval(engine, s)[:2]))
+        return step(engine, guard, body, sigma, rest, exit_)
 
     monkeypatch.setattr(_Engine, "step", untainted)
+    _patch_eval(monkeypatch, If, lambda rule, e, p, sigma, cont: step(
+        e, p.guard, p.then, sigma, cont, e.seq_cont(p.orelse, cont)
+    ))
 
 
 TRANSFORMER_MUTANTS = {
@@ -102,15 +107,16 @@ TRANSFORMER_MUTANTS = {
         mp, NdChoice, _choice_takes_the_minimum
     ),
     "bounded-loop-runs-one-time-less": lambda mp: _patch_eval(
-        mp, WhileBounded, lambda e, p, sigma, cont: e._bounded(p, p.bound - 1, sigma, cont)
+        mp, WhileBounded,
+        lambda rule, e, p, sigma, cont: e._bounded(p, p.bound - 1, sigma, cont),
     ),
     "halt-keeps-its-continuation": lambda mp: _patch_eval(
-        mp, Halt, lambda e, p, sigma, cont: cont.eval(e, sigma)
+        mp, Halt, lambda rule, e, p, sigma, cont: cont.eval(e, sigma)
     ),
     "cut-off-does-not-taint": _cut_off_does_not_taint,
     # the bound, certified under the zero run-time, stands in under any
     "annotation-under-any-continuation": lambda mp: _patch_eval(
-        mp, Annotated, lambda e, p, sigma, cont: e._annotated(p, sigma, ZERO_CONT)
+        mp, Annotated, lambda rule, e, p, sigma, cont: rule(e, p, sigma, ZERO_CONT)
     ),
     "loop-exit-drops-taint": _loop_exit_drops_taint,
 }

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,67 @@ def test_error_lines_are_reported():
     with pytest.raises(SpecError) as exc:
         parse_spec("check: upper\ncorpus: geo\nbogus: 1\n")
     assert exc.value.line == 3
+
+
+_OMEGA = "check: omega\ncorpus: geo\ninvariant_n: 1\ndomain: c in {0, 1}\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, exact",
+    [
+        # the exact value of 10^4299 has 4300 digits, of 10^4300 one more
+        ("big", "1e4299", Fraction(10**4299)),
+        ("big", "1e4300", None),
+        ("big", "1e30000000", None),
+        # 5e-4300 is 1 / (2 * 10^4299), whose denominator has 4300 digits
+        ("tol", "5e-4300", Fraction(1, 2 * 10**4299)),
+        ("tol", "1e-4300", None),
+        ("tol", "1e-30000000", None),
+        # trailing zeros cancel
+        ("tol", "1." + "0" * 5000, Fraction(1)),
+    ],
+)
+def test_a_decimal_is_read_exactly_within_the_digit_limit(key, value, exact):
+    # refused before the conversion computes 10 ** 30000000, which takes
+    # about a minute
+    text = _OMEGA + f"{key}: {value}\n"
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        if exact is None:
+            with pytest.raises(SpecError) as exc:
+                parse_spec(text)
+            assert exc.value.line == 5
+            assert "more digits than Python reads (4300)" in exc.value.message
+            assert "PYTHONINTMAXSTRDIGITS" in exc.value.message
+        else:
+            assert getattr(parse_spec(text), key) == exact
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("text", ["c in 0 .. {long}", "c in {{0, {long}}}"])
+def test_a_domain_value_longer_than_python_reads_is_refused(text):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(SpecError) as exc:
+            parse_domain(text.format(long="1" * 5000))
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert exc.value.message == (
+        "value of 'c' has more digits than Python reads (4300); "
+        "raise the limit with PYTHONINTMAXSTRDIGITS"
+    )
+
+
+def test_a_decimal_beyond_the_default_limit_is_read_under_no_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_spec(_OMEGA + "big: 1e4300\n").big == 10**4300
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize(

@@ -154,3 +154,30 @@ def test_generated_programs_survive_deepcopy_and_pickle():
     for i in range(60):
         _assert_copies_equal(random_program(rng, PROFILES[names[i % len(names)]]))
         _assert_copies_equal(random_runtime(rng))
+
+
+def test_tree_helpers_on_annotated_and_bounded_loops():
+    src = "while (x > 0) { x := x - 1; while (y > 0) { y := y - 1 } }"
+    outer, twin = parse_program(src), parse_program(src)
+    annotated = syntax.Annotated(outer, parse_rt("2 * x"))
+    bounded = syntax.WhileBounded(3, twin.guard, twin.body)
+    program = syntax.Seq(annotated, bounded)
+    assert syntax.children(annotated) == [outer]
+    # the annotated loop once, not again as its plain loop; an explicit
+    # bound is no while loop, but the one in its body is
+    loops = syntax.while_loops(program)
+    assert [id(loop) for loop in loops] == [
+        id(annotated), id(outer.body.second), id(twin.body.second)
+    ]
+
+    def inner_bounded(loop):
+        """The loop's body with its inner while bounded at 5."""
+        inner = loop.body.second
+        return syntax.Seq(loop.body.first, syntax.WhileBounded(5, inner.guard, inner.body))
+
+    # the annotation goes and the explicit bound stays, and each while in
+    # the loop bodies is bounded
+    assert replace_whiles(program, 5) == syntax.Seq(
+        syntax.WhileBounded(5, outer.guard, inner_bounded(outer)),
+        syntax.WhileBounded(3, twin.guard, inner_bounded(twin)),
+    )

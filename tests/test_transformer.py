@@ -356,6 +356,34 @@ def test_det_step_count_unfolds_bounded_loops_like_the_transformer():
         assert final.get("y") == y
 
 
+def test_det_step_count_writes_array_cells():
+    ticks, final = det_step_count(parse_program("a := [0, 0]; a[2] := 5"))
+    assert (ticks, final) == (XReal(2), State({"a": (0, 5)}))
+
+
+def test_det_step_count_runs_an_annotated_loop_as_its_loop():
+    # the bound, here far from the loop's run-time, is never read
+    drain = parse_program("while (x > 0) { x := x - 1 }")
+    annotated = Annotated(drain, parse_rt("7"))
+    for x in range(4):
+        sigma = State({"x": x})
+        ticks, final = det_step_count(annotated, sigma)
+        assert (ticks, final) == det_step_count(drain, sigma)
+        assert ticks == XReal(2 * x + 1)
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("x :~ 1/2*<0> + 1/2*<1>", "random assignment"),
+        ("if (1/2*<true> + 1/2*<false>) { skip }", "probabilistic guard"),
+    ],
+)
+def test_det_step_count_rejects_probabilistic_input(src, message):
+    with pytest.raises(NotDeterministic, match=message):
+        det_step_count(parse_program(src))
+
+
 def test_det_step_count_rejects_nondeterminism_and_diverging_runs(monkeypatch):
     with pytest.raises(NotDeterministic):
         det_step_count(parse_program("{ skip } [] { skip }"))
@@ -689,13 +717,13 @@ def _to(x):
 )
 def test_branch_weights_and_choice_match_xreal_arithmetic(p, a, b):
     # f reads a after x := 0 and b after x := 1
-    f = transformer.FnCont(lambda s: (a, b)[s.get("x")])
+    f = transformer._as_cont(lambda s: (a, b)[s.get("x")])
     sigma = State({"x": 0})
     branch = If(_coin(p), _to(0), _to(1))
     choice = NdChoice(_to(0), _to(1))
     engine = transformer._Engine(ErtConfig())
-    tn, td, fn, fd = engine.guard(branch.guard, sigma)
-    assert (Fraction(tn, td), Fraction(fn, fd)) == (p, 1 - p)
+    tn, fn, d = engine.guard(branch.guard, sigma)
+    assert (Fraction(tn, d), Fraction(fn, d)) == (p, 1 - p)
     # each side charges the tick of its assignment; an impossible side is
     # never evaluated, so 0 * inf never arises
     then, orelse = ONE + a, ONE + b
@@ -713,7 +741,7 @@ def test_certain_weights_are_one_over_one():
     for src in sources:
         prog = parse_program(src)
         engine = transformer._Engine(ErtConfig())
-        values.add(engine.eval(prog, State({"x": 0}), transformer.RtCont(f)))
+        values.add(engine.eval(prog, State({"x": 0}), transformer._as_cont(f)))
         assert engine.dist(prog.dist, State({"x": 0})) == [(1, 1, 3)]
         assert expected_runtime(prog, f, State({"x": 0})).value == XReal(4)
     assert values == {(4, 1, False)}
