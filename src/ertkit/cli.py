@@ -39,7 +39,7 @@ from .kernel import KernelError, State, XReal
 from .mdp import (
     FALLBACK_UNROLL, MdpConfig, NodeCapExceeded, build_mdp, cross_check, mdp_to_dot,
 )
-from .parser import _KEYWORDS, ParseError, parse_program, parse_rt
+from .parser import _KEYWORDS, ParseError, is_integer, parse_program, parse_rt, too_long
 from .props import run_property_suite
 from .semantics import EvalError
 from .specfile import InvariantSpecFile, SpecError, parse_spec
@@ -138,6 +138,16 @@ def _bindings(
     return out
 
 
+def _int(text: str, what: str, error: str) -> int:
+    """`text` as an integer.  Text that is no integer is refused with
+    `error`, and an integer too long for Python to read with a message that
+    names the digit limit, not the digits."""
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(too_long(what) if is_integer(text) else error) from None
+
+
 def _state_value(name: str, value: str, item: str):
     if not _NAME_RE.match(name) or name in _KEYWORDS:
         raise CliError(f"{name!r} is not a variable name in --state")
@@ -145,16 +155,15 @@ def _state_value(name: str, value: str, item: str):
         # array cells are separated by ; so that , can separate bindings
         if not value.endswith("]"):
             raise CliError(f"unterminated array value in {item!r}")
-        try:
-            return tuple(int(c) for c in value[1:-1].split(";") if c.strip())
-        except ValueError:
-            raise CliError(f"array cells must be integers in {item!r}")
+        cell = f"a cell of {name!r} in --state"
+        error = f"array cells must be integers in {item!r}"
+        return tuple(_int(c, cell, error) for c in value[1:-1].split(";") if c.strip())
     if value.lower() in ("true", "false"):
         return value.lower() == "true"
-    try:
-        return int(value)
-    except ValueError:
-        raise CliError(f"state values must be integers or booleans, found {value!r}")
+    return _int(
+        value, f"the value of {name!r} in --state",
+        f"state values must be integers or booleans, found {value!r}",
+    )
 
 
 def _parse_state(chunks: List[str]) -> State:
@@ -163,10 +172,7 @@ def _parse_state(chunks: List[str]) -> State:
 
 
 def _param_value(name: str, value: str, item: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise CliError(f"parameter {name!r} must be an integer")
+    return _int(value, f"parameter {name!r}", f"parameter {name!r} must be an integer")
 
 
 def _program_inputs(args) -> Tuple[Program, str, RtExpr, State]:

@@ -57,6 +57,24 @@ class ProbabilityMassError(ParseError):
 # recursion limit.
 MAX_NESTING = 64
 
+# text that `int` reads as an integer when it has few enough digits
+_INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def is_integer(text: str) -> bool:
+    """Whether `text` spells an integer, so that `int` refuses it only for
+    having more digits than Python reads."""
+    return _INTEGER.fullmatch(text) is not None
+
+
+def too_long(what: str) -> str:
+    """The message refusing `what`, an integer with more digits than Python
+    reads.  It names the limit and how to raise it, not the digits."""
+    return (
+        f"{what} has more digits than Python reads ({sys.get_int_max_str_digits()}); "
+        "raise the limit with PYTHONINTMAXSTRDIGITS"
+    )
+
 
 _KEYWORDS = {
     "empty", "skip", "halt", "if", "else", "while", "unif",
@@ -141,12 +159,7 @@ class _Parser:
         try:
             return int(t.text)
         except ValueError:
-            limit = sys.get_int_max_str_digits()
-            raise ParseError(
-                "integer literal has more digits than Python reads (%d); "
-                "raise the limit with PYTHONINTMAXSTRDIGITS" % limit,
-                t.line, t.col,
-            )
+            raise ParseError(too_long("integer literal"), t.line, t.col)
 
     def expect(self, kind: str) -> _Tok:
         t = self.peek()

@@ -63,59 +63,53 @@ Bindings = Mapping[str, int]
 
 
 def eval_expr(e: Expr, sigma: State, bind: Optional[Bindings] = None) -> Value:
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, BoolLit):
-        return e.value
-    if isinstance(e, VarRef):
-        return _var(e.name, sigma, bind)
-    if isinstance(e, CellRef):
-        return _cell(e.name, e.index, sigma, bind)
-    if isinstance(e, BinOp):
-        a = _as_int(eval_expr(e.left, sigma, bind), "arithmetic operand")
-        b = _as_int(eval_expr(e.right, sigma, bind), "arithmetic operand")
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        raise EvalError("unknown operator %r" % e.op)
-    if isinstance(e, Cmp):
-        a = eval_expr(e.left, sigma, bind)
-        b = eval_expr(e.right, sigma, bind)
-        if e.op in ("=", "!="):
-            if value_kind(a) != value_kind(b):
-                raise KindMismatch(
-                    "cannot compare %s with %s" % (value_kind(a), value_kind(b))
-                )
-            return (a == b) if e.op == "=" else (a != b)
-        a = _as_int(a, "comparison operand")
-        b = _as_int(b, "comparison operand")
-        if e.op == "<":
-            return a < b
-        if e.op == "<=":
-            return a <= b
-        if e.op == ">":
-            return a > b
-        if e.op == ">=":
-            return a >= b
-        raise EvalError("unknown comparison %r" % e.op)
-    if isinstance(e, And):
-        return _as_bool(eval_expr(e.left, sigma, bind)) and _as_bool(
-            eval_expr(e.right, sigma, bind)
-        )
-    if isinstance(e, Or):
-        return _as_bool(eval_expr(e.left, sigma, bind)) or _as_bool(
-            eval_expr(e.right, sigma, bind)
-        )
-    if isinstance(e, Not):
-        return not _as_bool(eval_expr(e.arg, sigma, bind))
-    raise TypeError(e)
+    rule = _EXPR_RULES.get(e.__class__)
+    if rule is None:
+        raise TypeError(e)
+    return rule(e, sigma, bind)
 
 
-def _var(name: str, sigma: State, bind: Optional[Bindings]) -> Value:
+def _lit(e: Union[IntLit, BoolLit], sigma: State, bind: Optional[Bindings]) -> Value:
+    return e.value
+
+
+def _binop(e: BinOp, sigma: State, bind: Optional[Bindings]) -> int:
+    a = _as_int(eval_expr(e.left, sigma, bind), "arithmetic operand")
+    b = _as_int(eval_expr(e.right, sigma, bind), "arithmetic operand")
+    if e.op == "+":
+        return a + b
+    if e.op == "-":
+        return a - b
+    if e.op == "*":
+        return a * b
+    raise EvalError("unknown operator %r" % e.op)
+
+
+def _cmp(e: Cmp, sigma: State, bind: Optional[Bindings]) -> bool:
+    a = eval_expr(e.left, sigma, bind)
+    b = eval_expr(e.right, sigma, bind)
+    if e.op in ("=", "!="):
+        if a.__class__ is not b.__class__:
+            raise KindMismatch(
+                "cannot compare %s with %s" % (value_kind(a), value_kind(b))
+            )
+        return (a == b) if e.op == "=" else (a != b)
+    a = _as_int(a, "comparison operand")
+    b = _as_int(b, "comparison operand")
+    if e.op == "<":
+        return a < b
+    if e.op == "<=":
+        return a <= b
+    if e.op == ">":
+        return a > b
+    if e.op == ">=":
+        return a >= b
+    raise EvalError("unknown comparison %r" % e.op)
+
+
+def _var(e: Union[VarRef, RVar], sigma: State, bind: Optional[Bindings]) -> Value:
     """A scalar read: the bindings first, then the state."""
+    name = e.name
     if bind is not None and name in bind:
         return bind[name]
     try:
@@ -124,25 +118,45 @@ def _var(name: str, sigma: State, bind: Optional[Bindings]) -> Value:
         raise UnboundVariable("undefined variable %r" % name)
 
 
-def _cell(name: str, index: Expr, sigma: State, bind: Optional[Bindings]) -> Value:
-    """An array cell read, at the value of `index`."""
-    idx = eval_expr(index, sigma, bind)
+def _cell(e: Union[CellRef, RCell], sigma: State, bind: Optional[Bindings]) -> Value:
+    """An array cell read, at the value of its index."""
+    idx = eval_expr(e.index, sigma, bind)
     try:
-        return sigma.get_cell(name, idx)
+        return sigma.get_cell(e.name, idx)
     except KeyError:
-        raise UnboundVariable("undefined array %r" % name)
+        raise UnboundVariable("undefined array %r" % e.name)
+
+
+# A value is exactly an int, a bool or a tuple (the kernel makes it so), so
+# a kind check compares classes.
 
 
 def _as_int(v: Value, what: str) -> int:
-    if value_kind(v) != "int":
+    if v.__class__ is not int:
         raise KindMismatch("%s must be an integer, got %r" % (what, v))
     return v
 
 
 def _as_bool(v: Value) -> bool:
-    if value_kind(v) != "bool":
+    if v.__class__ is not bool:
         raise KindMismatch("expected a boolean, got %r" % v)
     return v
+
+
+# one rule per expression class, looked up by the exact class
+_EXPR_RULES = {
+    IntLit: _lit,
+    BoolLit: _lit,
+    VarRef: _var,
+    CellRef: _cell,
+    BinOp: _binop,
+    Cmp: _cmp,
+    And: lambda e, sigma, bind: _as_bool(eval_expr(e.left, sigma, bind))
+    and _as_bool(eval_expr(e.right, sigma, bind)),
+    Or: lambda e, sigma, bind: _as_bool(eval_expr(e.left, sigma, bind))
+    or _as_bool(eval_expr(e.right, sigma, bind)),
+    Not: lambda e, sigma, bind: not _as_bool(eval_expr(e.arg, sigma, bind)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +230,9 @@ def eval_rt(
     if isinstance(f, RInf):
         return INF
     if isinstance(f, RVar):
-        return _nonneg(_var(f.name, sigma, bind), f.name)
+        return _nonneg(_var(f, sigma, bind), f.name)
     if isinstance(f, RCell):
-        return _nonneg(_cell(f.name, f.index, sigma, bind), f.name)
+        return _nonneg(_cell(f, sigma, bind), f.name)
     if isinstance(f, OmegaParam):
         if bind is None or "n" not in bind:
             raise UnboundVariable("iteration parameter n is unbound here")
@@ -289,7 +303,7 @@ def eval_rt(
 
 
 def _nonneg(v: Value, name: str) -> XReal:
-    if value_kind(v) != "int":
+    if v.__class__ is not int:
         raise KindMismatch(
             "%r is boolean; wrap it in an indicator to use it as a run-time" % name
         )

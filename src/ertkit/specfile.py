@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .invariants import StateDomain
-from .parser import ParseError, parse_program, parse_rt
+from .parser import ParseError, is_integer, parse_program, parse_rt, too_long
 from .syntax import Program, RtExpr, RT_ZERO, while_loops
 
 Reader = Callable[[str, str, int], object]  # (key, value, line) -> field value
@@ -109,19 +109,12 @@ _DOMAIN_PART = re.compile(
 )
 
 
-def _too_long() -> str:
-    return (
-        f"has more digits than Python reads ({sys.get_int_max_str_digits()}); "
-        "raise the limit with PYTHONINTMAXSTRDIGITS"
-    )
-
-
 def _domain_value(name: str, text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        if re.fullmatch(r"-?\d+", text):
-            raise SpecError(f"value of {name!r} {_too_long()}")
+        if is_integer(text):
+            raise SpecError(too_long(f"value of {name!r}"))
         raise SpecError(f"value {text!r} of {name!r} is not an integer")
 
 
@@ -177,6 +170,8 @@ def _integer(minimum: int) -> Reader:
         try:
             n = int(value)
         except ValueError:
+            if is_integer(value):
+                raise SpecError(too_long(key), lineno)
             raise SpecError(f"{key} must be an integer, found {value!r}", lineno)
         if n < minimum:
             raise SpecError(f"{key} must be at least {minimum}", lineno)
@@ -197,10 +192,10 @@ def _decimal(value: str) -> Fraction:
         # the numerator (exponent >= 0) or the denominator (exponent < 0)
         # has at least abs(exponent) - len(digits) + 1 digits
         if abs(exponent) - len(digits) >= limit:
-            raise ValueError("the exact value " + _too_long())
+            raise ValueError(too_long("the exact value"))
     q = Fraction(d)
     if limit and max(abs(q.numerator), q.denominator) >= 10**limit:
-        raise ValueError("the exact value " + _too_long())
+        raise ValueError(too_long("the exact value"))
     return q
 
 

@@ -4,7 +4,11 @@ The transformer is evaluated pointwise: `expected_runtime` computes the
 expected number of ticks of a program from one initial state, applied to a
 post-run-time `f`.  Compound statements are handled with continuations, so a
 sequence is literally the transformer of its head applied to the transformer
-of its tail.
+of its tail.  Each statement class has one rule in the table `_RULES`, which
+the engine looks up by the statement's exact class.  The engine memoizes a
+value per statement head, state and continuation: a sequence's value is its
+head's under the interned continuation of its tail, so a chain of sequences
+is walked down to its head and only the head gets a memo entry.
 
 Unbounded loops are approximated from below by one depth-bounded unrolling,
 evaluated once at the cap `max_unroll_depth`.  A loop is identified by its
@@ -29,7 +33,9 @@ denominator (or over a whole sum) adds without a gcd, and infinity absorbs
 the rest of the sum; since zero-weight branches are skipped, the product
 0 * inf never arises.  `Fraction` and `XReal` appear only where a value
 enters the engine (a run-time expression, a table, an annotation's bound)
-and where one leaves it, at the three entry points.
+and where one leaves it, at the three entry points.  A post-run-time enters
+once per state: its continuation keeps each state's value for as long as it
+lives.
 
 An annotated loop is replaced by its certified lower bound when it is
 applied to the zero post-run-time, the one the bound was certified against.
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -159,7 +166,10 @@ class ErtResult:
 # builds points back at its engine: once the engine is dropped, reference
 # counting frees its memo, its tables and its states.  The memo table
 # compares continuations by identity, so the engine interns the ones it
-# creates and identical tails share one object.
+# creates and identical tails share one object.  `eval` interns the tail of
+# each sequence it walks down, so a sequence needs no memo entry of its own.
+# A post-run-time's continuation keeps its value at each state it was asked
+# about, so paths that end in one state compute f there once.
 
 
 class _Cont:
@@ -174,11 +184,21 @@ ZERO_CONT = _Cont(lambda engine, sigma: (0, 1, False))
 
 
 def _as_cont(f: RunTime) -> _Cont:
+    """A post-run-time as a continuation that computes f's engine value
+    once per state and keeps it for as long as the continuation lives."""
     if f is None or f == RT_ZERO:
         return ZERO_CONT
-    if callable(f):
-        return _Cont(lambda engine, sigma: _val_of(f(sigma), False))
-    return _Cont(lambda engine, sigma: _val_of(eval_rt(f, sigma), False))
+    values: Dict[State, Val] = {}
+
+    def value(engine: "_Engine", sigma: State) -> Val:
+        v = values.get(sigma)
+        if v is None:
+            # eval_rt is looked up when called, so a patched one is seen
+            x = f(sigma) if callable(f) else eval_rt(f, sigma)
+            v = values[sigma] = _val_of(x, False)
+        return v
+
+    return _Cont(value)
 
 
 # ---------------------------------------------------------------------------
@@ -240,56 +260,19 @@ class _Engine:
         return entries
 
     def eval(self, p: Program, sigma: State, cont: _Cont) -> Val:
+        # a sequence's value is its head's under the interned tail, so only
+        # the head of a chain of sequences gets a memo entry
+        while p.__class__ is Seq:
+            cont = self.seq_cont(p.second, cont)
+            p = p.first
         key = (id(p), sigma, id(cont))
         hit = self.memo.get(key)
         if hit is None:
-            hit = self.memo[key] = self._eval(p, sigma, cont)
+            rule = _RULES.get(p.__class__)
+            if rule is None:
+                raise TypeError(p)
+            hit = self.memo[key] = rule(self, p, sigma, cont)
         return hit
-
-    def _eval(self, p: Program, sigma: State, cont: _Cont) -> Val:
-        if isinstance(p, Empty):
-            return cont.eval(self, sigma)
-        if isinstance(p, Skip):
-            n, d, t = cont.eval(self, sigma)
-            return (None if n is None else n + d), d, t
-        if isinstance(p, Halt):
-            return 0, 1, False
-        if isinstance(p, ProbAssign):
-            return self._assign(p, sigma, cont)
-        if isinstance(p, Seq):
-            return self.eval(p.first, sigma, self.seq_cont(p.second, cont))
-        if isinstance(p, NdChoice):
-            ln, ld, lt = self.eval(p.left, sigma, cont)
-            rn, rd, rt_ = self.eval(p.right, sigma, cont)
-            # the larger value, infinity on top; on a tie either will do
-            if ln is None or (rn is not None and ln * rd > rn * ld):
-                return ln, ld, lt or rt_
-            return rn, rd, lt or rt_
-        if isinstance(p, If):
-            return self.step(p.guard, p.then, sigma, cont, self.seq_cont(p.orelse, cont))
-        if isinstance(p, While):
-            return self._bounded(p, self.config.max_unroll_depth, sigma, cont)
-        if isinstance(p, WhileBounded):
-            return self._bounded(p, p.bound, sigma, cont)
-        if isinstance(p, Annotated):
-            if cont is ZERO_CONT:
-                self.annotations_used.append(rt_to_text(p.bound))
-                return _val_of(eval_rt(p.bound, sigma), True)
-            return self._bounded(p.loop, self.config.max_unroll_depth, sigma, cont)
-        raise TypeError(p)
-
-    def _assign(self, p: ProbAssign, sigma: State, cont: _Cont) -> Val:
-        n, d, tainted = 1, 1, False
-        for pn, pd, v in self.dist(p.dist, sigma):
-            if isinstance(p.target, VarTarget):
-                nxt = sigma.set(p.target.name, v)
-            else:
-                idx = eval_expr(p.target.index, sigma)
-                nxt = sigma.set_cell(p.target.name, idx, v)
-            vn, vd, t = cont.eval(self, nxt)
-            n, d = _add(n, d, pn, pd, vn, vd)
-            tainted = tainted or t
-        return _reduced(n, d, tainted)
 
     def _bounded(self, loop: Loop, depth: int, sigma: State, cont: _Cont) -> Val:
         """Lazy evaluation of a loop unrolled `depth` more times.
@@ -329,6 +312,90 @@ class _Engine:
             n, d = _add(n, d, fn, wd, vn, vd)
             tainted = tainted or t
         return _reduced(n, d, tainted)
+
+
+# ---------------------------------------------------------------------------
+# rules
+#
+# One rule per statement class, `rule(engine, p, sigma, cont)`, looked up by
+# the exact class of `p` on a memo miss.
+
+
+def _empty(engine: _Engine, p: Empty, sigma: State, cont: _Cont) -> Val:
+    return cont.eval(engine, sigma)
+
+
+def _skip(engine: _Engine, p: Skip, sigma: State, cont: _Cont) -> Val:
+    n, d, t = cont.eval(engine, sigma)
+    return (None if n is None else n + d), d, t
+
+
+def _halt(engine: _Engine, p: Halt, sigma: State, cont: _Cont) -> Val:
+    return 0, 1, False
+
+
+def _assign(engine: _Engine, p: ProbAssign, sigma: State, cont: _Cont) -> Val:
+    entries = engine.dist(p.dist, sigma)
+    target = p.target
+    if target.__class__ is VarTarget:
+        put = partial(sigma.set, target.name)
+    else:
+        put = partial(sigma.set_cell, target.name, eval_expr(target.index, sigma))
+    n, d, tainted = 1, 1, False
+    # each next state is made just before its continuation runs, so errors
+    # are raised in the order of the support
+    for pn, pd, v in entries:
+        vn, vd, t = cont.eval(engine, put(v))
+        n, d = _add(n, d, pn, pd, vn, vd)
+        tainted = tainted or t
+    return _reduced(n, d, tainted)
+
+
+def _seq(engine: _Engine, p: Seq, sigma: State, cont: _Cont) -> Val:
+    # `eval` applies this rule itself, down a whole chain of sequences
+    return engine.eval(p.first, sigma, engine.seq_cont(p.second, cont))
+
+
+def _choice(engine: _Engine, p: NdChoice, sigma: State, cont: _Cont) -> Val:
+    ln, ld, lt = engine.eval(p.left, sigma, cont)
+    rn, rd, rt_ = engine.eval(p.right, sigma, cont)
+    # the larger value, infinity on top; on a tie either will do
+    if ln is None or (rn is not None and ln * rd > rn * ld):
+        return ln, ld, lt or rt_
+    return rn, rd, lt or rt_
+
+
+def _if(engine: _Engine, p: If, sigma: State, cont: _Cont) -> Val:
+    return engine.step(p.guard, p.then, sigma, cont, engine.seq_cont(p.orelse, cont))
+
+
+def _while(engine: _Engine, p: While, sigma: State, cont: _Cont) -> Val:
+    return engine._bounded(p, engine.config.max_unroll_depth, sigma, cont)
+
+
+def _while_bounded(engine: _Engine, p: WhileBounded, sigma: State, cont: _Cont) -> Val:
+    return engine._bounded(p, p.bound, sigma, cont)
+
+
+def _annotated(engine: _Engine, p: Annotated, sigma: State, cont: _Cont) -> Val:
+    if cont is ZERO_CONT:
+        engine.annotations_used.append(rt_to_text(p.bound))
+        return _val_of(eval_rt(p.bound, sigma), True)
+    return engine._bounded(p.loop, engine.config.max_unroll_depth, sigma, cont)
+
+
+_RULES: Dict[type, Callable[[_Engine, Program, State, _Cont], Val]] = {
+    Empty: _empty,
+    Skip: _skip,
+    Halt: _halt,
+    ProbAssign: _assign,
+    Seq: _seq,
+    NdChoice: _choice,
+    If: _if,
+    While: _while,
+    WhileBounded: _while_bounded,
+    Annotated: _annotated,
+}
 
 
 # ---------------------------------------------------------------------------

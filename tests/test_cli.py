@@ -689,6 +689,58 @@ def test_a_literal_longer_than_python_reads_is_a_parse_error(
         assert (code, err) == (0, "")
 
 
+_DIGIT_LIMIT = (
+    " has more digits than Python reads (4300); "
+    "raise the limit with PYTHONINTMAXSTRDIGITS\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, source, message",
+    [
+        (("corpus", "coupon", "--param", f"N={_LONG}"), None, "error: parameter 'N'"),
+        (
+            ("eval", "corpus:trunc", "--state", f"c={_LONG}"), None,
+            "error: the value of 'c' in --state",
+        ),
+        (
+            ("eval", "corpus:coupon", "--state", f"cp=[0;{_LONG}]"), None,
+            "error: a cell of 'cp' in --state",
+        ),
+    ]
+    + [
+        (
+            ("check-omega", "{path}"),
+            f"check: omega\ncorpus: geo\ninvariant_n: 1\ndomain: c in {{0}}\n{key}: {_LONG}\n",
+            f"spec error: line 5: {key}",
+        )
+        for key in ("loop", "nmax", "probe")
+    ]
+    + [
+        (
+            ("refine", "{path}"),
+            f"check: refine\ncorpus: geo\ninvariant: 9\ndomain: c in {{0}}\nrounds: {_LONG}\n",
+            "spec error: line 5: rounds",
+        )
+    ],
+    ids=["param", "state", "state-cell", "loop", "nmax", "probe", "rounds"],
+)
+def test_an_integer_longer_than_python_reads_is_refused_by_name(
+    argv, source, message, tmp_path, capsys
+):
+    # the message names the limit, not the 5000 digits
+    path = tmp_path / "long.spec"
+    if source is not None:
+        path.write_text(source)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (code, out, err) == (2, "", message + _DIGIT_LIMIT)
+
+
 def _nested_ifs(depth: int) -> str:
     return "x := 0; " + "if (x >= 0) { " * depth + "x := x + 1" + " }" * depth
 

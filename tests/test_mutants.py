@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from ertkit import mdp, semantics
+from ertkit import mdp, semantics, transformer
 from ertkit.kernel import ZERO
 from ertkit.props import run_soundness_sweep
 from ertkit.syntax import Annotated, Halt, If, NdChoice, Skip, WhileBounded
@@ -33,14 +33,11 @@ def _free_skip(monkeypatch):
 def _patch_eval(monkeypatch, kind, mutated):
     """Transformer: statements of `kind` are evaluated by `mutated`, which
     is passed the rule it replaces, so that mutants compose."""
-    rule = _Engine._eval
-
-    def patched(engine, p, sigma, cont):
-        if isinstance(p, kind):
-            return mutated(rule, engine, p, sigma, cont)
-        return rule(engine, p, sigma, cont)
-
-    monkeypatch.setattr(_Engine, "_eval", patched)
+    rule = transformer._RULES[kind]
+    monkeypatch.setitem(
+        transformer._RULES, kind,
+        lambda engine, p, sigma, cont: mutated(rule, engine, p, sigma, cont),
+    )
 
 
 def _choice_takes_the_minimum(rule, engine, p, sigma, cont):

@@ -22,7 +22,7 @@ from ertkit.semantics import (
     rw_coefficient,
 )
 from ertkit.syntax import (
-    Annotated, BoolLit, Dirac, If, IntLit, NdChoice, ProbAssign, RCell, RLit,
+    Annotated, BoolLit, Dirac, Expr, If, IntLit, NdChoice, ProbAssign, RCell, RLit,
     RVar, RtExpr, Seq, VarRef, WeightedList, While, WhileBounded,
 )
 
@@ -40,6 +40,13 @@ def test_eval_expr_arithmetic_and_logic():
     assert eval_expr(expr_of("b or false"), s) is True
     with pytest.raises(UnboundVariable):
         eval_expr(expr_of("z"), s)
+
+
+def test_the_rule_table_covers_every_expression():
+    assert set(semantics._EXPR_RULES) == set(typing.get_args(Expr))
+    for e in (42, RLit(1)):
+        with pytest.raises(TypeError):
+            eval_expr(e, State())
 
 
 def test_eval_dist_uniform_and_merge():

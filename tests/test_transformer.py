@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import random
 import sys
+import typing
 from fractions import Fraction
 
 import pytest
@@ -21,10 +22,12 @@ from ertkit.syntax import (
     Annotated,
     BoolLit,
     Dirac,
+    Empty,
     If,
     IntLit,
     NdChoice,
     ProbAssign,
+    Program,
     Seq,
     VarTarget,
     WeightedList,
@@ -322,6 +325,55 @@ def test_annotation_refused_under_other_continuations():
     r = expected_runtime(annotated, parse_rt("100"), State({"x": 3}))
     assert r.annotations_used == ()
     assert r.value == XReal(107)  # computed by unrolling, continuation kept
+
+
+def test_an_annotated_loop_followed_by_a_tail_is_unrolled():
+    # the loop's continuation is the tail's, not the zero run-time, however
+    # the sequence is nested
+    drain = while_loops(parse_program("while (x > 0) { x := x - 1 }"))[0]
+    annotated = Annotated(drain, parse_rt("1 + [x > 0] * 2 * x"))
+    skip = parse_program("skip")
+    for prog, value in (
+        (Seq(annotated, Empty()), 7),
+        (Seq(annotated, skip), 8),
+        (Seq(Seq(annotated, skip), skip), 9),
+    ):
+        r = expected_runtime(prog, None, State({"x": 3}))
+        assert (r.kind, r.value, r.annotations_used) == ("exact", XReal(value), ())
+
+
+def test_a_post_run_time_is_read_once_per_state(monkeypatch):
+    # both branches end in x = 1
+    prog = parse_program("if (1/2*<true> + 1/2*<false>) { x := 1 } else { x := 1 }")
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return XReal(s.get("x") + 2)
+
+    assert expected_runtime(prog, f, State({"x": 0})).value == XReal(5)
+    assert calls == [State({"x": 1})]
+    # a run-time expression goes through the module's eval_rt, looked up
+    # when the value is needed
+    calls.clear()
+    eval_rt = transformer.eval_rt
+    monkeypatch.setattr(
+        transformer, "eval_rt", lambda g, s: calls.append(s) or eval_rt(g, s)
+    )
+    assert expected_runtime(prog, parse_rt("x + 2"), State({"x": 0})).value == XReal(5)
+    assert calls == [State({"x": 1})]
+
+
+def test_the_rule_table_covers_every_statement():
+    assert set(transformer._RULES) == set(typing.get_args(Program))
+    # `eval` walks a sequence itself; its rule in the table gives the same value
+    engine = transformer._Engine(ErtConfig())
+    prog, f = parse_program("x := 1; x := x + 1; skip"), transformer._as_cont(parse_rt("x"))
+    expected = engine.eval(prog, State({"x": 0}), f)
+    assert transformer._RULES[Seq](engine, prog, State({"x": 0}), f) == expected == (5, 1, False)
+    for p in (42, Seq(parse_rt("x"), Empty())):
+        with pytest.raises(TypeError):
+            expected_runtime(p)
 
 
 def test_det_step_count_frozen_pairs():
