@@ -39,7 +39,7 @@ from .kernel import KernelError, State, XReal
 from .mdp import (
     FALLBACK_UNROLL, MdpConfig, NodeCapExceeded, build_mdp, cross_check, mdp_to_dot,
 )
-from .parser import _KEYWORDS, ParseError, is_integer, parse_program, parse_rt, too_long
+from .parser import _KEYWORDS, ParseError, parse_program, parse_rt, read_int
 from .props import run_property_suite
 from .semantics import EvalError
 from .specfile import InvariantSpecFile, SpecError, parse_spec
@@ -139,13 +139,10 @@ def _bindings(
 
 
 def _int(text: str, what: str, error: str) -> int:
-    """`text` as an integer.  Text that is no integer is refused with
-    `error`, and an integer too long for Python to read with a message that
-    names the digit limit, not the digits."""
     try:
-        return int(text)
-    except ValueError:
-        raise CliError(too_long(what) if is_integer(text) else error) from None
+        return read_int(text, what, error)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _state_value(name: str, value: str, item: str):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -167,14 +167,29 @@ class UndefinedName(KernelError, KeyError):
     __str__ = KernelError.__str__
 
 
+_NO_BOOLS: FrozenSet = frozenset()
+
+
+def _bool_places(values: Dict[str, Union[Value, Tuple[Value, ...]]]) -> FrozenSet:
+    """Where `values` holds a bool: a scalar's name or a cell's (name, index)."""
+    places = [name for name, v in values.items() if v.__class__ is bool]
+    places += [
+        (name, i)
+        for name, v in values.items() if v.__class__ is tuple
+        for i, x in enumerate(v, 1) if x.__class__ is bool
+    ]
+    return frozenset(places) if places else _NO_BOOLS
+
+
 class State:
     """Immutable map from each variable to its value, an array to a tuple.
 
     A variable keeps its kind and an array its length; updates return fresh
-    states.
+    states.  Two states are equal when their values and their kinds are:
+    since 1 == True, each state keeps the places that hold a bool.
     """
 
-    __slots__ = ("values", "_hash")
+    __slots__ = ("values", "_bools", "_hash")
 
     def __init__(self, values: Mapping[str, Union[Value, ArrayValue]] = ()):
         # as in `set`, any value that is not an int or a bool is a whole array
@@ -183,14 +198,17 @@ class State:
             for name, v in dict(values).items()
         }
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_bools", _bool_places(vals))
         object.__setattr__(self, "_hash", None)
 
     @staticmethod
-    def _of(values: Dict[str, Union[Value, Tuple[Value, ...]]]) -> "State":
+    def _of(values: Dict[str, Union[Value, Tuple[Value, ...]]], bools: FrozenSet) -> "State":
         """Trusted constructor: `values` is kept, not copied, so no one may
-        mutate it afterwards; arrays must already be tuples."""
+        mutate it afterwards; arrays must already be tuples, and `bools` must
+        be `_bool_places(values)`."""
         s = _new(State)
         s.values = values
+        s._bools = bools
         s._hash = None
         return s
 
@@ -205,7 +223,10 @@ class State:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, State):
             return NotImplemented
-        return self.values == other.values
+        if self.values != other.values:
+            return False
+        a, b = self._bools, other._bools
+        return a is b or a == b
 
     def get(self, name: str) -> Value:
         try:
@@ -253,7 +274,10 @@ class State:
                 )
         vals = self.values.copy()
         vals[name] = v
-        return State._of(vals)
+        # a scalar keeps its kind, and a new int holds no bool
+        if v.__class__ is int or (old is not None and v.__class__ is bool):
+            return State._of(vals, self._bools)
+        return State._of(vals, _bool_places(vals))
 
     def set_cell(self, name: str, index: int, v: Value) -> "State":
         arr = self._cells(name, index)
@@ -263,7 +287,7 @@ class State:
             )
         vals = self.values.copy()
         vals[name] = arr[: index - 1] + (v,) + arr[index:]
-        return State._of(vals)
+        return State._of(vals, self._bools)
 
     def __repr__(self) -> str:
         # scalars, then arrays, each sorted by name

@@ -61,12 +61,6 @@ MAX_NESTING = 64
 _INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
-def is_integer(text: str) -> bool:
-    """Whether `text` spells an integer, so that `int` refuses it only for
-    having more digits than Python reads."""
-    return _INTEGER.fullmatch(text) is not None
-
-
 def too_long(what: str) -> str:
     """The message refusing `what`, an integer with more digits than Python
     reads.  It names the limit and how to raise it, not the digits."""
@@ -74,6 +68,16 @@ def too_long(what: str) -> str:
         f"{what} has more digits than Python reads ({sys.get_int_max_str_digits()}); "
         "raise the limit with PYTHONINTMAXSTRDIGITS"
     )
+
+
+def read_int(text: str, what: str, error: str) -> int:
+    """`text` as an integer.  Raises ValueError(error) when `text` is no
+    integer, and ValueError(too_long(what)) when it has more digits than
+    Python reads; each caller turns that into its own error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(too_long(what) if _INTEGER.fullmatch(text) else error) from None
 
 
 _KEYWORDS = {

@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .invariants import StateDomain
-from .parser import ParseError, is_integer, parse_program, parse_rt, too_long
+from .parser import ParseError, parse_program, parse_rt, read_int, too_long
 from .syntax import Program, RtExpr, RT_ZERO, while_loops
 
 Reader = Callable[[str, str, int], object]  # (key, value, line) -> field value
@@ -111,11 +111,11 @@ _DOMAIN_PART = re.compile(
 
 def _domain_value(name: str, text: str) -> int:
     try:
-        return int(text)
-    except ValueError:
-        if is_integer(text):
-            raise SpecError(too_long(f"value of {name!r}"))
-        raise SpecError(f"value {text!r} of {name!r} is not an integer")
+        return read_int(
+            text, f"value of {name!r}", f"value {text!r} of {name!r} is not an integer"
+        )
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
 
 
 def parse_domain(text: str) -> StateDomain:
@@ -168,11 +168,9 @@ def _domain(key: str, value: str, lineno: int) -> StateDomain:
 def _integer(minimum: int) -> Reader:
     def read(key: str, value: str, lineno: int) -> int:
         try:
-            n = int(value)
-        except ValueError:
-            if is_integer(value):
-                raise SpecError(too_long(key), lineno)
-            raise SpecError(f"{key} must be an integer, found {value!r}", lineno)
+            n = read_int(value, key, f"{key} must be an integer, found {value!r}")
+        except ValueError as exc:
+            raise SpecError(str(exc), lineno) from None
         if n < minimum:
             raise SpecError(f"{key} must be at least {minimum}", lineno)
         return n

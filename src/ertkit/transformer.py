@@ -4,11 +4,12 @@ The transformer is evaluated pointwise: `expected_runtime` computes the
 expected number of ticks of a program from one initial state, applied to a
 post-run-time `f`.  Compound statements are handled with continuations, so a
 sequence is literally the transformer of its head applied to the transformer
-of its tail.  Each statement class has one rule in the table `_RULES`, which
-the engine looks up by the statement's exact class.  The engine memoizes a
-value per statement head, state and continuation: a sequence's value is its
-head's under the interned continuation of its tail, so a chain of sequences
-is walked down to its head and only the head gets a memo entry.
+of its tail.  The engine walks a chain of sequences down to its head,
+interning the continuation of each tail, and looks the head's rule up in the
+table `_RULES` by its exact class; every statement class but `Seq` has one
+rule there.  The engine memoizes a value per statement head, state and
+continuation: a sequence's value is its head's under the interned
+continuation of its tail, so only the head gets a memo entry.
 
 Unbounded loops are approximated from below by one depth-bounded unrolling,
 evaluated once at the cap `max_unroll_depth`.  A loop is identified by its
@@ -318,7 +319,8 @@ class _Engine:
 # rules
 #
 # One rule per statement class, `rule(engine, p, sigma, cont)`, looked up by
-# the exact class of `p` on a memo miss.
+# the exact class of `p` on a memo miss.  `Seq` has none: `eval` walks a
+# sequence itself.
 
 
 def _empty(engine: _Engine, p: Empty, sigma: State, cont: _Cont) -> Val:
@@ -349,11 +351,6 @@ def _assign(engine: _Engine, p: ProbAssign, sigma: State, cont: _Cont) -> Val:
         n, d = _add(n, d, pn, pd, vn, vd)
         tainted = tainted or t
     return _reduced(n, d, tainted)
-
-
-def _seq(engine: _Engine, p: Seq, sigma: State, cont: _Cont) -> Val:
-    # `eval` applies this rule itself, down a whole chain of sequences
-    return engine.eval(p.first, sigma, engine.seq_cont(p.second, cont))
 
 
 def _choice(engine: _Engine, p: NdChoice, sigma: State, cont: _Cont) -> Val:
@@ -389,7 +386,6 @@ _RULES: Dict[type, Callable[[_Engine, Program, State, _Cont], Val]] = {
     Skip: _skip,
     Halt: _halt,
     ProbAssign: _assign,
-    Seq: _seq,
     NdChoice: _choice,
     If: _if,
     While: _while,

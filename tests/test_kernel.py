@@ -170,6 +170,24 @@ def test_state_equality_hash_repr():
     assert repr(State({"x": 0, "cp": (1, 2)})) == "{x=0, cp=[1,2]}"
 
 
+
+def test_equal_values_of_two_kinds_are_two_states():
+    # 1 == True, but an int and a bool are values of different kinds
+    pairs = [
+        (State({"x": 1}), State({"x": True})),
+        (State({"x": 0, "y": 1}), State({"y": 1, "x": False})),
+        (State({"a": (1, 0)}), State({"a": (True, 0)})),
+        (State({"a": (1, 0)}).set("a", (1, False)), State({"a": (1, 0)})),
+        (State({"x": 1}).set("b", 1), State({"x": 1}).set("b", True)),
+    ]
+    for s, t in pairs:
+        assert s != t and not s == t
+        assert len({s: 0, t: 1}) == 2
+    # updates keep the kinds a fresh state has
+    s = State({"a": (1, 0), "b": False}).set_cell("a", 2, 1).set("b", True)
+    assert s.set("a", (True, 1)) == State({"b": True, "a": (True, 1)})
+    assert s.set("c", 1) == State({"a": (1, 1), "b": True, "c": 1})
+
 _xreals = st.one_of(
     st.just(None),
     st.just(Fraction(0)),

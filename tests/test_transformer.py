@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import xreal_engine
 from ertkit import transformer
 from ertkit.generator import PROFILES, random_program, random_runtime, random_state
-from ertkit.kernel import INF, ONE, ZERO, State, XReal
+from ertkit.kernel import INF, ONE, ZERO, KindMismatch, State, XReal
 from ertkit.parser import parse_program, parse_rt
 from ertkit.props import sweep_triples
 from ertkit.semantics import EvalError
@@ -364,13 +364,28 @@ def test_a_post_run_time_is_read_once_per_state(monkeypatch):
     assert calls == [State({"x": 1})]
 
 
+
+def test_an_int_and_a_bool_of_one_value_keep_their_own_values():
+    # 1 == True, so paths ending in x = 1 and in x = true reach equal values
+    # of two kinds, and neither may reuse the other's value
+    branches = "if (1/2*<true> + 1/2*<false>) { x := 1 } else { x := true }"
+    with pytest.raises(KindMismatch):
+        expected_runtime(parse_program(branches), parse_rt("x"), State())
+    with pytest.raises(KindMismatch):
+        expected_runtime(parse_program(branches + "; y := x + 1"), None, State())
+
+    def f(s):
+        return XReal(5 if s.get("x") is True else s.get("x"))
+
+    assert expected_runtime(parse_program(branches), f, State()).value == XReal(5)
+
 def test_the_rule_table_covers_every_statement():
-    assert set(transformer._RULES) == set(typing.get_args(Program))
-    # `eval` walks a sequence itself; its rule in the table gives the same value
+    # `eval` walks a sequence itself, so `Seq` is the one class with no rule
+    assert Seq not in transformer._RULES
+    assert set(transformer._RULES) | {Seq} == set(typing.get_args(Program))
     engine = transformer._Engine(ErtConfig())
     prog, f = parse_program("x := 1; x := x + 1; skip"), transformer._as_cont(parse_rt("x"))
-    expected = engine.eval(prog, State({"x": 0}), f)
-    assert transformer._RULES[Seq](engine, prog, State({"x": 0}), f) == expected == (5, 1, False)
+    assert engine.eval(prog, State({"x": 0}), f) == (5, 1, False)
     for p in (42, Seq(parse_rt("x"), Empty())):
         with pytest.raises(TypeError):
             expected_runtime(p)
