@@ -902,6 +902,11 @@ BAD_ACCESSES = {
         "a := [1, 2]; y := a",
         "error: array 'a' is read without an index\n",
     ),
+    # 1 == True, but the else path's x = true must not share x = 1's value
+    "bool-after-int-path": (
+        "if (1/2*<true> + 1/2*<false>) { x := 1 } else { x := true }; y := x + 1",
+        "error: arithmetic operand must be an integer, got True\n",
+    ),
 }
 
 
@@ -914,15 +919,6 @@ def test_bad_variable_access_is_an_input_error(case, command, tmp_path, capsys):
     code, out, err = run(capsys, command, str(prog))
     assert (code, out, err) == (2, "", expected)
 
-
-
-@pytest.mark.parametrize("command", ["eval", "crosscheck", "export-mdp"])
-def test_an_int_and_a_bool_of_one_value_are_two_states(command, tmp_path, capsys):
-    # the else path reaches x = true, which must not share x = 1's value
-    prog = tmp_path / "prog.pp"
-    prog.write_text("if (1/2*<true> + 1/2*<false>) { x := 1 } else { x := true }; y := x + 1")
-    code, out, err = run(capsys, command, str(prog))
-    assert (code, out, err) == (2, "", "error: arithmetic operand must be an integer, got True\n")
 
 @pytest.mark.parametrize(
     "name",
