@@ -44,7 +44,7 @@ from .props import run_property_suite
 from .semantics import EvalError
 from .specfile import InvariantSpecFile, SpecError, parse_spec
 from .syntax import Program, RtExpr, RT_ZERO, while_loops
-from .transformer import ErtConfig, expected_runtime
+from .transformer import ErtConfig, StepTable
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -261,8 +261,10 @@ def _cmd_eval(args) -> int:
 
     results = []
     text = [f"program sha256 {_sha256(source)[:12]}"]
+    # every state and every half-depth run share the program's step table
+    ert = StepTable().expected_runtime
     for sigma in states:
-        res = expected_runtime(program, f, sigma, cfg)
+        res = ert(program, f, sigma, cfg)
         try:
             entry = {
                 "state": repr(sigma),
@@ -272,9 +274,7 @@ def _cmd_eval(args) -> int:
             }
             if res.kind == "lower":
                 entry["depth"] = args.depth
-                half = expected_runtime(
-                    program, f, sigma, ErtConfig(max_unroll_depth=max(1, args.depth // 2))
-                )
+                half = ert(program, f, sigma, ErtConfig(max_unroll_depth=max(1, args.depth // 2)))
                 if res.value.is_finite and half.value.is_finite:
                     gain = res.value.q - half.value.q
                     entry["last_doubling_gain"] = _q_str(gain)

@@ -115,7 +115,8 @@ class XReal:
         return self.q == other.q
 
     def __hash__(self) -> int:
-        return hash(("XReal", self.q))
+        # a finite value equals its int or Fraction, so it hashes like it
+        return hash(self.q)
 
     def __float__(self) -> float:
         return float("inf") if self.q is None else float(self.q)

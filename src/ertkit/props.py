@@ -11,7 +11,9 @@ transformer that miscounts the if-guard tick fails on it at every seed.
 Each law is stated once, in a case: a function of a program and a state
 that gives, for each law it checks, None where the law holds or the
 failure's detail.  The same function checks the drawn program and
-shrinks a failing one.
+shrinks a failing one.  A case that evaluates its program more than once
+evaluates it against one step table, so the guard weights, supports and
+successor states it computes, which no post-run-time changes, are shared.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .syntax import (
     While,
     WhileBounded,
 )
-from .transformer import char_functional, det_step_count, expected_runtime
+from .transformer import StepTable, char_functional, det_step_count, expected_runtime
 
 CANARY_TEXT = "if (x > 0) { skip } else { skip }"
 
@@ -140,9 +142,10 @@ def _monotone_scaling(rng: random.Random) -> Sample:
     r = rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(2), Fraction(3)])
 
     def case(p: Program, sigma: State) -> Dict[str, Optional[str]]:
-        lo = expected_runtime(p, f, sigma).value
-        hi = expected_runtime(p, RAdd(f, h), sigma).value
-        scaled = expected_runtime(p, RMul(RLit(r), f), sigma).value
+        ert = StepTable().expected_runtime
+        lo = ert(p, f, sigma).value
+        hi = ert(p, RAdd(f, h), sigma).value
+        scaled = ert(p, RMul(RLit(r), f), sigma).value
         lower = XReal(min(Fraction(1), r)) * lo
         upper = XReal(max(Fraction(1), r)) * lo
         scaled_ok = lower <= scaled <= upper
@@ -162,8 +165,9 @@ def _const_prop(rng: random.Random) -> Sample:
     k = Fraction(rng.randint(0, 5), rng.randint(1, 4))
 
     def case(p: Program, sigma: State) -> Dict[str, Optional[str]]:
-        base = expected_runtime(p, f, sigma).value
-        moved = expected_runtime(p, RAdd(f, RLit(k)), sigma).value
+        ert = StepTable().expected_runtime
+        base = ert(p, f, sigma).value
+        moved = ert(p, RAdd(f, RLit(k)), sigma).value
         return {
             "constant-propagation": None if moved == base + XReal(k)
             else f"value for f + {k} is {moved}, expected {base} + {k}"
@@ -191,11 +195,9 @@ def _subadditive(rng: random.Random) -> Sample:
     g = random_runtime(rng)
 
     def case(p: Program, sigma: State) -> Dict[str, Optional[str]]:
-        joint = expected_runtime(p, RAdd(f, g), sigma).value
-        split = (
-            expected_runtime(p, f, sigma).value
-            + expected_runtime(p, g, sigma).value
-        )
+        ert = StepTable().expected_runtime
+        joint = ert(p, RAdd(f, g), sigma).value
+        split = ert(p, f, sigma).value + ert(p, g, sigma).value
         return {
             "sub-additivity": None if joint <= split
             else f"value {joint} for f + g exceeds the sum {split}"
@@ -212,8 +214,10 @@ def _unrolling(rng: random.Random) -> Sample:
     def case(p: Program, sigma: State) -> Dict[str, Optional[str]]:
         if not isinstance(p, WhileBounded):
             return {}  # a shrink candidate that is no longer a bounded loop
-        lhs = expected_runtime(p, f, sigma).value
-        rhs = expected_runtime(expand_bounded_once(p), f, sigma).value
+        # the expansion shares the loop's guard and body, and so their entries
+        ert = StepTable().expected_runtime
+        lhs = ert(p, f, sigma).value
+        rhs = ert(expand_bounded_once(p), f, sigma).value
         return {
             "loop-unrolling": None if lhs == rhs
             else f"bounded loop gives {lhs} but its one-step expansion gives {rhs}"
@@ -227,20 +231,22 @@ def _fixed_point(rng: random.Random) -> Sample:
     of the characteristic functional."""
     loop = _countdown(rng, PROFILES["general"], 1)
     f = random_runtime(rng)
-    # the last loop checked with its functional and table, which its states
-    # share, so that they share one engine and its memo of table lookups
-    last: list = [None, None, None]
+    # the last loop checked with its step table, its functional and its
+    # table of run-times, which its states share, so that they share one
+    # engine and its memo of table lookups
+    last: list = [None, None, None, None]
 
     def case(p: Program, sigma: State) -> Dict[str, Optional[str]]:
         if not isinstance(p, While):
             return {}  # a shrink candidate that is no longer a loop
-        res = expected_runtime(p, f, sigma)
+        if last[0] is not p:
+            ert = StepTable().expected_runtime
+            table = lambda s: ert(p, f, s).value  # noqa: E731
+            last[:] = p, ert, char_functional(p, f), table
+        _, run, apply_F, table = last
+        res = run(p, f, sigma)
         if not res.is_exact:
             return {}  # a cut-off value is only a lower bound, not a fixed point
-        if last[0] is not p:
-            table = lambda s: expected_runtime(p, f, s).value  # noqa: E731
-            last[:] = p, char_functional(p, f), table
-        _, apply_F, table = last
         image, tainted = apply_F(table, sigma)
         return {
             "fixed-point": None if not tainted and image == res.value

@@ -22,17 +22,27 @@ reported as a lower bound, which is always sound since bounded unrollings
 approximate the fixed point from below.
 
 Inside the engine a value is a pair of Python ints `(n, d)` in lowest
-terms, with `n = None` for infinity, plus the taint flag.  Within one
-evaluation, each guard's pair of branch weights and each distribution's
-support is computed once per state, as int pairs, and shared by every
-continuation that reaches it.  A side whose weight has numerator 0 is
-impossible and never evaluated.  Each node sums its weighted successors
-unreduced with `_add` and reduces the sum with one gcd at its end.  A zero
-successor value adds nothing, a weight with denominator 1 (certain, since
-weights lie in (0, 1]) is not multiplied, a term over the sum's own
-denominator (or over a whole sum) adds without a gcd, and infinity absorbs
-the rest of the sum; since zero-weight branches are skipped, the product
-0 * inf never arises.  `Fraction` and `XReal` appear only where a value
+terms, with `n = None` for infinity, plus the taint flag.  What the engine
+computes that depends on neither the post-run-time, nor the continuation,
+nor the unroll depth lives in a step table (`StepTable`): each guard's pair
+of branch weights per state, and each assignment's support per state, as
+int pairs, with the successor state of each entry, one object per distinct
+state.  Every evaluation that is given the table shares it: the
+evaluations of one program's algebraic laws in `props`, the states and the
+half-depth run of `ertkit eval`, and all the engines of one
+`char_functional`.  Each evaluation still has an engine of its own, with
+its own memo, continuations and annotation record.
+The table's keys hold `id()`s of program nodes, so they are valid only
+while those nodes live; the table keeps every program evaluated against it
+for that reason.
+
+A side whose weight has numerator 0 is impossible and never evaluated.
+Each node sums its weighted successors unreduced with `_add` and reduces
+the sum with one gcd at its end.  A zero successor value adds nothing, a
+weight with denominator 1 (certain, since weights lie in (0, 1]) is not
+multiplied, a term over the sum's own denominator (or over a whole sum)
+adds without a gcd, and infinity absorbs the rest of the sum; since
+zero-weight branches are skipped, the product 0 * inf never arises.  `Fraction` and `XReal` appear only where a value
 enters the engine (a run-time expression, a table, an annotation's bound)
 and where one leaves it, at the three entry points.  A post-run-time enters
 once per state: its continuation keeps each state's value for as long as it
@@ -47,7 +57,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import gcd
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -165,9 +174,10 @@ class ErtResult:
 # `(engine, sigma)` that gives an engine value.  The engine passes itself
 # in, so a continuation holds no reference to it and nothing an evaluation
 # builds points back at its engine: once the engine is dropped, reference
-# counting frees its memo, its tables and its states.  The memo table
-# compares continuations by identity, so the engine interns the ones it
-# creates and identical tails share one object.  `eval` interns the tail of
+# counting frees its memo and its continuations, and once its step table is
+# dropped too, the table and its states.  The memo table compares
+# continuations by identity, so the engine interns the ones it creates and
+# identical tails share one object.  `eval` interns the tail of
 # each sequence it walks down, so a sequence needs no memo entry of its own.
 # A post-run-time's continuation keeps its value at each state it was asked
 # about, so paths that end in one state compute f there once.
@@ -206,17 +216,68 @@ def _as_cont(f: RunTime) -> _Cont:
 # engine
 
 
+class StepTable:
+    """The step semantics of the programs evaluated against the table.
+
+    It holds each guard's branch weights `(tn, fn, d)`, keyed by
+    `(id(guard), state)`, and each assignment's support, keyed by
+    `(id(assignment), state)`: one `[pn, pd, value, successor]` entry per
+    point of the support, whose successor state `_assign` fills in just
+    before its continuation first runs (unless that is the zero run-time).
+    Successor states are interned, so that a state reached from many others
+    is held once.  None of it depends
+    on the post-run-time, the continuation or the unroll depth, so any
+    number of evaluations may share one table.  The keys are valid only
+    while the nodes they name live, so the table keeps every program
+    evaluated against it; nothing in it points back at an engine.
+    """
+
+    __slots__ = ("programs", "guards", "supports", "states")
+
+    def __init__(self):
+        self.programs: Dict[int, Program] = {}
+        self.guards: Dict[tuple, Tuple[int, int, int]] = {}
+        self.supports: Dict[tuple, List[list]] = {}
+        self.states: Dict[State, State] = {}
+
+    def engine(self, program: Program, config: ErtConfig) -> "_Engine":
+        """A fresh engine that evaluates `program` against this table."""
+        self.programs[id(program)] = program
+        return _Engine(config, self)
+
+    def expected_runtime(
+        self,
+        program: Program,
+        f: RunTime = None,
+        sigma: Optional[State] = None,
+        config: Optional[ErtConfig] = None,
+    ) -> ErtResult:
+        """`expected_runtime`, in an engine of its own that shares this
+        table."""
+        engine = self.engine(program, config or ErtConfig())
+        with _deep_stack():
+            n, d, tainted = engine.eval(program, sigma or State(), _as_cont(f))
+        if n is None:
+            tainted = False
+        # one entry per distinct bound, not one per substitution site
+        return ErtResult(
+            kind="lower" if tainted else "exact",
+            value=_xreal(n, d),
+            annotations_used=tuple(dict.fromkeys(engine.annotations_used)),
+        )
+
+
 class _Engine:
-    def __init__(self, config: ErtConfig):
+    def __init__(self, config: ErtConfig, steps: StepTable):
         self.config = config
         self.memo: Dict[tuple, Val] = {}
         # interned for the engine's lifetime, so that ids in memo keys never
         # get recycled
         self.conts: Dict[tuple, _Cont] = {}
-        # branch weights and distribution supports as int pairs, keyed by
-        # (id(expression), state); the program outlives the engine
-        self.guards: Dict[tuple, Tuple[int, int, int]] = {}
-        self.dists: Dict[tuple, list] = {}
+        # the step table's own dicts, not the table, are read on the hot path
+        self.guards = steps.guards
+        self.supports = steps.supports
+        self.states = steps.states
         self.annotations_used: List[str] = []
 
     def seq_cont(self, program: Program, after: _Cont) -> _Cont:
@@ -250,13 +311,14 @@ class _Engine:
             w = self.guards[key] = (tn, d - tn, d)
         return w
 
-    def dist(self, d, sigma: State) -> list:
-        """The support of a distribution as (pn, pd, value) entries."""
-        key = (id(d), sigma)
-        entries = self.dists.get(key)
+    def support(self, p: ProbAssign, sigma: State) -> List[list]:
+        """The support of an assignment as [pn, pd, value, successor]
+        entries, each successor None until `_assign` makes it."""
+        key = (id(p), sigma)
+        entries = self.supports.get(key)
         if entries is None:
-            entries = self.dists[key] = [
-                (p.numerator, p.denominator, v) for p, v in eval_dist(d, sigma)
+            entries = self.supports[key] = [
+                [q.numerator, q.denominator, v, None] for q, v in eval_dist(p.dist, sigma)
             ]
         return entries
 
@@ -337,17 +399,26 @@ def _halt(engine: _Engine, p: Halt, sigma: State, cont: _Cont) -> Val:
 
 
 def _assign(engine: _Engine, p: ProbAssign, sigma: State, cont: _Cont) -> Val:
-    entries = engine.dist(p.dist, sigma)
     target = p.target
-    if target.__class__ is VarTarget:
-        put = partial(sigma.set, target.name)
-    else:
-        put = partial(sigma.set_cell, target.name, eval_expr(target.index, sigma))
+    index = None
     n, d, tainted = 1, 1, False
-    # each next state is made just before its continuation runs, so errors
-    # are raised in the order of the support
-    for pn, pd, v in entries:
-        vn, vd, t = cont.eval(engine, put(v))
+    # each successor state is made just before its continuation first runs,
+    # so errors are raised in the order of the support, and a visit of the
+    # same assignment and state from inside that continuation finds the
+    # entries made so far and makes the rest itself.  The zero run-time
+    # never reads its state, so a successor made for it is not kept.
+    for entry in engine.support(p, sigma):
+        pn, pd, v, nxt = entry
+        if nxt is None:
+            if target.__class__ is VarTarget:
+                nxt = sigma.set(target.name, v)
+            else:
+                if index is None:
+                    index = eval_expr(target.index, sigma)
+                nxt = sigma.set_cell(target.name, index, v)
+            if cont is not ZERO_CONT:
+                nxt = entry[3] = engine.states.setdefault(nxt, nxt)
+        vn, vd, t = cont.eval(engine, nxt)
         n, d = _add(n, d, pn, pd, vn, vd)
         tainted = tainted or t
     return _reduced(n, d, tainted)
@@ -410,18 +481,7 @@ def expected_runtime(
     annotation was substituted, in which case it is a lower bound.  An
     infinite lower bound is promoted back to exact, since nothing exceeds it.
     """
-    cfg = config or ErtConfig()
-    engine = _Engine(cfg)
-    with _deep_stack():
-        n, d, tainted = engine.eval(program, sigma or State(), _as_cont(f))
-    if n is None:
-        tainted = False
-    # one entry per distinct bound, not one per substitution site
-    return ErtResult(
-        kind="lower" if tainted else "exact",
-        value=_xreal(n, d),
-        annotations_used=tuple(dict.fromkeys(engine.annotations_used)),
-    )
+    return StepTable().expected_runtime(program, f, sigma, config)
 
 
 def char_functional(loop: Union[While, Annotated], f: RunTime):
@@ -437,23 +497,24 @@ def char_functional(loop: Union[While, Annotated], f: RunTime):
     off, in which case the value is only a lower bound on F(X)(sigma).
 
     Consecutive applications to one X object share one engine, so the
-    states of one iterate share its guard and distribution tables and its
-    memo.  The engine is kept with X itself, so X's id cannot be reused by
-    another object while the engine's memo is keyed on it.  Continuations
-    take the engine as an argument and hold no reference to it, so when a
-    new X replaces the engine, or `apply` itself is dropped, reference
-    counting frees the old engine and its tables at once.
+    states of one iterate share its memo; every engine of the functional
+    shares one step table.  The engine is kept with X itself, so X's id
+    cannot be reused by another object while the engine's memo is keyed on
+    it.  Continuations take the engine as an argument and hold no reference
+    to it, so when a new X replaces the engine, or `apply` itself is
+    dropped, reference counting frees the old engine at once.
     """
     if isinstance(loop, Annotated):
         loop = loop.loop
     cfg = ErtConfig()
     f_cont = _as_cont(f)
+    steps = StepTable()
     # (X, its continuation, the engine applying F to it)
     last: list = [None, None, None]
 
     def apply(X, sigma: State) -> Tuple[XReal, bool]:
         if last[2] is None or last[0] is not X:
-            last[:] = X, _as_cont(X), _Engine(cfg)
+            last[:] = X, _as_cont(X), steps.engine(loop, cfg)
         _, x_cont, engine = last
         with _deep_stack():
             n, d, tainted = engine.step(loop.guard, loop.body, sigma, x_cont, f_cont)

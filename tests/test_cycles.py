@@ -15,7 +15,9 @@ from ertkit.kernel import State, XReal
 from ertkit.mdp import MdpConfig, build_mdp, cross_check, expected_reward
 from ertkit.parser import parse_program, parse_rt
 from ertkit.props import run_property_suite
-from ertkit.transformer import char_functional, expected_runtime, kleene_iterates
+from ertkit.transformer import (
+    ErtConfig, StepTable, char_functional, expected_runtime, kleene_iterates,
+)
 
 GEO = parse_program("while (c = 1) { c :~ 1/2*<0> + 1/2*<1>; skip }")
 CHOICE = parse_program(
@@ -38,6 +40,15 @@ def _kleene():
     list(itertools.islice(kleene_iterates(GEO, F, states), 5))
 
 
+def _eval():
+    # as `ertkit eval` runs: two states and, for each, two depths, all
+    # against one step table
+    ert = StepTable().expected_runtime
+    for x in (4, 2):
+        for depth in (8, 4):
+            ert(CHOICE, None, State({"x": x}), ErtConfig(max_unroll_depth=depth))
+
+
 def _model():
     m = build_mdp(CHOICE, State({"x": 3}), parse_rt("0"))
     expected_reward(m)
@@ -50,6 +61,7 @@ def _fallback():
 
 CALLS = {
     "expected_runtime": lambda: expected_runtime(CHOICE, None, State({"x": 4})),
+    "eval_one_table": _eval,
     "char_functional": _char_functional_twice,
     "kleene_iterates": _kleene,
     "build_mdp": _model,

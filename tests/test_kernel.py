@@ -59,6 +59,18 @@ def test_xreal_hash_consistency():
     assert d[INF] == "b"
 
 
+def test_an_xreal_hashes_like_the_number_it_equals():
+    # equal objects must hash equal, so a set or dict key holds one of them
+    for q in (0, 1, 7, 2**70, Fraction(0), Fraction(3), Fraction(5, 2), Fraction(1, 3**40)):
+        x = XReal(q)
+        assert x == q and hash(x) == hash(q)
+        assert len({x, q}) == 1
+        assert {q: "n"}[x] == "n" and {x: "x"}[q] == "x"
+    assert len({ZERO, 0, Fraction(0), XReal(Fraction(0, 5))}) == 1
+    assert len({INF, XReal(None)}) == 1
+    assert INF != 0 and len({INF, 0, ZERO}) == 2
+
+
 def test_state_updates_are_persistent():
     s = State({"x": 1, "b": True})
     t = s.set("x", 5)

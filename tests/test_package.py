@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import re
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -161,6 +162,42 @@ def test_no_unreferenced_module_names():
             if words[name] < 2:
                 found.append("%s:%s" % (path.name, name))
     assert found == []
+
+
+def _container_sizes(modules) -> dict:
+    """The len() of each dict, list and set a module holds at its top
+    level, and of each one such a top-level object holds as an attribute,
+    so that a cache kept inside a module-level object is counted too."""
+    containers = (dict, list, set)
+    sizes = {}
+    for module in modules:
+        for name, value in vars(module).items():
+            if isinstance(value, types.ModuleType):
+                continue
+            if isinstance(value, containers):
+                sizes[module.__name__, name] = len(value)
+                continue
+            attrs = getattr(value, "__dict__", {})
+            slots = [s for c in type(value).__mro__ for s in getattr(c, "__slots__", ())]
+            attrs = {**attrs, **{s: getattr(value, s, None) for s in slots if isinstance(s, str)}}
+            for attr, inner in attrs.items():
+                if isinstance(inner, containers):
+                    sizes[module.__name__, name, attr] = len(inner)
+    return sizes
+
+
+def test_library_calls_leave_no_module_state():
+    # library calls leave no process-wide side effects behind: no table,
+    # cache or registry at module level grows
+    from ertkit import kernel, mdp, props, semantics, transformer
+    from test_cycles import CALLS
+
+    modules = (transformer, semantics, kernel, props, mdp)
+    before = _container_sizes(modules)
+    assert ("ertkit.transformer", "_RULES") in before
+    for call in CALLS.values():
+        call()
+    assert _container_sizes(modules) == before
 
 
 def test_syntax_nodes_share_the_slotted_base():

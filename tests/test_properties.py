@@ -117,6 +117,34 @@ def test_property_suite_clean_run():
     }
 
 
+def test_a_law_case_reads_each_guard_and_support_once(monkeypatch):
+    # the three evaluations of one monotonicity-and-scaling case share one
+    # step table, so none of them evaluates a guard or a support again
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(ertkit.transformer, name)
+
+        def wrapper(expr, sigma):
+            calls[id(expr), sigma] += 1
+            return original(expr, sigma)
+
+        return wrapper
+
+    for name in ("eval_dist", "eval_guard"):
+        monkeypatch.setattr(ertkit.transformer, name, counted(name))
+    rng = random.Random(5)
+    read = 0
+    for _ in range(12):
+        case, program, _, states = ertkit.props._monotone_scaling(rng)
+        for sigma in states:
+            calls.clear()
+            case(program, sigma)
+            assert set(calls.values()) <= {1}
+            read += len(calls)
+    assert read > 100
+
+
 def test_property_suite_is_reproducible():
     a = run_property_suite(seed=7, count=60)
     b = run_property_suite(seed=7, count=60)

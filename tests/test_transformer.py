@@ -193,8 +193,8 @@ def test_char_functional_shares_one_engine_per_x(monkeypatch):
     built = []
 
     class CountingEngine(transformer._Engine):
-        def __init__(self, config):
-            super().__init__(config)
+        def __init__(self, *args):
+            super().__init__(*args)
             built.append(self)
 
     monkeypatch.setattr(transformer, "_Engine", CountingEngine)
@@ -383,8 +383,8 @@ def test_the_rule_table_covers_every_statement():
     # `eval` walks a sequence itself, so `Seq` is the one class with no rule
     assert Seq not in transformer._RULES
     assert set(transformer._RULES) | {Seq} == set(typing.get_args(Program))
-    engine = transformer._Engine(ErtConfig())
     prog, f = parse_program("x := 1; x := x + 1; skip"), transformer._as_cont(parse_rt("x"))
+    engine = transformer.StepTable().engine(prog, ErtConfig())
     assert engine.eval(prog, State({"x": 0}), f) == (5, 1, False)
     for p in (42, Seq(parse_rt("x"), Empty())):
         with pytest.raises(TypeError):
@@ -788,7 +788,7 @@ def test_branch_weights_and_choice_match_xreal_arithmetic(p, a, b):
     sigma = State({"x": 0})
     branch = If(_coin(p), _to(0), _to(1))
     choice = NdChoice(_to(0), _to(1))
-    engine = transformer._Engine(ErtConfig())
+    engine = transformer.StepTable().engine(branch, ErtConfig())
     tn, fn, d = engine.guard(branch.guard, sigma)
     assert (Fraction(tn, d), Fraction(fn, d)) == (p, 1 - p)
     # each side charges the tick of its assignment; an impossible side is
@@ -807,11 +807,70 @@ def test_certain_weights_are_one_over_one():
     values = set()
     for src in sources:
         prog = parse_program(src)
-        engine = transformer._Engine(ErtConfig())
+        engine = transformer.StepTable().engine(prog, ErtConfig())
         values.add(engine.eval(prog, State({"x": 0}), transformer._as_cont(f)))
-        assert engine.dist(prog.dist, State({"x": 0})) == [(1, 1, 3)]
+        support = engine.support(prog, State({"x": 0}))
+        assert [tuple(entry[:3]) for entry in support] == [(1, 1, 3)]
         assert expected_runtime(prog, f, State({"x": 0})).value == XReal(4)
     assert values == {(4, 1, False)}
+
+
+def test_a_table_keeps_the_programs_evaluated_against_it():
+    # the table's keys hold ids of program nodes; a program its caller
+    # dropped lives on in the table, so no later node can take its ids
+    steps = transformer.StepTable()
+    f, sigma = parse_rt("x"), State({"x": 0})
+    for k in range(1, 40):
+        a = If(_coin(Fraction(1, 2)), _to(k), _to(k + 1))
+        steps.expected_runtime(a, f, sigma)
+        del a
+        b = If(_coin(Fraction(1, 3)), _to(k + 100), _to(k + 200))
+        assert steps.expected_runtime(b, f, sigma) == expected_runtime(b, f, sigma)
+
+
+def test_a_table_holds_one_object_per_successor_state():
+    # two assignments that lead to equal states share one successor object,
+    # so a table holds each state it reached once, as an engine's memo does
+    prog = parse_program("if (1/2*<true> + 1/2*<false>) { x := 1 } else { x := 2 - 1 }")
+    steps = transformer.StepTable()
+    assert steps.expected_runtime(prog, parse_rt("x"), State({"x": 0})).value == XReal(3)
+    successors = [entry[3] for row in steps.supports.values() for entry in row]
+    assert len(successors) == 2 and successors[0] is successors[1]
+    assert successors[0] == State({"x": 1})
+
+
+def test_an_assignment_that_returns_to_its_own_state():
+    # `x :~ <x>` leads back to the state it left, so the next round of the
+    # loop evaluates the same assignment at the same state while its first
+    # evaluation there is still running
+    prog = parse_program("while (x > 0) { x :~ 1/2*<x> + 1/2*<x - 1> }")
+    sigma = State({"x": 2})
+    want = xreal_engine.expected_runtime(prog, None, sigma)
+    assert expected_runtime(prog, None, sigma) == want
+    steps = transformer.StepTable()
+    for f in (None, parse_rt("x + 1"), None):
+        for depth in (64, 1, 5):
+            cfg = ErtConfig(max_unroll_depth=depth)
+            expected = xreal_engine.expected_runtime(prog, f, sigma, cfg)
+            assert steps.expected_runtime(prog, f, sigma, cfg) == expected
+
+
+def test_a_support_raises_its_errors_in_support_order():
+    # each successor state is made just before its continuation runs: the
+    # second entry's kind error comes after the first entry's continuation
+    # has run, and comes again from a table that holds the first entry
+    sigma = State({"x": 0})
+    cases = (
+        ("x :~ 1/2*<2> + 1/2*<true>", KindMismatch, "cannot assign bool value to int variable 'x'"),
+        ("x :~ 1/2*<2> + 1/2*<true>; y := z", EvalError, "undefined variable 'z'"),
+    )
+    for src, error, text in cases:
+        prog = parse_program(src)
+        steps = transformer.StepTable()
+        for run in (expected_runtime, steps.expected_runtime, steps.expected_runtime):
+            with pytest.raises(error) as raised:
+                run(prog, None, sigma)
+            assert str(raised.value) == text
 
 
 # sha256 over (str(value), kind, annotations_used) of `expected_runtime`, one
