@@ -41,7 +41,6 @@ from .mdp import (
 )
 from .parser import _KEYWORDS, ParseError, parse_program, parse_rt, read_int
 from .props import run_property_suite
-from .semantics import EvalError
 from .specfile import InvariantSpecFile, SpecError, parse_spec
 from .syntax import Program, RtExpr, RT_ZERO, while_loops
 from .transformer import ErtConfig, StepTable
@@ -409,7 +408,7 @@ def _cmd_check_omega(args) -> int:
     directions = ("lower", "upper") if spec.direction == "both" else (spec.direction,)
     rules = [
         check_omega_invariant(
-            spec.loop, spec.f, OmegaInvariantSpec(spec.invariant_n, d, limit=spec.limit),
+            spec.loop, spec.f, OmegaInvariantSpec(spec.invariant_n, d),
             n_max=spec.n_max, D=spec.domain,
         )
         for d in directions
@@ -418,12 +417,12 @@ def _cmd_check_omega(args) -> int:
     if spec.limit is not None:
         # the limit probe is numeric evidence only: it never holds, and only
         # its failure changes the exit code
-        ospec = OmegaInvariantSpec(spec.invariant_n, directions[0], limit=spec.limit)
         verdicts.append(
             (
                 f"limit consistency (probe {spec.probe})",
                 check_limit(
-                    ospec, spec.domain, n_probe=spec.probe, tol=spec.tol, big=spec.big
+                    spec.invariant_n, spec.limit, spec.domain,
+                    n_probe=spec.probe, tol=spec.tol, big=spec.big,
                 ),
             )
         )
@@ -700,7 +699,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (EvalError, KernelError) as exc:
+    except KernelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

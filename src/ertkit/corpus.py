@@ -411,7 +411,6 @@ def _npast_part_one_exact(part_one: Program, sigma: State) -> CheckOutcome:
         OmegaInvariantSpec(
             parse_rt("[not (b = 1)] * 1 + [b = 1] * (7 - 7 * (1/2)^n)"),
             "lower",
-            limit=parse_rt("[not (b = 1)] * 1 + [b = 1] * 7"),
         ),
         n_max=50,
         D=domain,

@@ -81,7 +81,6 @@ class UpperInvariantSpec:
 class OmegaInvariantSpec:
     invariant_n: RtExpr  # may mention the iteration parameter n
     direction: str  # "lower" | "upper"
-    limit: Optional[RtExpr] = None  # n-free, may be infinite-valued
 
     def __post_init__(self):
         if self.direction not in ("lower", "upper"):
@@ -210,27 +209,27 @@ def check_omega_invariant(
 
 
 def check_limit(
-    spec: OmegaInvariantSpec,
+    invariant_n: RtExpr,
+    limit: RtExpr,
     D: StateDomain,
     n_probe: int,
     tol: Fraction,
     big: Fraction,
 ) -> Verdict:
-    """Numeric evidence that I_n tends to the declared limit on the domain.
+    """Numeric evidence that I_n tends to `limit` on the domain.
 
-    Never returns Holds: agreement at finitely many probe indices cannot
-    establish a limit.  A finite declared limit must be approached within
-    tol at the last probe with nonincreasing deviations; an infinite one
-    must be exceeded in the sense of I at the last probe reaching `big`.
+    `limit` is n-free and may be infinite-valued.  Never returns Holds:
+    agreement at finitely many probe indices cannot establish a limit.  A
+    finite limit must be approached within tol at the last probe with
+    nonincreasing deviations; an infinite one must be exceeded in the sense
+    of I at the last probe reaching `big`.
     """
-    if spec.limit is None:
-        return Verdict("Inconclusive", reason="no limit declared")
     probes = sorted({max(1, n_probe // 4), max(1, n_probe // 2), n_probe})
     with _deep_stack():
         for sigma in D:
-            limit = _rt_at(spec.limit, sigma)
-            vals = [_rt_at(spec.invariant_n, sigma, n) for n in probes]
-            if limit.is_infinite:
+            lim = _rt_at(limit, sigma)
+            vals = [_rt_at(invariant_n, sigma, n) for n in probes]
+            if lim.is_infinite:
                 if vals[-1].is_finite and vals[-1].q < big:
                     return Verdict(
                         "Fails", witness=sigma, n=n_probe,
@@ -242,14 +241,14 @@ def check_limit(
                 if v.is_infinite:
                     devs.append(INF)
                 else:
-                    devs.append(XReal(abs(v.q - limit.q)))
+                    devs.append(XReal(abs(v.q - lim.q)))
             bad = (
                 not devs[-1] <= XReal(tol)
                 or any(not devs[i + 1] <= devs[i] for i in range(len(devs) - 1))
             )
             if bad:
                 return Verdict(
-                    "Fails", witness=sigma, n=n_probe, lhs=vals[-1], rhs=limit
+                    "Fails", witness=sigma, n=n_probe, lhs=vals[-1], rhs=lim
                 )
     return Verdict(
         "Inconclusive",

@@ -162,7 +162,11 @@ def _array(name: str, v: object) -> Tuple[Value, ...]:
     raise KindMismatch("variable %r: %r is not an int, a bool or an array" % (name, v))
 
 
-class UndefinedName(KernelError, KeyError):
+class EvalError(KernelError):
+    pass
+
+
+class UnboundVariable(EvalError, KeyError):
     """A name the state lacks: a `KeyError` too, printed without quotes."""
 
     __str__ = KernelError.__str__
@@ -233,7 +237,7 @@ class State:
         try:
             v = self.values[name]
         except KeyError:
-            raise UndefinedName("undefined variable %r" % name) from None
+            raise UnboundVariable("undefined variable %r" % name) from None
         if v.__class__ is tuple:
             raise KindMismatch("array %r is read without an index" % name)
         return v
@@ -243,7 +247,7 @@ class State:
         arr = self.values.get(name)
         if arr.__class__ is not tuple:
             if arr is None:
-                raise UndefinedName("undefined array %r" % name)
+                raise UnboundVariable("undefined array %r" % name)
             raise KindMismatch("%s variable %r is not an array" % (value_kind(arr), name))
         if index.__class__ is not int:
             raise KindMismatch("array index must be an integer, got %r" % (index,))

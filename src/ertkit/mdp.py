@@ -6,11 +6,11 @@ configuration nodes: a running program with a state, a terminated marker
 marker for sequencing, and an absorbing sink.  Halting steps straight to the
 sink, so the post-run-time is not collected on halted runs.  Loops of all
 three forms (plain, depth-bounded, annotated) are unfolded one step at a time
-when they are reached; annotations are ignored.  The step of each program
-object is compiled once per build into a table entry: the head statement,
-and each branch's successor program with its own table of nodes by state.
-A node then evaluates only its head on its state, and finds each successor
-with one lookup.
+by `syntax.unfold_once` when they are reached; annotations are ignored.  The
+step of each program object is compiled once per build into a table entry:
+the head statement, and each branch's successor program with its own table
+of nodes by state.  A node then evaluates only its head on its state, and
+finds each successor with one lookup.
 
 The expected total reward to the sink, maximized over schedulers, is the
 quantity the transformer computes; `cross_check` compares the two.  It is
@@ -33,8 +33,8 @@ from .kernel import INF, ONE, ZERO, KernelError, State, XReal, _deep_stack
 from .semantics import eval_dist, eval_expr, eval_guard, eval_rt
 from .syntax import (
     Annotated, Empty, Halt, If, NdChoice, ProbAssign, Program, RtExpr, RT_ZERO,
-    Seq, Skip, VarTarget, While, WhileBounded, expand_bounded_once,
-    program_to_text, replace_whiles,
+    Seq, Skip, VarTarget, While, WhileBounded, program_to_text, replace_whiles,
+    unfold_once,
 )
 
 
@@ -179,20 +179,10 @@ class _Builder:
         return c
 
     def unfold(self, w: Union[While, WhileBounded, Annotated]) -> Program:
-        """One step of a loop's defining expansion, one object per loop.
-
-        An annotated loop re-enters through the annotated node itself, not
-        through its inner loop, so its model is node for node that of the
-        plain loop.
-        """
+        """`unfold_once(w)`, one object per loop per build."""
         c = self.unfold_cache.get(id(w))
         if c is None:
-            if isinstance(w, WhileBounded):
-                c = expand_bounded_once(w)
-            else:
-                loop = w.loop if isinstance(w, Annotated) else w
-                c = If(loop.guard, self.compose(loop.body, w), Empty())
-            self.unfold_cache[id(w)] = c
+            c = self.unfold_cache[id(w)] = unfold_once(w)
         return c
 
     def compile(self, t: _Target) -> Program:
@@ -314,19 +304,14 @@ class _Builder:
         return Mdp(nodes, transitions, rewards, initial, sink, f)
 
 
-def head_reward(p: Program) -> XReal:
-    """Reward of a running node, by the head statement.
+def head_reward(h: Program) -> XReal:
+    """Reward of a running node, by its head statement as `compile` finds
+    it (no `Seq`, no depth-bounded loop).
 
     Guard evaluations and assignments consume one unit of time; structural
-    steps are free; a sequence inherits the charge of its first component.
+    steps are free.
     """
-    if isinstance(p, (Skip, ProbAssign, If)):
-        return ONE
-    if isinstance(p, Seq):
-        return head_reward(p.first)
-    if isinstance(p, WhileBounded):
-        return head_reward(expand_bounded_once(p))
-    return ZERO
+    return ONE if isinstance(h, (Skip, ProbAssign, If)) else ZERO
 
 
 def build_mdp(

@@ -43,9 +43,9 @@ from .syntax import (
     RMul,
     RtExpr,
     RT_ZERO,
-    expand_bounded_once,
     program_to_text,
     rt_to_text,
+    unfold_once,
     While,
     WhileBounded,
 )
@@ -217,7 +217,7 @@ def _unrolling(rng: random.Random) -> Sample:
         # the expansion shares the loop's guard and body, and so their entries
         ert = StepTable().expected_runtime
         lhs = ert(p, f, sigma).value
-        rhs = ert(expand_bounded_once(p), f, sigma).value
+        rhs = ert(unfold_once(p), f, sigma).value
         return {
             "loop-unrolling": None if lhs == rhs
             else f"bounded loop gives {lhs} but its one-step expansion gives {rhs}"

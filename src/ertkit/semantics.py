@@ -9,19 +9,20 @@ The weights that `eval_dist` and `eval_guard` return are the expression's
 own `Fraction` objects: a weighted entry's weight (a `WeightedList` holds
 `Fraction`s), the one shared `1/n` of a uniform range, or one shared `1` of
 a point mass.  A new `Fraction` is built by addition only where two entries
-merge: two entries of a weighted list with the same value, or two true
-entries of a guard.  A guard with no true entry gives one shared `0`.
-Fractions are immutable, so sharing them is safe.
+merge: two entries of a weighted list with the same value of the same kind
+(as in `State`, 1 and true stay apart), or two true entries of a guard.  A
+guard with no true entry gives one shared `0`.  Fractions are immutable, so
+sharing them is safe.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .kernel import (
-    INF, ONE, ZERO, KernelError, KindMismatch, State, Value, XReal, value_kind,
+    INF, ONE, ZERO, EvalError, KindMismatch, State, UnboundVariable, Value,
+    XReal, value_kind,
 )
 from .syntax import (
     And, ArrayLit, BinOp, BoolLit, CellRef, Cmp, Dirac, DistExpr, Expr,
@@ -33,14 +34,6 @@ from .syntax import (
 
 # the trusted XReal constructor, for values non-negative by construction
 _of = XReal._of
-
-
-class EvalError(KernelError):
-    pass
-
-
-class UnboundVariable(EvalError):
-    pass
 
 
 class EmptyUniformRange(EvalError):
@@ -112,19 +105,12 @@ def _var(e: Union[VarRef, RVar], sigma: State, bind: Optional[Bindings]) -> Valu
     name = e.name
     if bind is not None and name in bind:
         return bind[name]
-    try:
-        return sigma.get(name)
-    except KeyError:
-        raise UnboundVariable("undefined variable %r" % name)
+    return sigma.get(name)
 
 
 def _cell(e: Union[CellRef, RCell], sigma: State, bind: Optional[Bindings]) -> Value:
     """An array cell read, at the value of its index."""
-    idx = eval_expr(e.index, sigma, bind)
-    try:
-        return sigma.get_cell(e.name, idx)
-    except KeyError:
-        raise UnboundVariable("undefined array %r" % e.name)
+    return sigma.get_cell(e.name, eval_expr(e.index, sigma, bind))
 
 
 # A value is exactly an int, a bool or a tuple (the kernel makes it so), so
@@ -194,15 +180,17 @@ def eval_dist(d: DistExpr, sigma: State) -> List[Tuple[Fraction, Sampled]]:
         p = Fraction(1, hi - lo + 1)
         return [(p, v) for v in range(lo, hi + 1)]
     if isinstance(d, WeightedList):
-        # an equal value merges into its first-seen key, in first-seen order
-        acc: Dict[Sampled, Fraction] = {}
+        # a value of the same kind merges into its first-seen entry, in
+        # first-seen order; 1 == true, so the kind is part of the key
+        acc: Dict[Tuple[Sampled, type], Fraction] = {}
         for p, expr in d.entries:
             if not p:
                 continue
             v = eval_expr(expr, sigma)
-            prev = acc.get(v)
-            acc[v] = p if prev is None else prev + p
-        return [(p, v) for v, p in acc.items()]
+            key = (v, v.__class__)
+            prev = acc.get(key)
+            acc[key] = p if prev is None else prev + p
+        return [(p, v) for (v, _), p in acc.items()]
     raise TypeError(d)
 
 
@@ -329,7 +317,6 @@ def _int_arg(x: XReal, what: str) -> int:
     return int(x.q)
 
 
-@lru_cache(maxsize=None)
 def harmonic_number(m: int) -> Fraction:
     # summed in a loop: one recursion per term overflows the C stack
     total = Fraction(0)
@@ -338,7 +325,6 @@ def harmonic_number(m: int) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
 def rw_coefficient(n: int, k: int) -> Fraction:
     """Closed form for the symmetric-walk expansion coefficients.
 

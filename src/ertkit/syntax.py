@@ -420,7 +420,7 @@ def program_to_text(p: Program, indent: int = 0) -> str:
     if isinstance(p, WhileBounded):
         # no concrete syntax: print the defining expansion, which is
         # semantically identical
-        return program_to_text(expand_bounded_once(p), indent)
+        return program_to_text(unfold_once(p), indent)
     if isinstance(p, Annotated):
         # annotations are metadata; the printed program is the plain loop
         return program_to_text(p.loop, indent)
@@ -476,15 +476,21 @@ def rt_to_text(e: RtExpr, prec: int = 0) -> str:
 # tree utilities
 
 
-def expand_bounded_once(p: WhileBounded) -> Program:
-    """One step of the defining expansion of a depth-bounded loop."""
-    if p.bound <= 0:
-        return Halt()
-    return If(
-        p.guard,
-        Seq(p.body, WhileBounded(p.bound - 1, p.guard, p.body)),
-        Empty(),
-    )
+def unfold_once(w: Union[While, WhileBounded, Annotated]) -> Program:
+    """One step of a loop's defining expansion, `if (guard) { body; w' }
+    else { empty }`.
+
+    A `while` and an annotated loop re-enter as `w` itself (an annotated
+    loop through its annotation, so its unfolding is that of the plain
+    loop); a depth-bounded loop re-enters with one round less, and is `halt`
+    at depth 0.
+    """
+    if isinstance(w, WhileBounded):
+        if w.bound <= 0:
+            return Halt()
+        return If(w.guard, Seq(w.body, WhileBounded(w.bound - 1, w.guard, w.body)), Empty())
+    loop = w.loop if isinstance(w, Annotated) else w
+    return If(loop.guard, Seq(loop.body, w), Empty())
 
 
 def children(p: Program) -> List[Program]:

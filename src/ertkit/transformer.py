@@ -64,7 +64,7 @@ from .kernel import INF, ZERO, KernelError, State, XReal, _deep_stack
 from .semantics import eval_dist, eval_expr, eval_guard, eval_rt
 from .syntax import (
     Annotated, Empty, Halt, If, NdChoice, ProbAssign, Program, RtExpr,
-    RT_ZERO, Seq, Skip, VarTarget, While, WhileBounded, expand_bounded_once,
+    RT_ZERO, Seq, Skip, VarTarget, While, WhileBounded, unfold_once,
     rt_to_text,
 )
 
@@ -597,7 +597,7 @@ def det_step_count(program: Program, sigma: Optional[State] = None) -> Tuple[XRe
                 stack.append(node.body)
             continue
         if isinstance(node, WhileBounded):
-            stack.append(expand_bounded_once(node))
+            stack.append(unfold_once(node))
             continue
         if isinstance(node, Annotated):
             stack.append(node.loop)

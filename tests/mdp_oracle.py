@@ -8,8 +8,12 @@ descriptor tuples through each level and resolving them to nodes keyed
 node's successors in `Fraction` arithmetic.  `ertkit.mdp` now compiles one
 successor table per program object per build and sums acyclic nodes in
 integer pairs; the tests compare the two model for model and value for
-value.  `head_reward`, the model classes and the rest of the solver are
-shared with the production module.
+value.  The oracle also keeps its own loop expansion (`expand_bounded_once`
+and the plain-loop unfolding in `_Builder.unfold`) and its own
+`head_reward`, which charges a whole program by its first statement, so a
+defect in the model's step rules or charges shows in the comparison.  The
+model classes and the rest of the solver are shared with the production
+module.
 """
 from __future__ import annotations
 
@@ -17,16 +21,42 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Tuple, Union
 
-from ertkit.kernel import ZERO, State, XReal, _deep_stack
-from ertkit.mdp import Mdp, MdpNode, NodeCapExceeded, SingularSystem, head_reward
+from ertkit.kernel import ONE, ZERO, State, XReal, _deep_stack
+from ertkit.mdp import Mdp, MdpNode, NodeCapExceeded, SingularSystem
 from ertkit.semantics import eval_dist, eval_expr, eval_guard, eval_rt
 from ertkit.syntax import (
     Annotated, Empty, Halt, If, NdChoice, ProbAssign, Program, RtExpr, RT_ZERO,
-    Seq, Skip, VarTarget, While, WhileBounded, expand_bounded_once,
+    Seq, Skip, VarTarget, While, WhileBounded,
 )
 
 
 _ONE = Fraction(1)
+
+
+def expand_bounded_once(p: WhileBounded) -> Program:
+    """One step of the defining expansion of a depth-bounded loop."""
+    if p.bound <= 0:
+        return Halt()
+    return If(
+        p.guard,
+        Seq(p.body, WhileBounded(p.bound - 1, p.guard, p.body)),
+        Empty(),
+    )
+
+
+def head_reward(p: Program) -> XReal:
+    """Reward of a running node, by the head statement.
+
+    Guard evaluations and assignments consume one unit of time; structural
+    steps are free; a sequence inherits the charge of its first component.
+    """
+    if isinstance(p, (Skip, ProbAssign, If)):
+        return ONE
+    if isinstance(p, Seq):
+        return head_reward(p.first)
+    if isinstance(p, WhileBounded):
+        return head_reward(expand_bounded_once(p))
+    return ZERO
 
 
 class _Builder:

@@ -97,7 +97,8 @@ def test_criterion_03_invariant_checks():
             )
             assert v.status == "Holds", direction
         limit = check_limit(
-            OmegaInvariantSpec(seq, "lower", limit=parse_rt("1 + [c = 1] * 4")),
+            seq,
+            parse_rt("1 + [c = 1] * 4"),
             dom,
             n_probe=60,
             tol=Fraction(1, 10**12),
@@ -203,11 +204,12 @@ def test_criterion_06_two_phase_composition():
         seq = parse_rt("[not (b = 1)] * 1 + [b = 1] * (7 - 7 * (1/2)^n)")
         lim = parse_rt("[not (b = 1)] * 1 + [b = 1] * 7")
         lower = check_omega_invariant(
-            loop, zero, OmegaInvariantSpec(seq, "lower", limit=lim), n_max=50, D=dom
+            loop, zero, OmegaInvariantSpec(seq, "lower"), n_max=50, D=dom
         )
         assert lower.status == "Holds"
         consistent = check_limit(
-            OmegaInvariantSpec(seq, "lower", limit=lim),
+            seq,
+            lim,
             dom,
             n_probe=60,
             tol=Fraction(1, 10**12),

@@ -907,6 +907,16 @@ BAD_ACCESSES = {
         "if (1/2*<true> + 1/2*<false>) { x := 1 } else { x := true }; y := x + 1",
         "error: arithmetic operand must be an integer, got True\n",
     ),
+    # one choice of 1 or true, as a weighted list and as an `if`: the list
+    # keeps the two kinds apart as `State` does, so both assign a bool to x
+    "int-or-bool-list": (
+        "x := 0; x :~ 1/2*<1> + 1/2*<true>; y := x + 1",
+        "error: cannot assign bool value to int variable 'x'\n",
+    ),
+    "int-or-bool-if": (
+        "x := 0; if (1/2*<true> + 1/2*<false>) { x := 1 } else { x := true }; y := x + 1",
+        "error: cannot assign bool value to int variable 'x'\n",
+    ),
 }
 
 

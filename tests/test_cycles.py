@@ -25,6 +25,8 @@ CHOICE = parse_program(
 )
 WALK = parse_program("while (x > 0) { x :~ 1/2*<x - 1> + 1/2*<x + 1> }")
 F = parse_rt("[c = 1] * 2")
+DRAW = parse_program("x :~ unif[0 .. 60]")
+SERIES = parse_rt("harmonic(x) + rwcoef(x, 1)")
 
 
 def _char_functional_twice():
@@ -61,6 +63,7 @@ def _fallback():
 
 CALLS = {
     "expected_runtime": lambda: expected_runtime(CHOICE, None, State({"x": 4})),
+    "harmonic_and_rwcoef": lambda: expected_runtime(DRAW, SERIES, State()),
     "eval_one_table": _eval,
     "char_functional": _char_functional_twice,
     "kleene_iterates": _kleene,

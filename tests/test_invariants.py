@@ -137,23 +137,23 @@ def test_omega_iterates_dominate_lower_invariant_sequence():
 
 
 def test_limit_probe_consistent_and_inconsistent():
-    spec = OmegaInvariantSpec(GEO_OMEGA, "lower", limit=parse_rt("1 + [c = 1] * 4"))
-    v = check_limit(spec, GEO_DOM, n_probe=60, tol=TOL, big=BIG)
+    limit = parse_rt("1 + [c = 1] * 4")
+    v = check_limit(GEO_OMEGA, limit, GEO_DOM, n_probe=60, tol=TOL, big=BIG)
     assert v.status == "Inconclusive"
     assert "consistent" in v.reason
 
-    wrong = OmegaInvariantSpec(GEO_OMEGA, "lower", limit=parse_rt("1 + [c = 1] * 9"))
-    v = check_limit(wrong, GEO_DOM, n_probe=60, tol=TOL, big=BIG)
+    wrong = parse_rt("1 + [c = 1] * 9")
+    v = check_limit(GEO_OMEGA, wrong, GEO_DOM, n_probe=60, tol=TOL, big=BIG)
     assert v.status == "Fails"
     assert v.witness == State({"c": 1})
 
 
 def test_limit_probe_handles_divergent_limits():
     # I_n growing without bound against a declared infinite limit
-    spec = OmegaInvariantSpec(
-        parse_rt("[c = 1] * n"), "lower", limit=parse_rt("[c = 1] * inf")
+    v = check_limit(
+        parse_rt("[c = 1] * n"), parse_rt("[c = 1] * inf"), GEO_DOM,
+        n_probe=10**6, tol=TOL, big=BIG,
     )
-    v = check_limit(spec, GEO_DOM, n_probe=10**6, tol=TOL, big=BIG)
     assert v.status == "Inconclusive"
     assert "consistent" in v.reason
 
@@ -240,14 +240,14 @@ def test_checkers_evaluate_bounds_on_a_deep_stack():
     # a bound of 3000 terms nests deeper than the default recursion limit
     ones = " + 1" * 2999
     bound = parse_rt("[c = 1] * 4" + ones)
-    spec = OmegaInvariantSpec(bound, "upper", limit=bound)
+    spec = OmegaInvariantSpec(bound, "upper")
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
         calls = [
             lambda: check_upper_invariant(GEO, ZERO_RT, UpperInvariantSpec(bound), GEO_DOM),
             lambda: check_omega_invariant(GEO, ZERO_RT, spec, 3, GEO_DOM),
-            lambda: check_limit(spec, GEO_DOM, n_probe=60, tol=TOL, big=BIG),
+            lambda: check_limit(bound, bound, GEO_DOM, n_probe=60, tol=TOL, big=BIG),
             lambda: refine(GEO, ZERO_RT, bound, GEO_DOM, rounds=1),
         ]
         out = []

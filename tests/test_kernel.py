@@ -10,7 +10,7 @@ from ertkit.kernel import (
     KindMismatch,
     KernelError,
     State,
-    UndefinedName,
+    UnboundVariable,
     XReal,
     ZERO,
     value_kind,
@@ -128,7 +128,7 @@ def test_a_variable_keeps_its_kind_and_an_array_its_length():
 def test_cell_access_checks_kind_index_and_bounds():
     s = State({"x": 1, "a": (0, 0)})
     for name, index, error, message in [
-        ("y", 1, UndefinedName, "undefined array 'y'"),
+        ("y", 1, UnboundVariable, "undefined array 'y'"),
         ("x", 1, KindMismatch, "int variable 'x' is not an array"),
         ("a", True, KindMismatch, "array index must be an integer, got True"),
         ("a", 3, IndexOutOfBounds, "a[3] out of bounds (length 2, indices are 1-based)"),
@@ -146,7 +146,7 @@ def test_cell_access_checks_kind_index_and_bounds():
 
 def test_missing_and_misread_names():
     s = State({"x": 1, "a": (0, 0)})
-    with pytest.raises(UndefinedName) as info:
+    with pytest.raises(UnboundVariable) as info:
         s.get("y")
     # a KernelError for the command line, a KeyError like a mapping's
     assert isinstance(info.value, KernelError) and isinstance(info.value, KeyError)

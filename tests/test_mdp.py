@@ -26,7 +26,6 @@ from ertkit.mdp import (
     cross_check,
     expected_reward,
     mdp_to_dot,
-    head_reward,
     qualitative_check,
 )
 from ertkit.parser import parse_program, parse_rt
@@ -111,12 +110,13 @@ def node_reward(node: MdpNode, f) -> XReal:
     if node.kind == "term":
         return eval_rt(f, node.state)
     if node.kind == "exec":
-        return head_reward(node.program)
+        return mdp_oracle.head_reward(node.program)
     return ZERO
 
 
 def recompute_rewards(m: Mdp) -> List[XReal]:
-    """Independent second pass over the reward table, for auditing."""
+    """Independent second pass over the reward table, for auditing: the
+    oracle's charge of each exec node's whole program."""
     return [node_reward(node, m.f) for node in m.nodes]
 
 

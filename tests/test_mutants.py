@@ -4,19 +4,22 @@ Each mutant breaks one rule of the model or of the transformer through a
 monkeypatch.  The sweep mutants make a small fixed sweep (seed 11, 200
 triples) report a failure; the seed and the count were fixed before the
 mutants were run.  Every transformer mutant makes the comparison with the
-reference transformer fail (`test_transformer`).  `drop_if_tick` is also
-the mutant that the property suite's tests and acceptance criterion 8 must
-catch, and `guard_drift` breaks a helper that every leg shares.
+reference transformer fail (`test_transformer`), and the model mutant
+`model-skip-is-free` the comparison with the model oracle (`test_mdp`).
+`drop_if_tick` is also the mutant that the property suite's tests and
+acceptance criterion 8 must catch.  `guard_drift` and `short_unfold` break
+helpers that the legs share.
 """
 
 import sys
 
 import pytest
 
-from ertkit import mdp, semantics, transformer
+import test_mdp
+from ertkit import mdp, semantics, syntax, transformer
 from ertkit.kernel import ZERO
 from ertkit.props import run_soundness_sweep
-from ertkit.syntax import Annotated, Halt, If, NdChoice, Skip, WhileBounded
+from ertkit.syntax import Annotated, Empty, Halt, If, NdChoice, Seq, Skip, WhileBounded
 from ertkit.transformer import ZERO_CONT, _as_cont, _Engine, _xreal
 
 SEED, COUNT = 11, 200
@@ -125,20 +128,42 @@ MUTANTS = {k: v for k, v in TRANSFORMER_MUTANTS.items() if k not in SWEEP_MISSES
 MUTANTS["model-skip-is-free"] = _free_skip
 
 
+def _patch_shared(monkeypatch, helper, mutated):
+    """Replace the shared `helper` in its module and in every module that
+    imported it by name, as a defect in its source would be."""
+    for module in list(sys.modules.values()):
+        if getattr(module, helper.__name__, None) is helper:
+            monkeypatch.setattr(module, helper.__name__, mutated)
+
+
 def guard_drift(monkeypatch):
     """Shared semantics: every strictly probabilistic guard moves 1/8 of
-    the way towards true.  The defect is patched into `semantics` and into
-    every module that imported `eval_guard` by name, as a defect in its
-    source would be, so all three legs and the references share it."""
+    the way towards true, in all three legs and the references."""
     eval_guard = semantics.eval_guard
 
     def drifted(g, sigma):
         p = eval_guard(g, sigma)
         return p + (1 - p) / 8 if 0 < p < 1 else p
 
-    for module in list(sys.modules.values()):
-        if getattr(module, "eval_guard", None) is eval_guard:
-            monkeypatch.setattr(module, "eval_guard", drifted)
+    _patch_shared(monkeypatch, eval_guard, drifted)
+
+
+def short_unfold(monkeypatch):
+    """Shared syntax: the one-step unfolding of a depth-bounded loop
+    re-enters with two rounds less.  The model and the step counter unfold
+    bounded loops this way; the transformer unrolls them itself."""
+    unfold_once = syntax.unfold_once
+
+    def short(w):
+        if isinstance(w, WhileBounded) and w.bound > 0:
+            again = WhileBounded(w.bound - 2, w.guard, w.body)
+            return If(w.guard, Seq(w.body, again), Empty())
+        return unfold_once(w)
+
+    _patch_shared(monkeypatch, unfold_once, short)
+
+
+MUTANTS["short-unfold"] = short_unfold
 
 
 def test_the_unmutated_sweep_is_clean():
@@ -151,3 +176,11 @@ def test_the_sweep_catches_the_mutant(mutate, monkeypatch):
     mutate(monkeypatch)
     report = run_soundness_sweep(SEED, count=COUNT)
     assert report.failures
+
+
+def test_the_oracle_comparison_catches_the_model_mutant(monkeypatch):
+    # the oracle charges with its own `head_reward`, so the patched charge
+    # of the model's `skip` shows in the node-for-node comparison
+    _free_skip(monkeypatch)
+    with pytest.raises(AssertionError):
+        test_mdp.test_corpus_and_golden_models_match_the_oracle()

@@ -167,13 +167,16 @@ def test_no_unreferenced_module_names():
 def _container_sizes(modules) -> dict:
     """The len() of each dict, list and set a module holds at its top
     level, and of each one such a top-level object holds as an attribute,
-    so that a cache kept inside a module-level object is counted too."""
+    so that a cache kept inside a module-level object is counted too; and
+    the size of each `functools` cache on a top-level function."""
     containers = (dict, list, set)
     sizes = {}
     for module in modules:
         for name, value in vars(module).items():
             if isinstance(value, types.ModuleType):
                 continue
+            if hasattr(value, "cache_info"):
+                sizes[module.__name__, name, "cache"] = value.cache_info().currsize
             if isinstance(value, containers):
                 sizes[module.__name__, name] = len(value)
                 continue
@@ -189,10 +192,10 @@ def _container_sizes(modules) -> dict:
 def test_library_calls_leave_no_module_state():
     # library calls leave no process-wide side effects behind: no table,
     # cache or registry at module level grows
-    from ertkit import kernel, mdp, props, semantics, transformer
+    from ertkit import corpus, invariants, kernel, mdp, props, semantics, syntax, transformer
     from test_cycles import CALLS
 
-    modules = (transformer, semantics, kernel, props, mdp)
+    modules = (transformer, semantics, kernel, props, mdp, syntax, invariants, corpus)
     before = _container_sizes(modules)
     assert ("ertkit.transformer", "_RULES") in before
     for call in CALLS.values():

@@ -130,7 +130,6 @@ def test_harmonic_number_table():
 
 def test_harmonic_of_a_large_argument_at_the_default_recursion_limit():
     old = sys.getrecursionlimit()
-    harmonic_number.cache_clear()
     sys.setrecursionlimit(1000)
     try:
         value = eval_rt(parse_rt("harmonic(3000)"), State())
@@ -161,6 +160,14 @@ def test_weighted_list_merges_duplicates_in_first_seen_order():
     # an entry that merges with nothing keeps its own weight object
     assert support[1][0] is d.entries[1][0]
     assert support[2][0] is d.entries[3][0]
+
+
+def test_weighted_list_keeps_equal_values_of_two_kinds_apart():
+    # 1 == true, but as in `State` a value merges only with its own kind
+    d = parse_program("t :~ 1/2*<1> + 1/2*<true>").dist
+    support = eval_dist(d, State())
+    assert support == [(Fraction(1, 2), 1), (Fraction(1, 2), True)]
+    assert [v.__class__ for _, v in support] == [int, bool]
 
 
 def test_zero_weight_is_dropped_before_its_value_is_evaluated():

@@ -33,8 +33,8 @@ from ertkit.syntax import (
     WeightedList,
     While,
     WhileBounded,
-    expand_bounded_once,
     program_to_text,
+    unfold_once,
     while_loops,
 )
 from ertkit.transformer import (
@@ -259,7 +259,7 @@ def test_bounded_unroll_matches_single_step_expansion():
     unrolled = parse_program(program_to_text(wb))
     a = expected_runtime(unrolled, parse_rt("x"), State({"x": 5}))
     b = expected_runtime(wb, parse_rt("x"), State({"x": 5}))
-    c = expected_runtime(expand_bounded_once(wb), parse_rt("x"), State({"x": 5}))
+    c = expected_runtime(unfold_once(wb), parse_rt("x"), State({"x": 5}))
     assert a.kind == b.kind == c.kind == "exact"
     # three guard and three assignment ticks, then the cut-off halts
     assert a.value == b.value == c.value == XReal(6)
