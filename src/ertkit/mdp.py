@@ -179,10 +179,18 @@ class _Builder:
         return c
 
     def unfold(self, w: Union[While, WhileBounded, Annotated]) -> Program:
-        """`unfold_once(w)`, one object per loop per build."""
+        """`unfold_once(w)`, one object per loop per build.
+
+        Its sequence `body; w'` is made by `compose`, so a path that reaches
+        the same sequence another way (a branch that is the loop's own body
+        object, followed by the loop) reaches the same exec target.
+        """
         c = self.unfold_cache.get(id(w))
         if c is None:
-            c = self.unfold_cache[id(w)] = unfold_once(w)
+            c = unfold_once(w)
+            if isinstance(c, If):
+                c = If(c.guard, self.compose(c.then.first, c.then.second), c.orelse)
+            self.unfold_cache[id(w)] = c
         return c
 
     def compile(self, t: _Target) -> Program:

@@ -13,16 +13,26 @@ merge: two entries of a weighted list with the same value of the same kind
 (as in `State`, 1 and true stay apart), or two true entries of a guard.  A
 guard with no true entry gives one shared `0`.  Fractions are immutable, so
 sharing them is safe.
+
+A run-time expression is evaluated in pairs of Python ints `(n, d)`, with
+`n = None` for infinity, by one rule per expression class (`_RT_RULES`).
+Sums are taken over the lcm of the denominators, and a pair is reduced with
+one gcd only where it leaves the evaluator, before `**`, and before it is
+printed into an error message.  `XReal` appears only at the boundary:
+`eval_rt` builds one from the final pair, and `eval_rt_pair` gives the
+final pair itself, in lowest terms, to the transformer, whose engine
+computes in the same pairs.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .kernel import (
-    INF, ONE, ZERO, EvalError, KindMismatch, State, UnboundVariable, Value,
-    XReal, value_kind,
+    INF, EvalError, KindMismatch, State, UnboundVariable, Value, XReal,
+    value_kind,
 )
 from .syntax import (
     And, ArrayLit, BinOp, BoolLit, CellRef, Cmp, Dirac, DistExpr, Expr,
@@ -208,89 +218,230 @@ def eval_guard(g: DistExpr, sigma: State) -> Fraction:
 # ---------------------------------------------------------------------------
 # run-time expressions
 
+# an evaluator value: numerator (None for infinity) and denominator d > 0,
+# not necessarily in lowest terms
+Pair = Tuple[Optional[int], int]
+
+_INF: Pair = (None, 1)
+_ZERO: Pair = (0, 1)
+_ONE: Pair = (1, 1)
+
 
 def eval_rt(
     f: RtExpr, sigma: State, bind: Optional[Bindings] = None
 ) -> XReal:
-    if isinstance(f, RLit):
-        # RLit's constructor makes its value a non-negative Fraction
-        return _of(f.value)
-    if isinstance(f, RInf):
-        return INF
-    if isinstance(f, RVar):
-        return _nonneg(_var(f, sigma, bind), f.name)
-    if isinstance(f, RCell):
-        return _nonneg(_cell(f, sigma, bind), f.name)
-    if isinstance(f, OmegaParam):
-        if bind is None or "n" not in bind:
-            raise UnboundVariable("iteration parameter n is unbound here")
-        return XReal(bind["n"])
-    if isinstance(f, Indicator):
-        return ONE if _as_bool(eval_expr(f.cond, sigma, bind)) else ZERO
-    if isinstance(f, RAdd):
-        return eval_rt(f.left, sigma, bind) + eval_rt(f.right, sigma, bind)
-    if isinstance(f, RMonus):
-        a = eval_rt(f.left, sigma, bind)
-        b = eval_rt(f.right, sigma, bind)
-        if a.is_infinite and b.is_infinite:
+    n, d = _rt(f, sigma, bind)
+    # Fraction(n, d) reduces with the one gcd
+    return INF if n is None else _of(Fraction(n, d))
+
+
+def eval_rt_pair(
+    f: RtExpr, sigma: State, bind: Optional[Bindings] = None
+) -> Pair:
+    """`eval_rt`'s value as a pair in lowest terms, `(None, 1)` for
+    infinity: the form an engine that computes in int pairs reads."""
+    return _lowest(*_rt(f, sigma, bind))
+
+
+def _rt(f: RtExpr, sigma: State, bind: Optional[Bindings]) -> Pair:
+    rule = _RT_RULES.get(f.__class__)
+    if rule is None:
+        raise TypeError(f)
+    return rule(f, sigma, bind)
+
+
+def _lowest(n: Optional[int], d: int) -> Pair:
+    if n is not None and d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            return n // g, d // g
+    return n, d
+
+
+def _sum(n: Optional[int], d: int, m: Optional[int], e: int) -> Pair:
+    """n/d + m/e, unreduced, over the lcm of the two denominators, so that
+    a long sum of terms with many distinct denominators grows like their
+    lcm, not like their product."""
+    if n is None or m is None:
+        return _INF
+    if not m:
+        return n, d
+    if not n:
+        return m, e
+    if d == e:
+        return n + m, d
+    if d == 1:
+        return n * e + m, e
+    if e == 1:
+        return n + m * d, d
+    g = gcd(d, e)
+    s = d // g
+    return n * (e // g) + m * s, s * e
+
+
+def _le(a: Pair, b: Pair) -> bool:
+    """a <= b, infinity on top."""
+    if b[0] is None:
+        return True
+    if a[0] is None:
+        return False
+    return a[0] * b[1] <= b[0] * a[1]
+
+
+def _text(n: Optional[int], d: int) -> str:
+    """A value as an error message prints it, as `XReal` and `Fraction` do."""
+    if n is None:
+        return "inf"
+    n, d = _lowest(n, d)
+    return str(n) if d == 1 else "%d/%d" % (n, d)
+
+
+def _rt_lit(f: RLit, sigma: State, bind: Optional[Bindings]) -> Pair:
+    # RLit's constructor makes its value a non-negative Fraction
+    q = f.value
+    return q.numerator, q.denominator
+
+
+def _rt_var(f: RVar, sigma: State, bind: Optional[Bindings]) -> Pair:
+    return _nonneg(_var(f, sigma, bind), f.name), 1
+
+
+def _rt_cell(f: RCell, sigma: State, bind: Optional[Bindings]) -> Pair:
+    return _nonneg(_cell(f, sigma, bind), f.name), 1
+
+
+def _rt_omega(f: OmegaParam, sigma: State, bind: Optional[Bindings]) -> Pair:
+    if bind is None or "n" not in bind:
+        raise UnboundVariable("iteration parameter n is unbound here")
+    n = bind["n"]
+    if n < 0:
+        # the error the public XReal constructor raises
+        raise ValueError("XReal must be non-negative, got %s" % n)
+    return n, 1
+
+
+def _rt_indicator(f: Indicator, sigma: State, bind: Optional[Bindings]) -> Pair:
+    return _ONE if _as_bool(eval_expr(f.cond, sigma, bind)) else _ZERO
+
+
+def _rt_add(f: RAdd, sigma: State, bind: Optional[Bindings]) -> Pair:
+    n, d = _rt(f.left, sigma, bind)
+    m, e = _rt(f.right, sigma, bind)
+    return _sum(n, d, m, e)
+
+
+def _rt_monus(f: RMonus, sigma: State, bind: Optional[Bindings]) -> Pair:
+    n, d = _rt(f.left, sigma, bind)
+    m, e = _rt(f.right, sigma, bind)
+    if n is None:
+        if m is None:
             raise MonusOfInfinities("inf - inf is undefined")
-        if a.is_infinite:
-            return INF
-        if b.is_infinite:
-            return ZERO
-        return XReal(max(Fraction(0), a.q - b.q))
-    if isinstance(f, RMul):
-        # short-circuit zeros so guarded factors like [x > 0] * x stay total
-        a = eval_rt(f.left, sigma, bind)
-        if a == ZERO:
-            return ZERO
-        b = eval_rt(f.right, sigma, bind)
-        return a * b
-    if isinstance(f, RDiv):
-        b = eval_rt(f.right, sigma, bind)
-        if b == ZERO:
-            raise DivByZero("division by zero")
-        if b.is_infinite:
-            raise EvalError("division by infinity")
-        a = eval_rt(f.left, sigma, bind)
-        return INF if a.is_infinite else XReal(a.q / b.q)
-    if isinstance(f, RPow):
-        k = _nat(eval_rt(f.exponent, sigma, bind), "exponent")
-        base = eval_rt(f.base, sigma, bind)
-        if base.is_infinite:
-            return ONE if k == 0 else INF
-        return XReal(base.q ** k)
-    if isinstance(f, RMin):
-        a, b = eval_rt(f.left, sigma, bind), eval_rt(f.right, sigma, bind)
-        return a if a <= b else b
-    if isinstance(f, RMax):
-        a, b = eval_rt(f.left, sigma, bind), eval_rt(f.right, sigma, bind)
-        return b if a <= b else a
-    if isinstance(f, FiniteSum):
-        lo = _int_arg(eval_rt(f.lo, sigma, bind), "summation bound")
-        hi = _int_arg(eval_rt(f.hi, sigma, bind), "summation bound")
-        total = ZERO
-        inner: Dict[str, int] = dict(bind) if bind else {}
-        for k in range(lo, hi + 1):
-            inner[f.var] = k
-            total += eval_rt(f.body, sigma, inner)
-        return total
-    if isinstance(f, GeoSeries):
-        r = eval_rt(f.ratio, sigma, bind)
-        if r.is_infinite or r.q >= 1:
-            return INF
-        return XReal(1 / (1 - r.q))
-    if isinstance(f, Harmonic):
-        m = _nat(eval_rt(f.arg, sigma, bind), "harmonic argument")
-        return XReal(harmonic_number(m))
-    if isinstance(f, RwCoef):
-        nn = _nat(eval_rt(f.n, sigma, bind), "coefficient row")
-        kk = _nat(eval_rt(f.k, sigma, bind), "coefficient column")
-        return XReal(rw_coefficient(nn, kk))
-    raise TypeError(f)
+        return _INF
+    if m is None:
+        return _ZERO
+    t = n * e - m * d
+    return (t, d * e) if t > 0 else _ZERO
 
 
-def _nonneg(v: Value, name: str) -> XReal:
+def _rt_mul(f: RMul, sigma: State, bind: Optional[Bindings]) -> Pair:
+    # short-circuit zeros so guarded factors like [x > 0] * x stay total
+    n, d = _rt(f.left, sigma, bind)
+    if n == 0:
+        return _ZERO
+    m, e = _rt(f.right, sigma, bind)
+    if m == 0:
+        return _ZERO  # 0 * inf = 0
+    if n is None or m is None:
+        return _INF
+    return n * m, d * e
+
+
+def _rt_div(f: RDiv, sigma: State, bind: Optional[Bindings]) -> Pair:
+    m, e = _rt(f.right, sigma, bind)
+    if m == 0:
+        raise DivByZero("division by zero")
+    if m is None:
+        raise EvalError("division by infinity")
+    n, d = _rt(f.left, sigma, bind)
+    return _INF if n is None else (n * e, d * m)
+
+
+def _rt_pow(f: RPow, sigma: State, bind: Optional[Bindings]) -> Pair:
+    k = _natural(_rt(f.exponent, sigma, bind), "exponent")
+    n, d = _rt(f.base, sigma, bind)
+    if n is None:
+        return _ONE if k == 0 else _INF
+    n, d = _lowest(n, d)
+    return n ** k, d ** k
+
+
+def _rt_min(f: RMin, sigma: State, bind: Optional[Bindings]) -> Pair:
+    a, b = _rt(f.left, sigma, bind), _rt(f.right, sigma, bind)
+    return a if _le(a, b) else b
+
+
+def _rt_max(f: RMax, sigma: State, bind: Optional[Bindings]) -> Pair:
+    a, b = _rt(f.left, sigma, bind), _rt(f.right, sigma, bind)
+    return b if _le(a, b) else a
+
+
+def _rt_sum(f: FiniteSum, sigma: State, bind: Optional[Bindings]) -> Pair:
+    lo = _integer(_rt(f.lo, sigma, bind), "summation bound")
+    hi = _integer(_rt(f.hi, sigma, bind), "summation bound")
+    n, d = _ZERO
+    inner: Dict[str, int] = dict(bind) if bind else {}
+    # every term is evaluated, after an infinite one too, so that its
+    # errors are raised
+    for k in range(lo, hi + 1):
+        inner[f.var] = k
+        m, e = _rt(f.body, sigma, inner)
+        n, d = _sum(n, d, m, e)
+    return n, d
+
+
+def _rt_geo(f: GeoSeries, sigma: State, bind: Optional[Bindings]) -> Pair:
+    # 1 / (1 - n/d) for a ratio below one
+    n, d = _rt(f.ratio, sigma, bind)
+    if n is None or n >= d:
+        return _INF
+    return d, d - n
+
+
+def _rt_harmonic(f: Harmonic, sigma: State, bind: Optional[Bindings]) -> Pair:
+    q = harmonic_number(_natural(_rt(f.arg, sigma, bind), "harmonic argument"))
+    return q.numerator, q.denominator
+
+
+def _rt_rwcoef(f: RwCoef, sigma: State, bind: Optional[Bindings]) -> Pair:
+    nn = _natural(_rt(f.n, sigma, bind), "coefficient row")
+    kk = _natural(_rt(f.k, sigma, bind), "coefficient column")
+    q = rw_coefficient(nn, kk)
+    return q.numerator, q.denominator
+
+
+# one rule per run-time expression class, looked up by the exact class
+_RT_RULES = {
+    RLit: _rt_lit,
+    RInf: lambda f, sigma, bind: _INF,
+    RVar: _rt_var,
+    RCell: _rt_cell,
+    OmegaParam: _rt_omega,
+    Indicator: _rt_indicator,
+    RAdd: _rt_add,
+    RMonus: _rt_monus,
+    RMul: _rt_mul,
+    RDiv: _rt_div,
+    RPow: _rt_pow,
+    RMin: _rt_min,
+    RMax: _rt_max,
+    FiniteSum: _rt_sum,
+    GeoSeries: _rt_geo,
+    Harmonic: _rt_harmonic,
+    RwCoef: _rt_rwcoef,
+}
+
+
+def _nonneg(v: Value, name: str) -> int:
     if v.__class__ is not int:
         raise KindMismatch(
             "%r is boolean; wrap it in an indicator to use it as a run-time" % name
@@ -300,29 +451,45 @@ def _nonneg(v: Value, name: str) -> XReal:
             "%r is %d; run-times are non-negative (guard it with an indicator)"
             % (name, v)
         )
-    return _of(Fraction(v))
+    return v
+
+
+def _natural(x: Pair, what: str) -> int:
+    n, d = x
+    if n is None:
+        raise EvalError("%s must be finite" % what)
+    if n % d:
+        raise EvalError("%s must be a natural number, got %s" % (what, _text(n, d)))
+    return n // d
+
+
+def _integer(x: Pair, what: str) -> int:
+    n, d = x
+    if n is None or n % d:
+        raise EvalError("%s must be an integer, got %s" % (what, _text(n, d)))
+    return n // d
+
+
+# the same checks on an XReal, for an evaluator that computes in XReal
+# values (the tests' reference evaluator)
 
 
 def _nat(x: XReal, what: str) -> int:
-    if x.is_infinite:
-        raise EvalError("%s must be finite" % what)
-    if x.q.denominator != 1 or x.q < 0:
-        raise EvalError("%s must be a natural number, got %s" % (what, x.q))
-    return int(x.q)
+    q = x.q
+    return _natural(_INF if q is None else (q.numerator, q.denominator), what)
 
 
 def _int_arg(x: XReal, what: str) -> int:
-    if x.is_infinite or x.q.denominator != 1:
-        raise EvalError("%s must be an integer, got %s" % (what, x))
-    return int(x.q)
+    q = x.q
+    return _integer(_INF if q is None else (q.numerator, q.denominator), what)
 
 
 def harmonic_number(m: int) -> Fraction:
     # summed in a loop: one recursion per term overflows the C stack
-    total = Fraction(0)
+    n, d = _ZERO
     for k in range(1, m + 1):
-        total += Fraction(1, k)
-    return total
+        n, d = _sum(n, d, 1, k)
+    return Fraction(n, d)
 
 
 def rw_coefficient(n: int, k: int) -> Fraction:

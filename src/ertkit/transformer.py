@@ -36,17 +36,32 @@ The table's keys hold `id()`s of program nodes, so they are valid only
 while those nodes live; the table keeps every program evaluated against it
 for that reason.
 
+States are keyed by identity too.  Every state an engine sees is the
+table's interned object (`StepTable.states`): `StepTable.expected_runtime`
+and `char_functional`'s `apply` intern the state they are given, and
+`_assign` interns each successor before a continuation reads it (a
+successor given only to the zero run-time, which reads no state, is not
+kept).  So the memo, the loop memo, the guard and support rows and a
+post-run-time's values key a state by its `id()`, and `State.__hash__` and
+`__eq__` run only when a state is interned.  This rests on one invariant:
+every state whose id is a key is held by `StepTable.states` for as long as
+the table lives, and nothing that keys states outlives the table it was
+used with.  A dropped state's id could be reused by another state, which
+would then find the dropped one's entries.
+
 A side whose weight has numerator 0 is impossible and never evaluated.
 Each node sums its weighted successors unreduced with `_add` and reduces
 the sum with one gcd at its end.  A zero successor value adds nothing, a
 weight with denominator 1 (certain, since weights lie in (0, 1]) is not
 multiplied, a term over the sum's own denominator (or over a whole sum)
 adds without a gcd, and infinity absorbs the rest of the sum; since
-zero-weight branches are skipped, the product 0 * inf never arises.  `Fraction` and `XReal` appear only where a value
-enters the engine (a run-time expression, a table, an annotation's bound)
-and where one leaves it, at the three entry points.  A post-run-time enters
-once per state: its continuation keeps each state's value for as long as it
-lives.
+zero-weight branches are skipped, the product 0 * inf never arises.  A
+run-time expression (a post-run-time or an annotation's bound) enters the
+engine as an int pair, from `semantics.eval_rt_pair`; a `Fraction` enters
+only from the step semantics (guard weights and supports), and an `XReal`
+only from a post-run-time given as a function.  An `XReal` leaves at the
+three entry points.  A post-run-time enters once per state: its
+continuation keeps each state's value for as long as it lives.
 
 An annotated loop is replaced by its certified lower bound when it is
 applied to the zero post-run-time, the one the bound was certified against.
@@ -61,7 +76,7 @@ from math import gcd
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .kernel import INF, ZERO, KernelError, State, XReal, _deep_stack
-from .semantics import eval_dist, eval_expr, eval_guard, eval_rt
+from .semantics import eval_dist, eval_expr, eval_guard, eval_rt_pair
 from .syntax import (
     Annotated, Empty, Halt, If, NdChoice, ProbAssign, Program, RtExpr,
     RT_ZERO, Seq, Skip, VarTarget, While, WhileBounded, unfold_once,
@@ -199,14 +214,20 @@ def _as_cont(f: RunTime) -> _Cont:
     once per state and keeps it for as long as the continuation lives."""
     if f is None or f == RT_ZERO:
         return ZERO_CONT
-    values: Dict[State, Val] = {}
+    # keyed by the id of an interned state, which the step table keeps alive
+    values: Dict[int, Val] = {}
 
     def value(engine: "_Engine", sigma: State) -> Val:
-        v = values.get(sigma)
+        v = values.get(id(sigma))
         if v is None:
-            # eval_rt is looked up when called, so a patched one is seen
-            x = f(sigma) if callable(f) else eval_rt(f, sigma)
-            v = values[sigma] = _val_of(x, False)
+            if callable(f):
+                v = _val_of(f(sigma), False)
+            else:
+                # the module's eval_rt_pair is read at each call, so a
+                # patched one is seen
+                n, d = eval_rt_pair(f, sigma)
+                v = (n, d, False)
+            values[id(sigma)] = v
         return v
 
     return _Cont(value)
@@ -220,12 +241,13 @@ class StepTable:
     """The step semantics of the programs evaluated against the table.
 
     It holds each guard's branch weights `(tn, fn, d)`, keyed by
-    `(id(guard), state)`, and each assignment's support, keyed by
-    `(id(assignment), state)`: one `[pn, pd, value, successor]` entry per
-    point of the support, whose successor state `_assign` fills in just
+    `(id(guard), id(state))`, and each assignment's support, keyed by
+    `(id(assignment), id(state))`: one `[pn, pd, value, successor]` entry
+    per point of the support, whose successor state `_assign` fills in just
     before its continuation first runs (unless that is the zero run-time).
-    Successor states are interned, so that a state reached from many others
-    is held once.  None of it depends
+    `states` interns every state an engine keys, so that a state reached
+    from many others is held once and its id stays its own for the table's
+    lifetime.  None of it depends
     on the post-run-time, the continuation or the unroll depth, so any
     number of evaluations may share one table.  The keys are valid only
     while the nodes they name live, so the table keeps every program
@@ -255,8 +277,10 @@ class StepTable:
         """`expected_runtime`, in an engine of its own that shares this
         table."""
         engine = self.engine(program, config or ErtConfig())
+        sigma = sigma or State()
+        sigma = self.states.setdefault(sigma, sigma)
         with _deep_stack():
-            n, d, tainted = engine.eval(program, sigma or State(), _as_cont(f))
+            n, d, tainted = engine.eval(program, sigma, _as_cont(f))
         if n is None:
             tainted = False
         # one entry per distinct bound, not one per substitution site
@@ -303,7 +327,7 @@ class _Engine:
     def guard(self, g, sigma: State) -> Tuple[int, int, int]:
         """The branch weights (tn, fn, d) of Pr[true] = tn/d and
         Pr[false] = fn/d; a zero numerator marks an impossible side."""
-        key = (id(g), sigma)
+        key = (id(g), id(sigma))
         w = self.guards.get(key)
         if w is None:
             p = eval_guard(g, sigma)
@@ -314,7 +338,7 @@ class _Engine:
     def support(self, p: ProbAssign, sigma: State) -> List[list]:
         """The support of an assignment as [pn, pd, value, successor]
         entries, each successor None until `_assign` makes it."""
-        key = (id(p), sigma)
+        key = (id(p), id(sigma))
         entries = self.supports.get(key)
         if entries is None:
             entries = self.supports[key] = [
@@ -328,7 +352,7 @@ class _Engine:
         while p.__class__ is Seq:
             cont = self.seq_cont(p.second, cont)
             p = p.first
-        key = (id(p), sigma, id(cont))
+        key = (id(p), id(sigma), id(cont))
         hit = self.memo.get(key)
         if hit is None:
             rule = _RULES.get(p.__class__)
@@ -344,7 +368,7 @@ class _Engine:
         reached its fixed point, which taints the result; a `WhileBounded`
         that runs out is just the program's own semantics.
         """
-        key = (id(loop), depth, sigma, id(cont))
+        key = (id(loop), depth, id(sigma), id(cont))
         hit = self.memo.get(key)
         if hit is not None:
             return hit
@@ -448,7 +472,8 @@ def _while_bounded(engine: _Engine, p: WhileBounded, sigma: State, cont: _Cont) 
 def _annotated(engine: _Engine, p: Annotated, sigma: State, cont: _Cont) -> Val:
     if cont is ZERO_CONT:
         engine.annotations_used.append(rt_to_text(p.bound))
-        return _val_of(eval_rt(p.bound, sigma), True)
+        n, d = eval_rt_pair(p.bound, sigma)
+        return n, d, True
     return engine._bounded(p.loop, engine.config.max_unroll_depth, sigma, cont)
 
 
@@ -516,6 +541,7 @@ def char_functional(loop: Union[While, Annotated], f: RunTime):
         if last[2] is None or last[0] is not X:
             last[:] = X, _as_cont(X), steps.engine(loop, cfg)
         _, x_cont, engine = last
+        sigma = steps.states.setdefault(sigma, sigma)
         with _deep_stack():
             n, d, tainted = engine.step(loop.guard, loop.body, sigma, x_cont, f_cont)
         return _xreal(n, d), tainted

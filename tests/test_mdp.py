@@ -927,6 +927,17 @@ def test_corpus_and_golden_models_match_the_oracle():
         assert _assert_matches_oracle(program, sigma, f, 200_000)
 
 
+def test_a_loop_body_reached_before_its_loop_shares_the_unfolding():
+    # a branch that is the loop's own body object, followed by the loop,
+    # composes the same sequence as the loop's unfolding: one exec target
+    W = parse_program("while (x > 0) { x := x - 1 }")
+    program = Seq(NdChoice(W.body, Skip()), W)
+    sigma = State({"x": 3})
+    assert _assert_matches_oracle(program, sigma, RT_ZERO, 1_000)
+    assert build_mdp(program, sigma, RT_ZERO).node_count == 20
+    assert expected_runtime(program, None, sigma).value == XReal(8)
+
+
 def test_node_cap_admits_exactly_the_reachable_nodes():
     trunc = ENTRIES["trunc"].program()
     assert build_mdp(trunc, State(), RT_ZERO, node_cap=8).node_count == 8

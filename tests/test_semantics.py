@@ -1,3 +1,4 @@
+import math
 import sys
 import typing
 from fractions import Fraction
@@ -6,18 +7,22 @@ import pytest
 
 import semantics_oracle
 from ertkit import semantics, transformer
-from ertkit.kernel import INF, KernelError, KindMismatch, State, XReal
+from ertkit.kernel import (
+    INF, IndexOutOfBounds, KernelError, KindMismatch, State, XReal,
+)
 from ertkit.parser import parse_program, parse_rt
 from ertkit.props import run_property_suite, sweep_triples
 from ertkit.semantics import (
     DivByZero,
     EmptyUniformRange,
     EvalError,
+    MonusOfInfinities,
     UnboundVariable,
     eval_dist,
     eval_expr,
     eval_guard,
     eval_rt,
+    eval_rt_pair,
     harmonic_number,
     rw_coefficient,
 )
@@ -346,7 +351,9 @@ def test_evaluators_match_the_parent_on_the_property_suite(monkeypatch):
 
         return call
 
-    for name, kind in (("eval_dist", "dist"), ("eval_guard", "guard"), ("eval_rt", "rt")):
+    for name, kind in (
+        ("eval_dist", "dist"), ("eval_guard", "guard"), ("eval_rt_pair", "rt")
+    ):
         monkeypatch.setattr(transformer, name, recording(kind, getattr(transformer, name)))
     report = run_property_suite(seed=42, count=200)
     monkeypatch.undo()
@@ -359,3 +366,111 @@ def test_evaluators_match_the_parent_on_the_property_suite(monkeypatch):
             assert _outcome(new, t, *args) == _outcome(old, t, *args), (kind, t, sigma)
         kinds[kind] += 1
     assert min(kinds.values()) >= 100, kinds
+
+
+# ---------------------------------------------------------------------------
+# the pair evaluator on what the generators never draw
+
+
+def _rt_outcome(fn, f, sigma, bind):
+    """What a run-time evaluation gives: (exception class, message) or the
+    value with the type of its number."""
+    try:
+        out = fn(f, sigma, bind)
+    except (KernelError, ValueError) as e:
+        return type(e), str(e)
+    return type(out.q), out.q
+
+
+_RT_STATE = State({"x": 3, "y": -2, "b": True, "a": (1, 2), "flags": (False,)})
+
+# (run-time, bindings, the exception class it raises or None)
+_RT_CASES = [
+    ("inf - inf", None, MonusOfInfinities),
+    ("inf - 3", None, None),
+    ("3 - inf", None, None),
+    ("2 - x", None, None),
+    ("x / 2 - 1/3", None, None),
+    ("x / 6 - 1/2", None, None),
+    ("1 / [x > 100]", None, DivByZero),
+    ("inf / [x > 100]", None, DivByZero),
+    ("1 / inf", None, EvalError),
+    ("inf / 2", None, None),
+    ("x / (x / 6)", None, None),
+    ("0 * inf", None, None),
+    ("inf * 0", None, None),
+    ("inf * (x / 6)", None, None),
+    ("[x > 100] * (1 / [x > 100])", None, None),
+    ("2 ^ (1/2)", None, EvalError),
+    ("2 ^ (x / 6)", None, EvalError),
+    ("2 ^ inf", None, EvalError),
+    ("2 ^ (x / 3)", None, None),
+    ("inf ^ 0", None, None),
+    ("inf ^ 2", None, None),
+    ("(x / 6) ^ 3", None, None),
+    ("0 ^ 0", None, None),
+    ("sum(k, 0, 1/2, k)", None, EvalError),
+    ("sum(k, 0, x / 6, k)", None, EvalError),
+    ("sum(k, 0, inf, k)", None, EvalError),
+    ("sum(k, 1, x, k / 2)", None, None),
+    ("sum(k, 0, 2, [k = 0] * inf + 1 / [k < 2])", None, DivByZero),
+    ("sum(k, 0, 1, [k = 0] * inf + k)", None, None),
+    ("n", None, UnboundVariable),
+    ("n", {"n": -1}, ValueError),
+    ("n / 2 + 1", {"n": 3}, None),
+    ("y", None, EvalError),
+    ("b", None, KindMismatch),
+    ("a[2] + a[1]", None, None),
+    ("a[3]", None, IndexOutOfBounds),
+    ("flags[1]", None, KindMismatch),
+    ("harmonic(x / 3)", None, None),
+    ("harmonic(0)", None, None),
+    ("harmonic(1/2)", None, EvalError),
+    ("harmonic(inf)", None, EvalError),
+    ("rwcoef(x, 1)", None, None),
+    ("rwcoef(1, 5)", None, None),
+    ("rwcoef(x / 6, 0)", None, EvalError),
+    ("rwcoef(2, inf)", None, EvalError),
+    ("min(x / 6, 1/2)", None, None),
+    ("max(1/2, x / 6)", None, None),
+    ("min(inf, 3)", None, None),
+    ("max(inf, 3)", None, None),
+    ("min(inf, inf) + max(2, inf)", None, None),
+    ("geoseries(x / 6)", None, None),
+    ("geoseries(1)", None, None),
+    ("geoseries(inf)", None, None),
+    ("[x > 0] + [b] * inf", None, None),
+]
+
+
+@pytest.mark.parametrize("text, bind, raises", _RT_CASES)
+def test_the_pair_evaluator_matches_the_parent(text, bind, raises):
+    f = parse_rt(text)
+    want = _rt_outcome(semantics_oracle.eval_rt, f, _RT_STATE, bind)
+    assert _rt_outcome(eval_rt, f, _RT_STATE, bind) == want
+    if raises is None:
+        q = want[1]
+        pair = (None, 1) if q is None else (q.numerator, q.denominator)
+        assert eval_rt_pair(f, _RT_STATE, bind) == pair
+    else:
+        assert want[0] is raises
+        with pytest.raises(raises) as info:
+            eval_rt_pair(f, _RT_STATE, bind)
+        assert str(info.value) == want[1]
+
+
+def test_the_pair_evaluator_cases_cover_every_run_time_class():
+    seen = {
+        t.__class__ for text, _, _ in _RT_CASES for t in _rt_subterms(parse_rt(text), [])
+    }
+    assert seen == set(typing.get_args(RtExpr))
+    assert set(semantics._RT_RULES) == seen
+
+
+def test_a_written_out_harmonic_sum_is_summed_over_the_lcm():
+    f = parse_rt(" + ".join("1/%d" % k for k in range(1, 201)))
+    assert eval_rt(f, State()) == XReal(harmonic_number(200))
+    assert eval_rt(f, State()) == semantics_oracle.eval_rt(f, State())
+    # over the product of the denominators it would have 375 digits
+    n, d = semantics._rt(f, State(), None)
+    assert d <= math.lcm(*range(1, 201))

@@ -353,12 +353,13 @@ def test_a_post_run_time_is_read_once_per_state(monkeypatch):
 
     assert expected_runtime(prog, f, State({"x": 0})).value == XReal(5)
     assert calls == [State({"x": 1})]
-    # a run-time expression goes through the module's eval_rt, looked up
-    # when the value is needed
+    # a run-time expression goes through the module's eval_rt_pair, looked
+    # up when the value is needed
     calls.clear()
-    eval_rt = transformer.eval_rt
+    eval_rt_pair = transformer.eval_rt_pair
     monkeypatch.setattr(
-        transformer, "eval_rt", lambda g, s: calls.append(s) or eval_rt(g, s)
+        transformer, "eval_rt_pair",
+        lambda g, s: calls.append(s) or eval_rt_pair(g, s),
     )
     assert expected_runtime(prog, parse_rt("x + 2"), State({"x": 0})).value == XReal(5)
     assert calls == [State({"x": 1})]
@@ -837,6 +838,77 @@ def test_a_table_holds_one_object_per_successor_state():
     successors = [entry[3] for row in steps.supports.values() for entry in row]
     assert len(successors) == 2 and successors[0] is successors[1]
     assert successors[0] == State({"x": 1})
+
+
+def _record_engines(monkeypatch):
+    built = []
+
+    class RecordingEngine(transformer._Engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(transformer, "_Engine", RecordingEngine)
+    return built
+
+
+def _memo_state_ids(engine):
+    # (head, state, continuation) and (loop, depth, state, continuation)
+    return {key[-2] for key in engine.memo}
+
+
+def test_every_state_an_engine_keys_is_held_by_its_table(monkeypatch):
+    # the engines key states by id, so every keyed state must live as long
+    # as the table, or a later state could take its id
+    built = _record_engines(monkeypatch)
+    read = []
+    eval_rt_pair = transformer.eval_rt_pair
+    monkeypatch.setattr(
+        transformer, "eval_rt_pair", lambda g, s: read.append(s) or eval_rt_pair(g, s)
+    )
+    prog = parse_program(
+        "while (x > 0) { x :~ 1/2*<x - 1> + 1/2*<x> }; "
+        "if (y = 0) { y := 1 } else { skip }"
+    )
+    steps = transformer.StepTable()
+    for f in (None, parse_rt("x + y"), lambda s: read.append(s) or ONE):
+        steps.expected_runtime(prog, f, State({"x": 3, "y": 0}))
+    held = {id(s) for s in steps.states.values()}
+    keyed = set().union(*map(_memo_state_ids, built))
+    keyed |= {key[1] for key in steps.guards} | {key[1] for key in steps.supports}
+    keyed |= set(map(id, read))
+    assert len(built) == 3 and read and keyed <= held
+    assert all(steps.states[s] is s for s in read)
+
+
+def test_equal_entry_states_share_one_object_and_one_guard_row(monkeypatch):
+    built = _record_engines(monkeypatch)
+    prog = parse_program("if (x > 0) { x := x - 1 } else { skip }")
+    steps = transformer.StepTable()
+    first, second = State({"x": 2}), State({"x": 2})
+    assert steps.expected_runtime(prog, parse_rt("x"), first).value == XReal(3)
+    rows = dict(steps.guards)
+    assert steps.expected_runtime(prog, parse_rt("x"), second).value == XReal(3)
+    assert steps.guards == rows and len(rows) == 1
+    assert steps.states[second] is first
+    assert _memo_state_ids(built[0]) == _memo_state_ids(built[1])
+
+
+def test_char_functional_at_a_state_not_interned():
+    # each state is made for one application and dropped after it, so its
+    # id is free for the next one; F must key what it keeps by the table's
+    # own object, and give the value it gives at that object
+    loop = while_loops(parse_program("while (x > 0) { x := x - 1 }"))[0]
+    f = parse_rt("x + 1")
+
+    def X(s):
+        return XReal(2 * s.get("x"))
+
+    F = char_functional(loop, f)
+    want = [xreal_engine.char_functional(loop, f)(X, State({"x": k})) for k in range(30)]
+    assert [F(X, State({"x": k})) for k in range(30)] == want
+    kept = [State({"x": k}) for k in range(30)]
+    assert [F(X, s) for s in kept] == want
 
 
 def test_an_assignment_that_returns_to_its_own_state():
