@@ -7,12 +7,21 @@ fixed-length array to a tuple of them.  A variable keeps its kind (int,
 bool or array) and an array its length.  Everything here is immutable.  The
 module also holds the scoped recursion limit that both the transformer and
 the model builder evaluate under, so neither imports the other for it.
+
+The module is also the one home of the exact int-pair format (`Pair`), in
+which the run-time evaluator of `semantics` and the transformer's engine
+compute: one weighted sum over the lcm (`pair_sum`), one reduction to
+lowest terms (`pair_lowest`), one order with infinity on top (`pair_le`),
+and one conversion each way between a pair and an `XReal` (`XReal.of_pair`
+and `XReal.pair`).  The model's solver keeps its own arithmetic, so that a
+defect here shows when the legs are compared.
 """
 from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
 
 RationalLike = Union[int, Fraction]
@@ -58,6 +67,17 @@ class XReal:
         x = _new(XReal)
         x.q = q
         return x
+
+    @staticmethod
+    def of_pair(n: Optional[int], d: int) -> "XReal":
+        """The value of a pair `(n, d)`, in any terms."""
+        return INF if n is None else _of(Fraction(n, d))
+
+    @property
+    def pair(self) -> "Pair":
+        """The value as a pair in lowest terms, `(None, 1)` for infinity."""
+        q = self.q
+        return (None, 1) if q is None else (q.numerator, q.denominator)
 
     @property
     def is_infinite(self) -> bool:
@@ -141,6 +161,61 @@ def _coerce(x: Union[XReal, RationalLike]) -> XReal:
 ZERO = XReal(0)
 ONE = XReal(1)
 INF = XReal(None)
+
+
+# A run-time as a pair of Python ints (n, d): the value n/d with n >= 0 and
+# d > 0, or infinity when n is None.  A pair need not be in lowest
+# terms; `pair_lowest` reduces it where a value leaves a computation.
+Pair = Tuple[Optional[int], int]
+
+
+def pair_sum(
+    n: Optional[int], d: int, pn: int, pd: int, vn: Optional[int], vd: int
+) -> Pair:
+    """n/d + (pn/pd) * (vn/vd), unreduced, for a weight 0 < pn/pd <= 1.
+
+    Infinity absorbs the sum.  A plain sum is the weight 1/1.  Probability
+    weights lie in (0, 1] by construction (the parser checks that weights
+    lie in [0, 1] and sum to one, a uniform weight is 1/n, and zero-weight
+    entries and impossible guard sides are never summed), so pd == 1 means
+    the weight is 1.  The sum is taken over the lcm of the denominators, so
+    that a long sum of terms with many distinct denominators grows like
+    their lcm, not like their product.
+    """
+    if n is None or vn is None:
+        return None, 1
+    if not vn:
+        return n, d
+    if pd != 1:
+        vn *= pn
+        vd *= pd
+    if vd == d:
+        return n + vn, d
+    if d == 1:
+        return n * vd + vn, vd
+    if vd == 1:
+        return n + vn * d, d
+    g = gcd(d, vd)
+    s = d // g
+    return n * (vd // g) + vn * s, s * vd
+
+
+def pair_lowest(n: Optional[int], d: int) -> Pair:
+    """The pair in lowest terms, with one gcd."""
+    if n is not None and d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            return n // g, d // g
+    return n, d
+
+
+def pair_le(n: Optional[int], d: int, m: Optional[int], e: int) -> bool:
+    """n/d <= m/e, infinity on top."""
+    if m is None:
+        return True
+    if n is None:
+        return False
+    return n * e <= m * d
 
 
 # Values are plain Python: bool, int, and a tuple of ints for a whole array.

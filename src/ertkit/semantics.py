@@ -14,25 +14,25 @@ merge: two entries of a weighted list with the same value of the same kind
 guard with no true entry gives one shared `0`.  Fractions are immutable, so
 sharing them is safe.
 
-A run-time expression is evaluated in pairs of Python ints `(n, d)`, with
-`n = None` for infinity, by one rule per expression class (`_RT_RULES`).
-Sums are taken over the lcm of the denominators, and a pair is reduced with
-one gcd only where it leaves the evaluator, before `**`, and before it is
+A run-time expression is evaluated in the int pairs `(n, d)` of `kernel`,
+with `n = None` for infinity, by one rule per expression class
+(`_RT_RULES`).  The pair format and its sum, reduction, order and `XReal`
+conversions live in `kernel`, which the transformer's engine shares.  Sums
+are taken over the lcm of the denominators, and a pair is reduced with one
+gcd only where it leaves the evaluator, before `**`, and before it is
 printed into an error message.  `XReal` appears only at the boundary:
-`eval_rt` builds one from the final pair, and `eval_rt_pair` gives the
-final pair itself, in lowest terms, to the transformer, whose engine
-computes in the same pairs.
+`eval_rt` is the `XReal` of the final pair, and `eval_rt_pair` gives the
+final pair itself, in lowest terms, to the transformer.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import gcd
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .kernel import (
-    INF, EvalError, KindMismatch, State, UnboundVariable, Value, XReal,
-    value_kind,
+    EvalError, KindMismatch, Pair, State, UnboundVariable, Value, XReal,
+    pair_le, pair_lowest, pair_sum, value_kind,
 )
 from .syntax import (
     And, ArrayLit, BinOp, BoolLit, CellRef, Cmp, Dirac, DistExpr, Expr,
@@ -40,10 +40,6 @@ from .syntax import (
     RAdd, RCell, RDiv, RInf, RLit, RMax, RMin, RMonus, RMul, RPow, RVar,
     RtExpr, RwCoef, Uniform, VarRef, WeightedList,
 )
-
-
-# the trusted XReal constructor, for values non-negative by construction
-_of = XReal._of
 
 
 class EmptyUniformRange(EvalError):
@@ -218,10 +214,7 @@ def eval_guard(g: DistExpr, sigma: State) -> Fraction:
 # ---------------------------------------------------------------------------
 # run-time expressions
 
-# an evaluator value: numerator (None for infinity) and denominator d > 0,
-# not necessarily in lowest terms
-Pair = Tuple[Optional[int], int]
-
+# an evaluator value is a kernel `Pair`, not necessarily in lowest terms
 _INF: Pair = (None, 1)
 _ZERO: Pair = (0, 1)
 _ONE: Pair = (1, 1)
@@ -230,9 +223,8 @@ _ONE: Pair = (1, 1)
 def eval_rt(
     f: RtExpr, sigma: State, bind: Optional[Bindings] = None
 ) -> XReal:
-    n, d = _rt(f, sigma, bind)
-    # Fraction(n, d) reduces with the one gcd
-    return INF if n is None else _of(Fraction(n, d))
+    # the XReal of `eval_rt_pair`: of_pair reduces with the one gcd
+    return XReal.of_pair(*_rt(f, sigma, bind))
 
 
 def eval_rt_pair(
@@ -240,7 +232,7 @@ def eval_rt_pair(
 ) -> Pair:
     """`eval_rt`'s value as a pair in lowest terms, `(None, 1)` for
     infinity: the form an engine that computes in int pairs reads."""
-    return _lowest(*_rt(f, sigma, bind))
+    return pair_lowest(*_rt(f, sigma, bind))
 
 
 def _rt(f: RtExpr, sigma: State, bind: Optional[Bindings]) -> Pair:
@@ -248,52 +240,6 @@ def _rt(f: RtExpr, sigma: State, bind: Optional[Bindings]) -> Pair:
     if rule is None:
         raise TypeError(f)
     return rule(f, sigma, bind)
-
-
-def _lowest(n: Optional[int], d: int) -> Pair:
-    if n is not None and d != 1:
-        g = gcd(n, d)
-        if g != 1:
-            return n // g, d // g
-    return n, d
-
-
-def _sum(n: Optional[int], d: int, m: Optional[int], e: int) -> Pair:
-    """n/d + m/e, unreduced, over the lcm of the two denominators, so that
-    a long sum of terms with many distinct denominators grows like their
-    lcm, not like their product."""
-    if n is None or m is None:
-        return _INF
-    if not m:
-        return n, d
-    if not n:
-        return m, e
-    if d == e:
-        return n + m, d
-    if d == 1:
-        return n * e + m, e
-    if e == 1:
-        return n + m * d, d
-    g = gcd(d, e)
-    s = d // g
-    return n * (e // g) + m * s, s * e
-
-
-def _le(a: Pair, b: Pair) -> bool:
-    """a <= b, infinity on top."""
-    if b[0] is None:
-        return True
-    if a[0] is None:
-        return False
-    return a[0] * b[1] <= b[0] * a[1]
-
-
-def _text(n: Optional[int], d: int) -> str:
-    """A value as an error message prints it, as `XReal` and `Fraction` do."""
-    if n is None:
-        return "inf"
-    n, d = _lowest(n, d)
-    return str(n) if d == 1 else "%d/%d" % (n, d)
 
 
 def _rt_lit(f: RLit, sigma: State, bind: Optional[Bindings]) -> Pair:
@@ -327,7 +273,7 @@ def _rt_indicator(f: Indicator, sigma: State, bind: Optional[Bindings]) -> Pair:
 def _rt_add(f: RAdd, sigma: State, bind: Optional[Bindings]) -> Pair:
     n, d = _rt(f.left, sigma, bind)
     m, e = _rt(f.right, sigma, bind)
-    return _sum(n, d, m, e)
+    return pair_sum(n, d, 1, 1, m, e)
 
 
 def _rt_monus(f: RMonus, sigma: State, bind: Optional[Bindings]) -> Pair:
@@ -371,18 +317,18 @@ def _rt_pow(f: RPow, sigma: State, bind: Optional[Bindings]) -> Pair:
     n, d = _rt(f.base, sigma, bind)
     if n is None:
         return _ONE if k == 0 else _INF
-    n, d = _lowest(n, d)
+    n, d = pair_lowest(n, d)
     return n ** k, d ** k
 
 
 def _rt_min(f: RMin, sigma: State, bind: Optional[Bindings]) -> Pair:
     a, b = _rt(f.left, sigma, bind), _rt(f.right, sigma, bind)
-    return a if _le(a, b) else b
+    return a if pair_le(*a, *b) else b
 
 
 def _rt_max(f: RMax, sigma: State, bind: Optional[Bindings]) -> Pair:
     a, b = _rt(f.left, sigma, bind), _rt(f.right, sigma, bind)
-    return b if _le(a, b) else a
+    return b if pair_le(*a, *b) else a
 
 
 def _rt_sum(f: FiniteSum, sigma: State, bind: Optional[Bindings]) -> Pair:
@@ -395,7 +341,7 @@ def _rt_sum(f: FiniteSum, sigma: State, bind: Optional[Bindings]) -> Pair:
     for k in range(lo, hi + 1):
         inner[f.var] = k
         m, e = _rt(f.body, sigma, inner)
-        n, d = _sum(n, d, m, e)
+        n, d = pair_sum(n, d, 1, 1, m, e)
     return n, d
 
 
@@ -459,36 +405,26 @@ def _natural(x: Pair, what: str) -> int:
     if n is None:
         raise EvalError("%s must be finite" % what)
     if n % d:
-        raise EvalError("%s must be a natural number, got %s" % (what, _text(n, d)))
+        raise EvalError(
+            "%s must be a natural number, got %s" % (what, XReal.of_pair(n, d))
+        )
     return n // d
 
 
 def _integer(x: Pair, what: str) -> int:
     n, d = x
     if n is None or n % d:
-        raise EvalError("%s must be an integer, got %s" % (what, _text(n, d)))
+        raise EvalError(
+            "%s must be an integer, got %s" % (what, XReal.of_pair(n, d))
+        )
     return n // d
-
-
-# the same checks on an XReal, for an evaluator that computes in XReal
-# values (the tests' reference evaluator)
-
-
-def _nat(x: XReal, what: str) -> int:
-    q = x.q
-    return _natural(_INF if q is None else (q.numerator, q.denominator), what)
-
-
-def _int_arg(x: XReal, what: str) -> int:
-    q = x.q
-    return _integer(_INF if q is None else (q.numerator, q.denominator), what)
 
 
 def harmonic_number(m: int) -> Fraction:
     # summed in a loop: one recursion per term overflows the C stack
     n, d = _ZERO
     for k in range(1, m + 1):
-        n, d = _sum(n, d, 1, k)
+        n, d = pair_sum(n, d, 1, 1, 1, k)
     return Fraction(n, d)
 
 

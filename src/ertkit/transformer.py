@@ -21,7 +21,7 @@ does the loop's least fixed point.  One that does reach the cutoff is
 reported as a lower bound, which is always sound since bounded unrollings
 approximate the fixed point from below.
 
-Inside the engine a value is a pair of Python ints `(n, d)` in lowest
+Inside the engine a value is an int pair `(n, d)` of `kernel` in lowest
 terms, with `n = None` for infinity, plus the taint flag.  What the engine
 computes that depends on neither the post-run-time, nor the continuation,
 nor the unroll depth lives in a step table (`StepTable`): each guard's pair
@@ -50,17 +50,20 @@ used with.  A dropped state's id could be reused by another state, which
 would then find the dropped one's entries.
 
 A side whose weight has numerator 0 is impossible and never evaluated.
-Each node sums its weighted successors unreduced with `_add` and reduces
-the sum with one gcd at its end.  A zero successor value adds nothing, a
-weight with denominator 1 (certain, since weights lie in (0, 1]) is not
-multiplied, a term over the sum's own denominator (or over a whole sum)
-adds without a gcd, and infinity absorbs the rest of the sum; since
-zero-weight branches are skipped, the product 0 * inf never arises.  A
-run-time expression (a post-run-time or an annotation's bound) enters the
-engine as an int pair, from `semantics.eval_rt_pair`; a `Fraction` enters
-only from the step semantics (guard weights and supports), and an `XReal`
-only from a post-run-time given as a function.  An `XReal` leaves at the
-three entry points.  A post-run-time enters once per state: its
+Each node sums its weighted successors unreduced with `kernel.pair_sum`
+and reduces the sum with one gcd at its end (`kernel.pair_lowest`); the
+pair format and its arithmetic live in `kernel`, shared with the run-time
+evaluator of `semantics`.  A zero successor value adds nothing, a weight
+with denominator 1 (certain, since weights lie in (0, 1]) is not
+multiplied, a term over the sum's own denominator, or a sum or term that is
+a whole number, adds without a gcd, and infinity absorbs the rest of the
+sum; since zero-weight branches are skipped, the product 0 * inf never
+arises.  A run-time expression (a post-run-time or an annotation's bound)
+enters the engine as an int pair, from `semantics.eval_rt_pair`; a
+`Fraction` enters only from the step semantics (guard weights and
+supports), and an `XReal` only from a post-run-time given as a function
+(`XReal.pair`).  An `XReal` leaves at the three entry points
+(`XReal.of_pair`).  A post-run-time enters once per state: its
 continuation keeps each state's value for as long as it lives.
 
 An annotated loop is replaced by its certified lower bound when it is
@@ -71,11 +74,11 @@ lower bound for the whole program.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .kernel import INF, ZERO, KernelError, State, XReal, _deep_stack
+from .kernel import (
+    ZERO, KernelError, State, XReal, _deep_stack, pair_le, pair_lowest, pair_sum,
+)
 from .semantics import eval_dist, eval_expr, eval_guard, eval_rt_pair
 from .syntax import (
     Annotated, Empty, Halt, If, NdChoice, ProbAssign, Program, RtExpr,
@@ -94,54 +97,6 @@ Loop = Union[While, WhileBounded]
 # A run-time as the entry points take it: an expression, a function from
 # states to XReal, or None for the zero run-time.
 RunTime = Union[RtExpr, Callable[[State], XReal], None]
-
-
-def _add(
-    n: Optional[int], d: int, pn: int, pd: int, vn: Optional[int], vd: int
-) -> Tuple[Optional[int], int]:
-    """n/d + (pn/pd) * (vn/vd), unreduced, for a weight 0 < pn/pd <= 1.
-
-    A None numerator is infinity, which absorbs the sum.  Probability
-    weights lie in (0, 1] by construction (the parser checks that weights
-    lie in [0, 1] and sum to one, a uniform weight is 1/n, and zero-weight
-    entries and impossible guard sides are never summed), so pd == 1 means
-    the weight is 1.
-    """
-    if n is None or vn is None:
-        return None, 1
-    if not vn:
-        return n, d
-    if pd != 1:
-        vn *= pn
-        vd *= pd
-    if vd == d:
-        return n + vn, d
-    if d == 1:
-        return n * vd + vn, vd
-    # add over the lcm, so that a long sum of terms with many distinct
-    # denominators grows like their lcm, not like their product
-    g = gcd(d, vd)
-    s = d // g
-    return n * (vd // g) + vn * s, s * vd
-
-
-def _reduced(n: Optional[int], d: int, tainted: bool) -> Val:
-    """A node's sum in lowest terms: the node's one gcd."""
-    if n is not None and d != 1:
-        g = gcd(n, d)
-        if g != 1:
-            return n // g, d // g, tainted
-    return n, d, tainted
-
-
-def _xreal(n: Optional[int], d: int) -> XReal:
-    return INF if n is None else XReal._of(Fraction(n, d))
-
-
-def _val_of(x: XReal, tainted: bool) -> Val:
-    """An XReal entering the engine, as an engine value."""
-    q = x.q
-    return (None, 1, tainted) if q is None else (q.numerator, q.denominator, tainted)
 
 
 class FuelExhausted(KernelError):
@@ -221,7 +176,8 @@ def _as_cont(f: RunTime) -> _Cont:
         v = values.get(id(sigma))
         if v is None:
             if callable(f):
-                v = _val_of(f(sigma), False)
+                n, d = f(sigma).pair
+                v = (n, d, False)
             else:
                 # the module's eval_rt_pair is read at each call, so a
                 # patched one is seen
@@ -286,7 +242,7 @@ class StepTable:
         # one entry per distinct bound, not one per substitution site
         return ErtResult(
             kind="lower" if tainted else "exact",
-            value=_xreal(n, d),
+            value=XReal.of_pair(n, d),
             annotations_used=tuple(dict.fromkeys(engine.annotations_used)),
         )
 
@@ -393,12 +349,13 @@ class _Engine:
         n, d, tainted = 1, 1, False
         if tn:
             vn, vd, tainted = self.eval(body, sigma, rest)
-            n, d = _add(n, d, tn, wd, vn, vd)
+            n, d = pair_sum(n, d, tn, wd, vn, vd)
         if fn:
             vn, vd, t = other.eval(self, sigma)
-            n, d = _add(n, d, fn, wd, vn, vd)
+            n, d = pair_sum(n, d, fn, wd, vn, vd)
             tainted = tainted or t
-        return _reduced(n, d, tainted)
+        n, d = pair_lowest(n, d)
+        return n, d, tainted
 
 
 # ---------------------------------------------------------------------------
@@ -443,18 +400,19 @@ def _assign(engine: _Engine, p: ProbAssign, sigma: State, cont: _Cont) -> Val:
             if cont is not ZERO_CONT:
                 nxt = entry[3] = engine.states.setdefault(nxt, nxt)
         vn, vd, t = cont.eval(engine, nxt)
-        n, d = _add(n, d, pn, pd, vn, vd)
+        n, d = pair_sum(n, d, pn, pd, vn, vd)
         tainted = tainted or t
-    return _reduced(n, d, tainted)
+    n, d = pair_lowest(n, d)
+    return n, d, tainted
 
 
 def _choice(engine: _Engine, p: NdChoice, sigma: State, cont: _Cont) -> Val:
     ln, ld, lt = engine.eval(p.left, sigma, cont)
     rn, rd, rt_ = engine.eval(p.right, sigma, cont)
     # the larger value, infinity on top; on a tie either will do
-    if ln is None or (rn is not None and ln * rd > rn * ld):
-        return ln, ld, lt or rt_
-    return rn, rd, lt or rt_
+    if pair_le(ln, ld, rn, rd):
+        return rn, rd, lt or rt_
+    return ln, ld, lt or rt_
 
 
 def _if(engine: _Engine, p: If, sigma: State, cont: _Cont) -> Val:
@@ -544,7 +502,7 @@ def char_functional(loop: Union[While, Annotated], f: RunTime):
         sigma = steps.states.setdefault(sigma, sigma)
         with _deep_stack():
             n, d, tainted = engine.step(loop.guard, loop.body, sigma, x_cont, f_cont)
-        return _xreal(n, d), tainted
+        return XReal.of_pair(n, d), tainted
 
     return apply
 

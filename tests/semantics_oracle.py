@@ -9,7 +9,8 @@ the public `XReal` constructor.  `ertkit.semantics` now returns each entry's
 own weight and adds only on a merge; the tests compare the two on generated
 guards, distributions and run-time expressions, value for value and type
 for type.  The expression evaluator and the numeric helpers are shared with
-the production module.
+the production module; the natural and integer checks of arguments are the
+oracle's own, on `XReal` values, with the production module's messages.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ from ertkit.kernel import (
 )
 from ertkit.semantics import (
     _CERTAIN, Bindings, DivByZero, EmptyUniformRange, EvalError,
-    MonusOfInfinities, Sampled, UnboundVariable, _as_bool, _as_int, _int_arg,
-    _nat, eval_expr, harmonic_number, rw_coefficient,
+    MonusOfInfinities, Sampled, UnboundVariable, _as_bool, _as_int, eval_expr,
+    harmonic_number, rw_coefficient,
 )
 from ertkit.syntax import (
     ArrayLit, CellRef, Dirac, DistExpr, FiniteSum, GeoSeries, Harmonic,
@@ -170,3 +171,17 @@ def _nonneg(v: Value, name: str) -> XReal:
             % (name, v)
         )
     return XReal(v)
+
+
+def _nat(x: XReal, what: str) -> int:
+    if x.is_infinite:
+        raise EvalError("%s must be finite" % what)
+    if x.q.denominator != 1:
+        raise EvalError("%s must be a natural number, got %s" % (what, x))
+    return x.q.numerator
+
+
+def _int_arg(x: XReal, what: str) -> int:
+    if x.is_infinite or x.q.denominator != 1:
+        raise EvalError("%s must be an integer, got %s" % (what, x))
+    return x.q.numerator

@@ -13,6 +13,9 @@ from ertkit.kernel import (
     UnboundVariable,
     XReal,
     ZERO,
+    pair_le,
+    pair_lowest,
+    pair_sum,
     value_kind,
 )
 
@@ -228,6 +231,43 @@ def test_arithmetic_matches_the_public_constructor(p, q):
         assert _same(q * a, XReal(p * q))
     assert type((a + b).q) in (Fraction, type(None))
     assert type((a * b).q) in (Fraction, type(None))
+
+
+# int pairs in any terms, infinity and zero over d != 1 among them, and
+# weights in (0, 1] with small denominators, so that sums often share one;
+# the weight 1 is the plain sum
+_pairs = st.one_of(
+    st.just((None, 1)),
+    st.builds(
+        lambda n, d, k: (n * k, d * k),
+        st.integers(0, 40), st.integers(1, 12), st.integers(1, 4),
+    ),
+)
+_weights = st.builds(Fraction, st.integers(1, 6), st.integers(1, 6)).filter(lambda p: p <= 1)
+
+
+def _xreal(pair) -> XReal:
+    n, d = pair
+    return XReal(None if n is None else Fraction(n, d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs, st.lists(st.tuples(_weights, _pairs), max_size=8))
+def test_pair_helpers_match_xreal_arithmetic(start, terms):
+    n, d = start
+    expected = _xreal(start)
+    for w, (vn, vd) in terms:
+        before = (n, d)
+        n, d = pair_sum(n, d, w.numerator, w.denominator, vn, vd)
+        expected = expected + XReal(w) * _xreal((vn, vd))
+        # the unreduced sum, its reduction, and the conversions both ways
+        assert _same(XReal.of_pair(n, d), expected)
+        assert pair_lowest(n, d) == expected.pair
+        assert _same(XReal.of_pair(*expected.pair), expected)
+        # the order, infinity on top, both ways round
+        for a, b in ((before, (vn, vd)), ((vn, vd), before), (before, (n, d))):
+            assert pair_le(*a, *b) == (_xreal(a) <= _xreal(b))
+    assert (n is None) == expected.is_infinite
 
 
 def test_negative_values_are_rejected():

@@ -7,20 +7,21 @@ mutants were run.  Every transformer mutant makes the comparison with the
 reference transformer fail (`test_transformer`), and the model mutant
 `model-skip-is-free` the comparison with the model oracle (`test_mdp`).
 `drop_if_tick` is also the mutant that the property suite's tests and
-acceptance criterion 8 must catch.  `guard_drift` and `short_unfold` break
-helpers that the legs share.
+acceptance criterion 8 must catch.  `guard_drift`, `short_unfold` and
+`pair_sum_drift` break helpers that the legs share.
 """
 
+import math
 import sys
 
 import pytest
 
 import test_mdp
-from ertkit import mdp, semantics, syntax, transformer
-from ertkit.kernel import ZERO
+from ertkit import kernel, mdp, semantics, syntax, transformer
+from ertkit.kernel import ZERO, XReal
 from ertkit.props import run_soundness_sweep
 from ertkit.syntax import Annotated, Empty, Halt, If, NdChoice, Seq, Skip, WhileBounded
-from ertkit.transformer import ZERO_CONT, _as_cont, _Engine, _xreal
+from ertkit.transformer import ZERO_CONT, _as_cont, _Engine
 
 SEED, COUNT = 11, 200
 
@@ -92,7 +93,7 @@ def _loop_exit_drops_taint(monkeypatch):
     step = _Engine.step
 
     def untainted(engine, guard, body, sigma, rest, other):
-        exit_ = _as_cont(lambda s: _xreal(*other.eval(engine, s)[:2]))
+        exit_ = _as_cont(lambda s: XReal.of_pair(*other.eval(engine, s)[:2]))
         return step(engine, guard, body, sigma, rest, exit_)
 
     monkeypatch.setattr(_Engine, "step", untainted)
@@ -163,7 +164,27 @@ def short_unfold(monkeypatch):
     _patch_shared(monkeypatch, unfold_once, short)
 
 
+def pair_sum_drift(monkeypatch):
+    """Shared kernel: the int-pair sum over the lcm of two denominators
+    (the general case: they differ and neither is 1) scales only the left
+    numerator.  The transformer's engine and the run-time
+    evaluator sum this way; the model's solver keeps its own sum."""
+    pair_sum = kernel.pair_sum
+
+    def drifted(n, d, pn, pd, vn, vd):
+        if n is None or vn is None or not vn:
+            return pair_sum(n, d, pn, pd, vn, vd)
+        vn, vd = vn * pn, vd * pd
+        if vd == d or d == 1 or vd == 1:
+            return pair_sum(n, d, 1, 1, vn, vd)
+        g = math.gcd(d, vd)
+        return n * (vd // g) + vn, d // g * vd
+
+    _patch_shared(monkeypatch, pair_sum, drifted)
+
+
 MUTANTS["short-unfold"] = short_unfold
+MUTANTS["pair-sum-drift"] = pair_sum_drift
 
 
 def test_the_unmutated_sweep_is_clean():

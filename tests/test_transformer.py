@@ -729,7 +729,8 @@ def test_char_functional_matches_the_doubling_schedule(loop, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the engine's int-pair arithmetic against Fraction and XReal arithmetic
+# the engine's branch weights and choice against Fraction and XReal
+# arithmetic (the pair arithmetic itself is tested in test_kernel)
 
 # weights in (0, 1] with small denominators, so sums often share one; 1 is
 # the certain weight
@@ -742,10 +743,6 @@ _VALUES = st.one_of(
 )
 
 
-def _pair_of(x):
-    return (None, 1) if x.is_infinite else (x.q.numerator, x.q.denominator)
-
-
 def _assert_is(val, x, tainted=False):
     """The engine value `val` is `x` in lowest terms, with the taint flag."""
     n, d, t = val
@@ -754,18 +751,6 @@ def _assert_is(val, x, tainted=False):
         assert n is None
     else:
         assert d > 0 and (n, d) == (x.q.numerator, x.q.denominator)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from([0, 1]), st.lists(st.tuples(_WEIGHTS, _VALUES), max_size=8))
-def test_pair_sum_matches_xreal_arithmetic(tick, terms):
-    n, d = tick, 1
-    expected = XReal(tick)
-    for p, v in terms:
-        vn, vd = _pair_of(v)
-        n, d = transformer._add(n, d, p.numerator, p.denominator, vn, vd)
-        expected = expected + XReal(p) * v
-    _assert_is(transformer._reduced(n, d, False), expected)
 
 
 def _coin(p):
