@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
-from .kernel import INF, KernelError, State, XReal, _deep_stack
+from .kernel import (
+    INF, IndexOutOfBounds, KernelError, KindMismatch, State, XReal, _deep_stack,
+)
 from .semantics import EvalError, eval_rt
 from .syntax import Annotated, RT_ZERO, RtExpr, While
 from .transformer import char_functional
@@ -101,6 +103,11 @@ class Verdict:
         return self.status == "Holds"
 
 
+# the errors of evaluating at one state of the domain, whose message gains
+# that state; not every `KernelError`, since `DomainEscape` names its own
+_STATE_ERRORS = (EvalError, KindMismatch, IndexOutOfBounds)
+
+
 def _attach_state(err: Exception, sigma: State):
     raise type(err)("%s (at state %s)" % (err, sigma)) from err
 
@@ -108,7 +115,7 @@ def _attach_state(err: Exception, sigma: State):
 def _rt_at(expr: RtExpr, sigma: State, n: Optional[int] = None) -> XReal:
     try:
         return eval_rt(expr, sigma, {"n": n} if n is not None else None)
-    except EvalError as e:
+    except _STATE_ERRORS as e:
         _attach_state(e, sigma)
 
 
@@ -140,7 +147,7 @@ def _premises(
     for sigma in D:
         try:
             lhs, tainted = apply_F(X, sigma)
-        except EvalError as e:
+        except _STATE_ERRORS as e:
             _attach_state(e, sigma)
         rhs = bound(sigma)
         yield sigma, lhs, rhs, _point(direction, lhs, tainted, rhs)

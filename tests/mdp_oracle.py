@@ -1,28 +1,24 @@
-"""The parent's model builder and policy evaluator, kept as a test-only
-oracle.
+"""The parent's model builder, kept as a test-only oracle.
 
-These are `_Builder`, `build_mdp` and `_evaluate` as they were when the
-builder stepped a program one `Seq` level at a time, lifting successor
-descriptor tuples through each level and resolving them to nodes keyed
-`(kind, id(program), state)`, and when the evaluator summed each acyclic
-node's successors in `Fraction` arithmetic.  `ertkit.mdp` now compiles one
-successor table per program object per build and sums acyclic nodes in
-integer pairs; the tests compare the two model for model and value for
-value.  The oracle also keeps its own loop expansion (`expand_bounded_once`
+These are `_Builder` and `build_mdp` as they were when the builder stepped
+a program one `Seq` level at a time, lifting successor descriptor tuples
+through each level and resolving them to nodes keyed
+`(kind, id(program), state)`.  `ertkit.mdp` now compiles one successor
+table per program object per build; the tests compare the two model for
+model.  The oracle also keeps its own loop expansion (`expand_bounded_once`
 and the plain-loop unfolding in `_Builder.unfold`) and its own
 `head_reward`, which charges a whole program by its first statement, so a
-defect in the model's step rules or charges shows in the comparison.  The
-model classes and the rest of the solver are shared with the production
-module.
+defect in the model's step rules or charges shows in the comparison.  Only
+the model classes are shared with the production module; the solver's
+reference is the per-policy solve in `test_mdp`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Tuple, Union
 
 from ertkit.kernel import ONE, ZERO, State, XReal, _deep_stack
-from ertkit.mdp import Mdp, MdpNode, NodeCapExceeded, SingularSystem
+from ertkit.mdp import Mdp, MdpNode, NodeCapExceeded
 from ertkit.semantics import eval_dist, eval_expr, eval_guard, eval_rt
 from ertkit.syntax import (
     Annotated, Empty, Halt, If, NdChoice, ProbAssign, Program, RtExpr, RT_ZERO,
@@ -236,78 +232,3 @@ def build_mdp(
                 }
             i += 1
     return Mdp(b.nodes, b.transitions, b.rewards, initial, b.sink, f)
-
-
-def _evaluate(
-    comps: List[Union[int, List[int]]],
-    reward: List[Fraction],
-    rows: List[List[Tuple[Fraction, int]]],
-    x: List[Fraction],
-) -> None:
-    """Exact expected reward-to-sink of the chain that plays `rows`, into `x`.
-
-    One pass over the union condensation.  A single node adds up its
-    successors' values, skipping zeros, without a multiplication on a single
-    successor (probability 1).  A cyclic block gets sparse Gaussian
-    elimination without pivoting, then back substitution, so a policy whose
-    chain is acyclic inside a large union block costs about one pass over
-    its rows; the pivots are positive once every scheduler reaches the sink
-    almost surely.  The sink's entry stays 0.
-    """
-    for comp in comps:
-        if comp.__class__ is int:
-            total = reward[comp]
-            row = rows[comp]
-            if len(row) == 1:
-                v = x[row[0][1]]
-                if not total:
-                    total = v
-                elif v:
-                    total += v
-            else:
-                for prob, j in row:
-                    v = x[j]
-                    if v:
-                        total += prob * v
-            x[comp] = total
-            continue
-        # sparse elimination in the block's own order: row k keeps only
-        # the unknowns after k; every coefficient stays non-negative
-        pos = {v: k for k, v in enumerate(comp)}
-        eqs: List[Tuple[Fraction, Dict[int, Fraction]]] = []
-        for k, v in enumerate(comp):
-            const = reward[v]
-            coef: Dict[int, Fraction] = {}
-            for prob, j in rows[v]:
-                t = pos.get(j)
-                if t is None:
-                    const += prob * x[j]
-                else:
-                    coef[t] = coef.get(t, 0) + prob
-            earlier = [t for t in coef if t < k]
-            heapify(earlier)
-            while earlier:
-                t = heappop(earlier)
-                c = coef.pop(t)
-                t_const, t_coef = eqs[t]
-                const += c * t_const
-                for u, a in t_coef.items():
-                    if u in coef:
-                        coef[u] += c * a
-                    else:
-                        coef[u] = c * a
-                        if u < k:
-                            heappush(earlier, u)
-            stay = coef.pop(k, 0)
-            if stay:
-                if stay == 1:
-                    raise SingularSystem("a block of the chain never exits")
-                scale = 1 / (1 - stay)
-                const *= scale
-                coef = {u: a * scale for u, a in coef.items()}
-            eqs.append((const, coef))
-        for k in range(len(comp) - 1, -1, -1):
-            const, coef = eqs[k]
-            for u, a in coef.items():
-                const += a * x[comp[u]]
-            x[comp[k]] = const

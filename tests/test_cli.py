@@ -366,6 +366,39 @@ def test_check_inv_rejects_wrong_kind(capsys):
     assert "expected upper" in err
 
 
+# An error at a state of the domain names that state, whatever its kind: a
+# non-boolean read as a guard (in the bound), a cell out of bounds (in the
+# loop body) and an undefined name.
+STATE_ERRORS = {
+    "kind": (
+        "while (x > 0) { x := x - 1 }",
+        "1 + [x > 0] * [x]",
+        "error: expected a boolean, got 1 (at state {x=1})\n",
+    ),
+    "index": (
+        "while (x > 0) { a := [0, 0]; y := a[x + 5]; x := x - 1 }",
+        "1 + 10 * x",
+        "error: a[6] out of bounds (length 2, indices are 1-based) (at state {x=1})\n",
+    ),
+    "unbound": (
+        "while (x > 0) { x := x - 1 }",
+        "1 + y",
+        "error: undefined variable 'y' (at state {x=0})\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STATE_ERRORS))
+def test_check_inv_error_names_the_state(case, tmp_path, capsys):
+    program, invariant, expected = STATE_ERRORS[case]
+    spec = tmp_path / "error.spec"
+    spec.write_text(
+        "check: upper\nprogram: %s\ninvariant: %s\ndomain: x in 0 .. 2\n"
+        % (program, invariant)
+    )
+    assert run(capsys, "check-inv", str(spec)) == (2, "", expected)
+
+
 def test_check_omega_both_directions(capsys):
     code, out, _ = run(capsys, "check-omega", str(SPECS / "geo_omega.spec"))
     assert code == 0

@@ -380,8 +380,12 @@ def test_cross_check_is_exact_on_a_model_with_many_schedulers():
 
 
 
-def _visited_policies(monkeypatch, m):
-    """Every policy `expected_reward(m)` evaluates, as (pick, values)."""
+def _checked_policies(m):
+    """`expected_reward(m)`, and every policy it evaluates as (pick, values).
+
+    Wraps whatever `_evaluate` the solver has, and puts it back after.
+    Asserts that each policy's values are the per-policy solve's, and that
+    the result is the last policy's value at the initial node."""
     seen = []
     evaluate = mdp_module._evaluate
 
@@ -394,9 +398,16 @@ def _visited_policies(monkeypatch, m):
         }
         seen.append((pick, list(x)))
 
-    monkeypatch.setattr(mdp_module, "_evaluate", recording)
-    analysis = expected_reward(m)
-    monkeypatch.undo()
+    mdp_module._evaluate = recording
+    try:
+        analysis = expected_reward(m)
+    finally:
+        mdp_module._evaluate = evaluate
+    for pick, values in seen:
+        assert values == _solve_chain(m, pick)
+    if seen:
+        assert analysis.value == XReal(seen[-1][1][m.initial])
+        assert len(seen) == (analysis.schedulers or 1)
     return analysis, seen
 
 
@@ -451,7 +462,7 @@ def _counter_loop(body):
     )
 
 
-def test_one_condensation_matches_the_per_policy_solve(monkeypatch):
+def test_one_condensation_matches_the_per_policy_solve():
     rng = random.Random(8)
     names = ("general", "halt-free", "probabilistic")
     checked = policies = split = acyclic = 0
@@ -468,14 +479,11 @@ def test_one_condensation_matches_the_per_policy_solve(monkeypatch):
         if any(not r.is_finite for r in m.rewards):
             continue
         blocks = _check_condensation(m)
-        analysis, seen = _visited_policies(monkeypatch, m)
-        assert len(seen) == (analysis.schedulers or 1)
-        for pick, values in seen:
-            assert values == _solve_chain(m, pick), program_to_text(program)
+        _, seen = _checked_policies(m)
+        for pick, _ in seen:
             s, a = _policy_splits(m, blocks, pick)
             split += s
             acyclic += a
-        assert analysis.value == XReal(seen[-1][1][m.initial])
         checked += 1
         policies += len(seen)
     assert checked >= 80
@@ -499,19 +507,17 @@ def test_one_condensation_matches_the_per_policy_solve(monkeypatch):
         ),
     ],
 )
-def test_choice_inside_a_loop_matches_the_per_policy_solve(monkeypatch, src, sigma):
+def test_choice_inside_a_loop_matches_the_per_policy_solve(src, sigma):
     m = build(src, State(sigma), f="1")
     blocks = _check_condensation(m)
     assert blocks
-    analysis, seen = _visited_policies(monkeypatch, m)
+    analysis, seen = _checked_policies(m)
     assert analysis.method == "PolicyIteration"
-    for pick, values in seen:
-        assert values == _solve_chain(m, pick)
     assert analysis.value == XReal(brute_force_value(m))
     assert any(_policy_splits(m, blocks, pick)[0] for pick, _ in seen)
 
 
-def test_acyclic_policies_in_a_cyclic_union_block(monkeypatch):
+def test_acyclic_policies_in_a_cyclic_union_block():
     # sink 0, a = 1, b = 2, c = 3; a: L -> sink, R -> b; b: L -> c,
     # R -> a or the sink by a fair coin.  The union graph has the cycle
     # a -> b -> a, but both policies evaluated, (L, L) and then (R, L),
@@ -532,10 +538,9 @@ def test_acyclic_policies_in_a_cyclic_union_block(monkeypatch):
     )
     assert _condense(m) == [3, [2, 1]] or _condense(m) == [3, [1, 2]]
     assert _check_condensation(m)
-    analysis, seen = _visited_policies(monkeypatch, m)
+    analysis, seen = _checked_policies(m)
     assert [pick for pick, _ in seen] == [{1: "L", 2: "L"}, {1: "R", 2: "L"}]
-    for pick, values in seen:
-        assert values == _solve_chain(m, pick)
+    for pick, _ in seen:
         assert _policy_splits(m, [[1, 2]], pick) == (1, 1)
     assert analysis == expected_reward(m)
     assert analysis.method == "PolicyIteration"
@@ -855,36 +860,20 @@ def test_sweep_dot_export_matches_golden_digest():
 
 
 # ---------------------------------------------------------------------------
-# the parent's builder and evaluator as an oracle: same models, same values
-
-
-def _recorded_reward(m, evaluate):
-    """`expected_reward(m)` with `evaluate` as its policy evaluator, and the
-    values of every policy it evaluated."""
-    seen = []
-
-    def recording(comps, reward, rows, x):
-        evaluate(comps, reward, rows, x)
-        seen.append(list(x))
-
-    saved = mdp_module._evaluate
-    mdp_module._evaluate = recording
-    try:
-        a = expected_reward(m)
-    finally:
-        mdp_module._evaluate = saved
-    return (a.value, a.method, a.schedulers), seen
+# the parent's builder as an oracle: the same models, and every policy the
+# solver evaluates on them equal to the per-policy solve
 
 
 def _assert_matches_oracle(program, sigma, f, node_cap):
-    """Build with both builders and solve with both evaluators; returns
-    whether the model fit the cap."""
+    """Build with both builders, and check each policy that `expected_reward`
+    evaluates against the per-policy solve; returns the model and those
+    policies, or None if the model exceeds the cap."""
     try:
         old = mdp_oracle.build_mdp(program, sigma, f, node_cap)
     except NodeCapExceeded as exc:
         with pytest.raises(NodeCapExceeded, match="^%s$" % exc):
             build_mdp(program, sigma, f, node_cap)
-        return False
+        return None
     new = build_mdp(program, sigma, f, node_cap)
     assert [(n.kind, n.state) for n in new.nodes] == [
         (n.kind, n.state) for n in old.nodes
@@ -893,10 +882,7 @@ def _assert_matches_oracle(program, sigma, f, node_cap):
     assert new.rewards == old.rewards
     assert (new.initial, new.sink, new.f) == (old.initial, old.sink, old.f)
     assert mdp_to_dot(new) == mdp_to_dot(old)
-    assert _recorded_reward(new, mdp_module._evaluate) == _recorded_reward(
-        old, mdp_oracle._evaluate
-    )
-    return True
+    return new, _checked_policies(new)[1]
 
 
 @pytest.mark.parametrize("seed", [11, 12])
@@ -923,8 +909,20 @@ def test_corpus_and_golden_models_match_the_oracle():
         (If(coin, step, step), State({"x": 0}), RT_ZERO),
         (NdChoice(step, step), State({"x": 0}), parse_rt("x")),
     ]
+    # a choice inside a loop, whose second policy loops at each value of x
+    loop = parse_program("while (x > 0) { { x := x - 1 } [] { x :~ 1/2*<x - 1> + 1/2*<x> } }")
+    models.append((loop, State({"x": 3}), parse_rt("1")))
+    cyclic = several = 0
     for program, sigma, f in models:
-        assert _assert_matches_oracle(program, sigma, f, 200_000)
+        checked = _assert_matches_oracle(program, sigma, f, 200_000)
+        assert checked
+        m, seen = checked
+        blocks = _sccs(range(m.node_count), _union_successors(m))
+        cyclic += any(len(block) > 1 for block in blocks)
+        several += len(seen) > 1
+    # the comparison stays meaningful: some model has a cyclic union block,
+    # and some model takes policy iteration past its first policy
+    assert cyclic and several
 
 
 def test_a_loop_body_reached_before_its_loop_shares_the_unfolding():

@@ -4,15 +4,21 @@ Each mutant breaks one rule of the model or of the transformer through a
 monkeypatch.  The sweep mutants make a small fixed sweep (seed 11, 200
 triples) report a failure; the seed and the count were fixed before the
 mutants were run.  Every transformer mutant makes the comparison with the
-reference transformer fail (`test_transformer`), and the model mutant
-`model-skip-is-free` the comparison with the model oracle (`test_mdp`).
-`drop_if_tick` is also the mutant that the property suite's tests and
-acceptance criterion 8 must catch.  `guard_drift`, `short_unfold` and
-`pair_sum_drift` break helpers that the legs share.
+reference transformer fail (`test_transformer`), and every model mutant the
+comparison with the model oracle (`test_mdp`): `model-skip-is-free` fails
+its node-for-node comparison with the oracle's builder, which charges with
+its own `head_reward`; `block-as-singles` and `block-value-drift` fail its
+check of each evaluated policy against the per-policy solve; and
+`improvement-never-switches` fails its guard that some compared model takes
+policy iteration past its first policy.  The sweep misses
+`block-value-drift`.  `drop_if_tick` is also the mutant that the property
+suite's tests and acceptance criterion 8 must catch.  `guard_drift`,
+`short_unfold` and `pair_sum_drift` break helpers that the legs share.
 """
 
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -32,6 +38,29 @@ def _free_skip(monkeypatch):
     monkeypatch.setattr(
         mdp, "head_reward", lambda p: ZERO if isinstance(p, Skip) else head_reward(p)
     )
+
+
+def _block_as_singles(monkeypatch):
+    """Model solver: the condensation lists a cyclic block's nodes as
+    singles, so each sums values that its block has not settled yet."""
+    condense = mdp._condense
+    monkeypatch.setattr(mdp, "_condense", lambda m: [
+        v for c in condense(m) for v in ([c] if c.__class__ is int else c)
+    ])
+
+
+def _block_value_drift(monkeypatch):
+    """Model solver: each node of a cyclic block comes out 1/1024 high."""
+    evaluate = mdp._evaluate
+
+    def drifted(comps, reward, rows, x):
+        evaluate(comps, reward, rows, x)
+        for c in comps:
+            if c.__class__ is not int:
+                for v in c:
+                    x[v] += Fraction(1, 1024)
+
+    monkeypatch.setattr(mdp, "_evaluate", drifted)
 
 
 def _patch_eval(monkeypatch, kind, mutated):
@@ -122,11 +151,25 @@ TRANSFORMER_MUTANTS = {
     "loop-exit-drops-taint": _loop_exit_drops_taint,
 }
 
-# the sweep catches every mutant but these two, which the comparison with
-# the reference transformer catches
-SWEEP_MISSES = ("annotation-under-any-continuation", "loop-exit-drops-taint")
-MUTANTS = {k: v for k, v in TRANSFORMER_MUTANTS.items() if k not in SWEEP_MISSES}
-MUTANTS["model-skip-is-free"] = _free_skip
+MODEL_MUTANTS = {
+    "model-skip-is-free": _free_skip,
+    "block-as-singles": _block_as_singles,
+    "block-value-drift": _block_value_drift,
+    # the best action is always the smallest, where the iteration starts
+    "improvement-never-switches": lambda mp: mp.setattr(
+        mdp, "max", lambda gain, key: min(gain), raising=False
+    ),
+}
+
+# the sweep catches every mutant but these three, which the comparisons
+# with the reference transformer and with the model oracle catch
+SWEEP_MISSES = (
+    "annotation-under-any-continuation", "loop-exit-drops-taint", "block-value-drift",
+)
+MUTANTS = {
+    k: v for k, v in {**TRANSFORMER_MUTANTS, **MODEL_MUTANTS}.items()
+    if k not in SWEEP_MISSES
+}
 
 
 def _patch_shared(monkeypatch, helper, mutated):
@@ -199,9 +242,8 @@ def test_the_sweep_catches_the_mutant(mutate, monkeypatch):
     assert report.failures
 
 
-def test_the_oracle_comparison_catches_the_model_mutant(monkeypatch):
-    # the oracle charges with its own `head_reward`, so the patched charge
-    # of the model's `skip` shows in the node-for-node comparison
-    _free_skip(monkeypatch)
+@pytest.mark.parametrize("mutate", MODEL_MUTANTS.values(), ids=MODEL_MUTANTS.keys())
+def test_the_oracle_comparison_catches_the_model_mutant(mutate, monkeypatch):
+    mutate(monkeypatch)
     with pytest.raises(AssertionError):
         test_mdp.test_corpus_and_golden_models_match_the_oracle()
