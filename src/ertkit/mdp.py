@@ -12,14 +12,27 @@ the head statement, and each branch's successor program with its own table
 of nodes by state.  A node then evaluates only its head on its state, and
 finds each successor with one lookup.
 
+States are interned once per build (`_Builder.states`): the initial state
+and each successor of an assignment, the only steps that make a new state.
+Every other step passes its node's state object on.  So the node tables key
+a state by its `id()`, and `State.__hash__` and `__eq__` run only when a
+state is interned.  This rests on one invariant: every state whose id is a
+key is held by the build's intern table for as long as the build runs, and
+no node table outlives its build.  A dropped state's id could be reused by
+another state, which would then find the dropped one's node.  The tables
+are the builder's own; the transformer interns its states in its own
+`StepTable`.
+
 The expected total reward to the sink, maximized over schedulers, is the
-quantity the transformer computes; `cross_check` compares the two.  It is
-solved in two steps: a safety fixed point decides whether some scheduler can
-avoid the sink (then the value is infinite), and otherwise Howard policy
-iteration finds the best scheduler.  The model is condensed once, over the
-union of all actions, and every policy is evaluated exactly by one pass over
-that condensation in reverse topological order, acyclic nodes in integer
-pair sums and cyclic blocks by elimination over `Fraction`s.
+quantity the transformer computes; `cross_check` compares the two.  The
+model is condensed once, over the union of all actions.  A search confined
+to the cyclic blocks of that condensation decides whether some scheduler
+can avoid the sink (then the value is infinite): an end component is
+strongly connected, so it lies inside one cyclic block.  Otherwise Howard
+policy iteration finds the best scheduler, and every policy is evaluated
+exactly by one pass over the same condensation in reverse topological
+order, acyclic nodes in integer pair sums and cyclic blocks by elimination
+over `Fraction`s.
 """
 from __future__ import annotations
 
@@ -27,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .kernel import INF, ONE, ZERO, KernelError, State, XReal, _deep_stack
 from .semantics import eval_dist, eval_expr, eval_guard, eval_rt
@@ -55,8 +68,7 @@ class SingularSystem(KernelError):
 # model
 
 
-@dataclass(frozen=True)
-class MdpNode:
+class MdpNode(NamedTuple):
     kind: str  # "exec" | "term" | "termseq" | "sink"
     program: Optional[Program] = None
     state: Optional[State] = None
@@ -113,7 +125,8 @@ FALLBACK_UNROLL = 40
 
 
 class _Target:
-    """The nodes of one kind over one program object, by state.
+    """The nodes of one kind over one program object, by the id of their
+    interned state.
 
     An exec target also holds its compiled step, filled when its first node
     is expanded: the head statement (with `Seq` chains and depth-bounded
@@ -129,7 +142,7 @@ class _Target:
     def __init__(self, kind: str, program: Optional[Program]):
         self.kind = kind
         self.program = program
-        self.nodes: Dict[State, int] = {}
+        self.nodes: Dict[int, int] = {}
         self.head: Optional[Program] = None
         self.reward: XReal = ZERO
         self.succ: Tuple[_Target, ...] = ()
@@ -140,6 +153,7 @@ class _Builder:
         self.cap = cap
         self.nodes: List[MdpNode] = [MdpNode("sink")]
         self.owner: List[Optional[_Target]] = [None]  # per node: its target
+        self.states: Dict[State, State] = {}  # each state of the build, interned
         self.term = _Target("term", None)
         self.execs: Dict[int, _Target] = {}
         self.termseqs: Dict[int, _Target] = {}
@@ -147,9 +161,13 @@ class _Builder:
         self.unfold_cache: Dict[int, Program] = {}
 
     def node(self, t: _Target, sigma: State) -> int:
-        """The node of `t` at `sigma`, numbered when first reached."""
+        """The node of `t` at `sigma`, numbered when first reached.
+
+        `sigma` must be the build's interned object (`states`): the node
+        table keys it by `id()`, so no state is hashed or compared here.
+        """
         n = len(self.nodes)
-        i = t.nodes.setdefault(sigma, n)
+        i = t.nodes.setdefault(id(sigma), n)
         if i == n:
             if n >= self.cap:
                 raise NodeCapExceeded(self.cap)
@@ -246,7 +264,7 @@ class _Builder:
 
         `eval_dist` merges equal values, and distinct values give distinct
         next states, so no two rows share a node.  Every next state is
-        computed before any is numbered.
+        computed before any is interned and numbered.
         """
         target = p.target
         support = eval_dist(p.dist, sigma)
@@ -257,7 +275,8 @@ class _Builder:
                 (prob, sigma.set_cell(target.name, eval_expr(target.index, sigma), v))
                 for prob, v in support
             ]
-        return [(prob, self.node(term, nxt)) for prob, nxt in nexts]
+        intern = self.states.setdefault
+        return [(prob, self.node(term, intern(nxt, nxt))) for prob, nxt in nexts]
 
     def closure(self, C: Program, sigma0: State, f: RtExpr) -> Mdp:
         """Number and expand every node reachable from `C` at `sigma0`."""
@@ -266,7 +285,7 @@ class _Builder:
             {"t": [(_ONE, sink)]}
         ]
         rewards: List[XReal] = [ZERO]
-        initial = self.node(self.exec_target(C), sigma0)
+        initial = self.node(self.exec_target(C), self.states.setdefault(sigma0, sigma0))
         nodes, owner, node = self.nodes, self.owner, self.node
         i = initial
         while i < len(nodes):
@@ -354,45 +373,72 @@ def build_mdp(
 def qualitative_check(m: Mdp) -> Qualitative:
     """Whether every scheduler reaches the sink almost surely.
 
-    Computes Z, the greatest set of nodes without the sink in which every
-    node has an action whose whole support stays in Z: a worklist runs
-    backwards from the sink, kills each action with a successor outside Z,
-    and drops a node once all of its actions are dead.  A scheduler that
-    plays the surviving actions never leaves Z, and every node of the model
-    is reachable by construction, so some scheduler avoids the sink with
-    positive probability exactly when Z is non-empty.  Conversely, every end
-    component without the sink lies inside Z.  The witness pairs each node
-    of Z with its first surviving action.
+    Condenses the model and searches its cyclic blocks (`_staying`).  Some
+    scheduler avoids the sink with positive probability exactly when some
+    node can stay in its block forever: every node of the model is
+    reachable by construction, and every end component without the sink is
+    strongly connected, so it lies inside one cyclic block, where the
+    search keeps it.  The witness pairs each node that can stay with its
+    first action that stays; a scheduler that plays these never leaves the
+    witness.  It lists only nodes inside cyclic blocks.
     """
-    n = m.node_count
-    preds: List[List[Tuple[int, str]]] = [[] for _ in range(n)]
-    for v, trans in enumerate(m.transitions):
-        for action, rows in trans.items():
-            for _, j in rows:
-                preds[j].append((v, action))
-    live = [len(trans) for trans in m.transitions]
-    dead: set = set()
-    out = [False] * n
-    out[m.sink] = True
-    work = [m.sink]
-    while work:
-        for pair in preds[work.pop()]:
-            if pair in dead:
-                continue
-            dead.add(pair)
-            v = pair[0]
-            live[v] -= 1
-            if not live[v]:
-                out[v] = True
-                work.append(v)
-    if all(out):
+    witness = _staying(m, _condense(m))
+    if not witness:
         return Qualitative("AllSchedulersReachSink")
-    witness = tuple(
-        (v, next(a for a in m.transitions[v] if (v, a) not in dead))
-        for v in range(n)
-        if not out[v]
-    )
-    return Qualitative("SomeSchedulerAvoids", witness)
+    return Qualitative("SomeSchedulerAvoids", tuple(witness))
+
+
+def _staying(
+    m: Mdp, comps: List[Union[int, List[int]]]
+) -> List[Tuple[int, str]]:
+    """The nodes that some scheduler can keep in their cyclic block forever,
+    each with its first action that stays, in node order.
+
+    Per cyclic block of the condensation `comps`, the greatest set of the
+    block's nodes in which every node has an action whose whole support
+    stays in the set: an action with a successor outside the block is dead
+    from the start, a node with no live action is dead, and a worklist
+    kills every action that leads to a dead node.  A single node without a
+    self-loop can stay nowhere, so an acyclic model costs nothing here.
+    """
+    transitions = m.transitions
+    witness: List[Tuple[int, str]] = []
+    for comp in comps:
+        if comp.__class__ is int:
+            continue
+        inside = set(comp)
+        preds: Dict[int, List[Tuple[int, str]]] = {v: [] for v in comp}
+        live: Dict[int, int] = {}
+        dead: set = set()
+        work: List[int] = []
+        for v in comp:
+            count = 0
+            for action, rows in transitions[v].items():
+                if all(j in inside for _, j in rows):
+                    count += 1
+                    for _, j in rows:
+                        preds[j].append((v, action))
+                else:
+                    dead.add((v, action))
+            live[v] = count
+            if not count:
+                work.append(v)
+        while work:
+            for pair in preds[work.pop()]:
+                if pair in dead:
+                    continue
+                dead.add(pair)
+                v = pair[0]
+                live[v] -= 1
+                if not live[v]:
+                    work.append(v)
+        witness += [
+            (v, next(a for a in transitions[v] if (v, a) not in dead))
+            for v in comp
+            if live[v]
+        ]
+    witness.sort()
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +450,10 @@ def _condense(m: Mdp) -> List[Union[int, List[int]]]:
 
     One iterative Tarjan over plain lists; the sink is settled up front and
     left out.  The components come in reverse topological order, a single
-    node without a self-loop as its index and a cyclic block as a list.
-    Every scheduler's chain is a subgraph of this union graph, so the order
-    is a valid evaluation order for every policy.
+    node without a self-loop as its index and a cyclic block (a self-loop
+    included) as a list.  Every scheduler's chain is a subgraph of this
+    union graph, so the order is a valid evaluation order for every policy,
+    and every end component lies inside one of the lists.
     """
     n = m.node_count
     succ = [[j for rows in t.values() for _, j in rows] for t in m.transitions]
@@ -549,22 +596,24 @@ def _evaluate(
 def expected_reward(m: Mdp) -> RewardAnalysis:
     """Supremum over schedulers of the expected total reward to the sink.
 
-    Howard policy iteration over memoryless schedulers.  The model is
-    condensed once, and every policy is evaluated exactly by one pass of
-    `_evaluate` over that condensation, into one value list.  Once the
-    qualitative check has passed, every scheduler reaches the sink almost
-    surely, so the iteration is exact and finite: it starts from the
+    The model is condensed once.  The qualitative search (`_staying`, as in
+    `qualitative_check`) runs over the cyclic blocks of that condensation:
+    if some node can stay in its block forever, the value is infinite.
+    Otherwise every scheduler reaches the sink almost surely, and Howard
+    policy iteration over memoryless schedulers evaluates every policy
+    exactly by one pass of `_evaluate` over the same condensation, into one
+    value list.  The iteration is exact and finite: it starts from the
     smallest action at each choice node and switches an action only on a
     strict rational improvement.  A model without choice nodes is a single
     evaluation.
     """
-    if qualitative_check(m).kind == "SomeSchedulerAvoids":
+    comps = _condense(m)
+    if _staying(m, comps):
         return RewardAnalysis(INF, "Qualitative")
     if any(not r.is_finite for r in m.rewards):
         # an infinite reward sits on a reachable node, and every node is
         # reached with positive probability by construction
         return RewardAnalysis(INF, "InfiniteReward")
-    comps = _condense(m)
     reward = [r.q or 0 for r in m.rewards]  # int 0 tests fast
     nd = [i for i, t in enumerate(m.transitions) if len(t) > 1]
     pick = {i: min(m.transitions[i]) for i in nd}

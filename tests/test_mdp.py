@@ -658,6 +658,7 @@ def test_qualitative_check_matches_end_component_decomposition():
             # the witness is a memoryless scheduler that never leaves it
             inside = {v for v, _ in q.witness}
             assert m.sink not in inside
+            assert inside <= _cyclic_nodes(m)
             assert all(
                 j in inside for v, a in q.witness for _, j in m.transitions[v][a]
             )
@@ -688,6 +689,78 @@ def test_only_a_larger_action_avoids_the_sink():
     assert q.kind == "SomeSchedulerAvoids"
     assert all(a == "R" for v, a in q.witness if len(m.transitions[v]) > 1)
     assert end_components_avoiding_the_sink(m)
+
+
+def _cyclic_nodes(m):
+    """The nodes of the union graph's cyclic blocks, by the oracle Tarjan,
+    without the sink's."""
+    succ = _union_successors(m)
+    return {
+        v
+        for c in _sccs(range(m.node_count), succ)
+        if m.sink not in c and (len(c) > 1 or c[0] in succ[c[0]])
+        for v in c
+    }
+
+
+def _hand_built(transitions):
+    """A model from node 1 over the sink 0 and one exec node per entry of
+    `transitions` (action -> [(probability, successor)]), each paying 1."""
+    return Mdp(
+        nodes=[MdpNode("sink")] + [MdpNode("exec")] * len(transitions),
+        transitions=[{"t": [(Fraction(1), 0)]}] + [
+            {a: [(Fraction(p), j) for p, j in rows] for a, rows in t.items()}
+            for t in transitions
+        ],
+        rewards=[XReal(0)] + [XReal(1)] * len(transitions),
+        initial=1,
+        sink=0,
+        f=RT_ZERO,
+    )
+
+
+@pytest.mark.parametrize(
+    "transitions, cyclic, components, method",
+    [
+        # the end component {2, 3}, entered only through the choice node 1,
+        # which lies in no cyclic block
+        (
+            [{"L": [(1, 0)], "R": [(1, 2)]}, {"t": [(1, 3)]}, {"L": [(1, 2)], "R": [(1, 0)]}],
+            {2, 3},
+            [[2, 3]],
+            "Qualitative",
+        ),
+        # acyclic, with choices
+        (
+            [{"L": [(1, 2)], "R": [("1/2", 3), ("1/2", 0)]}, {"L": [(1, 0)], "R": [(1, 3)]},
+             {"t": [(1, 0)]}],
+            set(),
+            [],
+            "PolicyIteration",
+        ),
+        # the block {1, 2}, whose every action leaks to the sink
+        (
+            [{"L": [("1/2", 2), ("1/2", 0)], "R": [("1/3", 1), ("2/3", 0)]},
+             {"t": [("1/2", 1), ("1/2", 0)]}],
+            {1, 2},
+            [],
+            "PolicyIteration",
+        ),
+    ],
+    ids=["entered-through-a-choice", "acyclic-with-choices", "every-action-leaks"],
+)
+def test_the_search_stays_inside_cyclic_blocks(transitions, cyclic, components, method):
+    m = _hand_built(transitions)
+    assert _cyclic_nodes(m) == cyclic
+    assert sorted(map(sorted, end_components_avoiding_the_sink(m))) == components
+    q = qualitative_check(m)
+    assert (q.kind == "SomeSchedulerAvoids") == bool(components)
+    # the witness is the end component, not the choice node that enters it
+    assert {v for v, _ in q.witness or ()} == {v for c in components for v in c}
+    analysis = expected_reward(m)
+    assert analysis.method == method
+    if not components:
+        assert analysis.value == XReal(brute_force_value(m))
 
 
 def test_qualitative_detects_sink_avoidance():
@@ -892,7 +965,10 @@ def test_sweep_models_match_the_oracle(seed):
             assert _assert_matches_oracle(replace_whiles(program, 32), sigma, f, 30_000)
 
 
-def test_corpus_and_golden_models_match_the_oracle():
+def _corpus_and_golden_models():
+    """(program, state, post-run-time) of every case study, the three
+    without a finite model at bounded depths, and of the golden models,
+    with three more shapes."""
     # the three case studies without a finite model, at bounded depths
     depths = {"race": 40, "rwalk": 32, "npast": 8}
     models = []
@@ -912,8 +988,12 @@ def test_corpus_and_golden_models_match_the_oracle():
     # a choice inside a loop, whose second policy loops at each value of x
     loop = parse_program("while (x > 0) { { x := x - 1 } [] { x :~ 1/2*<x - 1> + 1/2*<x> } }")
     models.append((loop, State({"x": 3}), parse_rt("1")))
+    return models
+
+
+def test_corpus_and_golden_models_match_the_oracle():
     cyclic = several = 0
-    for program, sigma, f in models:
+    for program, sigma, f in _corpus_and_golden_models():
         checked = _assert_matches_oracle(program, sigma, f, 200_000)
         assert checked
         m, seen = checked
@@ -934,6 +1014,23 @@ def test_a_loop_body_reached_before_its_loop_shares_the_unfolding():
     assert _assert_matches_oracle(program, sigma, RT_ZERO, 1_000)
     assert build_mdp(program, sigma, RT_ZERO).node_count == 20
     assert expected_runtime(program, None, sigma).value == XReal(8)
+
+
+def test_equal_node_states_are_one_object():
+    # the builder interns each state once per build and keys its node
+    # tables by the state's id
+    for program, sigma, f in _corpus_and_golden_models():
+        m = build_mdp(program, sigma, f)
+        states = [n.state for n in m.nodes if n.state is not None]
+        assert len({id(s) for s in states}) == len(set(states)) < len(states)
+
+
+def test_a_bool_and_an_int_of_equal_value_are_two_nodes():
+    # 1 == True and the two states hash alike, but a state compares kinds
+    m = build("if (1/2*<true> + 1/2*<false>) { x := 1 } else { x := true }")
+    terms = [n.state for n in m.nodes if n.kind == "term"]
+    assert len(terms) == 2 and hash(terms[0]) == hash(terms[1])
+    assert sorted(type(s.get("x")).__name__ for s in terms) == ["bool", "int"]
 
 
 def test_node_cap_admits_exactly_the_reachable_nodes():

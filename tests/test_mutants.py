@@ -11,7 +11,11 @@ its own `head_reward`; `block-as-singles` and `block-value-drift` fail its
 check of each evaluated policy against the per-policy solve; and
 `improvement-never-switches` fails its guard that some compared model takes
 policy iteration past its first policy.  The sweep misses
-`block-value-drift`.  `drop_if_tick` is also the mutant that the property
+`block-value-drift`.  `self-loop-as-single` changes only models with a
+self-loop besides the sink's, which the builder never makes, so the sweep
+and the oracle comparison miss it and hand-built models catch it: its
+condensation feeds both the search for nodes that can avoid the sink and
+the evaluation.  `drop_if_tick` is also the mutant that the property
 suite's tests and acceptance criterion 8 must catch.  `guard_drift`,
 `short_unfold` and `pair_sum_drift` break helpers that the legs share.
 """
@@ -46,6 +50,16 @@ def _block_as_singles(monkeypatch):
     condense = mdp._condense
     monkeypatch.setattr(mdp, "_condense", lambda m: [
         v for c in condense(m) for v in ([c] if c.__class__ is int else c)
+    ])
+
+
+def _self_loop_as_single(monkeypatch):
+    """Model solver: the condensation lists a one-node block with a
+    self-loop as a single, so the search skips it and the evaluation sums
+    its value before it is settled."""
+    condense = mdp._condense
+    monkeypatch.setattr(mdp, "_condense", lambda m: [
+        c[0] if c.__class__ is not int and len(c) == 1 else c for c in condense(m)
     ])
 
 
@@ -247,3 +261,13 @@ def test_the_oracle_comparison_catches_the_model_mutant(mutate, monkeypatch):
     mutate(monkeypatch)
     with pytest.raises(AssertionError):
         test_mdp.test_corpus_and_golden_models_match_the_oracle()
+
+
+def test_the_hand_built_models_catch_the_self_loop_mutant(monkeypatch):
+    _self_loop_as_single(monkeypatch)
+    for test in (
+        test_mdp.test_a_self_loop_is_a_block,
+        test_mdp.test_only_a_larger_action_avoids_the_sink,
+    ):
+        with pytest.raises(AssertionError):
+            test()

@@ -5,6 +5,8 @@ import types
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import ertkit
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -218,6 +220,20 @@ def test_syntax_nodes_share_the_slotted_base():
         assert "__slots__" in cls.__dict__, cls
         assert not hasattr(object.__new__(cls), "__dict__"), cls
         assert not dataclasses.is_dataclass(cls), cls
+
+
+def test_a_model_node_is_one_object():
+    # a frozen dataclass node would carry a per-instance __dict__, a second
+    # object per node of a model for the cyclic collector to track
+    from ertkit.mdp import MdpNode
+
+    node = MdpNode("sink")
+    assert not hasattr(node, "__dict__")
+    assert not dataclasses.is_dataclass(MdpNode)
+    assert node == MdpNode(kind="sink", program=None, state=None)
+    assert repr(node) == "MdpNode(kind='sink', program=None, state=None)"
+    with pytest.raises(AttributeError):
+        node.kind = "exec"
 
 
 # the package's modules that the transformer and the model may both use; a
