@@ -608,7 +608,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="initial state, e.g. c=1 or x=2,y=0 (repeatable for several states)",
     )
     p.add_argument(
-        "--depth", type=int, default=ErtConfig.max_unroll_depth, help="loop unrolling cap"
+        "--depth", type=int, default=ErtConfig().max_unroll_depth, help="loop unrolling cap"
     )
     common(p)
     p.set_defaults(func=_cmd_eval)
@@ -618,8 +618,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     program_args(p)
     p.add_argument("--state", action="append", default=[], metavar="BINDINGS")
-    p.add_argument("--depth", type=int, default=ErtConfig.max_unroll_depth)
-    p.add_argument("--node-cap", type=int, default=MdpConfig.node_cap)
+    p.add_argument("--depth", type=int, default=ErtConfig().max_unroll_depth)
+    p.add_argument("--node-cap", type=int, default=MdpConfig().node_cap)
     p.add_argument(
         "--fallback-depth",
         type=int,
@@ -658,7 +658,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-mdp", help="write the operational model as DOT")
     program_args(p)
     p.add_argument("--state", action="append", default=[], metavar="BINDINGS")
-    p.add_argument("--node-cap", type=int, default=MdpConfig.node_cap)
+    p.add_argument("--node-cap", type=int, default=MdpConfig().node_cap)
     p.add_argument("--out", default=None, metavar="FILE")
     p.set_defaults(func=_cmd_export_mdp)
 

@@ -10,12 +10,11 @@ quantitative expectations are formula-driven.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from string import Template
-from typing import Callable, Dict, List, Mapping, Optional, Set
+from typing import Callable, Dict, List, Set
 
-from .kernel import State, XReal
+from .kernel import Record, State, XReal
 from .mdp import build_mdp, cross_check, expected_reward
 from .parser import parse_program, parse_rt
 from .semantics import harmonic_number
@@ -30,22 +29,21 @@ from .syntax import (
 from .transformer import expected_runtime, kleene_iterates
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    name: str
-    ok: bool
-    detail: str
+class CheckOutcome(Record):
+    __slots__ = ("name", "ok", "detail")  # str, bool, str
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    template: str
-    params: Mapping[str, int]
-    state: Mapping[str, int]
-    notes: str
-    derive: Optional[Callable[[Dict[str, int]], Dict[str, str]]] = None
-    minimum: Mapping[str, int] = field(default_factory=dict)
+class CorpusEntry(Record):
+    __slots__ = (
+        "name",  # str
+        "template",  # str
+        "params",  # Mapping[str, int]
+        "state",  # Mapping[str, int]
+        "notes",  # str
+        "derive",  # Optional[Callable[[Dict[str, int]], Dict[str, str]]]
+        "minimum",  # Mapping[str, int]
+    )
+    _defaults = {"derive": None, "minimum": {}}
 
     def resolved(self, **overrides: int) -> Dict[str, int]:
         """The parameters with `overrides` applied.  Raises `KeyError` for

@@ -10,11 +10,10 @@ operational models tiny and make counterexamples readable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .kernel import KernelError, State
+from .kernel import KernelError, Record, State
 from .syntax import (
     And,
     BinOp,
@@ -54,8 +53,7 @@ MAX_DENOMINATOR = 8
 MAX_SHRINK_TRIES = 300
 
 
-@dataclass(frozen=True)
-class GenProfile:
+class GenProfile(Record):
     """Knobs restricting which constructs a sample may contain.
 
     loops is one of "none", "bounded" (while^{<k} only, so every result
@@ -63,11 +61,10 @@ class GenProfile:
     countdowns over one variable; strict ones without halt or probability).
     """
 
-    name: str
-    allow_halt: bool = True
-    allow_ndchoice: bool = True
-    allow_prob: bool = True
-    loops: str = "bounded"
+    __slots__ = ("name", "allow_halt", "allow_ndchoice", "allow_prob", "loops")
+    _defaults = {
+        "allow_halt": True, "allow_ndchoice": True, "allow_prob": True, "loops": "bounded",
+    }
 
 
 PROFILES: Dict[str, GenProfile] = {
@@ -176,7 +173,10 @@ def _countdown(rng: random.Random, profile: GenProfile, depth: int) -> Program:
         )
     body: Program = ProbAssign(VarTarget(v), dec)
     if with_prefix:
-        inner = replace(profile, allow_halt=False, loops="none")
+        inner = GenProfile(
+            profile.name, allow_halt=False, allow_ndchoice=profile.allow_ndchoice,
+            allow_prob=profile.allow_prob, loops="none",
+        )
         prefix = _block(rng, depth - 1, inner, pool=rest)
         body = Seq(prefix, body)
     return While(Dirac(Cmp(">", VarRef(v), IntLit(0))), body)
@@ -195,7 +195,9 @@ def _stmt(rng: random.Random, depth: int, profile: GenProfile, pool) -> Program:
     if depth > 0 and profile.allow_ndchoice and roll < 0.3:
         return NdChoice(_block(rng, depth - 1, profile, pool), _block(rng, depth - 1, profile, pool))
     if depth > 0 and profile.loops == "bounded" and roll < 0.4:
-        inner = replace(profile, loops="none")
+        inner = GenProfile(
+            profile.name, profile.allow_halt, profile.allow_ndchoice, profile.allow_prob, "none"
+        )
         return WhileBounded(
             rng.randint(1, 4), _guard(rng, profile), _block(rng, depth - 1, inner, pool)
         )

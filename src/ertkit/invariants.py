@@ -14,12 +14,12 @@ remaining cases are reported as Inconclusive rather than guessed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .kernel import (
-    INF, IndexOutOfBounds, KernelError, KindMismatch, State, XReal, _deep_stack,
+    INF, IndexOutOfBounds, KernelError, KindMismatch, Record, State, XReal,
+    _deep_stack,
 )
 from .semantics import EvalError, eval_rt
 from .syntax import Annotated, RT_ZERO, RtExpr, While
@@ -51,11 +51,10 @@ class DomainEscape(KernelError):
 # domains and specs
 
 
-@dataclass(frozen=True)
-class StateDomain:
-    states: Tuple[State, ...]
+class StateDomain(Record):
+    __slots__ = ("states",)  # Tuple[State, ...]
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.states:
             raise ValueError("a state domain must be nonempty")
 
@@ -74,29 +73,31 @@ class StateDomain:
         ))
 
 
-@dataclass(frozen=True)
-class UpperInvariantSpec:
-    invariant: RtExpr  # must not mention the iteration parameter
+class UpperInvariantSpec(Record):
+    __slots__ = ("invariant",)  # RtExpr; must not mention the iteration parameter
 
 
-@dataclass(frozen=True)
-class OmegaInvariantSpec:
-    invariant_n: RtExpr  # may mention the iteration parameter n
-    direction: str  # "lower" | "upper"
+class OmegaInvariantSpec(Record):
+    __slots__ = (
+        "invariant_n",  # RtExpr; may mention the iteration parameter n
+        "direction",  # "lower" | "upper"
+    )
 
-    def __post_init__(self):
+    def _validate(self):
         if self.direction not in ("lower", "upper"):
             raise ValueError("direction must be 'lower' or 'upper'")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str  # "Holds" | "Fails" | "Inconclusive"
-    witness: Optional[State] = None
-    n: Optional[int] = None
-    lhs: Optional[XReal] = None
-    rhs: Optional[XReal] = None
-    reason: Optional[str] = None
+class Verdict(Record):
+    __slots__ = (
+        "status",  # "Holds" | "Fails" | "Inconclusive"
+        "witness",  # Optional[State]
+        "n",  # Optional[int]
+        "lhs",  # Optional[XReal]
+        "rhs",  # Optional[XReal]
+        "reason",  # Optional[str]
+    )
+    _defaults = {"witness": None, "n": None, "lhs": None, "rhs": None, "reason": None}
 
     @property
     def holds(self) -> bool:

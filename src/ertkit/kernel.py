@@ -6,7 +6,9 @@ boolean values (Value), and a State maps each variable to its value, a
 fixed-length array to a tuple of them.  A variable keeps its kind (int,
 bool or array) and an array its length.  Everything here is immutable.  The
 module also holds the scoped recursion limit that both the transformer and
-the model builder evaluate under, so neither imports the other for it.
+the model builder evaluate under, so neither imports the other for it, and
+`Record`, the slotted base of every syntax node and every result and config
+record of the package.
 
 The module is also the one home of the exact int-pair format (`Pair`), in
 which the run-time evaluator of `semantics` and the transformer's engine
@@ -19,7 +21,6 @@ defect here shows when the legs are compared.
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
@@ -37,6 +38,104 @@ class KindMismatch(KernelError):
 
 class IndexOutOfBounds(KernelError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# records
+
+# the parameter default of a field whose default is built for each record
+_FRESH = object()
+
+
+class Record:
+    """Base of every syntax node and every result and config record.
+
+    A record class lists its fields once, in order, as `__slots__`, and the
+    defaults of its trailing fields in a `_defaults` dict; a list or dict
+    default is built anew for each record, as a dataclass `default_factory`
+    would.  The class gets a constructor taking its fields as positional or
+    named parameters, unless it writes its own `__init__` to normalise them;
+    a class that defines `_validate` has it called once the fields are set.
+    Equality, hashing, `repr`, copying, pickling and `match` patterns follow
+    the fields, as for a frozen dataclass: records are equal when they have
+    the same class and equal fields, the hash is that of the tuple of
+    fields, and assigning or deleting an attribute raises
+    `dataclasses.FrozenInstanceError`.  A class declared with
+    `frozen=False` can be assigned to and is unhashable, as a dataclass that
+    is not frozen.  The constructor is compiled once per class, which costs
+    far less at import time than dataclass generation, and no record keeps
+    a `__dict__`.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = True):
+        cls.__match_args__ = cls.__slots__
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _record_init(cls)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join(["%s=%r" % (name, getattr(self, name)) for name in self.__slots__]),
+        )
+
+    # the error is the dataclass one, imported only when raised: importing
+    # `dataclasses` costs more than everything this base does at import
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+def _record_init(cls: type):
+    """The constructor of the record class `cls`, compiled from its
+    `__slots__`, `_defaults` and `_validate`."""
+    defaults = cls.__dict__.get("_defaults", {})
+    # each field is written through its slot's own setter, which is quicker
+    # than object.__setattr__ and bypasses the frozen guard
+    namespace = {"_fresh": _FRESH}
+    params, body = [], []
+    for name in cls.__slots__:
+        namespace["_set_" + name] = cls.__dict__[name].__set__
+        if name not in defaults:
+            params.append(name)
+        elif defaults[name].__class__ in (list, dict):
+            params.append("%s=_fresh" % name)
+            body.append("    if %s is _fresh:\n        %s = %s()\n" % (
+                name, name, defaults[name].__class__.__name__))
+        else:
+            namespace["_default_" + name] = defaults[name]
+            params.append("%s=_default_%s" % (name, name))
+    body += ["    _set_%s(self, %s)\n" % (name, name) for name in cls.__slots__]
+    if hasattr(cls, "_validate"):
+        body.append("    self._validate()\n")
+    exec("def __init__(%s):\n%s" % (
+        ", ".join(["self"] + params), "".join(body) or "    pass\n"), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = cls.__qualname__ + ".__init__"
+    return init
 
 
 class XReal:
@@ -383,13 +482,17 @@ class State:
 _DEEP_STACK = 1_000_000
 
 
-@contextmanager
-def _deep_stack():
-    """Raise the recursion limit for the duration of one evaluation only."""
-    old = sys.getrecursionlimit()
-    if old < _DEEP_STACK:
-        sys.setrecursionlimit(_DEEP_STACK)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
+class _deep_stack:
+    """Raise the recursion limit for the duration of one evaluation only:
+    `with _deep_stack(): ...` restores the old limit on leaving, also when
+    the body raises."""
+
+    __slots__ = ("old",)
+
+    def __enter__(self):
+        self.old = old = sys.getrecursionlimit()
+        if old < _DEEP_STACK:
+            sys.setrecursionlimit(_DEEP_STACK)
+
+    def __exit__(self, *exc_info):
+        sys.setrecursionlimit(self.old)

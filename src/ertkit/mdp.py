@@ -36,13 +36,12 @@ over `Fraction`s.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .kernel import INF, ONE, ZERO, KernelError, State, XReal, _deep_stack
+from .kernel import INF, ONE, ZERO, KernelError, Record, State, XReal, _deep_stack
 from .semantics import eval_dist, eval_expr, eval_guard, eval_rt
 from .syntax import (
     Annotated, Empty, Halt, If, NdChoice, ProbAssign, Program, RtExpr, RT_ZERO,
@@ -74,40 +73,45 @@ class MdpNode(NamedTuple):
     state: Optional[State] = None
 
 
-@dataclass
-class Mdp:
-    nodes: List[MdpNode]
-    # per node: action -> list of (probability, successor index)
-    transitions: List[Dict[str, List[Tuple[Fraction, int]]]]
-    rewards: List[XReal]
-    initial: int
-    sink: int
-    f: RtExpr
+class Mdp(Record, frozen=False):
+    __slots__ = (
+        "nodes",  # List[MdpNode]
+        # per node: action -> list of (probability, successor index)
+        "transitions",  # List[Dict[str, List[Tuple[Fraction, int]]]]
+        "rewards",  # List[XReal]
+        "initial",  # int
+        "sink",  # int
+        "f",  # RtExpr
+    )
 
     @property
     def node_count(self) -> int:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
-class Qualitative:
-    kind: str  # "AllSchedulersReachSink" | "SomeSchedulerAvoids"
-    witness: Optional[Tuple[Tuple[int, str], ...]] = None  # (node, action)
+class Qualitative(Record):
+    __slots__ = (
+        "kind",  # "AllSchedulersReachSink" | "SomeSchedulerAvoids"
+        "witness",  # Optional[Tuple[Tuple[int, str], ...]]: (node, action)
+    )
+    _defaults = {"witness": None}
 
 
-@dataclass(frozen=True)
-class RewardAnalysis:
-    value: XReal
-    method: str  # "ExactLinearSolve" | "PolicyIteration" | "Qualitative" | "InfiniteReward"
-    schedulers: Optional[int] = None  # policies evaluated by PolicyIteration
-    iterations: Optional[int] = None  # always None; perfbench/tracer.py reads it
+class RewardAnalysis(Record):
+    __slots__ = (
+        "value",  # XReal
+        "method",  # "ExactLinearSolve" | "PolicyIteration" | "Qualitative" | "InfiniteReward"
+        "schedulers",  # Optional[int]: policies evaluated by PolicyIteration
+        "iterations",  # always None; perfbench/tracer.py reads it
+    )
+    _defaults = {"schedulers": None, "iterations": None}
 
 
-@dataclass(frozen=True)
-class MdpConfig:
-    node_cap: int = 200_000
+class MdpConfig(Record):
+    __slots__ = ("node_cap",)
+    _defaults = {"node_cap": 200_000}
 
-    def __post_init__(self):
+    def _validate(self):
         _check_node_cap(self.node_cap)
 
 
@@ -342,7 +346,7 @@ def head_reward(h: Program) -> XReal:
 
 
 def build_mdp(
-    C: Program, sigma0: State, f: RtExpr = RT_ZERO, node_cap: int = MdpConfig.node_cap
+    C: Program, sigma0: State, f: RtExpr = RT_ZERO, node_cap: int = MdpConfig().node_cap
 ) -> Mdp:
     """Breadth-first closure of the step rules from the initial configuration.
 
@@ -644,16 +648,18 @@ def expected_reward(m: Mdp) -> RewardAnalysis:
 # cross-checking against the transformer
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
-    status: str  # "pass" | "fail"
-    ert_kind: str
-    ert_value: XReal
-    mdp_value: XReal
-    method: str
-    node_count: int
-    bounded_at: Optional[int] = None
-    detail: str = ""
+class CrossCheckReport(Record):
+    __slots__ = (
+        "status",  # "pass" | "fail"
+        "ert_kind",  # str
+        "ert_value",  # XReal
+        "mdp_value",  # XReal
+        "method",  # str
+        "node_count",  # int
+        "bounded_at",  # Optional[int]
+        "detail",  # str
+    )
+    _defaults = {"bounded_at": None, "detail": ""}
 
 
 def cross_check(

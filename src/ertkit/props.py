@@ -19,7 +19,6 @@ successor states it computes, which no post-run-time changes, are shared.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -32,7 +31,7 @@ from .generator import (
     random_state,
     shrink,
 )
-from .kernel import INF, State, XReal
+from .kernel import INF, Record, State, XReal
 from .mdp import MdpConfig, cross_check
 from .parser import parse_program
 from .syntax import (
@@ -60,21 +59,18 @@ Case = Callable[[Program, State], Dict[str, Optional[str]]]
 Sample = Tuple[Case, Program, Optional[RtExpr], List[State]]
 
 
-@dataclass(frozen=True)
-class PropFailure:
-    prop: str
-    program: str
-    f: str
-    state: str
-    detail: str
+class PropFailure(Record):
+    __slots__ = ("prop", "program", "f", "state", "detail")  # each a str
 
 
-@dataclass
-class PropReport:
-    requested: int
-    checked: int = 0
-    per_property: dict = field(default_factory=dict)
-    failures: List[PropFailure] = field(default_factory=list)
+class PropReport(Record, frozen=False):
+    __slots__ = (
+        "requested",  # int
+        "checked",  # int
+        "per_property",  # Dict[str, int]
+        "failures",  # List[PropFailure]
+    )
+    _defaults = {"checked": 0, "per_property": {}, "failures": []}
 
     @property
     def ok(self) -> bool:
@@ -283,19 +279,17 @@ def run_property_suite(seed: int, count: int) -> PropReport:
     return report
 
 
-@dataclass(frozen=True)
-class SweepFailure:
-    program: str
-    f: str
-    state: str
-    detail: str
+class SweepFailure(Record):
+    __slots__ = ("program", "f", "state", "detail")  # each a str
 
 
-@dataclass
-class SweepReport:
-    passed: int = 0
-    exact: int = 0
-    failures: List[SweepFailure] = field(default_factory=list)
+class SweepReport(Record, frozen=False):
+    __slots__ = (
+        "passed",  # int
+        "exact",  # int
+        "failures",  # List[SweepFailure]
+    )
+    _defaults = {"passed": 0, "exact": 0, "failures": []}
 
     @property
     def ok(self) -> bool:

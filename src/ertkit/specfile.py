@@ -37,14 +37,14 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .invariants import StateDomain
+from .kernel import Record
 from .parser import ParseError, parse_program, parse_rt, read_int, too_long
-from .syntax import Program, RtExpr, RT_ZERO, while_loops
+from .syntax import RtExpr, RT_ZERO, while_loops
 
 Reader = Callable[[str, str, int], object]  # (key, value, line) -> field value
 
@@ -57,23 +57,24 @@ class SpecError(ValueError):
         super().__init__(f"{where}{message}")
 
 
-@dataclass(frozen=True)
-class InvariantSpecFile:
-    check: str
-    program: Program
-    program_source: str
-    loop_index: int
-    f: RtExpr
-    invariant: Optional[RtExpr]
-    invariant_n: Optional[RtExpr]
-    direction: str
-    limit: Optional[RtExpr]
-    domain: Optional[StateDomain]
-    n_max: int
-    probe: int
-    tol: Fraction
-    big: Fraction
-    rounds: int
+class InvariantSpecFile(Record):
+    __slots__ = (
+        "check",  # str
+        "program",  # Program
+        "program_source",  # str
+        "loop_index",  # int
+        "f",  # RtExpr
+        "invariant",  # Optional[RtExpr]
+        "invariant_n",  # Optional[RtExpr]
+        "direction",  # str
+        "limit",  # Optional[RtExpr]
+        "domain",  # Optional[StateDomain]
+        "n_max",  # int
+        "probe",  # int
+        "tol",  # Fraction
+        "big",  # Fraction
+        "rounds",  # int
+    )
 
     @property
     def loop(self):

@@ -1,114 +1,57 @@
 """Abstract syntax for programs, distribution expressions, and run-time
 expressions, plus pretty-printers and small tree utilities.
 
-Every node is an immutable object with structural equality, so parsed and
-programmatically built trees compare naturally.  Evaluators key caches on
+Every node is a `kernel.Record`: an immutable object with structural
+equality, so parsed and programmatically built trees compare naturally.  Evaluators key caches on
 object identity, never on structural hashes of deep trees.
 """
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import List, Tuple, Union
 
+from .kernel import Record
+
 _set = object.__setattr__
-
-
-class _Node:
-    """Base of every syntax node.
-
-    A node class lists its fields once, in order, as `__slots__`.  It gets a
-    constructor taking them as positional or named parameters, unless it
-    writes its own `__init__` to normalise them.  Equality, hashing, `repr`,
-    pickling and `match` patterns follow the fields, as for a frozen
-    dataclass: nodes are equal when they have the same class and equal
-    fields, the hash is that of the tuple of fields, and assigning or
-    deleting an attribute raises `FrozenInstanceError`.  The constructor is
-    compiled once per class, which costs far less at import time than
-    dataclass generation.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        fields = cls.__slots__
-        cls.__match_args__ = fields
-        if "__init__" not in cls.__dict__:
-            # each field is written through its slot's own setter, which is
-            # quicker than object.__setattr__ and bypasses the frozen guard
-            setters = {"_set_" + name: cls.__dict__[name].__set__ for name in fields}
-            params = "".join(", " + name for name in fields)
-            body = "".join("    _set_%s(self, %s)\n" % (name, name) for name in fields)
-            namespace: dict = {}
-            exec("def __init__(self%s):\n%s" % (params, body or "    pass\n"), setters, namespace)
-            init = namespace["__init__"]
-            init.__qualname__ = cls.__qualname__ + ".__init__"
-            cls.__init__ = init
-
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return "%s(%s)" % (
-            type(self).__qualname__,
-            ", ".join(["%s=%r" % (name, getattr(self, name)) for name in self.__slots__]),
-        )
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError("cannot delete field %r" % name)
-
-    def __reduce__(self):
-        return type(self), self._fields()
 
 
 # ---------------------------------------------------------------------------
 # integer/boolean expressions (used in programs, guards, indices, indicators)
 
 
-class IntLit(_Node):
+class IntLit(Record):
     __slots__ = ("value",)
 
 
-class BoolLit(_Node):
+class BoolLit(Record):
     __slots__ = ("value",)
 
 
-class VarRef(_Node):
+class VarRef(Record):
     __slots__ = ("name",)
 
 
-class CellRef(_Node):
+class CellRef(Record):
     __slots__ = ("name", "index")
 
 
-class BinOp(_Node):
+class BinOp(Record):
     __slots__ = ("op", "left", "right")  # op: + - *
 
 
-class Cmp(_Node):
+class Cmp(Record):
     __slots__ = ("op", "left", "right")  # op: = != < <= > >=
 
 
-class And(_Node):
+class And(Record):
     __slots__ = ("left", "right")
 
 
-class Or(_Node):
+class Or(Record):
     __slots__ = ("left", "right")
 
 
-class Not(_Node):
+class Not(Record):
     __slots__ = ("arg",)
 
 
@@ -119,11 +62,11 @@ Expr = Union[IntLit, BoolLit, VarRef, CellRef, BinOp, Cmp, And, Or, Not]
 # distribution expressions
 
 
-class ArrayLit(_Node):
+class ArrayLit(Record):
     __slots__ = ("items",)  # a tuple of Expr
 
 
-class WeightedList(_Node):
+class WeightedList(Record):
     # entries: (probability, value expression); probabilities sum to 1
     __slots__ = ("entries",)
 
@@ -133,11 +76,11 @@ class WeightedList(_Node):
         ))
 
 
-class Uniform(_Node):
+class Uniform(Record):
     __slots__ = ("lo", "hi")
 
 
-class Dirac(_Node):
+class Dirac(Record):
     __slots__ = ("value",)  # an Expr or an ArrayLit
 
 
@@ -148,11 +91,11 @@ DistExpr = Union[WeightedList, Uniform, Dirac]
 # assignment targets
 
 
-class VarTarget(_Node):
+class VarTarget(Record):
     __slots__ = ("name",)
 
 
-class CellTarget(_Node):
+class CellTarget(Record):
     __slots__ = ("name", "index")
 
 
@@ -160,43 +103,43 @@ class CellTarget(_Node):
 # programs
 
 
-class Empty(_Node):
+class Empty(Record):
     __slots__ = ()
 
 
-class Skip(_Node):
+class Skip(Record):
     __slots__ = ()
 
 
-class Halt(_Node):
+class Halt(Record):
     __slots__ = ()
 
 
-class ProbAssign(_Node):
+class ProbAssign(Record):
     __slots__ = ("target", "dist")  # a VarTarget or a CellTarget, a DistExpr
 
 
-class Seq(_Node):
+class Seq(Record):
     __slots__ = ("first", "second")
 
 
-class NdChoice(_Node):
+class NdChoice(Record):
     __slots__ = ("left", "right")
 
 
-class If(_Node):
+class If(Record):
     __slots__ = ("guard", "then", "orelse")
 
 
-class While(_Node):
+class While(Record):
     __slots__ = ("guard", "body")
 
 
-class WhileBounded(_Node):
+class WhileBounded(Record):
     __slots__ = ("bound", "guard", "body")  # bound: an int
 
 
-class Annotated(_Node):
+class Annotated(Record):
     # bound: a certified lower bound on the loop's run-time under the zero
     # post-run-time, which the transformer may stand in for the loop there
     __slots__ = ("loop", "bound")
@@ -209,7 +152,7 @@ Program = Union[Empty, Skip, Halt, ProbAssign, Seq, NdChoice, If, While, WhileBo
 # run-time expressions
 
 
-class RLit(_Node):
+class RLit(Record):
     __slots__ = ("value",)
 
     def __init__(self, value: Fraction):
@@ -220,67 +163,67 @@ class RLit(_Node):
         _set(self, "value", value)
 
 
-class RInf(_Node):
+class RInf(Record):
     __slots__ = ()
 
 
-class RVar(_Node):
+class RVar(Record):
     __slots__ = ("name",)
 
 
-class RCell(_Node):
+class RCell(Record):
     __slots__ = ("name", "index")
 
 
-class Indicator(_Node):
+class Indicator(Record):
     __slots__ = ("cond",)
 
 
-class RAdd(_Node):
+class RAdd(Record):
     __slots__ = ("left", "right")
 
 
-class RMonus(_Node):
+class RMonus(Record):
     __slots__ = ("left", "right")
 
 
-class RMul(_Node):
+class RMul(Record):
     __slots__ = ("left", "right")
 
 
-class RDiv(_Node):
+class RDiv(Record):
     __slots__ = ("left", "right")
 
 
-class RPow(_Node):
+class RPow(Record):
     __slots__ = ("base", "exponent")  # exponent: must evaluate to a natural number
 
 
-class RMin(_Node):
+class RMin(Record):
     __slots__ = ("left", "right")
 
 
-class RMax(_Node):
+class RMax(Record):
     __slots__ = ("left", "right")
 
 
-class FiniteSum(_Node):
+class FiniteSum(Record):
     __slots__ = ("var", "lo", "hi", "body")
 
 
-class GeoSeries(_Node):
+class GeoSeries(Record):
     __slots__ = ("ratio",)
 
 
-class Harmonic(_Node):
+class Harmonic(Record):
     __slots__ = ("arg",)
 
 
-class OmegaParam(_Node):
+class OmegaParam(Record):
     __slots__ = ()
 
 
-class RwCoef(_Node):
+class RwCoef(Record):
     __slots__ = ("n", "k")
 
 

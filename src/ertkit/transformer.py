@@ -73,11 +73,11 @@ lower bound for the whole program.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .kernel import (
-    ZERO, KernelError, State, XReal, _deep_stack, pair_le, pair_lowest, pair_sum,
+    ZERO, KernelError, Record, State, XReal, _deep_stack, pair_le, pair_lowest,
+    pair_sum,
 )
 from .semantics import eval_dist, eval_expr, eval_guard, eval_rt_pair
 from .syntax import (
@@ -111,24 +111,26 @@ class NotDeterministic(KernelError):
     pass
 
 
-@dataclass(frozen=True)
-class ErtConfig:
+class ErtConfig(Record):
     """Knobs for the transformer."""
 
-    max_unroll_depth: int = 64
+    __slots__ = ("max_unroll_depth",)
+    _defaults = {"max_unroll_depth": 64}
 
-    def __post_init__(self):
+    def _validate(self):
         if self.max_unroll_depth < 1:
             raise ValueError(
                 "max_unroll_depth must be at least 1, got %r" % (self.max_unroll_depth,)
             )
 
 
-@dataclass(frozen=True)
-class ErtResult:
-    kind: str  # "exact" | "lower"
-    value: XReal
-    annotations_used: Tuple[str, ...] = ()
+class ErtResult(Record):
+    __slots__ = (
+        "kind",  # "exact" | "lower"
+        "value",  # XReal
+        "annotations_used",  # Tuple[str, ...]
+    )
+    _defaults = {"annotations_used": ()}
 
     @property
     def is_exact(self) -> bool:

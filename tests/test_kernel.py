@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from ertkit.kernel import (
     UnboundVariable,
     XReal,
     ZERO,
+    _DEEP_STACK,
+    _deep_stack,
     pair_le,
     pair_lowest,
     pair_sum,
@@ -309,3 +312,16 @@ def test_state_updates_agree_with_fresh_states():
     assert hash(start) == hash(State({"x": 0, "y": 0, "cp": (0, 0, 0)}))
     assert reached.set_cell("cp", 2, 0).set("cp", (0, 7, 0)) == fresh
     assert start.set("x", 0) == start and hash(start.set("x", 0)) == hash(start)
+
+
+def test_the_deep_stack_scope_restores_the_limit_when_its_body_raises():
+    old = sys.getrecursionlimit()
+    assert old < _DEEP_STACK
+    with pytest.raises(KindMismatch):
+        with _deep_stack():
+            assert sys.getrecursionlimit() == _DEEP_STACK
+            with _deep_stack():
+                assert sys.getrecursionlimit() == _DEEP_STACK
+            assert sys.getrecursionlimit() == _DEEP_STACK
+            raise KindMismatch("inside the scope")
+    assert sys.getrecursionlimit() == old

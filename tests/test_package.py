@@ -1,6 +1,10 @@
 import ast
 import dataclasses
+import importlib
+import os
 import re
+import subprocess
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -209,17 +213,49 @@ def test_syntax_nodes_share_the_slotted_base():
     # a node declared as a dataclass, or without its own __slots__, would
     # add import time and a per-instance __dict__
     from ertkit import syntax
+    from ertkit.kernel import Record
 
     classes = [
         c for c in vars(syntax).values()
-        if isinstance(c, type) and c.__module__ == syntax.__name__ and c is not syntax._Node
+        if isinstance(c, type) and c.__module__ == syntax.__name__
     ]
     assert classes
     for cls in classes:
-        assert issubclass(cls, syntax._Node), cls
+        assert issubclass(cls, Record), cls
         assert "__slots__" in cls.__dict__, cls
         assert not hasattr(object.__new__(cls), "__dict__"), cls
         assert not dataclasses.is_dataclass(cls), cls
+
+
+def test_no_class_is_a_dataclass_and_every_record_shares_the_base():
+    # dataclass generation at import costs several times what the slotted
+    # base does
+    from ertkit.kernel import Record
+    from test_records import RECORDS
+
+    classes = [
+        c for path in sorted(SRC.glob("*.py")) if path.stem not in ("__init__", "__main__")
+        for c in vars(importlib.import_module("ertkit." + path.stem)).values()
+        if isinstance(c, type) and c.__module__ == "ertkit." + path.stem
+    ]
+    assert len(classes) > 60
+    for cls in classes:
+        assert not dataclasses.is_dataclass(cls), cls
+    for cls in RECORDS:
+        assert issubclass(cls, Record), cls
+        assert "__slots__" in cls.__dict__, cls
+        assert not hasattr(object.__new__(cls), "__dict__"), cls
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ertkit, ertkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_a_model_node_is_one_object():

@@ -16,12 +16,13 @@ import pytest
 from ertkit import syntax
 from ertkit.corpus import ENTRIES
 from ertkit.generator import PROFILES, random_program, random_runtime
+from ertkit.kernel import Record
 from ertkit.parser import parse_program, parse_rt
 from ertkit.syntax import Annotated, RLit, RVar, WeightedList, replace_whiles
 
 NODE_CLASSES = sorted(
     (c for c in vars(syntax).values()
-     if isinstance(c, type) and c.__module__ == syntax.__name__ and c is not syntax._Node),
+     if isinstance(c, type) and c.__module__ == syntax.__name__),
     key=lambda c: c.__name__,
 )
 
@@ -42,7 +43,7 @@ _RT = (
 
 
 def _walk(value, out):
-    if isinstance(value, syntax._Node):
+    if isinstance(value, Record):
         out.append(value)
         for name in value.__slots__:
             _walk(getattr(value, name), out)
