@@ -25,7 +25,9 @@ are the builder's own; the transformer interns its states in its own
 
 The expected total reward to the sink, maximized over schedulers, is the
 quantity the transformer computes; `cross_check` compares the two.  The
-model is condensed once, over the union of all actions.  A search confined
+model is condensed once, over the union of all actions; a model whose every
+edge runs to a later node or to the sink is condensed by its numbering
+alone, without Tarjan's search.  A search confined
 to the cyclic blocks of that condensation decides whether some scheduler
 can avoid the sink (then the value is infinite): an end component is
 strongly connected, so it lies inside one cyclic block.  Otherwise Howard
@@ -120,6 +122,9 @@ def _check_node_cap(node_cap: int) -> None:
         raise ValueError("node_cap must be at least 1, got %r" % (node_cap,))
 
 
+# the configuration `cross_check` uses when it is given none
+_DEFAULT_CONFIG = MdpConfig()
+
 # the loop bound `cross_check` falls back to when the node cap is hit
 FALLBACK_UNROLL = 40
 
@@ -152,10 +157,14 @@ class _Target:
         self.succ: Tuple[_Target, ...] = ()
 
 
+# node 0 of every build
+_SINK = MdpNode("sink")
+
+
 class _Builder:
     def __init__(self, cap: int):
         self.cap = cap
-        self.nodes: List[MdpNode] = [MdpNode("sink")]
+        self.nodes: List[MdpNode] = [_SINK]
         self.owner: List[Optional[_Target]] = [None]  # per node: its target
         self.states: Dict[State, State] = {}  # each state of the build, interned
         self.term = _Target("term", None)
@@ -457,14 +466,21 @@ def _condense(m: Mdp) -> List[Union[int, List[int]]]:
     node without a self-loop as its index and a cyclic block (a self-loop
     included) as a list.  Every scheduler's chain is a subgraph of this
     union graph, so the order is a valid evaluation order for every policy,
-    and every end component lies inside one of the lists.
+    and every end component lies inside one of the lists.  When every edge
+    runs to a higher index or to the sink, the numbering itself is a
+    topological order and every component a single, so the nodes come from
+    the highest index down and Tarjan does not run, as on most models of
+    the soundness sweep.
     """
     n = m.node_count
+    sink = m.sink
+    if _runs_forward(m.transitions, sink):
+        return [v for v in range(n - 1, -1, -1) if v != sink]
     succ = [[j for rows in t.values() for _, j in rows] for t in m.transitions]
     index = [-1] * n
     low = [0] * n
     on = [False] * n
-    index[m.sink] = 0
+    index[sink] = 0
     counter = 1
     stack: List[int] = []
     out: List[Union[int, List[int]]] = []
@@ -501,6 +517,18 @@ def _condense(m: Mdp) -> List[Union[int, List[int]]]:
                         comp.append(w)
                     out.append(comp if len(comp) > 1 or v in succ[v] else v)
     return out
+
+
+def _runs_forward(
+    transitions: List[Dict[str, List[Tuple[Fraction, int]]]], sink: int
+) -> bool:
+    """Whether every edge runs to a higher index or to the sink."""
+    for v, t in enumerate(transitions):
+        for rows in t.values():
+            for _, j in rows:
+                if j <= v and j != sink:
+                    return False
+    return True
 
 
 def _evaluate(
@@ -614,14 +642,23 @@ def expected_reward(m: Mdp) -> RewardAnalysis:
     comps = _condense(m)
     if _staying(m, comps):
         return RewardAnalysis(INF, "Qualitative")
-    if any(not r.is_finite for r in m.rewards):
+    if any(r.q is None for r in m.rewards):
         # an infinite reward sits on a reachable node, and every node is
         # reached with positive probability by construction
         return RewardAnalysis(INF, "InfiniteReward")
     reward = [r.q or 0 for r in m.rewards]  # int 0 tests fast
-    nd = [i for i, t in enumerate(m.transitions) if len(t) > 1]
-    pick = {i: min(m.transitions[i]) for i in nd}
-    rows = [t[min(t)] for t in m.transitions]  # the policy's row per node
+    # the choice nodes, each with its action, and the policy's row per node
+    nd: List[int] = []
+    pick: Dict[int, str] = {}
+    rows: List[List[Tuple[Fraction, int]]] = []
+    for i, t in enumerate(m.transitions):
+        if len(t) > 1:
+            a = pick[i] = min(t)
+            nd.append(i)
+            rows.append(t[a])
+        else:
+            (row,) = t.values()
+            rows.append(row)
     vals: List[Fraction] = [0] * m.node_count
     evaluated = 0
     improved = True
@@ -639,9 +676,12 @@ def expected_reward(m: Mdp) -> RewardAnalysis:
                 pick[i] = best
                 rows[i] = m.transitions[i][best]
                 improved = True
+    # a value is a Fraction, or int 0 where `_evaluate` found nothing to sum
+    v = vals[m.initial]
+    value = XReal._of(v) if v else ZERO
     if not nd:
-        return RewardAnalysis(XReal(vals[m.initial]), "ExactLinearSolve")
-    return RewardAnalysis(XReal(vals[m.initial]), "PolicyIteration", schedulers=evaluated)
+        return RewardAnalysis(value, "ExactLinearSolve")
+    return RewardAnalysis(value, "PolicyIteration", schedulers=evaluated)
 
 
 # ---------------------------------------------------------------------------
@@ -682,12 +722,12 @@ def cross_check(
     Both values are exact: an exact transformer result must equal the model
     value, and a lower one must not exceed it.
     """
-    from .transformer import ErtConfig, expected_runtime
+    from .transformer import expected_runtime
 
     if fallback_unroll < 1:
         raise ValueError("fallback_unroll must be at least 1, got %r" % (fallback_unroll,))
     sigma = sigma or State()
-    cfg = cfg or MdpConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     bounded_at = None
     program = C
     try:
@@ -700,8 +740,7 @@ def cross_check(
     # free the model before the transformer builds its own tables
     node_count = m.node_count
     del m
-    e_cfg = ert_config or ErtConfig()
-    ert = expected_runtime(program, f, sigma, e_cfg)
+    ert = expected_runtime(program, f, sigma, ert_config)
 
     ev, mv = ert.value, analysis.value
     if ert.is_exact:

@@ -124,6 +124,10 @@ class ErtConfig(Record):
             )
 
 
+# the configuration of an evaluation given none
+_DEFAULT_CONFIG = ErtConfig()
+
+
 class ErtResult(Record):
     __slots__ = (
         "kind",  # "exact" | "lower"
@@ -169,7 +173,7 @@ ZERO_CONT = _Cont(lambda engine, sigma: (0, 1, False))
 def _as_cont(f: RunTime) -> _Cont:
     """A post-run-time as a continuation that computes f's engine value
     once per state and keeps it for as long as the continuation lives."""
-    if f is None or f == RT_ZERO:
+    if f is None or f is RT_ZERO or f == RT_ZERO:
         return ZERO_CONT
     # keyed by the id of an interned state, which the step table keeps alive
     values: Dict[int, Val] = {}
@@ -234,7 +238,7 @@ class StepTable:
     ) -> ErtResult:
         """`expected_runtime`, in an engine of its own that shares this
         table."""
-        engine = self.engine(program, config or ErtConfig())
+        engine = self.engine(program, config or _DEFAULT_CONFIG)
         sigma = sigma or State()
         sigma = self.states.setdefault(sigma, sigma)
         with _deep_stack():
@@ -491,7 +495,6 @@ def char_functional(loop: Union[While, Annotated], f: RunTime):
     """
     if isinstance(loop, Annotated):
         loop = loop.loop
-    cfg = ErtConfig()
     f_cont = _as_cont(f)
     steps = StepTable()
     # (X, its continuation, the engine applying F to it)
@@ -499,7 +502,7 @@ def char_functional(loop: Union[While, Annotated], f: RunTime):
 
     def apply(X, sigma: State) -> Tuple[XReal, bool]:
         if last[2] is None or last[0] is not X:
-            last[:] = X, _as_cont(X), steps.engine(loop, cfg)
+            last[:] = X, _as_cont(X), steps.engine(loop, _DEFAULT_CONFIG)
         _, x_cont, engine = last
         sigma = steps.states.setdefault(sigma, sigma)
         with _deep_stack():

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from ertkit import corpus
 from ertkit.corpus import ENTRIES, coupon_closed_form
 from ertkit.kernel import State, XReal
-from ertkit.mdp import NodeCapExceeded, build_mdp
+from ertkit.mdp import FALLBACK_UNROLL, CrossCheckReport, NodeCapExceeded, build_mdp
 from ertkit.parser import parse_program
 from ertkit.semantics import harmonic_number
 from ertkit.transformer import expected_runtime
@@ -74,6 +75,24 @@ def test_infinite_case_studies_have_no_full_model(name):
 def test_coupon_checks_default_and_n3():
     assert all(o.ok for o in ENTRIES["coupon"].run_checks())
     assert all(o.ok for o in ENTRIES["coupon"].run_checks(N=3))
+
+
+def test_coupon_over_the_node_cap_raises_as_its_model_build_does(monkeypatch):
+    # the closed form is about the full model, so a cross-check that fell
+    # back to the bounded program cannot answer it; a real one needs N = 13
+    # and seconds of building
+    cross_check = corpus.cross_check
+
+    def bounded(*args):
+        cc = cross_check(*args)
+        return CrossCheckReport(
+            cc.status, cc.ert_kind, cc.ert_value, cc.mdp_value, cc.method,
+            cc.node_count, FALLBACK_UNROLL, cc.detail,
+        )
+
+    monkeypatch.setattr(corpus, "cross_check", bounded)
+    with pytest.raises(NodeCapExceeded, match="^reachable node count exceeded the cap of 200000$"):
+        ENTRIES["coupon"].run_checks()
 
 
 def test_npast_checks():

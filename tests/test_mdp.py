@@ -429,7 +429,7 @@ def _check_condensation(m):
     assert sorted(map(sorted, blocks)) == sorted(map(sorted, expect))
     settled = {m.sink}
     for c, block in zip(comps, blocks):
-        assert isinstance(c, int) == (len(block) == 1 and c not in succ[c])
+        assert isinstance(c, int) == (len(block) == 1 and block[0] not in succ[block[0]])
         inside = set(block)
         assert all(j in settled or j in inside for v in block for j in succ[v])
         settled |= inside
@@ -569,6 +569,67 @@ def test_a_self_loop_is_a_block():
     analysis = expected_reward(m)
     assert analysis.method == "ExactLinearSolve"
     assert analysis.value == XReal(Fraction(3, 2)) == XReal(_solve_chain(m)[1])
+
+
+def _hand_built_chain(succ, sink):
+    """A Markov chain with its sink at index `sink`: every other node `v`
+    pays 1 and steps to each node of `succ[v]` with equal probability.  It
+    starts at the first node that is not the sink."""
+    n = len(succ)
+    return Mdp(
+        nodes=[MdpNode("sink" if v == sink else "exec") for v in range(n)],
+        transitions=[
+            {"t": [(Fraction(1, len(s)), j) for j in s]} for s in succ
+        ],
+        rewards=[XReal(0 if v == sink else 1) for v in range(n)],
+        initial=0 if sink else 1,
+        sink=sink,
+        f=RT_ZERO,
+    )
+
+
+def _numbered_forward(m):
+    """Whether every edge runs to a higher index or to the sink."""
+    succ = _union_successors(m)
+    return all(j > v or j == m.sink for v in succ for j in succ[v])
+
+
+@pytest.mark.parametrize(
+    "succ, sink, forward, comps, value",
+    [
+        # every edge runs forward, or back to the sink at node 2: condensed
+        # by the numbering, where Tarjan would list node 1 before node 3, in
+        # the order of node 0's row
+        ([[1, 3], [2], [2], [2]], 2, True, [3, 1, 0], 2),
+        # 3 -> 2 runs backwards without closing a cycle: by the numbering,
+        # node 3 would be summed before node 2 is settled
+        ([[0], [3], [0], [2]], 0, False, [2, 3, 1], 3),
+        # a self-loop on node 1, every other edge forward, the sink last
+        ([[1], [1, 2], [3], [3]], 3, False, [2, [1], 0], 4),
+    ],
+)
+def test_a_model_is_condensed_by_its_numbering_when_every_edge_runs_forward(
+    succ, sink, forward, comps, value
+):
+    m = _hand_built_chain(succ, sink)
+    assert _numbered_forward(m) == forward
+    assert _condense(m) == comps
+    _check_condensation(m)
+    analysis = expected_reward(m)
+    assert analysis.method == "ExactLinearSolve"
+    assert analysis.value == XReal(value) == XReal(_solve_chain(m)[m.initial])
+
+
+@pytest.mark.parametrize("src, method", [
+    ("empty", "ExactLinearSolve"),
+    ("{ empty } [] { halt }", "PolicyIteration"),
+])
+def test_a_zero_value_is_an_exact_zero(src, method):
+    analysis = expected_reward(build(src))
+    assert analysis.method == method
+    assert analysis.value == XReal(0) == ZERO
+    assert type(analysis.value.q) is Fraction
+
 
 # sha256 over (str(value), method, schedulers) of `expected_reward`, one line
 # per model, for the 500 models `run_soundness_sweep(11)` builds (node cap
@@ -958,11 +1019,28 @@ def _assert_matches_oracle(program, sigma, f, node_cap):
     return new, _checked_policies(new)[1]
 
 
+# sweep models, of 500 per data seed, whose numbering is a topological order
+SWEEP_FORWARD = {11: 447, 12: 452}
+
+
 @pytest.mark.parametrize("seed", [11, 12])
 def test_sweep_models_match_the_oracle(seed):
+    forward = 0
     for program, f, sigma in sweep_triples(seed):
-        if not _assert_matches_oracle(program, sigma, f, 30_000):
-            assert _assert_matches_oracle(replace_whiles(program, 32), sigma, f, 30_000)
+        checked = _assert_matches_oracle(program, sigma, f, 30_000)
+        if not checked:
+            checked = _assert_matches_oracle(replace_whiles(program, 32), sigma, f, 30_000)
+            assert checked
+        m = checked[0]
+        _check_condensation(m)
+        if _numbered_forward(m):
+            # condensed by its numbering, from the highest index down
+            assert _condense(m) == [
+                v for v in range(m.node_count - 1, -1, -1) if v != m.sink
+            ]
+            forward += 1
+    # both ways to condense are checked
+    assert forward == SWEEP_FORWARD[seed]
 
 
 def _corpus_and_golden_models():
