@@ -246,7 +246,8 @@ def _base_report(args, command: str) -> dict:
         "tool": {"name": "ertkit", "version": __version__},
         "command": command,
         "argv": args.argv_echo,
-        "seed": getattr(args, "seed", None),
+        # a fixed key of the report's schema: 0 for the commands without --seed
+        "seed": getattr(args, "seed", 0),
     }
 
 
@@ -579,7 +580,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--timings", action="store_true", help="emit timing data")
 
     def program_args(p: argparse.ArgumentParser) -> None:
@@ -629,23 +629,20 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_crosscheck)
 
-    p = sub.add_parser("check-inv", help="check an upper invariant spec")
-    p.add_argument("spec")
-    common(p)
-    p.set_defaults(func=_cmd_check_inv)
+    for name, help_, func in (
+        ("check-inv", "check an upper invariant spec", _cmd_check_inv),
+        ("check-omega", "check an omega-invariant spec", _cmd_check_omega),
+        ("refine", "tighten a bound by applying the loop functional", _cmd_refine),
+    ):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("spec")
+        common(p)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("check-omega", help="check an omega-invariant spec")
-    p.add_argument("spec")
-    common(p)
-    p.set_defaults(func=_cmd_check_omega)
-
-    p = sub.add_parser("refine", help="tighten a bound by applying the loop functional")
-    p.add_argument("spec")
-    common(p)
-    p.set_defaults(func=_cmd_refine)
-
+    # the property suite is the one command that draws random programs
     p = sub.add_parser("props", help="randomized algebraic-law suite")
     p.add_argument("--count", type=int, default=500)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_props)
 

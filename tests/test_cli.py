@@ -604,6 +604,20 @@ def test_export_mdp_refuses_the_report_flags(flags, capsys):
     assert f"unrecognized arguments: {' '.join(flags)}" in err
 
 
+# the property suite is the one command that draws random programs, so a
+# seed given to any other would change nothing
+@pytest.mark.parametrize("argv", [
+    ["eval", "corpus:geo"], ["crosscheck", "corpus:geo"], ["corpus", "geo"],
+    ["check-inv", str(SPECS / "geo_upper.spec")], ["check-omega", str(SPECS / "geo_omega.spec")],
+    ["refine", str(SPECS / "geo_refine.spec")],
+], ids=lambda argv: argv[0])
+def test_only_props_takes_a_seed(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_library_and_command_line_fall_back_to_the_same_depth(capsys):
     rwalk = ertkit.corpus.ENTRIES["rwalk"].program()
     sigma = ertkit.kernel.State({"x": 1})

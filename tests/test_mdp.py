@@ -631,23 +631,6 @@ def test_a_zero_value_is_an_exact_zero(src, method):
     assert type(analysis.value.q) is Fraction
 
 
-# sha256 over (str(value), method, schedulers) of `expected_reward`, one line
-# per model, for the 500 models `run_soundness_sweep(11)` builds (node cap
-# 30 000, falling back to the depth-32 bounded program)
-SWEEP_REWARD_SHA256 = "517a47ceb528272ca6133465199a948d4e6dcb70c706db38651067a46415ba25"
-
-
-def test_sweep_rewards_match_golden_digest():
-    digest = hashlib.sha256()
-    for program, f, sigma in sweep_triples(11):
-        try:
-            m = build_mdp(program, sigma, f, 30_000)
-        except NodeCapExceeded:
-            m = build_mdp(replace_whiles(program, 32), sigma, f, 30_000)
-        a = expected_reward(m)
-        digest.update(repr((str(a.value), a.method, a.schedulers)).encode() + b"\n")
-    assert digest.hexdigest() == SWEEP_REWARD_SHA256
-
 def end_components_avoiding_the_sink(m):
     """The maximal end component decomposition by repeated SCC refinement:
     sub-MDPs a scheduler can keep forever, in which every node has an action
@@ -968,31 +951,6 @@ def test_dot_export_prints_each_program_head_once(monkeypatch):
     assert dot == (DATA / "mdp_coupon2.dot").read_text(encoding="utf-8")
 
 
-# sha256 over the DOT of the first 100 sweep models of data seed 11 that fit
-# the sweep's node cap, joined by newlines
-SWEEP_DOT_SHA256 = "c1b87981f0186fd09a3c64c25eed264a61c09846632202d583c25cd21583d548"
-
-
-def _sweep_dot_digest(seed=11, count=100):
-    """The digest of the first `count` sweep models that fit the cap."""
-    digest = hashlib.sha256()
-    built = 0
-    for program, f, sigma in sweep_triples(seed):
-        try:
-            m = build_mdp(program, sigma, f, 30_000)
-        except NodeCapExceeded:
-            continue
-        digest.update(mdp_to_dot(m).encode() + b"\n")
-        built += 1
-        if built == count:
-            return digest.hexdigest()
-    raise AssertionError(f"fewer than {count} sweep models fit the cap")
-
-
-def test_sweep_dot_export_matches_golden_digest():
-    assert _sweep_dot_digest() == SWEEP_DOT_SHA256
-
-
 # ---------------------------------------------------------------------------
 # the parent's builder as an oracle: the same models, and every policy the
 # solver evaluates on them equal to the per-policy solve
@@ -1000,8 +958,8 @@ def test_sweep_dot_export_matches_golden_digest():
 
 def _assert_matches_oracle(program, sigma, f, node_cap):
     """Build with both builders, and check each policy that `expected_reward`
-    evaluates against the per-policy solve; returns the model and those
-    policies, or None if the model exceeds the cap."""
+    evaluates against the per-policy solve; returns the model, its DOT, the
+    analysis and those policies, or None if the model exceeds the cap."""
     try:
         old = mdp_oracle.build_mdp(program, sigma, f, node_cap)
     except NodeCapExceeded as exc:
@@ -1015,23 +973,35 @@ def _assert_matches_oracle(program, sigma, f, node_cap):
     assert new.transitions == old.transitions
     assert new.rewards == old.rewards
     assert (new.initial, new.sink, new.f) == (old.initial, old.sink, old.f)
-    assert mdp_to_dot(new) == mdp_to_dot(old)
-    return new, _checked_policies(new)[1]
+    dot = mdp_to_dot(new)
+    assert dot == mdp_to_dot(old)
+    return (new, dot, *_checked_policies(new))
 
 
-# sweep models, of 500 per data seed, whose numbering is a topological order
-SWEEP_FORWARD = {11: 447, 12: 452}
+# One pass over the 500 models `run_soundness_sweep(11)` builds (node cap
+# 30 000, falling back to the depth-32 bounded program) feeds three checks
+# besides the oracle comparison: sha256 over (str(value), method,
+# schedulers) of `expected_reward`, one line per model; sha256 over the DOT
+# of the first 100 models that fit without the fallback, each followed by a
+# newline; and the count of models whose numbering is a topological order.
+SWEEP_REWARD_SHA256 = "517a47ceb528272ca6133465199a948d4e6dcb70c706db38651067a46415ba25"
+SWEEP_DOT_SHA256 = "c1b87981f0186fd09a3c64c25eed264a61c09846632202d583c25cd21583d548"
+SWEEP_FORWARD = 447
 
 
-@pytest.mark.parametrize("seed", [11, 12])
-def test_sweep_models_match_the_oracle(seed):
-    forward = 0
-    for program, f, sigma in sweep_triples(seed):
+def test_sweep_models_match_the_oracle():
+    rewards, dots = hashlib.sha256(), hashlib.sha256()
+    dotted = forward = 0
+    for program, f, sigma in sweep_triples(11):
         checked = _assert_matches_oracle(program, sigma, f, 30_000)
         if not checked:
             checked = _assert_matches_oracle(replace_whiles(program, 32), sigma, f, 30_000)
             assert checked
-        m = checked[0]
+        elif dotted < 100:
+            dots.update(checked[1].encode() + b"\n")
+            dotted += 1
+        m, _, a, _ = checked
+        rewards.update(repr((str(a.value), a.method, a.schedulers)).encode() + b"\n")
         _check_condensation(m)
         if _numbered_forward(m):
             # condensed by its numbering, from the highest index down
@@ -1039,8 +1009,10 @@ def test_sweep_models_match_the_oracle(seed):
                 v for v in range(m.node_count - 1, -1, -1) if v != m.sink
             ]
             forward += 1
+    assert rewards.hexdigest() == SWEEP_REWARD_SHA256
+    assert dots.hexdigest() == SWEEP_DOT_SHA256
     # both ways to condense are checked
-    assert forward == SWEEP_FORWARD[seed]
+    assert forward == SWEEP_FORWARD
 
 
 def _corpus_and_golden_models():
@@ -1074,7 +1046,7 @@ def test_corpus_and_golden_models_match_the_oracle():
     for program, sigma, f in _corpus_and_golden_models():
         checked = _assert_matches_oracle(program, sigma, f, 200_000)
         assert checked
-        m, seen = checked
+        m, _, _, seen = checked
         blocks = _sccs(range(m.node_count), _union_successors(m))
         cyclic += any(len(block) > 1 for block in blocks)
         several += len(seen) > 1

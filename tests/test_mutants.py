@@ -119,13 +119,15 @@ def drop_if_tick(monkeypatch):
     monkeypatch.setattr(_Engine, "_bounded", _bounded)
 
 
-def _cut_off_does_not_taint(monkeypatch):
-    """Transformer: a `while` cut off at the unroll cap counts as exact."""
-    bounded = _Engine._bounded
+def cut_off_does_not_taint(monkeypatch, engine=_Engine, cut_off=(0, 1, False)):
+    """Transformer: a `while` cut off at the unroll cap counts as exact.
+    Given another engine class and its untainted zero, the defect goes
+    there instead."""
+    bounded = engine._bounded
     monkeypatch.setattr(
-        _Engine, "_bounded",
+        engine, "_bounded",
         lambda e, loop, depth, sigma, cont:
-            (0, 1, False) if depth <= 0 else bounded(e, loop, depth, sigma, cont),
+            cut_off if depth <= 0 else bounded(e, loop, depth, sigma, cont),
     )
 
 
@@ -157,7 +159,7 @@ TRANSFORMER_MUTANTS = {
     "halt-keeps-its-continuation": lambda mp: _patch_eval(
         mp, Halt, lambda rule, e, p, sigma, cont: cont.eval(e, sigma)
     ),
-    "cut-off-does-not-taint": _cut_off_does_not_taint,
+    "cut-off-does-not-taint": cut_off_does_not_taint,
     # the bound, certified under the zero run-time, stands in under any
     "annotation-under-any-continuation": lambda mp: _patch_eval(
         mp, Annotated, lambda rule, e, p, sigma, cont: rule(e, p, sigma, ZERO_CONT)

@@ -46,7 +46,7 @@ from ertkit.transformer import (
     expected_runtime,
     kleene_iterates,
 )
-from test_mutants import TRANSFORMER_MUTANTS, drop_if_tick, guard_drift
+from test_mutants import TRANSFORMER_MUTANTS, cut_off_does_not_taint, drop_if_tick, guard_drift
 
 GEO = parse_program("while (c = 1) { c :~ 1/2*<0> + 1/2*<1> }")
 
@@ -531,6 +531,10 @@ def test_loops_sharing_guard_and_body_keep_their_own_cutoff():
 # every weight, certain or not, and by every value, zero or not.  The
 # transformer's unreduced int pair per node, which skips those multiplies
 # and impossible branches and reduces once, must give the same results.
+# They are also checked across each case's rising caps: a loop's run-time is
+# the least fixed point that its unrollings approach from below, so an exact
+# result reached no cut-off, and every larger cap must give it as well.  That
+# catches a defect both engines share, such as a cut-off that does not taint.
 
 CAPS = (1, 2, 3, 5, 8, 64)
 
@@ -578,35 +582,45 @@ def _runtime_cases(count: int):
             yield Seq(program, loops_tail), RT_ZERO, sigma, CAPS
         if i % 16 == 0:
             yield Seq(program, loops_tail), f, sigma, CAPS
-        yield other, g, tau, (64, 3, 1)
-        yield other, inf, tau, (64, 3, 1)
+        yield other, g, tau, (1, 3, 64)
+        yield other, inf, tau, (1, 3, 64)
         if i % 4 == 0:
-            yield Seq(other, any_tail), RT_ZERO, tau, (64, 3, 1)
+            yield Seq(other, any_tail), RT_ZERO, tau, (1, 3, 64)
 
 
 def _results(cases):
-    """(value, kind, annotations_used) of the transformer and of the
-    reference, per case and cap."""
+    """Per case, the (value, kind, annotations_used) of the transformer and
+    of the reference, each a list over the case's caps."""
     for program, f, sigma, caps in cases:
-        for cap in caps:
-            cfg = ErtConfig(max_unroll_depth=cap)
-            new = expected_runtime(program, f, sigma, cfg)
-            old = xreal_engine.expected_runtime(program, f, sigma, cfg)
-            yield (new.value, new.kind, new.annotations_used), (
-                old.value, old.kind, old.annotations_used
-            )
+        yield [
+            [(r.value, r.kind, r.annotations_used) for r in (
+                ert(program, f, sigma, ErtConfig(max_unroll_depth=cap)) for cap in caps
+            )]
+            for ert in (expected_runtime, xreal_engine.expected_runtime)
+        ]
+
+
+def _check_across_caps(results) -> int:
+    """Check that the results at rising caps are all the same from the
+    first exact one on; returns how many followed that one."""
+    settled = list(itertools.dropwhile(lambda r: r[1] != "exact", results))
+    for r in settled[1:]:
+        assert r == settled[0], f"{r} after the exact {settled[0]} of a smaller cap"
+    return max(len(settled) - 1, 0)
 
 
 def test_one_accumulator_matches_the_per_term_arithmetic():
-    lower = annotated = infinite = 0
+    lower = annotated = infinite = settled = 0
     for new, old in _results(_runtime_cases(200)):
         assert new == old
-        value, kind, used = new
-        lower += kind == "lower"
-        annotated += bool(used)
-        infinite += value.is_infinite
-    # the samples reach the cap, substitute bounds and have infinite values
-    assert lower > 500 and annotated > 100 and infinite > 1000
+        settled += _check_across_caps(new)
+        for value, kind, used in new:
+            lower += kind == "lower"
+            annotated += bool(used)
+            infinite += value.is_infinite
+    # the samples reach the cap, substitute bounds and have infinite values,
+    # and many results are checked against a smaller cap that had settled
+    assert lower > 500 and annotated > 100 and infinite > 1000 and settled > 2000
 
 
 @pytest.mark.parametrize("mutate", TRANSFORMER_MUTANTS.values(), ids=TRANSFORMER_MUTANTS.keys())
@@ -614,6 +628,18 @@ def test_the_reference_comparison_catches_the_mutant(mutate, monkeypatch):
     mutate(monkeypatch)
     # the first 48 programs of both samples catch every transformer mutant
     assert any(new != old for new, old in _results(_runtime_cases(48)))
+
+
+def test_the_cross_cap_check_catches_a_cut_off_both_engines_miss(monkeypatch):
+    # a cut-off that does not taint, in both engines: they still agree at
+    # every cap, but a cut-off result now reads as exact and a larger cap
+    # changes it
+    cut_off_does_not_taint(monkeypatch)
+    cut_off_does_not_taint(monkeypatch, xreal_engine._Engine, (ZERO, False))
+    with pytest.raises(AssertionError, match="of a smaller cap"):
+        for new, old in _results(itertools.islice(_runtime_cases(1), 4)):
+            assert new == old
+            _check_across_caps(new)
 
 
 NESTED = parse_program(
@@ -650,81 +676,6 @@ def test_loop_functional_matches_the_per_term_arithmetic(loop, fs):
         old_it = xreal_engine.kleene_iterates(loop, f, states)
         for _ in range(5):
             assert next(new_it) == next(old_it)
-    assert tainted == (loop is NESTED)
-
-
-# ---------------------------------------------------------------------------
-# the single unrolling against a doubling schedule
-#
-# A doubling schedule evaluates at caps 1, 2, 4, ... up to the cap and stops
-# at the first result that is exact or infinite.  An exact result reached no
-# cut-off, so every deeper unrolling explores the same paths, and an infinite
-# lower bound stays infinite; either way the transformer's one unrolling at
-# the cap must give the result the schedule stops at.  The schedule runs on
-# the reference engine.
-
-
-def _doubling_caps(cap: int):
-    depth = 1
-    while depth < cap:
-        yield depth
-        depth *= 2
-    yield cap
-
-
-def test_single_unrolling_matches_the_doubling_schedule():
-    lower = early = 0
-    for program, f, sigma, caps in _runtime_cases(200):
-        for cap in caps:
-            new = expected_runtime(program, f, sigma, ErtConfig(max_unroll_depth=cap))
-            for depth in _doubling_caps(cap):
-                old = xreal_engine.expected_runtime(
-                    program, f, sigma, ErtConfig(max_unroll_depth=depth)
-                )
-                if old.kind == "exact":
-                    break
-            assert (new.value, new.kind, new.annotations_used) == (
-                old.value, old.kind, old.annotations_used
-            )
-            lower += new.kind == "lower"
-            early += depth < cap
-    # the sample reaches the cap, and the schedule often stops before it
-    assert lower > 500 and early > 500
-
-
-@pytest.mark.parametrize("loop", [GEO, NESTED], ids=["geo", "nested"])
-def test_char_functional_matches_the_doubling_schedule(loop, monkeypatch):
-    # NESTED's inner loop reaches its cut-off at every cap, so the schedule
-    # runs to the default cap and the taint the functional passes on is
-    # compared as well
-    states = [State({"c": c, "x": x}) for c in (0, 1) for x in (0, 1, 2)]
-
-    def by_doubling(f, X, sigma):
-        for depth in _doubling_caps(ErtConfig().max_unroll_depth):
-            with monkeypatch.context() as m:
-                m.setattr(xreal_engine, "ErtConfig", lambda: ErtConfig(max_unroll_depth=depth))
-                value, tainted = xreal_engine.char_functional(loop, f)(X, sigma)
-            if not tainted or value.is_infinite:
-                break
-        return value, tainted
-
-    tainted = False
-    for f in (parse_rt("x + c"), parse_rt("inf")):
-        F = char_functional(loop, f)
-        for X in (parse_rt("2 * x"), parse_rt("inf")):
-            for s in states:
-                (nv, nt), (ov, ot) = F(X, s), by_doubling(f, X, s)
-                assert nv == ov
-                if not ov.is_infinite:
-                    assert nt == ot
-                    tainted = tainted or nt
-        iterates = kleene_iterates(loop, f, states)
-        table = {s: ZERO for s in states}
-        assert next(iterates) == table
-        for _ in range(3):
-            X = lambda q, t=table: t.get(q, ZERO)  # noqa: E731
-            table = {s: by_doubling(f, X, s)[0] for s in states}
-            assert next(iterates) == table
     assert tainted == (loop is NESTED)
 
 
