@@ -13,7 +13,6 @@ from .kernel import INF, State, XReal
 from .syntax import Annotated, program_to_text
 from .parser import ParseError, parse_program, parse_rt
 from .transformer import (
-    ErtConfig,
     ErtResult,
     char_functional,
     det_step_count,
@@ -51,7 +50,6 @@ __all__ = [
     "parse_rt",
     "program_to_text",
     "Annotated",
-    "ErtConfig",
     "ErtResult",
     "expected_runtime",
     "det_step_count",

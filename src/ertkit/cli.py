@@ -43,7 +43,7 @@ from .parser import _KEYWORDS, ParseError, parse_program, parse_rt, read_int
 from .props import run_property_suite
 from .specfile import InvariantSpecFile, SpecError, parse_spec
 from .syntax import Program, RtExpr, RT_ZERO, while_loops
-from .transformer import ErtConfig, StepTable
+from .transformer import MAX_UNROLL_DEPTH, StepTable
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -256,7 +256,6 @@ def _base_report(args, command: str) -> dict:
 
 def _cmd_eval(args) -> int:
     program, source, f, default = _program_inputs(args)
-    cfg = ErtConfig(max_unroll_depth=args.depth)
     states = [_parse_state([s]) for s in args.state] or [default]
 
     results = []
@@ -264,7 +263,7 @@ def _cmd_eval(args) -> int:
     # every state and every half-depth run share the program's step table
     ert = StepTable().expected_runtime
     for sigma in states:
-        res = ert(program, f, sigma, cfg)
+        res = ert(program, f, sigma, args.depth)
         try:
             entry = {
                 "state": repr(sigma),
@@ -274,7 +273,7 @@ def _cmd_eval(args) -> int:
             }
             if res.kind == "lower":
                 entry["depth"] = args.depth
-                half = ert(program, f, sigma, ErtConfig(max_unroll_depth=max(1, args.depth // 2)))
+                half = ert(program, f, sigma, max(1, args.depth // 2))
                 if res.value.is_finite and half.value.is_finite:
                     gain = res.value.q - half.value.q
                     entry["last_doubling_gain"] = _q_str(gain)
@@ -313,7 +312,7 @@ def _cmd_crosscheck(args) -> int:
         f,
         sigma,
         MdpConfig(node_cap=args.node_cap),
-        ert_config=ErtConfig(max_unroll_depth=args.depth),
+        max_unroll_depth=args.depth,
         fallback_unroll=args.fallback_depth,
     )
 
@@ -607,9 +606,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="BINDINGS",
         help="initial state, e.g. c=1 or x=2,y=0 (repeatable for several states)",
     )
-    p.add_argument(
-        "--depth", type=int, default=ErtConfig().max_unroll_depth, help="loop unrolling cap"
-    )
+    p.add_argument("--depth", type=int, default=MAX_UNROLL_DEPTH, help="loop unrolling cap")
     common(p)
     p.set_defaults(func=_cmd_eval)
 
@@ -618,7 +615,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     program_args(p)
     p.add_argument("--state", action="append", default=[], metavar="BINDINGS")
-    p.add_argument("--depth", type=int, default=ErtConfig().max_unroll_depth)
+    p.add_argument("--depth", type=int, default=MAX_UNROLL_DEPTH)
     p.add_argument("--node-cap", type=int, default=MdpConfig().node_cap)
     p.add_argument(
         "--fallback-depth",

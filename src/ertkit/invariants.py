@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from .kernel import (
     INF, IndexOutOfBounds, KernelError, KindMismatch, Record, State, XReal,
@@ -154,6 +156,23 @@ def _premises(
         yield sigma, lhs, rhs, _point(direction, lhs, tainted, rhs)
 
 
+def _verdict(rounds: Iterable[Tuple[Optional[int], Iterator]], cut_off: str) -> Verdict:
+    """The verdict of a proof rule whose `rounds` yield each round's n and
+    premises: Fails at the first failing premise, otherwise Inconclusive
+    with `cut_off` filled in at the first cut-off one, otherwise Holds."""
+    inconclusive: Optional[str] = None
+    with _deep_stack():
+        for n, premises in rounds:
+            for sigma, lhs, rhs, res in premises:
+                if res == "Fails":
+                    return Verdict("Fails", witness=sigma, n=n, lhs=lhs, rhs=rhs)
+                if res == "Inconclusive" and inconclusive is None:
+                    inconclusive = cut_off.format(sigma=sigma, n=n)
+    if inconclusive:
+        return Verdict("Inconclusive", reason=inconclusive)
+    return Verdict("Holds")
+
+
 def check_upper_invariant(
     W: Union[While, Annotated],
     f: RtExpr,
@@ -162,22 +181,14 @@ def check_upper_invariant(
 ) -> Verdict:
     """Park's rule: F_f(I) pointwise at most I certifies ert at most I."""
     apply_F = char_functional(W, f)
-    inconclusive: Optional[str] = None
-    with _deep_stack():
-        for sigma, lhs, rhs, res in _premises(
-            apply_F, spec.invariant,
-            lambda s: _rt_at(spec.invariant, s), "upper", D,
-        ):
-            if res == "Fails":
-                return Verdict("Fails", witness=sigma, lhs=lhs, rhs=rhs)
-            if res == "Inconclusive" and inconclusive is None:
-                inconclusive = (
-                    "a loop inside the body was cut off at %s; "
-                    "annotate it or raise the unroll depth" % sigma
-                )
-    if inconclusive:
-        return Verdict("Inconclusive", reason=inconclusive)
-    return Verdict("Holds")
+    premises = _premises(
+        apply_F, spec.invariant, lambda s: _rt_at(spec.invariant, s), "upper", D
+    )
+    return _verdict(
+        [(None, premises)],
+        "a loop inside the body was cut off at {sigma}; "
+        "annotate it or raise the unroll depth",
+    )
 
 
 def check_omega_invariant(
@@ -193,27 +204,20 @@ def check_omega_invariant(
     the upper direction is the same with the orders flipped.
     """
     apply_F = char_functional(W, f)
-    inconclusive: Optional[str] = None
-    with _deep_stack():
+
+    def rounds():
         # round 0 is the base case F(0) against I_0, round k the step
         # F(I_{k-1}) against I_k; both report their n as max(k - 1, 0)
         for k in range(n_max + 1):
-            n = max(k - 1, 0)
             X = RT_ZERO
             if k:
                 # I_{k-1} as a function of the state, its binding built once
                 X = lambda s, b={"n": k - 1}: eval_rt(spec.invariant_n, s, b)  # noqa: E731
-            for sigma, lhs, rhs, res in _premises(
-                apply_F, X, lambda s: _rt_at(spec.invariant_n, s, k),
-                spec.direction, D,
-            ):
-                if res == "Fails":
-                    return Verdict("Fails", witness=sigma, n=n, lhs=lhs, rhs=rhs)
-                if res == "Inconclusive" and inconclusive is None:
-                    inconclusive = "body loop cut off at %s (n=%s)" % (sigma, n)
-    if inconclusive:
-        return Verdict("Inconclusive", reason=inconclusive)
-    return Verdict("Holds")
+            yield max(k - 1, 0), _premises(
+                apply_F, X, lambda s: _rt_at(spec.invariant_n, s, k), spec.direction, D
+            )
+
+    return _verdict(rounds(), "body loop cut off at {sigma} (n={n})")
 
 
 def check_limit(

@@ -48,7 +48,7 @@ from .semantics import eval_dist, eval_expr, eval_guard, eval_rt
 from .syntax import (
     Annotated, Empty, Halt, If, NdChoice, ProbAssign, Program, RtExpr, RT_ZERO,
     Seq, Skip, VarTarget, While, WhileBounded, program_to_text, replace_whiles,
-    unfold_once,
+    unfold_once, while_loops,
 )
 
 
@@ -83,7 +83,6 @@ class Mdp(Record, frozen=False):
         "rewards",  # List[XReal]
         "initial",  # int
         "sink",  # int
-        "f",  # RtExpr
     )
 
     @property
@@ -341,7 +340,7 @@ class _Builder:
                 rewards.append(ZERO)
                 transitions.append({"t": [(_ONE, node(t.succ[0], sigma))]})
             i += 1
-        return Mdp(nodes, transitions, rewards, initial, sink, f)
+        return Mdp(nodes, transitions, rewards, initial, sink)
 
 
 def head_reward(h: Program) -> XReal:
@@ -707,23 +706,28 @@ def cross_check(
     f: RtExpr = RT_ZERO,
     sigma: Optional[State] = None,
     cfg: Optional[MdpConfig] = None,
-    ert_config=None,
+    max_unroll_depth: Optional[int] = None,
     fallback_unroll: int = FALLBACK_UNROLL,
 ) -> CrossCheckReport:
     """Compute the transformer and the operational value and compare.
 
-    Programs whose reachable model does not fit the node cap are compared on
-    their form with each `while` bounded at `fallback_unroll` (default
-    `FALLBACK_UNROLL`, 40) instead: both sides are exact on that program,
-    so the comparison is an exact equality, at the price of speaking about
-    the bounded program only.  A program without `while` loops is its own
-    fallback, so it raises `NodeCapExceeded`.
+    The transformer unrolls each `while` at most `max_unroll_depth` times
+    (None for `transformer.MAX_UNROLL_DEPTH`).  Programs whose reachable
+    model does not fit the node cap are compared on their form with each
+    `while` bounded at `fallback_unroll` (default `FALLBACK_UNROLL`, 40)
+    instead: both sides are exact on that program, so the comparison is an
+    exact equality, at the price of speaking about the bounded program only.
+    A program without `while` loops is its own fallback, so it raises
+    `NodeCapExceeded` without a second build.
 
     Both values are exact: an exact transformer result must equal the model
     value, and a lower one must not exceed it.
     """
-    from .transformer import expected_runtime
+    from .transformer import MAX_UNROLL_DEPTH, check_unroll_depth, expected_runtime
 
+    if max_unroll_depth is None:
+        max_unroll_depth = MAX_UNROLL_DEPTH
+    check_unroll_depth(max_unroll_depth)
     if fallback_unroll < 1:
         raise ValueError("fallback_unroll must be at least 1, got %r" % (fallback_unroll,))
     sigma = sigma or State()
@@ -733,6 +737,8 @@ def cross_check(
     try:
         m = build_mdp(program, sigma, f, cfg.node_cap)
     except NodeCapExceeded:
+        if not while_loops(C):
+            raise
         bounded_at = fallback_unroll
         program = replace_whiles(C, fallback_unroll)
         m = build_mdp(program, sigma, f, cfg.node_cap)
@@ -740,7 +746,7 @@ def cross_check(
     # free the model before the transformer builds its own tables
     node_count = m.node_count
     del m
-    ert = expected_runtime(program, f, sigma, ert_config)
+    ert = expected_runtime(program, f, sigma, max_unroll_depth)
 
     ev, mv = ert.value, analysis.value
     if ert.is_exact:

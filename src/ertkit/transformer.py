@@ -106,26 +106,12 @@ class FuelExhausted(KernelError):
 # the most statements `det_step_count` executes before it gives a run up
 STEP_BUDGET = 10_000_000
 
+# the unrolling cap of an evaluation given none
+MAX_UNROLL_DEPTH = 64
+
 
 class NotDeterministic(KernelError):
     pass
-
-
-class ErtConfig(Record):
-    """Knobs for the transformer."""
-
-    __slots__ = ("max_unroll_depth",)
-    _defaults = {"max_unroll_depth": 64}
-
-    def _validate(self):
-        if self.max_unroll_depth < 1:
-            raise ValueError(
-                "max_unroll_depth must be at least 1, got %r" % (self.max_unroll_depth,)
-            )
-
-
-# the configuration of an evaluation given none
-_DEFAULT_CONFIG = ErtConfig()
 
 
 class ErtResult(Record):
@@ -224,21 +210,22 @@ class StepTable:
         self.supports: Dict[tuple, List[list]] = {}
         self.states: Dict[State, State] = {}
 
-    def engine(self, program: Program, config: ErtConfig) -> "_Engine":
+    def engine(self, program: Program, max_unroll_depth: int = MAX_UNROLL_DEPTH) -> "_Engine":
         """A fresh engine that evaluates `program` against this table."""
+        check_unroll_depth(max_unroll_depth)
         self.programs[id(program)] = program
-        return _Engine(config, self)
+        return _Engine(max_unroll_depth, self)
 
     def expected_runtime(
         self,
         program: Program,
         f: RunTime = None,
         sigma: Optional[State] = None,
-        config: Optional[ErtConfig] = None,
+        max_unroll_depth: int = MAX_UNROLL_DEPTH,
     ) -> ErtResult:
         """`expected_runtime`, in an engine of its own that shares this
         table."""
-        engine = self.engine(program, config or _DEFAULT_CONFIG)
+        engine = self.engine(program, max_unroll_depth)
         sigma = sigma or State()
         sigma = self.states.setdefault(sigma, sigma)
         with _deep_stack():
@@ -254,8 +241,8 @@ class StepTable:
 
 
 class _Engine:
-    def __init__(self, config: ErtConfig, steps: StepTable):
-        self.config = config
+    def __init__(self, max_unroll_depth: int, steps: StepTable):
+        self.max_unroll_depth = max_unroll_depth
         self.memo: Dict[tuple, Val] = {}
         # interned for the engine's lifetime, so that ids in memo keys never
         # get recycled
@@ -426,7 +413,7 @@ def _if(engine: _Engine, p: If, sigma: State, cont: _Cont) -> Val:
 
 
 def _while(engine: _Engine, p: While, sigma: State, cont: _Cont) -> Val:
-    return engine._bounded(p, engine.config.max_unroll_depth, sigma, cont)
+    return engine._bounded(p, engine.max_unroll_depth, sigma, cont)
 
 
 def _while_bounded(engine: _Engine, p: WhileBounded, sigma: State, cont: _Cont) -> Val:
@@ -438,7 +425,7 @@ def _annotated(engine: _Engine, p: Annotated, sigma: State, cont: _Cont) -> Val:
         engine.annotations_used.append(rt_to_text(p.bound))
         n, d = eval_rt_pair(p.bound, sigma)
         return n, d, True
-    return engine._bounded(p.loop, engine.config.max_unroll_depth, sigma, cont)
+    return engine._bounded(p.loop, engine.max_unroll_depth, sigma, cont)
 
 
 _RULES: Dict[type, Callable[[_Engine, Program, State, _Cont], Val]] = {
@@ -462,15 +449,22 @@ def expected_runtime(
     program: Program,
     f: RunTime = None,
     sigma: Optional[State] = None,
-    config: Optional[ErtConfig] = None,
+    max_unroll_depth: int = MAX_UNROLL_DEPTH,
 ) -> ErtResult:
-    """Expected run-time of `program` applied to `f`, from state `sigma`.
+    """Expected run-time of `program` applied to `f`, from state `sigma`,
+    with each `while` unrolled at most `max_unroll_depth` times.
 
     The result is exact unless a loop had to be cut off or a lower-bound
     annotation was substituted, in which case it is a lower bound.  An
     infinite lower bound is promoted back to exact, since nothing exceeds it.
     """
-    return StepTable().expected_runtime(program, f, sigma, config)
+    return StepTable().expected_runtime(program, f, sigma, max_unroll_depth)
+
+
+def check_unroll_depth(max_unroll_depth: int) -> None:
+    """Refuse an unrolling cap below 1."""
+    if max_unroll_depth < 1:
+        raise ValueError("max_unroll_depth must be at least 1, got %r" % (max_unroll_depth,))
 
 
 def char_functional(loop: Union[While, Annotated], f: RunTime):
@@ -502,7 +496,7 @@ def char_functional(loop: Union[While, Annotated], f: RunTime):
 
     def apply(X, sigma: State) -> Tuple[XReal, bool]:
         if last[2] is None or last[0] is not X:
-            last[:] = X, _as_cont(X), steps.engine(loop, _DEFAULT_CONFIG)
+            last[:] = X, _as_cont(X), steps.engine(loop)
         _, x_cont, engine = last
         sigma = steps.states.setdefault(sigma, sigma)
         with _deep_stack():

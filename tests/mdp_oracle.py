@@ -231,4 +231,4 @@ def build_mdp(
                     for action, rows in b.step(node.program, node.state).items()
                 }
             i += 1
-    return Mdp(b.nodes, b.transitions, b.rewards, initial, b.sink, f)
+    return Mdp(b.nodes, b.transitions, b.rewards, initial, b.sink)

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from ertkit.parser import MAX_NESTING
 SRC = Path(__file__).resolve().parent.parent / "src"
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 DATA = Path(__file__).resolve().parent / "data"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -1202,3 +1204,27 @@ def test_corpus_parameters_have_no_flags_of_their_own(capsys):
         main(["corpus", "coupon", "--N", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --N 2" in capsys.readouterr().err
+
+
+def test_the_readme_synopsis_lists_each_commands_flags():
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```text\n", 1)[1].split("```", 1)[0]
+    # an indented line continues the synopsis above it
+    synopses = re.sub(r"\n\s+", " ", block).splitlines()
+    documented = {}
+    for line in synopses:
+        assert line.startswith("ertkit ")
+        name = line.split()[1]
+        flags = set(re.findall(r"--[a-z-]+", line))
+        # "Every command but `export-mdp` also takes [--format ...] [--timings]"
+        if name != "export-mdp":
+            flags |= {"--format", "--timings"}
+        documented[name] = flags
+    commands = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    parsed = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in commands.choices.items()
+    }
+    assert documented == parsed

@@ -15,9 +15,7 @@ from ertkit.kernel import State, XReal
 from ertkit.mdp import MdpConfig, build_mdp, cross_check, expected_reward
 from ertkit.parser import parse_program, parse_rt
 from ertkit.props import run_property_suite
-from ertkit.transformer import (
-    ErtConfig, StepTable, char_functional, expected_runtime, kleene_iterates,
-)
+from ertkit.transformer import StepTable, char_functional, expected_runtime, kleene_iterates
 
 GEO = parse_program("while (c = 1) { c :~ 1/2*<0> + 1/2*<1>; skip }")
 CHOICE = parse_program(
@@ -48,7 +46,7 @@ def _eval():
     ert = StepTable().expected_runtime
     for x in (4, 2):
         for depth in (8, 4):
-            ert(CHOICE, None, State({"x": x}), ErtConfig(max_unroll_depth=depth))
+            ert(CHOICE, None, State({"x": x}), depth)
 
 
 def _model():

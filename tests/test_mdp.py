@@ -114,15 +114,15 @@ def node_reward(node: MdpNode, f) -> XReal:
     return ZERO
 
 
-def recompute_rewards(m: Mdp) -> List[XReal]:
+def recompute_rewards(m: Mdp, f) -> List[XReal]:
     """Independent second pass over the reward table, for auditing: the
     oracle's charge of each exec node's whole program."""
-    return [node_reward(node, m.f) for node in m.nodes]
+    return [node_reward(node, f) for node in m.nodes]
 
 
 def test_reward_audit_matches():
     m = build(ENTRIES["trunc"].source(), f="3/2")
-    assert recompute_rewards(m) == m.rewards
+    assert recompute_rewards(m, parse_rt("3/2")) == m.rewards
 
 
 def test_truncated_coin_value():
@@ -534,7 +534,6 @@ def test_acyclic_policies_in_a_cyclic_union_block():
         rewards=[XReal(0), XReal(1), XReal(1), XReal(5)],
         initial=1,
         sink=0,
-        f=RT_ZERO,
     )
     assert _condense(m) == [3, [2, 1]] or _condense(m) == [3, [1, 2]]
     assert _check_condensation(m)
@@ -563,7 +562,6 @@ def test_a_self_loop_is_a_block():
         rewards=[XReal(0), XReal(1)],
         initial=1,
         sink=0,
-        f=RT_ZERO,
     )
     assert _condense(m) == [[1]]
     analysis = expected_reward(m)
@@ -584,7 +582,6 @@ def _hand_built_chain(succ, sink):
         rewards=[XReal(0 if v == sink else 1) for v in range(n)],
         initial=0 if sink else 1,
         sink=sink,
-        f=RT_ZERO,
     )
 
 
@@ -721,7 +718,6 @@ def test_only_a_larger_action_avoids_the_sink():
         rewards=[XReal(0), XReal(1)],
         initial=1,
         sink=0,
-        f=RT_ZERO,
     )
     q = qualitative_check(m)
     assert q == Qualitative("SomeSchedulerAvoids", ((1, "R"),))
@@ -759,7 +755,6 @@ def _hand_built(transitions):
         rewards=[XReal(0)] + [XReal(1)] * len(transitions),
         initial=1,
         sink=0,
-        f=RT_ZERO,
     )
 
 
@@ -850,6 +845,39 @@ def test_fallback_unroll_below_one_is_rejected(depth):
         cross_check(
             rwalk, RT_ZERO, State({"x": 1}), MdpConfig(node_cap=100), fallback_unroll=depth
         )
+
+
+def _counting_builds(monkeypatch) -> list:
+    """Record the node cap of each `build_mdp` call `cross_check` makes."""
+    calls, real = [], mdp_module.build_mdp
+    monkeypatch.setattr(
+        mdp_module, "build_mdp", lambda *args: calls.append(args[3]) or real(*args)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("depth", [0, -3])
+def test_unroll_cap_below_one_is_rejected_before_a_build(monkeypatch, depth):
+    builds = _counting_builds(monkeypatch)
+    with pytest.raises(ValueError) as caught:
+        cross_check(ENTRIES["trunc"].program(), max_unroll_depth=depth)
+    assert str(caught.value) == "max_unroll_depth must be at least 1, got %d" % depth
+    assert builds == []
+
+
+def test_a_model_without_loops_over_the_cap_is_built_once(monkeypatch):
+    # replacing the loops of a program that has none gives the same model,
+    # so the fallback would only build it again
+    builds = _counting_builds(monkeypatch)
+    pairs = parse_program("x :~ unif[0 .. 30]; y :~ unif[0 .. 30]")
+    with pytest.raises(NodeCapExceeded, match="^reachable node count exceeded the cap of 100$"):
+        cross_check(pairs, cfg=MdpConfig(node_cap=100))
+    assert builds == [100]
+    # a program with a loop still falls back to its bounded form
+    rwalk = ENTRIES["rwalk"].program()
+    report = cross_check(rwalk, RT_ZERO, State({"x": 1}), MdpConfig(100), fallback_unroll=8)
+    assert report.bounded_at == 8
+    assert builds == [100] * 3
 
 
 def test_a_model_config_is_frozen():
@@ -972,7 +1000,7 @@ def _assert_matches_oracle(program, sigma, f, node_cap):
     ]
     assert new.transitions == old.transitions
     assert new.rewards == old.rewards
-    assert (new.initial, new.sink, new.f) == (old.initial, old.sink, old.f)
+    assert (new.initial, new.sink) == (old.initial, old.sink)
     dot = mdp_to_dot(new)
     assert dot == mdp_to_dot(old)
     return (new, dot, *_checked_policies(new))

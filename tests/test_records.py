@@ -27,10 +27,10 @@ from ertkit.mdp import (
 from ertkit.parser import parse_program, parse_rt
 from ertkit.props import PropFailure, PropReport, SweepFailure, SweepReport
 from ertkit.specfile import InvariantSpecFile, parse_spec
-from ertkit.transformer import ErtConfig, ErtResult, expected_runtime
+from ertkit.transformer import ErtResult, expected_runtime
 
 RECORDS = [
-    ErtConfig, ErtResult, Mdp, Qualitative, RewardAnalysis, MdpConfig, CrossCheckReport,
+    ErtResult, Mdp, Qualitative, RewardAnalysis, MdpConfig, CrossCheckReport,
     StateDomain, UpperInvariantSpec, OmegaInvariantSpec, Verdict, PropFailure, PropReport,
     SweepFailure, SweepReport, CheckOutcome, CorpusEntry, GenProfile, InvariantSpecFile,
 ]
@@ -49,7 +49,6 @@ def _samples():
     slip = SweepFailure("halt", "0", "{x=0}", "the values differ")
     domain = StateDomain.product({"x": range(3), "y": (0, 1)})
     samples = [
-        ErtConfig(), ErtConfig(5),
         expected_runtime(program, parse_rt("x"), State({"x": 1})),
         ErtResult("lower", INF, ("loop 1",)),
         model,
@@ -173,12 +172,10 @@ def test_a_default_container_is_fresh_for_each_record(cls):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: ErtConfig(0), "max_unroll_depth must be at least 1, got 0"),
-    (lambda: ErtConfig(max_unroll_depth=-3), "max_unroll_depth must be at least 1, got -3"),
     (lambda: MdpConfig(0), "node_cap must be at least 1, got 0"),
     (lambda: StateDomain(()), "a state domain must be nonempty"),
     (lambda: OmegaInvariantSpec(parse_rt("x"), "sideways"),
      "direction must be 'lower' or 'upper'"),
-], ids=["ErtConfig", "ErtConfig-named", "MdpConfig", "StateDomain", "OmegaInvariantSpec"])
+], ids=["MdpConfig", "StateDomain", "OmegaInvariantSpec"])
 def test_a_checked_record_refuses_a_bad_field(build, message):
     assert _error(ValueError, build) == message

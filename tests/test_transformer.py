@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -38,7 +37,6 @@ from ertkit.syntax import (
     while_loops,
 )
 from ertkit.transformer import (
-    ErtConfig,
     FuelExhausted,
     NotDeterministic,
     char_functional,
@@ -51,8 +49,8 @@ from test_mutants import TRANSFORMER_MUTANTS, cut_off_does_not_taint, drop_if_ti
 GEO = parse_program("while (c = 1) { c :~ 1/2*<0> + 1/2*<1> }")
 
 
-def ert(src, f=None, sigma=None, config=None):
-    return expected_runtime(parse_program(src), f, sigma, config)
+def ert(src, f=None, sigma=None):
+    return expected_runtime(parse_program(src), f, sigma)
 
 
 def test_empty_skip_halt():
@@ -122,9 +120,7 @@ def test_geometric_loop_is_a_lower_bound_at_the_depth_cap():
 def test_depth_cap_gives_the_closed_form_kleene_iterate():
     # F^d(0)(c=1) = 1 + 4 - 3/2^(d-1); the engine reaches exactly the cap
     for depth in (1, 2, 8, 16):
-        r = expected_runtime(
-            GEO, None, State({"c": 1}), ErtConfig(max_unroll_depth=depth)
-        )
+        r = expected_runtime(GEO, None, State({"c": 1}), depth)
         assert r.value == XReal(1 + Fraction(4) - Fraction(3, 2 ** (depth - 1)))
         assert r.kind == "lower"
 
@@ -225,9 +221,7 @@ def test_evaluation_scopes_the_recursion_limit():
 
     # a long run needs a deep stack while it is evaluated
     countdown = parse_program("while (x > 0) { x := x - 1 }")
-    long_run = expected_runtime(
-        countdown, None, State({"x": 2000}), ErtConfig(max_unroll_depth=4096)
-    )
+    long_run = expected_runtime(countdown, None, State({"x": 2000}), 4096)
     assert long_run.kind == "exact" and long_run.value == XReal(4001)
     assert sys.getrecursionlimit() == default
 
@@ -385,7 +379,7 @@ def test_the_rule_table_covers_every_statement():
     assert Seq not in transformer._RULES
     assert set(transformer._RULES) | {Seq} == set(typing.get_args(Program))
     prog, f = parse_program("x := 1; x := x + 1; skip"), transformer._as_cont(parse_rt("x"))
-    engine = transformer.StepTable().engine(prog, ErtConfig())
+    engine = transformer.StepTable().engine(prog)
     assert engine.eval(prog, State({"x": 0}), f) == (5, 1, False)
     for p in (42, Seq(parse_rt("x"), Empty())):
         with pytest.raises(TypeError):
@@ -480,9 +474,7 @@ def test_callable_continuation():
 def test_monotone_in_depth():
     prev = XReal(0)
     for depth in (1, 2, 4, 8, 16, 32, 64):
-        v = expected_runtime(
-            GEO, None, State({"c": 1}), ErtConfig(max_unroll_depth=depth)
-        ).value
+        v = expected_runtime(GEO, None, State({"c": 1}), depth).value
         assert prev <= v
         prev = v
 
@@ -494,20 +486,13 @@ def test_infinity_continuation_on_terminating_program():
 
 
 def test_unroll_cap_below_one_is_rejected():
-    for depth in (0, -3):
-        with pytest.raises(ValueError, match="at least 1"):
-            ErtConfig(max_unroll_depth=depth)
-    r = expected_runtime(GEO, None, State({"c": 1}), ErtConfig(max_unroll_depth=1))
+    for ert in (expected_runtime, transformer.StepTable().expected_runtime):
+        for depth in (0, -3):
+            with pytest.raises(ValueError) as caught:
+                ert(GEO, None, State({"c": 1}), depth)
+            assert str(caught.value) == "max_unroll_depth must be at least 1, got %d" % depth
+    r = expected_runtime(GEO, None, State({"c": 1}), 1)
     assert r.kind == "lower" and r.value == XReal(2)  # F(0)(c=1) = 1 + 1/2 * 2
-
-
-def test_a_transformer_config_is_frozen():
-    # a depth changed after the constructor's check would go unchecked
-    cfg = ErtConfig()
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.max_unroll_depth = 0
-    r = expected_runtime(GEO, None, State({"c": 1}), cfg)
-    assert r.kind == "lower" and r.value > XReal(4)
 
 
 def test_loops_sharing_guard_and_body_keep_their_own_cutoff():
@@ -517,9 +502,8 @@ def test_loops_sharing_guard_and_body_keep_their_own_cutoff():
     drain = while_loops(parse_program("while (x > 0) { x := x - 1 }"))[0]
     unbounded = While(drain.guard, drain.body)
     bounded = WhileBounded(3, drain.guard, drain.body)
-    cfg = ErtConfig(max_unroll_depth=3)
     for left, right in ((unbounded, bounded), (bounded, unbounded)):
-        r = expected_runtime(NdChoice(left, right), None, State({"x": 5}), cfg)
+        r = expected_runtime(NdChoice(left, right), None, State({"x": 5}), 3)
         assert (r.kind, r.value) == ("lower", XReal(6))
 
 
@@ -594,7 +578,7 @@ def _results(cases):
     for program, f, sigma, caps in cases:
         yield [
             [(r.value, r.kind, r.annotations_used) for r in (
-                ert(program, f, sigma, ErtConfig(max_unroll_depth=cap)) for cap in caps
+                ert(program, f, sigma, cap) for cap in caps
             )]
             for ert in (expected_runtime, xreal_engine.expected_runtime)
         ]
@@ -651,7 +635,7 @@ COIN_GUARD = parse_program(
 )
 
 
-# both functionals run at the default config, the one config they have;
+# both functionals run at the default cap, the one cap they have;
 # NESTED's inner loop reaches its cut-off there, so the taint the functional
 # passes on is compared as well.  Each f is also an X, 2 * x standing in
 # for x + c; NESTED, which unrolls its inner loop to the cap in every state,
@@ -725,7 +709,7 @@ def test_branch_weights_and_choice_match_xreal_arithmetic(p, a, b):
     sigma = State({"x": 0})
     branch = If(_coin(p), _to(0), _to(1))
     choice = NdChoice(_to(0), _to(1))
-    engine = transformer.StepTable().engine(branch, ErtConfig())
+    engine = transformer.StepTable().engine(branch)
     tn, fn, d = engine.guard(branch.guard, sigma)
     assert (Fraction(tn, d), Fraction(fn, d)) == (p, 1 - p)
     # each side charges the tick of its assignment; an impossible side is
@@ -744,7 +728,7 @@ def test_certain_weights_are_one_over_one():
     values = set()
     for src in sources:
         prog = parse_program(src)
-        engine = transformer.StepTable().engine(prog, ErtConfig())
+        engine = transformer.StepTable().engine(prog)
         values.add(engine.eval(prog, State({"x": 0}), transformer._as_cont(f)))
         support = engine.support(prog, State({"x": 0}))
         assert [tuple(entry[:3]) for entry in support] == [(1, 1, 3)]
@@ -858,9 +842,8 @@ def test_an_assignment_that_returns_to_its_own_state():
     steps = transformer.StepTable()
     for f in (None, parse_rt("x + 1"), None):
         for depth in (64, 1, 5):
-            cfg = ErtConfig(max_unroll_depth=depth)
-            expected = xreal_engine.expected_runtime(prog, f, sigma, cfg)
-            assert steps.expected_runtime(prog, f, sigma, cfg) == expected
+            expected = xreal_engine.expected_runtime(prog, f, sigma, depth)
+            assert steps.expected_runtime(prog, f, sigma, depth) == expected
 
 
 def test_a_support_raises_its_errors_in_support_order():
@@ -883,7 +866,7 @@ def test_a_support_raises_its_errors_in_support_order():
 
 # sha256 over (str(value), kind, annotations_used) of `expected_runtime`, one
 # line per triple, on the 500 (program, f, state) triples that
-# `run_soundness_sweep(11)` draws, under the default configuration
+# `run_soundness_sweep(11)` draws, at the default unrolling cap
 SWEEP_ERT_SHA256 = "bcc608baa9db76f6fc39a4110942a779b10fe9a11e0a9da9aacccf85ece7f6a7"
 
 

@@ -7,7 +7,8 @@ evaluated afresh wherever it is read.  Every loop is unrolled once, at the
 cap, as in `ertkit.transformer`, which instead sums unreduced int pairs and
 reads guards from a per-state table; the tests compare the two on generated
 programs, so an arithmetic slip in either shows as a difference.  Only the
-configuration and result records are shared with the production module.
+default unrolling cap and the result record are shared with the production
+module.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from ertkit.syntax import (
     Annotated, Empty, Halt, If, NdChoice, ProbAssign, Program, RtExpr,
     RT_ZERO, Seq, Skip, VarTarget, While, WhileBounded, rt_to_text,
 )
-from ertkit.transformer import ErtConfig, ErtResult
+from ertkit.transformer import MAX_UNROLL_DEPTH, ErtResult
 
 # Probability weights are non-negative Fractions by construction: the parser
 # checks that weights lie in [0, 1] and sum to one, and a uniform weight is
@@ -56,8 +57,8 @@ def _as_cont(f: RunTime) -> _Cont:
 
 
 class _Engine:
-    def __init__(self, config: ErtConfig):
-        self.config = config
+    def __init__(self, max_unroll_depth: int = MAX_UNROLL_DEPTH):
+        self.max_unroll_depth = max_unroll_depth
         self.memo: Dict[tuple, Value] = {}
         # interned for the engine's lifetime, so that ids in memo keys never
         # get recycled
@@ -121,14 +122,14 @@ class _Engine:
                 lambda: self.eval(p.orelse, sigma, cont),
             )
         if isinstance(p, While):
-            return self._bounded(p, self.config.max_unroll_depth, sigma, cont)
+            return self._bounded(p, self.max_unroll_depth, sigma, cont)
         if isinstance(p, WhileBounded):
             return self._bounded(p, p.bound, sigma, cont)
         if isinstance(p, Annotated):
             if cont is ZERO_CONT:
                 self.annotations_used.append(rt_to_text(p.bound))
                 return eval_rt(p.bound, sigma), True
-            return self._bounded(p.loop, self.config.max_unroll_depth, sigma, cont)
+            return self._bounded(p.loop, self.max_unroll_depth, sigma, cont)
         raise TypeError(p)
 
     def _assign(self, p: ProbAssign, sigma: State, cont: _Cont) -> Value:
@@ -176,10 +177,10 @@ def expected_runtime(
     program: Program,
     f: RunTime = None,
     sigma: Optional[State] = None,
-    config: Optional[ErtConfig] = None,
+    max_unroll_depth: int = MAX_UNROLL_DEPTH,
 ) -> ErtResult:
     """`ertkit.transformer.expected_runtime`, by the reference engine."""
-    engine = _Engine(config or ErtConfig())
+    engine = _Engine(max_unroll_depth)
     with _deep_stack():
         value, tainted = engine.eval(program, sigma or State(), _as_cont(f))
     # an infinite lower bound is exact; one entry per distinct bound
@@ -199,7 +200,7 @@ def char_functional(loop: Union[While, Annotated], f: RunTime):
     f_cont = _as_cont(f)
 
     def apply(X, sigma: State) -> Value:
-        engine, x_cont = _Engine(ErtConfig()), _as_cont(X)
+        engine, x_cont = _Engine(), _as_cont(X)
         with _deep_stack():
             return engine.mix(
                 loop.guard, sigma,
